@@ -29,11 +29,9 @@ from .group_actions import (
     dilated_complex_structure,
     eigen_lattices,
     enumerate_group,
-    fixed_lattice,
     fundamental_data,
     is_geometric,
     leftover_lattice,
-    rho_lattice,
 )
 from .lattice import (
     Lattice,
@@ -514,12 +512,12 @@ def d3_full_pipeline(variant: str, action: LatticeAction | None = None) -> Pipel
         return ok, f"n={f.order_n}, real={f.real}"
 
     def stage_fixed():
-        fl = fixed_lattice(act, "all")
+        fl = state["f"].fixed
         ok = fl.gram() == exp["fixed_gram"]
         return ok, f"rank {fl.rank} invariant block"
 
     def stage_rotation():
-        rho = rho_lattice(act, state["f"])
+        rho = state["f"].rho
         ok = rho.basis == exp["rho_basis"]
         return ok, f"rotation block rank {rho.rank}"
 

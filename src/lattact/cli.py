@@ -34,12 +34,9 @@ from .group_actions import (
     LatticeAction,
     dilated_complex_structure,
     eigen_lattices,
-    enumerate_group,
-    fixed_lattice,
     fundamental_data,
     is_geometric,
     leftover_lattice,
-    rho_lattice,
 )
 from .lattice import discriminant_form, make_lattice, signature, sublattice_from_rows
 from .walls import wall_report
@@ -53,10 +50,18 @@ _COLUMN_NOTE = "matrices act on column coordinate vectors"
 # action-file serialization
 
 
+def _to_int(text: str, where: str) -> int:
+    # int() refuses decimal strings past the interpreter's digit limit
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{where}: integer has too many digits") from None
+
+
 def _parse_int(value, where: str) -> int:
     if not isinstance(value, str) or not _INT_RE.match(value):
         raise InputError(f"{where}: expected a decimal-integer string, got {value!r}")
-    return int(value)
+    return _to_int(value, where)
 
 
 def _parse_matrix(obj, where: str) -> tuple:
@@ -74,6 +79,8 @@ def parse_action_text(text: str):
         obj = json.loads(text)
     except json.JSONDecodeError as err:
         raise InputError(f"not a structured action file: {err}") from None
+    except ValueError:
+        raise InputError("action file holds a number with too many digits") from None
     if not isinstance(obj, dict):
         raise InputError("action file must be a single object")
     unknown = set(obj) - {"comment", "gram", "generators"}
@@ -139,7 +146,7 @@ def _parse_vector(text: str, rank: int) -> tuple:
     for p in parts:
         if not _INT_RE.match(p.strip()):
             raise InputError(f"root {text!r}: entries must be integers")
-        out.append(int(p))
+        out.append(_to_int(p, "root"))
     return tuple(out)
 
 
@@ -175,18 +182,16 @@ def _emit(entries, fmt: str, header: str) -> None:
 
 def cmd_check(args) -> int:
     a, _ = _load_action(args.file)
-    grp = enumerate_group(a)
     f = fundamental_data(a)
-    fixed = fixed_lattice(a, "all")
     geo, witnesses = is_geometric(a, f)
     ld = leftover_lattice(a, f)
     sig = signature(a.ambient)
     entries = [
         ("lattice.signature", _fmt_vec(sig.as_tuple())),
-        ("group.order", str(len(grp))),
+        ("group.order", str(len(f.group))),
         ("rho.order", str(f.order_n)),
         ("rho.real", _fmt_bool(f.real)),
-        ("fixed.gram", _fmt_mat(fixed.gram())),
+        ("fixed.gram", _fmt_mat(f.fixed.gram())),
     ]
     if any(kappa == -1 for _, _, kappa in a.generators):
         e = eigen_lattices(a, f)
@@ -339,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("degenerate", cmd_degenerate, "degenerate the action at an invariant root system")
     sp.add_argument("file")
-    sp.add_argument("--roots", nargs="+", required=True, metavar="V", help="root vectors, comma-separated integer coordinates")
+    sp.add_argument("--roots", nargs="+", required=True, metavar="V", help="root vectors, comma-separated integer coordinates; write a vector that starts with - as --roots=-1,1,...")
     sp.add_argument("--out", default=None, help="write the degenerated action file here instead of stdout")
 
     sp = command("catalog", cmd_catalog, "export a bundled fixture as an action file")

@@ -19,8 +19,6 @@ from .group_actions import (
     FundamentalData,
     LatticeAction,
     dilated_complex_structure,
-    enumerate_group,
-    fixed_lattice,
     fundamental_data,
     is_geometric,
     leftover_lattice,
@@ -46,11 +44,13 @@ from .walls import wall_in_H_plus
 
 @dataclass(frozen=True)
 class SaturatedSystem:
-    """An input system together with its saturation and a chosen camera."""
+    """An input system together with its saturation, a chosen camera and
+    the fundamental data of the action it was saturated for."""
 
     r_input: Sublattice
     r_bar: RootSystem
     camera: Camera
+    data: FundamentalData
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def tau_saturation(a: LatticeAction, f: FundamentalData, r: Sublattice) -> Satur
     root_set = set(r_bar.roots)
     _check_invariant(a.generators, r_bar.roots, lambda v: tuple(v) in root_set,
                      "saturated system")
-    return SaturatedSystem(r, r_bar, fundamental_camera(r_bar))
+    return SaturatedSystem(r, r_bar, fundamental_camera(r_bar), f)
 
 
 def _decompose(s: SaturatedSystem, m):
@@ -133,9 +133,12 @@ def degenerate(a: LatticeAction, s: SaturatedSystem) -> DegenerationResult:
 
     The Weyl factors are products of ambient reflections, so they act
     identically on the orthogonal complement; signs are inherited. The
-    result is verified to be a homomorphism on the whole closed group.
+    result is verified to be a homomorphism on the whole closed group,
+    which s carries in its fundamental data.
     """
-    geo, _ = is_geometric(a, fundamental_data(a))
+    if s.data.group.action != a:
+        raise InputError("system was saturated for a different action")
+    geo, _ = is_geometric(a, s.data)
     if not geo:
         raise InputError("only geometric actions degenerate")
     factors = []
@@ -151,15 +154,18 @@ def degenerate(a: LatticeAction, s: SaturatedSystem) -> DegenerationResult:
     return result
 
 
-def _verify_homomorphism(a: LatticeAction, s: SaturatedSystem, bound: int = 1024):
-    """The camera factor of g.h must be the product of the camera factors."""
-    group = enumerate_group(a, bound)
-    mats = group.elements
-    images = [_decompose(s, m)[0].matrix for m in mats]
-    for i, g in enumerate(mats):
-        for j, h in enumerate(mats):
-            k = group.index_of(la.mat_mul(g, h))
-            if images[k] != la.mat_mul(images[i], images[j]):
+def _verify_homomorphism(a: LatticeAction, s: SaturatedSystem):
+    """The camera factor of g.t must be the product of the camera factors
+    of g and t, for every element g and generator t. Induction on word
+    length gives the same for every pair of elements. Each element is
+    decomposed on its own, so no factor is built from the generators'."""
+    group = s.data.group
+    images = [_decompose(s, m)[0].matrix for m in group.elements]
+    for _, t, _ in a.generators:
+        t_image = images[group.index_of(t.matrix)]
+        for g, g_image in zip(group.elements, images):
+            k = group.index_of(la.mat_mul(g, t.matrix))
+            if images[k] != la.mat_mul(g_image, t_image):
                 raise VerificationError("degeneration is not a homomorphism")
 
 
@@ -251,7 +257,9 @@ def verify_degeneration(a: LatticeAction, s: SaturatedSystem, d: DegenerationRes
         return True, "same maps on the discriminant group"
 
     def geometric():
-        ok, witnesses = is_geometric(d.action, fundamental_data(d.action))
+        # an unchanged action keeps the data it was saturated with
+        f = s.data if d.action == a else fundamental_data(d.action)
+        ok, witnesses = is_geometric(d.action, f)
         return ok, ("degenerate action is geometric" if ok else
                     f"{len(witnesses)} roots in the leftover part")
 
@@ -347,7 +355,7 @@ def degenerate_at_wall(a: LatticeAction, f: FundamentalData, e: EigenData, v) ->
     ray = e.rho.to_ambient(ray_block)
     jray = e.rho.to_ambient(jray_block)
     l = a.ambient
-    perp = orthogonal_complement(l, fixed_lattice(a, "all"))
+    perp = orthogonal_complement(l, f.fixed)
     conditions = la.freeze_mat(
         [[l.dot(b, ray) for b in perp.basis], [l.dot(b, jray) for b in perp.basis]]
     )

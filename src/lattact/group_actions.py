@@ -22,7 +22,6 @@ from .lattice import (
     enumerate_vectors,
     full_sublattice,
     is_isometry,
-    make_lattice,
     orthogonal_complement,
     signature,
     standard_lattice,
@@ -57,7 +56,10 @@ class LatticeAction:
                 iso = Isometry(self.ambient, la.freeze_mat(iso))
             elif iso.lattice.gram != self.ambient.gram:
                 raise InputError("generator acts on a different lattice")
-            gens.append((str(name), iso, kappa))
+            name = str(name)
+            if any(name == seen for seen, _, _ in gens):
+                raise InputError(f"duplicate generator name {name!r}")
+            gens.append((name, iso, kappa))
         object.__setattr__(self, "generators", tuple(gens))
 
 
@@ -96,7 +98,8 @@ class GroupElements:
 
 @dataclass(frozen=True)
 class FundamentalData:
-    """Rotation order of the sign-kernel plus the invariant flag.
+    """Rotation order of the sign-kernel plus the invariant flag, with the
+    group, fixed lattice and rotation block they were derived from.
 
     order_n: order of the rotation the kernel subgroup induces on its
     positive plane; the representation is real exactly when order_n <= 2.
@@ -106,6 +109,12 @@ class FundamentalData:
     plane: invariant subspace of positive index exactly two carrying the
     rotation (for order_n >= 2 this is the full rotation block over Q;
     for order_n = 1 it is a definite plane of eigenvectors).
+    group: the closed group of the action; group.action is the action
+    every consumer of this data must be called with.
+    fixed: primitive sublattice fixed pointwise by the whole group.
+    rho: integral rotation block, invariant under every group element: the
+    saturated cyclotomic kernel of the witness for order_n >= 2, the
+    kernel-fixed sublattice for order_n = 1.
     """
 
     order_n: int
@@ -113,6 +122,9 @@ class FundamentalData:
     witness: tuple
     ell: tuple
     plane: Subspace
+    group: GroupElements
+    fixed: Sublattice
+    rho: Sublattice
 
 
 @dataclass(frozen=True)
@@ -145,14 +157,9 @@ class DilatedComplexStructure:
 # small exact helpers
 
 
-def _int_rows(rows) -> tuple:
-    return tuple(la.clear_denominators(r) for r in rows)
-
-
-def _sig_of_rows(l: Lattice, rows):
-    rows = _int_rows(rows)
-    gram = tuple(tuple(l.dot(u, v) for v in rows) for u in rows)
-    return signature(make_lattice(gram))
+def _check_owner(action: LatticeAction, data: FundamentalData) -> None:
+    if data.group.action != action:
+        raise InputError("fundamental data belongs to a different action")
 
 
 def _restrict(matrix, basis_rows) -> tuple:
@@ -176,10 +183,6 @@ def _positive_directions(sub: Sublattice) -> list:
             )
             out.append(la.clear_denominators(amb))
     return out
-
-
-def _frac_mat(a) -> tuple:
-    return tuple(tuple(Fraction(x) for x in row) for row in a)
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +239,19 @@ def enumerate_group(action: LatticeAction, bound: int = 1024) -> GroupElements:
 def fixed_lattice(action: LatticeAction, subgroup: str = "all") -> Sublattice:
     """Primitive sublattice fixed pointwise, by the whole group or by the
     kernel of the holomorphy sign (subgroup = "all" or "kernel")."""
-    l = action.ambient
     if subgroup == "all":
         mats = [iso.matrix for _, iso, _ in action.generators]
     elif subgroup == "kernel":
-        mats = list(enumerate_group(action).kernel_matrices())
+        mats = enumerate_group(action).kernel_matrices()
     else:
         raise InputError('subgroup must be "all" or "kernel"')
+    return _fixed_by(action.ambient, mats)
+
+
+def _fixed_by(l: Lattice, mats) -> Sublattice:
+    """Primitive sublattice fixed pointwise by every matrix in mats."""
     ident = la.identity(l.rank)
-    stacked = []
-    for m in mats:
-        stacked.extend(la.mat_sub(m, ident))
+    stacked = [row for m in mats for row in la.mat_sub(m, ident)]
     if not stacked:
         return full_sublattice(l)
     return Sublattice(l, la.kernel_int(la.freeze_mat(stacked)))
@@ -271,8 +276,8 @@ def _real_branch(action, group, fixed0, fixed_all) -> FundamentalData:
         vecs = _positive_directions(fixed0)
         if len(vecs) < 3:
             raise VerificationError("not almost geometric: fixed part lost a positive direction")
-        ell, plane = vecs[0], Subspace(l, (vecs[1], vecs[2]))
-        return FundamentalData(1, True, ident, ell, plane)
+        plane = Subspace(l, (vecs[1], vecs[2]))
+        return FundamentalData(1, True, ident, vecs[0], plane, group, fixed_all, fixed0)
     cf = _restrict(minus[0], fixed0.basis)
     # on the kernel-fixed part every -1 element acts the same way and
     # every +1 element acts trivially; anything else is a sign conflict
@@ -281,22 +286,14 @@ def _real_branch(action, group, fixed0, fixed_all) -> FundamentalData:
         r = _restrict(m, fixed0.basis)
         if r != (fid if k == 1 else cf):
             raise VerificationError("declared signs disagree with the action on the fixed part")
-    plus_rows = tuple(
-        tuple(sum(r[i] * fixed0.basis[i][k] for i in range(fixed0.rank)) for k in range(l.rank))
-        for r in la.kernel_int(la.mat_sub(cf, fid))
-    )
-    minus_rows = tuple(
-        tuple(sum(r[i] * fixed0.basis[i][k] for i in range(fixed0.rank)) for k in range(l.rank))
-        for r in la.kernel_int(la.mat_add(cf, fid))
-    )
-    f_plus = Sublattice(l, plus_rows)
-    f_minus = Sublattice(l, minus_rows)
+    f_plus = Sublattice(l, tuple(fixed0.to_ambient(r) for r in la.kernel_int(la.mat_sub(cf, fid))))
+    f_minus = Sublattice(l, tuple(fixed0.to_ambient(r) for r in la.kernel_int(la.mat_add(cf, fid))))
     pos_plus = _positive_directions(f_plus)
     pos_minus = _positive_directions(f_minus)
     if len(pos_plus) < 2 or len(pos_minus) < 1:
         raise VerificationError("not almost geometric: no flag compatible with the declared signs")
     plane = Subspace(l, (pos_plus[1], pos_minus[0]))
-    return FundamentalData(1, True, ident, pos_plus[0], plane)
+    return FundamentalData(1, True, ident, pos_plus[0], plane, group, fixed_all, fixed0)
 
 
 def _rotation_branch(action, group, fixed_all) -> FundamentalData:
@@ -309,16 +306,17 @@ def _rotation_branch(action, group, fixed_all) -> FundamentalData:
             continue
         o = la.matrix_order(m, bound=order_bound)
         for nn in (d for d in la.divisors_signed(o) if d > 1):
-            if o % nn:
+            if o % nn or (best is not None and nn <= best[0]):
                 continue
             ker = la.kernel_int(la.poly_mat(la.cyclotomic(nn), m))
-            if ker and _sig_of_rows(l, ker).plus >= 2 and (best is None or nn > best[0]):
-                best = (nn, m, ker)
+            if ker:
+                sub = Sublattice(l, ker)
+                if signature(sub.as_lattice()).plus >= 2:
+                    best = (nn, m, sub)
     if best is None:
         raise VerificationError("not almost geometric: no element carries a positive rotation plane")
-    nn, witness, ker = best
-    kmat = la.freeze_mat(ker)
-    c = _restrict(witness, kmat)
+    nn, witness, rho = best
+    c = _restrict(witness, rho.basis)
     if la.matrix_order(c, bound=order_bound) != nn:
         raise VerificationError("rotation block order disagrees with its cyclotomic kernel")
     powers = set()
@@ -328,8 +326,11 @@ def _rotation_branch(action, group, fixed_all) -> FundamentalData:
         p = la.mat_mul(p, c)
     c_inv = la.inverse_int(c)
     kid = la.identity(len(c))
+    block = rho.as_lattice()
+    # restricting every element integrally is also the rotation block's
+    # invariance check: _restrict raises ScopeError otherwise
     for m, k in zip(group.elements, group.kappas):
-        r = _restrict(m, kmat)
+        r = _restrict(m, rho.basis)
         if k == 1:
             if r not in powers:
                 raise ScopeError("unsupported action shape: kernel subgroup is not cyclic on the rotation block")
@@ -341,19 +342,15 @@ def _rotation_branch(action, group, fixed_all) -> FundamentalData:
             if la.mat_mul(r, r) != kid:
                 raise VerificationError("declared signs disagree with the rotation orientation")
             for sgn in (1, -1):
-                part = la.kernel_int(la.mat_sub(r, la.mat_scale(sgn, kid)))
-                amb = tuple(
-                    tuple(sum(row[i] * kmat[i][t] for i in range(len(kmat))) for t in range(l.rank))
-                    for row in part
-                )
-                if _sig_of_rows(l, amb).plus != 1:
+                part = Sublattice(block, la.kernel_int(la.mat_sub(r, la.mat_scale(sgn, kid))))
+                if signature(part.as_lattice()).plus != 1:
                     raise VerificationError("declared signs disagree with the rotation orientation")
-    if _sig_of_rows(l, kmat).plus != 2:
+    if signature(block).plus != 2:
         raise VerificationError("rotation block has the wrong positive index")
     ell = _first_positive_vector(
         fixed_all, "not almost geometric: no invariant positive direction"
     )
-    return FundamentalData(nn, nn <= 2, witness, ell, Subspace(l, kmat))
+    return FundamentalData(nn, nn <= 2, witness, ell, Subspace(l, rho.basis), group, fixed_all, rho)
 
 
 def fundamental_data(action: LatticeAction, bound: int = 1024) -> FundamentalData:
@@ -365,18 +362,16 @@ def fundamental_data(action: LatticeAction, bound: int = 1024) -> FundamentalDat
     root of unity; the kernel must act on that plane through powers of
     the witness, every -1 element must reverse its orientation, and a
     positive invariant direction must remain for the line of the flag.
+    The group, fixed lattice and rotation block found on the way are
+    returned with the data, so no consumer derives them again.
     """
     l = action.ambient
     if signature(l).plus != 3:
         raise ScopeError("ambient lattice must have positive index three")
     group = enumerate_group(action, bound)
-    stacked = []
-    ident = la.identity(l.rank)
-    for m in group.kernel_matrices():
-        stacked.extend(la.mat_sub(m, ident))
-    fixed0 = Sublattice(l, la.kernel_int(la.freeze_mat(stacked))) if stacked else full_sublattice(l)
-    fixed_all = fixed_lattice(action, "all")
-    if _sig_of_rows(l, fixed0.basis).plus == 3:
+    fixed0 = _fixed_by(l, group.kernel_matrices())
+    fixed_all = _fixed_by(l, (iso.matrix for _, iso, _ in action.generators))
+    if signature(fixed0.as_lattice()).plus == 3:
         data = _real_branch(action, group, fixed0, fixed_all)
     else:
         data = _rotation_branch(action, group, fixed_all)
@@ -393,7 +388,7 @@ def _verify_flag(action: LatticeAction, data: FundamentalData) -> None:
             raise VerificationError("flag line is not invariant")
         if la.restrict_to_span(iso.matrix, data.plane.basis) is None:
             raise VerificationError("flag plane is not invariant")
-    if signature(make_lattice(_gram_of(l, _int_rows(data.plane.basis)))).plus != 2:
+    if sum(v > 0 for v in la.diagonalize_symmetric(data.plane.gram())[1]) != 2:
         raise VerificationError("flag plane has the wrong positive index")
     for row in data.plane.basis:
         if la.dot(la.to_frac_mat(l.gram), la.to_frac_vec(data.ell), la.to_frac_vec(row)) != 0:
@@ -402,27 +397,19 @@ def _verify_flag(action: LatticeAction, data: FundamentalData) -> None:
         raise VerificationError("witness order is not a multiple of the rotation order")
 
 
-def _gram_of(l: Lattice, rows) -> tuple:
-    return tuple(tuple(l.dot(u, v) for v in rows) for u in rows)
-
-
 # ---------------------------------------------------------------------------
 # rotation block, dilation, eigenlattices
 
 
 def rho_lattice(action: LatticeAction, data: FundamentalData) -> Sublattice:
     """Integral rotation block: the saturated cyclotomic kernel of the
-    witness for order >= 2, the kernel-fixed sublattice for order 1."""
-    l = action.ambient
-    if data.order_n == 1:
-        sub = fixed_lattice(action, "kernel")
-    else:
-        ker = la.kernel_int(la.poly_mat(la.cyclotomic(data.order_n), data.witness))
-        sub = Sublattice(l, ker)
-    for _, iso, _ in action.generators:
-        if la.restrict_to_span(iso.matrix, sub.basis) is None:
-            raise ScopeError("unsupported action shape: rotation block is not invariant")
-    return sub
+    witness for order >= 2, the kernel-fixed sublattice for order 1.
+
+    fundamental_data derives it and checks that every group element
+    restricts to it integrally.
+    """
+    _check_owner(action, data)
+    return data.rho
 
 
 _T_FOR_ORDER = {3: -1, 4: 0, 6: 1}
@@ -438,7 +425,8 @@ def dilated_complex_structure(action: LatticeAction, data: FundamentalData) -> D
     """
     if data.order_n not in _T_FOR_ORDER:
         raise ScopeError("no integral dilation for this rotation order")
-    rho = rho_lattice(action, data)
+    _check_owner(action, data)
+    rho = data.rho
     c = _restrict(data.witness, rho.basis)
     t = _T_FOR_ORDER[data.order_n]
     k = rho.rank
@@ -449,8 +437,7 @@ def dilated_complex_structure(action: LatticeAction, data: FundamentalData) -> D
     g = la.freeze_mat(rho.gram())
     if la.mat_mul(la.transpose(j), g) != la.mat_scale(-1, la.mat_mul(g, j)):
         raise VerificationError("dilation is not anti-selfadjoint")
-    group = enumerate_group(action)
-    for m, kap in zip(group.elements, group.kappas):
+    for m, kap in zip(data.group.elements, data.group.kappas):
         r = _restrict(m, rho.basis)
         left = la.mat_mul(r, j)
         right = la.mat_mul(j, r)
@@ -478,7 +465,8 @@ def eigen_lattices(action: LatticeAction, data: FundamentalData) -> EigenData:
     if chosen is None:
         raise InputError("action has no antiholomorphic generator to split by")
     name, iso = chosen
-    rho = rho_lattice(action, data)
+    _check_owner(action, data)
+    rho = data.rho
     c = _restrict(iso.matrix, rho.basis)
     k = rho.rank
     kid = la.identity(k)
@@ -511,11 +499,9 @@ def eigen_lattices(action: LatticeAction, data: FundamentalData) -> EigenData:
 
 def leftover_lattice(action: LatticeAction, data: FundamentalData) -> Sublattice:
     """Orthogonal complement of (fixed lattice + rotation block)."""
+    _check_owner(action, data)
     l = action.ambient
-    fixed_all = fixed_lattice(action, "all")
-    rho = rho_lattice(action, data)
-    joined = sublattice_sum(l, fixed_all, rho)
-    return orthogonal_complement(l, joined)
+    return orthogonal_complement(l, sublattice_sum(l, data.fixed, data.rho))
 
 
 def is_geometric(action: LatticeAction, data: FundamentalData) -> tuple:
@@ -558,7 +544,7 @@ def extend_equivariantly(action: LatticeAction, data: FundamentalData, eigen: Ei
             raise VerificationError("dilation does not carry the minus part into the plus part")
         cols.append(x)
     c = la.transpose(la.freeze_mat(cols))
-    a_minus = la.mat_mul(la.mat_mul(la.inverse(c), _frac_mat(a)), c)
+    a_minus = la.mat_mul(la.mat_mul(la.inverse(c), la.to_frac_mat(a)), c)
     k = eigen.rho.rank
     p = plus.rank
     blk = [[Fraction(0)] * k for _ in range(k)]
@@ -568,7 +554,7 @@ def extend_equivariantly(action: LatticeAction, data: FundamentalData, eigen: Ei
     for i in range(k - p):
         for jj in range(k - p):
             blk[p + i][p + jj] = Fraction(a_minus[i][jj])
-    x = _frac_mat(la.transpose(plus.basis + minus.basis))
+    x = la.to_frac_mat(la.transpose(plus.basis + minus.basis))
     ext = la.mat_mul(la.mat_mul(x, la.freeze_mat(tuple(map(tuple, blk)))), la.inverse(x))
     if not la.is_integer_matrix(ext):
         return None

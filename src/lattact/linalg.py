@@ -112,10 +112,6 @@ def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(x + y for x, y in zip(u, v))
 
 
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(u, v))
-
-
 def vec_scale(c, v: Vec) -> Vec:
     return tuple(c * x for x in v)
 
@@ -559,14 +555,6 @@ def poly_mat(coeffs: Sequence, a: Mat) -> Mat:
     return acc
 
 
-def _poly_mul(p: Sequence, q: Sequence) -> tuple:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        for j, qj in enumerate(q):
-            out[i + j] += pi * qj
-    return tuple(out)
-
-
 def _poly_divexact(p: Sequence, q: Sequence) -> tuple:
     # long division, exact by construction for cyclotomic factors
     rem = list(p)
@@ -734,17 +722,6 @@ def isqrt_frac_floor(x: Fraction) -> int:
         raise ValueError("negative argument")
     p, q = x.numerator, x.denominator
     return isqrt(p * q) // q
-
-
-def sqrt_exact(x: Fraction) -> Fraction | None:
-    """Exact rational square root, or None when x is not a perfect square."""
-    if x < 0:
-        return None
-    p, q = x.numerator, x.denominator
-    rp, rq = isqrt(p), isqrt(q)
-    if rp * rp == p and rq * rq == q:
-        return Fraction(rp, rq)
-    return None
 
 
 def is_perfect_square(n: int) -> bool:

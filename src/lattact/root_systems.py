@@ -95,8 +95,12 @@ class WeylWord:
 
 
 def _positivity_functional(coords) -> int:
-    # base-10 digits: desk-scale simple-root coordinates stay below 10
-    return sum(c * 10 ** i for i, c in enumerate(coords))
+    # sign of the last nonzero coordinate: a lexicographic order, so it
+    # splits the roots into positive and negative at any coordinate size
+    for c in reversed(coords):
+        if c:
+            return 1 if c > 0 else -1
+    return 0
 
 
 def roots_of(s) -> RootSystem:

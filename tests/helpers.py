@@ -142,3 +142,21 @@ def klein_pipeline(inv=INV_A):
     j = dilated_complex_structure(act, f)
     e = eigen_lattices(act, f)
     return act, f, j, e
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the positional arguments of every call to module.name, made
+    through any lattact module that holds that function."""
+    import sys
+
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "lattact" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls

@@ -381,7 +381,7 @@ def test_criterion_06_randomized_degenerations(capsys):
             tuple(tuple(la.mat_vec(w0, w)) for w in sat.camera.walls),
             tuple(la.mat_vec(w0, sat.camera.witness)),
         )
-        d2 = degenerate(a, SaturatedSystem(sat.r_input, r_bar, cam2))
+        d2 = degenerate(a, SaturatedSystem(sat.r_input, r_bar, cam2, sat.data))
         s1 = {name: g.matrix for name, g, _ in d1.action.generators}
         s2 = {name: g.matrix for name, g, _ in d2.action.generators}
         hit = any(

@@ -1,8 +1,10 @@
 """Command-line behavior: file format round trips, report content per
 command, the exit-code contract, and byte determinism."""
 
+import io
 import json
 import re
+import sys
 
 import pytest
 
@@ -291,6 +293,50 @@ class TestDegenerate:
         bad = "x," + ZERO18 + ",0,0,0"
         code, _, err = run(capsys, "degenerate", path, "--roots", bad)
         assert code == 2
+
+    def test_root_starting_with_minus_in_equals_form(self, capsys, tmp_path):
+        path = catalog_file(capsys, tmp_path, "e8_swap")
+        code, out, _ = run(
+            capsys, "degenerate", path, "--roots=-1,1," + ZERO18 + ",0,0", "--format=lines"
+        )
+        assert code == 0
+        rep = lines_dict(out[: out.index("{")])
+        assert rep["degeneration.all"] == "true"
+        assert rep["system.components"] == "A1"
+
+
+class TestMalformedInput:
+    def test_duplicate_generator_names_exit_2(self, capsys, tmp_path):
+        obj = json.loads(run(capsys, "catalog", "d3_S")[1])
+        obj["generators"][1]["name"] = obj["generators"][0]["name"]
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "duplicate generator name" in err
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="this interpreter has no integer digit limit",
+    )
+    @pytest.mark.parametrize("where", ["matrix_string", "json_number", "root_entry"])
+    def test_oversized_integer_exit_2(self, capsys, tmp_path, monkeypatch, where):
+        huge = "1" + "0" * 5000
+        obj = json.loads(run(capsys, "catalog", "e8_swap")[1])
+        argv = ["check", "-"]
+        if where == "matrix_string":
+            obj["gram"][0][0] = huge
+            text = json.dumps(obj)
+        elif where == "json_number":
+            text = json.dumps(obj).replace('"gram": [["0"', '"gram": [[' + huge, 1)
+        else:
+            text = json.dumps(obj)
+            argv = ["degenerate", "-", "--roots", huge + ",-1," + ZERO18 + ",0,0"]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.count("\n") == 1 and "too many digits" in err
 
 
 class TestCatalogCommand:

@@ -3,8 +3,10 @@ import random
 import pytest
 
 import helpers
+from lattact import degeneration, group_actions
 from lattact import (
     InputError,
+    VerificationError,
     Isometry,
     Lattice,
     LatticeAction,
@@ -216,7 +218,7 @@ class TestDegenerate:
 
         walls = tuple(tuple(la.mat_vec(w0, w)) for w in s.camera.walls)
         witness = tuple(la.mat_vec(w0, s.camera.witness))
-        s_alt = SaturatedSystem(s.r_input, s.r_bar, Camera(s.r_bar, walls, witness))
+        s_alt = SaturatedSystem(s.r_input, s.r_bar, Camera(s.r_bar, walls, witness), s.data)
         d2 = degenerate(act, s_alt)
         assert verify_degeneration(act, s_alt, d2).all_passed
         tau1 = {n: g.matrix for n, g, _ in d1.factors}
@@ -236,6 +238,36 @@ class TestDegenerate:
         ]
         assert witnesses
         assert w0 in witnesses
+
+    def test_degenerate_enumerates_no_group(self, monkeypatch):
+        act, f, e, d = rotation_wall_degeneration()
+        calls = helpers.count_calls(monkeypatch, group_actions, "enumerate_group")
+        assert degenerate(act, d.system) == d
+        assert calls == []
+
+    def test_system_of_another_action_rejected(self):
+        act, f, _, _ = helpers.klein_pipeline()
+        s = tau_saturation(act, f, sublattice_from_rows(L6, ()))
+        with pytest.raises(InputError, match="different action"):
+            degenerate(helpers.klein_action(helpers.INV_B), s)
+
+    def test_corrupted_factor_of_a_non_generator_is_caught(self, monkeypatch):
+        # every element is decomposed on its own, so a wrong camera factor
+        # on a product of generators breaks the (element, generator) check
+        act, f, e, d = rotation_wall_degeneration()
+        gens = {g.matrix for _, g, _ in act.generators}
+        target = next(m for m in f.group.elements[1:] if m not in gens)
+        original = degeneration.camera_decompose
+
+        def corrupted(r, c, g):
+            s_g, w_g = original(r, c, g)
+            if g == target:
+                s_g = Isometry(act.ambient, la.mat_scale(-1, s_g.matrix))
+            return s_g, w_g
+
+        monkeypatch.setattr(degeneration, "camera_decompose", corrupted)
+        with pytest.raises(VerificationError, match="not a homomorphism"):
+            degenerate(act, d.system)
 
     def test_degenerating_twice_is_idempotent(self):
         act, f, e, d1 = rotation_wall_degeneration()

@@ -14,6 +14,7 @@ import random
 import pytest
 
 import helpers
+from lattact import group_actions
 from lattact import linalg as la
 from lattact.errors import InputError, ScopeError, VerificationError
 from lattact.group_actions import (
@@ -26,6 +27,7 @@ from lattact.group_actions import (
     fixed_lattice,
     fundamental_data,
     is_geometric,
+    leftover_lattice,
     rho_lattice,
     wedge_square,
 )
@@ -155,6 +157,11 @@ class TestLatticeAction:
     def test_rejects_malformed_entry(self):
         with pytest.raises(InputError):
             LatticeAction(L6, ((la.identity(6), 1),))
+
+    def test_rejects_duplicate_names(self):
+        t = helpers.block_diag(ROT3, I2)
+        with pytest.raises(InputError, match="duplicate generator name 't'"):
+            LatticeAction(L6, (("t", t, 1), ("t", la.mat_mul(t, t), 1)))
 
 
 class TestEnumerateGroup:
@@ -327,6 +334,34 @@ class TestFundamentalData:
             moved = Sublattice(L6, tuple(la.mat_vec(u, row) for row in rho.basis))
             assert rho_lattice(ac, fdc).basis == moved.basis
             assert is_geometric(ac, fdc)[0] == is_geometric(a, fd)[0]
+
+
+class TestDerivedOnce:
+    def test_data_carries_group_fixed_lattice_and_block(self):
+        for action in (dihedral3(), dihedral4(), sign_flip_pair(), antiflip()):
+            fd = fundamental_data(action)
+            group = enumerate_group(action)
+            assert (fd.group.elements, fd.group.kappas) == (group.elements, group.kappas)
+            assert fd.fixed == fixed_lattice(action, "all")
+            if fd.order_n == 1:
+                assert fd.rho == fixed_lattice(action, "kernel")
+
+    def test_group_enumerated_once_per_action(self, monkeypatch):
+        calls = helpers.count_calls(monkeypatch, group_actions, "enumerate_group")
+        a = dihedral3()
+        fd = fundamental_data(a)
+        rho_lattice(a, fd)
+        leftover_lattice(a, fd)
+        is_geometric(a, fd)
+        eigen_lattices(a, fd)
+        dilated_complex_structure(a, fd)
+        assert len(calls) == 1
+
+    def test_data_of_another_action_rejected(self):
+        fd = fundamental_data(dihedral3())
+        for consumer in (rho_lattice, leftover_lattice, eigen_lattices, dilated_complex_structure):
+            with pytest.raises(InputError, match="different action"):
+                consumer(dihedral3(INV_B), fd)
 
 
 class TestRhoLattice:

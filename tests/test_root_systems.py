@@ -70,6 +70,15 @@ def test_roots_of_sublattice():
     assert r.components == (("A", 1),)
 
 
+def test_roots_of_span_coordinates_past_nine():
+    # 2A1 in the basis a1, 10 a1 - a2: the positive roots must not depend
+    # on span coordinates staying below 10
+    r = roots_of(make_lattice(((-2, -20), (-20, -202))))
+    assert len(r.roots) == 4
+    assert len(r.positive_roots) == 2
+    assert r.components == (("A", 1), ("A", 1))
+
+
 def test_ade_decompose_block_sum():
     r = roots_of(standard_lattice("A2+A1"))
     assert ade_decompose(r) == (("A", 1), ("A", 2))
