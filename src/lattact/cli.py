@@ -81,6 +81,8 @@ def parse_action_text(text: str):
         raise InputError(f"not a structured action file: {err}") from None
     except ValueError:
         raise InputError("action file holds a number with too many digits") from None
+    except RecursionError:
+        raise InputError("action file is nested too deeply") from None
     if not isinstance(obj, dict):
         raise InputError("action file must be a single object")
     unknown = set(obj) - {"comment", "gram", "generators"}
@@ -115,11 +117,11 @@ def action_to_text(action: LatticeAction, comment: str | None = None) -> str:
     obj = {}
     if comment is not None:
         obj["comment"] = comment
-    obj["gram"] = [[str(x) for x in row] for row in action.ambient.gram]
+    obj["gram"] = [[_fmt_num(x) for x in row] for row in action.ambient.gram]
     obj["generators"] = [
         {
             "name": name,
-            "matrix": [[str(x) for x in row] for row in iso.matrix],
+            "matrix": [[_fmt_num(x) for x in row] for row in iso.matrix],
             "kappa": "+1" if kappa == 1 else "-1",
         }
         for name, iso, kappa in action.generators
@@ -158,8 +160,16 @@ def _fmt_bool(b) -> str:
     return "true" if b else "false"
 
 
+def _fmt_num(x) -> str:
+    # str() refuses integers past the interpreter's digit limit
+    try:
+        return str(x)
+    except ValueError:
+        raise ScopeError("a report value has too many digits to print") from None
+
+
 def _fmt_vec(v) -> str:
-    return ",".join(str(x) for x in v)
+    return ",".join(_fmt_num(x) for x in v)
 
 
 def _fmt_mat(rows) -> str:
@@ -188,15 +198,15 @@ def cmd_check(args) -> int:
     sig = signature(a.ambient)
     entries = [
         ("lattice.signature", _fmt_vec(sig.as_tuple())),
-        ("group.order", str(len(f.group))),
-        ("rho.order", str(f.order_n)),
+        ("group.order", _fmt_num(len(f.group))),
+        ("rho.order", _fmt_num(f.order_n)),
         ("rho.real", _fmt_bool(f.real)),
         ("fixed.gram", _fmt_mat(f.fixed.gram())),
     ]
     if any(kappa == -1 for _, _, kappa in a.generators):
         e = eigen_lattices(a, f)
         entries.append(("eigen.plus.gram", _fmt_mat(e.m_plus.gram())))
-    entries.append(("ldot.rank", str(ld.rank)))
+    entries.append(("ldot.rank", _fmt_num(ld.rank)))
     entries.append(("geometric", _fmt_bool(geo)))
     if witnesses:
         entries.append(("geometric.witness", _fmt_mat(witnesses)))
@@ -216,13 +226,13 @@ def cmd_walls(args) -> int:
     rep = wall_report(e, j, bound=args.bound)
     entries = [
         ("lattice.signature", _fmt_vec(signature(a.ambient).as_tuple())),
-        ("rho.order", str(f.order_n)),
+        ("rho.order", _fmt_num(f.order_n)),
         ("eigen.plus.gram", _fmt_mat(e.m_plus.gram())),
-        ("walls.candidates", str(rep.candidate_count)),
-        ("walls.count", str(len(rep.walls))),
+        ("walls.candidates", _fmt_num(rep.candidate_count)),
+        ("walls.count", _fmt_num(len(rep.walls))),
         ("walls.rays", ";".join(_fmt_vec(w.direction) for w in rep.walls)),
         ("walls.complete", _fmt_bool(rep.complete)),
-        ("components", str(rep.components)),
+        ("components", _fmt_num(rep.components)),
     ]
     _emit(entries, args.format, f"walls {args.file}")
     return 0
@@ -246,8 +256,8 @@ def cmd_degenerate(args) -> int:
         )
         return 1
     entries = [
-        ("system.rank", str(sat.r_bar.rank)),
-        ("system.roots", str(len(sat.r_bar.roots))),
+        ("system.rank", _fmt_num(sat.r_bar.rank)),
+        ("system.roots", _fmt_num(len(sat.r_bar.roots))),
         (
             "system.components",
             "+".join(f"{letter}{rank}" for letter, rank in sat.r_bar.components),
@@ -279,8 +289,8 @@ def cmd_classify(args) -> int:
         raise InputError(f"unknown classification target {args.target!r}")
     rep = classify_order3_on_2U(args.bound)
     entries = [
-        ("classify.bound", str(rep.entry_bound)),
-        ("classify.hits", str(len(rep.hits))),
+        ("classify.bound", _fmt_num(rep.entry_bound)),
+        ("classify.hits", _fmt_num(len(rep.hits))),
         ("classify.classes", ";".join(rep.classes)),
         ("classify.note", rep.note),
     ]
@@ -294,8 +304,8 @@ def cmd_survey(args) -> int:
     rep = torus_symplectic_survey()
     entries = []
     for e in rep.entries:
-        entries.append((f"survey.{e.system}.weyl", str(e.weyl_order)))
-        entries.append((f"survey.{e.system}.rotation", str(e.rotation_order)))
+        entries.append((f"survey.{e.system}.weyl", _fmt_num(e.weyl_order)))
+        entries.append((f"survey.{e.system}.rotation", _fmt_num(e.rotation_order)))
         entries.append((f"survey.{e.system}.embedding", _fmt_mat(e.embedding)))
     entries.append(("survey.consistent", _fmt_bool(rep.all_consistent)))
     _emit(entries, args.format, f"survey {args.target}")
@@ -307,7 +317,7 @@ def cmd_discr(args) -> int:
     d = discriminant_form(a.ambient)
     entries = [
         ("discr.factors", _fmt_vec(d.invariant_factors)),
-        ("discr.order", str(d.order)),
+        ("discr.order", _fmt_num(d.order)),
         ("discr.q", _fmt_vec(d.q_values)),
     ]
     _emit(entries, args.format, f"discr {args.file}")

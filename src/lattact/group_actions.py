@@ -11,6 +11,8 @@ negative part. All arithmetic is exact.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 
 from . import linalg as la
 from .errors import InputError, ScopeError, VerificationError
@@ -115,6 +117,7 @@ class FundamentalData:
     rho: integral rotation block, invariant under every group element: the
     saturated cyclotomic kernel of the witness for order_n >= 2, the
     kernel-fixed sublattice for order_n = 1.
+    leftover: orthogonal complement of (fixed + rho), derived on first use.
     """
 
     order_n: int
@@ -125,6 +128,11 @@ class FundamentalData:
     group: GroupElements
     fixed: Sublattice
     rho: Sublattice
+
+    @cached_property
+    def leftover(self) -> Sublattice:
+        l = self.group.action.ambient
+        return orthogonal_complement(l, sublattice_sum(l, self.fixed, self.rho))
 
 
 @dataclass(frozen=True)
@@ -174,14 +182,17 @@ def _positive_directions(sub: Sublattice) -> list:
     """Pairwise orthogonal integer vectors of positive square spanning the
     positive part of the sublattice, in diagonalization order."""
     rows, vals = la.diagonalize_symmetric(sub.gram())
+    columns = la.transpose(sub.basis)
     out = []
     for r, v in zip(rows, vals):
         if v > 0:
-            amb = tuple(
-                sum(r[i] * Fraction(sub.basis[i][k]) for i in range(sub.rank))
-                for k in range(sub.ambient.rank)
-            )
-            out.append(la.clear_denominators(amb))
+            # r = w / q with w integral, so the ambient vector r . basis is
+            # (w . basis) / q, and clearing its denominators divides
+            # w . basis by gcd(q, w . basis)
+            q = lcm(*(x.denominator for x in r))
+            amb = la.mat_vec(columns, tuple(int(x * q) for x in r))
+            g = gcd(q, *amb)
+            out.append(tuple(x // g for x in amb))
     return out
 
 
@@ -230,7 +241,7 @@ def enumerate_group(action: LatticeAction, bound: int = 1024) -> GroupElements:
         if len(order) > bound:
             raise ScopeError(f"group closure exceeds the bound {bound}")
     for m in order:
-        inv = la.inverse_int(m)
+        inv = action.ambient.isometry_inverse(m)
         if inv not in kappa or kappa[inv] != kappa[m]:
             raise VerificationError("group closure is not inverse-closed with consistent signs")
     return GroupElements(action, tuple(order), tuple(kappa[m] for m in order))
@@ -324,9 +335,9 @@ def _rotation_branch(action, group, fixed_all) -> FundamentalData:
     for _ in range(nn):
         powers.add(p)
         p = la.mat_mul(p, c)
-    c_inv = la.inverse_int(c)
-    kid = la.identity(len(c))
     block = rho.as_lattice()
+    c_inv = block.isometry_inverse(c)
+    kid = la.identity(len(c))
     # restricting every element integrally is also the rotation block's
     # invariance check: _restrict raises ScopeError otherwise
     for m, k in zip(group.elements, group.kappas):
@@ -336,7 +347,7 @@ def _rotation_branch(action, group, fixed_all) -> FundamentalData:
                 raise ScopeError("unsupported action shape: kernel subgroup is not cyclic on the rotation block")
             continue
         if nn >= 3:
-            if la.mat_mul(la.mat_mul(r, c), la.inverse_int(r)) != c_inv:
+            if la.mat_mul(la.mat_mul(r, c), block.isometry_inverse(r)) != c_inv:
                 raise VerificationError("declared signs disagree with the rotation orientation")
         else:
             if la.mat_mul(r, r) != kid:
@@ -383,15 +394,16 @@ def _verify_flag(action: LatticeAction, data: FundamentalData) -> None:
     l = action.ambient
     if l.sq(data.ell) <= 0:
         raise VerificationError("flag line is not positive")
+    rows = data.plane.integer_rows()
     for _, iso, _ in action.generators:
         if iso(data.ell) != tuple(data.ell):
             raise VerificationError("flag line is not invariant")
-        if la.restrict_to_span(iso.matrix, data.plane.basis) is None:
+        if la.restrict_to_span(iso.matrix, rows) is None:
             raise VerificationError("flag plane is not invariant")
     if sum(v > 0 for v in la.diagonalize_symmetric(data.plane.gram())[1]) != 2:
         raise VerificationError("flag plane has the wrong positive index")
-    for row in data.plane.basis:
-        if la.dot(la.to_frac_mat(l.gram), la.to_frac_vec(data.ell), la.to_frac_vec(row)) != 0:
+    for row in rows:
+        if l.dot(data.ell, row) != 0:
             raise VerificationError("flag line is not orthogonal to the plane")
     if data.order_n > 1 and la.matrix_order(data.witness, bound=1024) % data.order_n:
         raise VerificationError("witness order is not a multiple of the rotation order")
@@ -498,10 +510,10 @@ def eigen_lattices(action: LatticeAction, data: FundamentalData) -> EigenData:
 
 
 def leftover_lattice(action: LatticeAction, data: FundamentalData) -> Sublattice:
-    """Orthogonal complement of (fixed lattice + rotation block)."""
+    """Orthogonal complement of (fixed lattice + rotation block), derived
+    once per fundamental data."""
     _check_owner(action, data)
-    l = action.ambient
-    return orthogonal_complement(l, sublattice_sum(l, data.fixed, data.rho))
+    return data.leftover
 
 
 def is_geometric(action: LatticeAction, data: FundamentalData) -> tuple:
@@ -512,7 +524,8 @@ def is_geometric(action: LatticeAction, data: FundamentalData) -> tuple:
     square -2 vectors up to sign, in ambient coordinates, so the action
     is geometric exactly when the report is empty.
     """
-    leftover = leftover_lattice(action, data)
+    _check_owner(action, data)
+    leftover = data.leftover
     if leftover.rank == 0:
         return True, ()
     sig = signature(leftover.as_lattice())

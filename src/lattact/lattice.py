@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
 from . import linalg as la
@@ -71,6 +72,20 @@ class Lattice:
     def det(self):
         return la.det(self.gram) if self.rank else 1
 
+    @cached_property
+    def adjugate(self) -> tuple:
+        """(adj G, det G), derived once per lattice object."""
+        return la.adjugate(self.gram)
+
+    def isometry_inverse(self, m) -> tuple:
+        """Inverse of an integer isometry of this lattice, as
+        adj(G) . m^T G / det G in integers (checked; ValueError when m is
+        not an isometry). A degenerate Gram falls back to inverse_int."""
+        adj, d = self.adjugate
+        if not d:
+            return la.inverse_int(m)
+        return la.isometry_inverse(m, self.gram, adj, d)
+
 
 @dataclass(frozen=True)
 class Sublattice:
@@ -92,9 +107,8 @@ class Sublattice:
         return len(self.basis)
 
     def gram(self) -> tuple:
-        return tuple(
-            tuple(self.ambient.dot(u, v) for v in self.basis) for u in self.basis
-        )
+        b = self.basis
+        return la.mat_mul(la.mat_mul(b, self.ambient.gram), la.transpose(b))
 
     def as_lattice(self) -> Lattice:
         return Lattice(self.gram())
@@ -117,7 +131,7 @@ class Sublattice:
 
     def coords_of(self, v):
         """Rational coordinates of an ambient vector in this basis, or None."""
-        return la.coords_in_rows(tuple(Fraction(x) for x in v), self.basis)
+        return la.coords_in_rows(v, self.basis)
 
     @property
     def primitive(self) -> bool:
@@ -144,9 +158,19 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    def integer_rows(self) -> tuple:
+        """The basis rows cleared of denominators: integer rows with the
+        same pivots, so an echelon basis of the same span."""
+        return tuple(la.clear_denominators(row) for row in self.basis)
+
     def gram(self) -> tuple:
+        # products in integers; an rref row has pivot 1, so the pivot
+        # entry of its integer row is the factor it was scaled by
+        b = self.integer_rows()
+        g = la.mat_mul(la.mat_mul(b, self.ambient.gram), la.transpose(b))
+        scale = [next(x for x in row if x) for row in b]
         return tuple(
-            tuple(self.ambient.dot(u, v) for v in self.basis) for u in self.basis
+            tuple(Fraction(x, s * t) for x, t in zip(row, scale)) for row, s in zip(g, scale)
         )
 
 
@@ -175,8 +199,7 @@ class Isometry:
         return Isometry(self.lattice, la.mat_mul(self.matrix, other.matrix))
 
     def inverse(self) -> "Isometry":
-        inv = la.inverse(self.matrix)
-        return Isometry(self.lattice, la.to_int_mat(inv))
+        return Isometry(self.lattice, self.lattice.isometry_inverse(self.matrix))
 
     @property
     def det(self) -> int:
@@ -329,50 +352,11 @@ def sublattice_from_rows(l: Lattice, rows) -> Sublattice:
 
 
 def signature(l: Lattice) -> Signature:
-    """Exact Jacobi diagonalization over Q; counts (+, -, 0) inertia."""
-    n = l.rank
-    if n == 0:
-        return Signature(0, 0, 0)
-    m = [list(map(Fraction, row)) for row in l.gram]
-    active = list(range(n))
-    plus = minus = null = 0
-    while active:
-        # prefer a nonzero diagonal pivot (first in order)
-        piv = next((i for i in active if m[i][i] != 0), None)
-        if piv is None:
-            # find off-diagonal nonzero pair; if none, the rest is radical
-            pair = None
-            for i in active:
-                for j in active:
-                    if i < j and m[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
-            if pair is None:
-                null += len(active)
-                break
-            i, j = pair
-            # row/col i += row/col j creates diagonal 2*m[i][j] != 0
-            for k in range(n):
-                m[i][k] += m[j][k]
-            for k in range(n):
-                m[k][i] += m[k][j]
-            piv = i
-        p = m[piv][piv]
-        if p > 0:
-            plus += 1
-        else:
-            minus += 1
-        active.remove(piv)
-        for i in active:
-            if m[i][piv] != 0:
-                factor = m[i][piv] / p
-                for k in range(n):
-                    m[i][k] -= factor * m[piv][k]
-                for k in range(n):
-                    m[k][i] -= factor * m[k][piv]
-    return Signature(plus, minus, null)
+    """(+, -, 0) inertia: the signs of an exact congruence diagonalization."""
+    vals = la.diagonalize_symmetric(l.gram)[1]
+    plus = sum(1 for v in vals if v > 0)
+    minus = sum(1 for v in vals if v < 0)
+    return Signature(plus, minus, len(vals) - plus - minus)
 
 
 def _as_row_basis(s) -> tuple:

@@ -15,7 +15,8 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Sequence
 
 Vec = tuple
@@ -28,10 +29,6 @@ Mat = tuple
 
 def freeze_mat(rows: Sequence[Sequence]) -> Mat:
     return tuple(tuple(x for x in row) for row in rows)
-
-
-def freeze_vec(v: Sequence) -> Vec:
-    return tuple(v)
 
 
 def identity(n: int) -> Mat:
@@ -88,24 +85,20 @@ def is_symmetric(a: Mat) -> bool:
 
 
 def transpose(a: Mat) -> Mat:
-    if not a:
-        return ()
-    return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
+    return tuple(zip(*a))
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     if a and b and len(a[0]) != len(b):
         raise ValueError("shape mismatch in mat_mul")
     bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
     if a and len(a[0]) != len(v):
         raise ValueError("shape mismatch in mat_vec")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
@@ -142,7 +135,7 @@ def mat_pow(a: Mat, k: int) -> Mat:
 
 def dot(gram: Mat, u: Vec, v: Vec):
     """Bilinear pairing u.v with respect to a symmetric Gram matrix."""
-    return sum(u[i] * sum(gram[i][j] * v[j] for j in range(len(v))) for i in range(len(u)))
+    return sum(x * sum(map(mul, row, v)) for x, row in zip(u, gram) if x)
 
 
 def sq(gram: Mat, v: Vec):
@@ -249,6 +242,52 @@ def inverse_int(a: Mat) -> Mat:
     if not is_integer_matrix(inv):
         raise ValueError("matrix is not invertible over the integers")
     return to_int_mat(inv)
+
+
+def adjugate(a: Mat) -> tuple[Mat, int]:
+    """(adj A, det A) of a square integer matrix, so adj A . A = det A . I.
+
+    Fraction-free Gauss-Jordan elimination on [A | I]: every division by
+    the previous pivot is exact (Sylvester's identity), and at the end the
+    left block is d . I and the right block d . A^-1 for d = +-det A.
+    adj A is None for a singular A, where this elimination stops.
+    """
+    n = len(a)
+    m = [list(map(int, row)) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return None, 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pk = m[k][k]
+        rk = m[k]
+        for i in range(n):
+            if i != k:
+                ri = m[i]
+                f = ri[k]
+                m[i] = [(pk * x - f * y) // prev for x, y in zip(ri, rk)]
+        prev = pk
+    return tuple(tuple(sign * x for x in row[n:]) for row in m), sign * prev
+
+
+def isometry_inverse(m: Mat, gram: Mat, adj: Mat, d: int) -> Mat:
+    """Inverse of an integer isometry m of a nondegenerate Gram matrix
+    (m^T G m = G), computed in integers as adj(G) . m^T G / det G.
+
+    adj, d: adjugate(gram). The quotient must be exact and m . m^-1 = I
+    is checked, so a matrix that is not an isometry raises ValueError.
+    """
+    t = mat_mul(adj, mat_mul(transpose(m), gram))
+    if any(x % d for row in t for x in row):
+        raise ValueError("matrix is not an isometry of the Gram matrix")
+    inv = tuple(tuple(x // d for x in row) for row in t)
+    if mat_mul(m, inv) != identity(len(m)):
+        raise ValueError("matrix is not an isometry of the Gram matrix")
+    return inv
 
 
 def solve(a: Mat, b: Vec) -> Vec | None:
@@ -587,54 +626,57 @@ def diagonalize_symmetric(gram: Mat) -> tuple[Mat, tuple]:
     """Congruence diagonalization of a symmetric matrix over Q.
 
     Returns (basis_rows, values) with basis_rows[i] . gram . basis_rows[j]
-    equal to values[i] when i == j and 0 otherwise. Jacobi pivoting; a
-    zero-diagonal block with a nonzero off-diagonal entry is broken by a
-    row/column addition first.
+    equal to values[i] when i == j and 0 otherwise. Jacobi pivoting: the
+    first active nonzero diagonal entry is the pivot, and the active block
+    is replaced by its Schur complement; a zero-diagonal block with a
+    nonzero off-diagonal entry is broken by a row/column addition first.
+
+    The elimination is fraction-free (Bareiss): a rational input is first
+    scaled to integers, the active block is kept as d times the Schur
+    complement and the basis rows as d times the true rows, d being the
+    previous pivot entry, and every division by d is exact.
     """
     n = len(gram)
     if n == 0:
         return (), ()
-    m = [[Fraction(x) for x in row] for row in gram]
-    basis = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    scale = lcm(*(x.denominator for row in gram for x in row))
+    m = [[int(x * scale) for x in row] for row in gram]
+    basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    d = 1
     active = list(range(n))
-    order = []
+    rows, vals = [], []
     while active:
         piv = next((i for i in active if m[i][i] != 0), None)
         if piv is None:
-            pair = None
-            for i in active:
-                for j in active:
-                    if i < j and m[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
+            pair = next(((i, j) for i in active for j in active if i < j and m[i][j] != 0), None)
             if pair is None:
-                order.extend(active)
                 break
             i, j = pair
-            for k in range(n):
+            # rows and columns of eliminated pivots are zero in the
+            # active rows, so only active entries change
+            for k in active:
                 m[i][k] += m[j][k]
-            for k in range(n):
+            for k in active:
                 m[k][i] += m[k][j]
-            for k in range(n):
-                basis[i][k] += basis[j][k]
+            basis[i] = [x + y for x, y in zip(basis[i], basis[j])]
             piv = i
         p = m[piv][piv]
-        order.append(piv)
+        rows.append(tuple(Fraction(x, d) for x in basis[piv]))
+        vals.append(Fraction(p, d * scale))
         active.remove(piv)
+        prow = m[piv]
+        bp = basis[piv]
         for i in active:
-            if m[i][piv] != 0:
-                factor = m[i][piv] / p
-                for k in range(n):
-                    m[i][k] -= factor * m[piv][k]
-                for k in range(n):
-                    m[k][i] -= factor * m[k][piv]
-                for k in range(n):
-                    basis[i][k] -= factor * basis[piv][k]
-    rows = tuple(freeze_vec(basis[i]) for i in order)
-    vals = tuple(m[i][i] for i in order)
-    return rows, vals
+            row = m[i]
+            f = row[piv]
+            for k in active:
+                row[k] = (p * row[k] - f * prow[k]) // d
+            basis[i] = [(p * x - f * y) // d for x, y in zip(basis[i], bp)]
+        d = p
+    for i in active:
+        rows.append(tuple(Fraction(x, d) for x in basis[i]))
+        vals.append(Fraction(0))
+    return tuple(rows), tuple(vals)
 
 
 def matrix_order(a: Mat, bound: int = 60) -> int:
@@ -675,41 +717,65 @@ def matrix_group_closure(generators: Sequence[Mat], bound: int = 1024) -> tuple:
     return tuple(order)
 
 
+def _echelon_pivots(rows: Mat) -> tuple[int, ...]:
+    """Leading columns of rows in row echelon form; ValueError otherwise."""
+    pivots = []
+    last = -1
+    for row in rows:
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None or c <= last:
+            raise ValueError("basis rows are not in echelon form")
+        pivots.append(c)
+        last = c
+    return tuple(pivots)
+
+
+def _echelon_coords(v: Vec, rows: Mat, pivots: Sequence[int]) -> Vec | None:
+    """Coordinates of v in echelon rows by substitution on the pivot
+    columns, or None when the remainder does not vanish (v outside the
+    span). Integer quotients stay integers when they divide exactly."""
+    w = v
+    coords = []
+    for row, c in zip(rows, pivots):
+        q = w[c]
+        if q:
+            p = row[c]
+            if isinstance(q, int) and isinstance(p, int):
+                q = q // p if q % p == 0 else Fraction(q, p)
+            else:
+                q = q / p
+            w = tuple(a - q * b for a, b in zip(w, row))
+        coords.append(q)
+    return None if any(w) else tuple(coords)
+
+
 def restrict_to_span(m: Mat, basis_rows: Mat) -> Mat | None:
     """Matrix of the column action of m on span(basis rows), or None.
 
     Returns C with m . b_i = sum_j C[j][i] b_j (column convention in the
-    basis coordinates). None when the span is not invariant.
+    basis coordinates). None when the span is not invariant. The basis
+    must be in row echelon form (an HNF or rref basis); the coordinates
+    of each image come from substitution on the pivot columns, and the
+    vanishing remainder is the exact check that they rebuild the image.
     """
     if not basis_rows:
         return ()
-    bc = transpose(basis_rows)  # columns are basis vectors
+    pivots = _echelon_pivots(basis_rows)
     cols = []
-    for b in basis_rows:
-        img = mat_vec(m, b)
-        x = solve(bc, img)
+    for img in mat_mul(basis_rows, transpose(m)):  # row i is m . b_i
+        x = _echelon_coords(img, basis_rows, pivots)
         if x is None:
             return None
         cols.append(x)
-    c = transpose(freeze_mat(cols))
-    # exactness check: the solve must reproduce the images
-    for i, b in enumerate(basis_rows):
-        img = mat_vec(m, b)
-        rebuilt = tuple(
-            sum(c[j][i] * basis_rows[j][k] for j in range(len(basis_rows)))
-            for k in range(len(b))
-        )
-        if tuple(Fraction(x) for x in rebuilt) != tuple(Fraction(x) for x in img):
-            return None
-    return c
+    return transpose(cols)
 
 
 def coords_in_rows(v: Vec, basis_rows: Mat) -> Vec | None:
-    """Rational coordinates of v in the row basis, or None if outside the span."""
+    """Rational coordinates of v in echelon basis rows (an HNF or rref
+    basis), or None if outside the span."""
     if not basis_rows:
-        return None if any(Fraction(x) != 0 for x in v) else ()
-    bc = transpose(basis_rows)
-    return solve(bc, v)
+        return None if any(v) else ()
+    return _echelon_coords(tuple(v), basis_rows, _echelon_pivots(basis_rows))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg as la
 from .errors import InputError, VerificationError
@@ -232,9 +233,10 @@ def _verify_root_system(rs: RootSystem):
         return
     # every root is an all-nonnegative or all-nonpositive integer combination
     # of the simple roots
-    basis = la.freeze_mat(rs.simple_roots)
+    # simple roots are not an echelon basis: solve with them as columns
+    columns = la.transpose(rs.simple_roots)
     for r in rs.roots:
-        c = la.coords_in_rows(r, basis)
+        c = la.solve(columns, r)
         if c is None or not la.is_integer_vector(c):
             raise VerificationError("root outside the simple-root lattice")
         if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
@@ -251,21 +253,29 @@ def ade_decompose(r: RootSystem) -> tuple:
 
 
 def reflection(l: Lattice, v) -> Isometry:
-    """Reflection x -> x - (2(x.v)/v^2) v; must be integral on l."""
+    """Reflection x -> x - (2(Gv).x / v^2) v; must be integral on l.
+
+    v is first scaled to a primitive integer vector, which leaves the
+    reflection unchanged; the matrix I - v (2Gv)^T / v^2 is then integral
+    exactly when v^2 divides every entry of 2Gv.
+    """
     v = tuple(v)
-    vv = l.sq(v)
-    if vv == 0:
+    if l.sq(v) == 0:
         raise InputError("cannot reflect in an isotropic vector")
-    n = l.rank
-    cols = []
-    for j in range(n):
-        e = tuple(1 if k == j else 0 for k in range(n))
-        coef = Fraction(2 * l.dot(e, v), vv)
-        cols.append(tuple(Fraction(e[k]) - coef * v[k] for k in range(n)))
-    m = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    if not la.is_integer_matrix(m):
-        raise InputError("reflection is not integral on this lattice")
-    return Isometry(l, la.to_int_mat(m))
+    v = la.primitive_vector(v)
+    gv = la.mat_vec(l.gram, v)
+    vv = sum(map(mul, v, gv))
+    coef = []
+    for x in gv:
+        q, r = divmod(2 * x, vv)
+        if r:
+            raise InputError("reflection is not integral on this lattice")
+        coef.append(q)
+    m = tuple(
+        tuple((1 if i == j else 0) - vi * c for j, c in enumerate(coef))
+        for i, vi in enumerate(v)
+    )
+    return Isometry(l, m)
 
 
 def fundamental_camera(r: RootSystem) -> Camera:
@@ -351,11 +361,11 @@ def camera_decompose(r: RootSystem, c: Camera, g) -> tuple:
     image = {tuple(la.mat_vec(s_mat, w)) for w in c.walls}
     if image != wall_set:
         raise VerificationError("camera factor does not permute the walls")
-    s_inv = la.inverse_int(s_mat)
+    s_inv = r.ambient.isometry_inverse(s_mat)
     w_word = tuple(
         r.root_index(la.mat_vec(s_inv, r.roots[i])) for i in reversed(u.word)
     )
-    w_mat = la.mat_mul(s_inv, la.mat_mul(la.inverse_int(u.isometry.matrix), s_mat))
+    w_mat = la.mat_mul(s_inv, la.mat_mul(r.ambient.isometry_inverse(u.isometry.matrix), s_mat))
     if la.mat_mul(s_mat, w_mat) != gm:
         raise VerificationError("camera decomposition failed to recompose")
     w = WeylWord(r, w_word, Isometry(r.ambient, w_mat))
@@ -601,8 +611,7 @@ def fold_reflection(n: Lattice, action, v) -> FoldResult:
     rsub = sublattice_from_rows(n, tuple(sorted(orbit)))
     rs = roots_of(rsub)
     groups = _component_indices(n, rs.simple_roots)
-    simple_mat = la.freeze_mat(rs.simple_roots)
-    coords = la.coords_in_rows(vbar, simple_mat)
+    coords = la.solve(la.transpose(rs.simple_roots), vbar)
     if coords is None:
         raise VerificationError("orbit sum fell outside the orbit root span")
     pieces = []

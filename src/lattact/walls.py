@@ -163,10 +163,10 @@ def wall_in_H_plus(v, e: EigenData, j: DilatedComplexStructure) -> Wall | None:
     if len(v) != e.rho.rank or block.sq(v) != -2:
         raise InputError("defining vector must be a root of the rotation block")
     v_plus, v_minus = project_to_eigenspaces(v, e)
-    gram = la.to_frac_mat(block.gram)
-    jv = la.mat_vec(la.to_frac_mat(j.matrix), v_minus)
-    alpha = tuple(la.dot(gram, la.to_frac_vec(row), v_plus) for row in e.m_plus.basis)
-    beta = tuple(la.dot(gram, la.to_frac_vec(row), jv) for row in e.m_plus.basis)
+    gram = block.gram
+    jv = la.mat_vec(j.matrix, v_minus)
+    alpha = tuple(la.dot(gram, row, v_plus) for row in e.m_plus.basis)
+    beta = tuple(la.dot(gram, row, jv) for row in e.m_plus.basis)
     if not any(alpha) and not any(beta):
         # the root sees nothing of the plus part: no codimension-1 cut
         return None

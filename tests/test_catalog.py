@@ -219,6 +219,14 @@ class TestPipeline:
         assert tuple(label for label, _, _ in rep.entries) == PIPELINE_LABELS
         assert rep.all_passed
 
+    def test_leftover_lattice_derived_once(self, monkeypatch):
+        from helpers import count_calls
+        from lattact import lattice
+
+        calls = count_calls(monkeypatch, lattice, "sublattice_sum")
+        assert d3_full_pipeline("Sprime").all_passed
+        assert len(calls) == 1  # fixed + rho, the leftover lattice's input
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(InputError):
             d3_full_pipeline("T")

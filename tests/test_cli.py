@@ -142,6 +142,16 @@ class TestCheck:
         assert rep["fixed.gram"] == expected_gram
         assert "geometric.witness" not in rep
 
+    def test_leftover_lattice_derived_once(self, capsys, tmp_path, monkeypatch):
+        from helpers import count_calls
+        from lattact import lattice
+
+        path = catalog_file(capsys, tmp_path, "d3_S")
+        calls = count_calls(monkeypatch, lattice, "sublattice_sum")
+        code, _, _ = run(capsys, "check", path, "--format=lines")
+        assert code == 0
+        assert len(calls) == 1  # fixed + rho, the leftover lattice's input
+
     def test_reflection_action_fails_geometric(self, capsys, tmp_path):
         path = write_action(tmp_path, "refl.json", reflection_rank7_action())
         code, out, _ = run(capsys, "check", path, "--format=lines")
@@ -338,6 +348,14 @@ class TestMalformedInput:
         assert code == 2
         assert err.count("\n") == 1 and "too many digits" in err
 
+    def test_deeply_nested_file_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100000)
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "nested too deeply" in err
+
 
 class TestCatalogCommand:
     def test_byte_stable(self, capsys):
@@ -410,6 +428,17 @@ class TestDiscrCommand:
         rep = lines_dict(out)
         assert rep["discr.factors"] == ""
         assert rep["discr.order"] == "1"
+
+    def test_report_integer_past_digit_limit_exit_3(self, capsys, tmp_path):
+        # the order 4 * 10^6000 has 6001 digits, past the default limit
+        # of 4300; each invariant factor has 3001 and still parses
+        big = 2 * 10**3000
+        act = LatticeAction(make_lattice(((big, 0), (0, big))), (("id", la.identity(2), 1),))
+        path = write_action(tmp_path, "big.json", act)
+        code, out, err = run(capsys, "discr", path, "--format=lines")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "too many digits" in err
 
 
 class TestDeterminism:

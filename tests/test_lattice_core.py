@@ -9,6 +9,7 @@ from lattact.lattice import (
     Isometry,
     Lattice,
     Sublattice,
+    Subspace,
     direct_sum,
     discriminant_form,
     enumerate_vectors,
@@ -26,6 +27,7 @@ from lattact.lattice import (
 from helpers import (
     box_vectors_with_square,
     conjugate_gram,
+    count_calls,
     definite_enumeration_box_bound,
     random_even_symmetric,
     random_symmetric,
@@ -608,3 +610,208 @@ def test_isometry_group_laws():
         y = rng.choice(mats)
         assert is_isometry(l, la.mat_mul(x, y))
         assert is_isometry(l, la.inverse_int(x))
+
+
+# ---------------------------------------------------------------------------
+# integer kernels: echelon coordinates, isometry inverses, Gram products
+
+
+def _random_hnf_basis(rng, n, k):
+    while True:
+        h = la.hnf(tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(k)))
+        if len(h) == k:
+            return h
+
+
+def _rref_basis(rows):
+    red, pivots = la.rref(rows)
+    return red[: len(pivots)]
+
+
+def _combine(coords, basis):
+    return tuple(sum(c * b[j] for c, b in zip(coords, basis)) for j in range(len(basis[0])))
+
+
+def test_echelon_coordinates_match_fraction_solve():
+    rng = random.Random(3101)
+    outside = 0
+    for _ in range(80):
+        n = rng.randint(2, 7)
+        k = rng.randint(1, n)
+        hnf_basis = _random_hnf_basis(rng, n, k)
+        for basis in (hnf_basis, _rref_basis(hnf_basis)):
+            columns = la.transpose(basis)
+            for denom in (1, 2, 3):
+                x = tuple(Fraction(rng.randint(-5, 5), denom) for _ in range(k))
+                v = _combine(x, basis)
+                assert la.coords_in_rows(v, basis) == la.solve(columns, v) == x
+            for _ in range(3):
+                v = tuple(rng.randint(-5, 5) for _ in range(n))
+                if la.solve(columns, v) is None:
+                    assert la.coords_in_rows(v, basis) is None
+                    outside += 1
+    assert outside > 20
+
+
+def test_echelon_coordinates_stay_integers_in_the_lattice():
+    rng = random.Random(3102)
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        basis = _random_hnf_basis(rng, n, rng.randint(1, n))
+        x = tuple(rng.randint(-6, 6) for _ in basis)
+        got = la.coords_in_rows(_combine(x, basis), basis)
+        assert got == x and all(type(c) is int for c in got)
+
+
+def test_restrict_to_span_matches_fraction_solve():
+    rng = random.Random(3103)
+    invariant = 0
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        k = rng.randint(1, n)
+        # an integer matrix with the span of the first k columns of p invariant
+        p = random_unimodular(rng, n)
+        d = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if (i < k) == (j < k) or (i < k <= j):
+                    d[i][j] = rng.randint(-3, 3)
+        m = la.mat_mul(la.mat_mul(p, la.freeze_mat(d)), la.inverse_int(p))
+        if rng.random() < 0.3:
+            m = la.mat_add(m, ((0,) * (n - 1) + (1,),) + la.zero_mat(n - 1, n))
+        for basis in (la.hnf(la.transpose(p)[:k]), _rref_basis(la.transpose(p)[:k])):
+            columns = la.transpose(basis)
+            images = [la.solve(columns, la.mat_vec(m, b)) for b in basis]
+            expected = None if None in images else la.transpose(images)
+            assert la.restrict_to_span(m, basis) == expected
+            invariant += expected is not None
+    assert invariant > 20
+
+
+def test_echelon_kernels_reject_non_echelon_bases():
+    m = la.identity(3)
+    for basis in (((0, 1, 0), (1, 0, 0)), ((1, 0, 0), (0, 0, 0)), ((1, 2, 0), (3, 0, 1))):
+        with pytest.raises(ValueError):
+            la.restrict_to_span(m, basis)
+        with pytest.raises(ValueError):
+            la.coords_in_rows((1, 2, 1), basis)
+
+
+def test_dot_on_rational_vectors():
+    rng = random.Random(3104)
+    for _ in range(50):
+        n = rng.randint(1, 6)
+        g = random_symmetric(rng, n)
+        u = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n))
+        v = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n))
+        expected = sum(u[i] * g[i][j] * v[j] for i in range(n) for j in range(n))
+        assert la.dot(g, u, v) == expected == la.dot(g, v, u)
+    assert la.dot(A2_GRAM, (Fraction(1, 2), 0), (0, Fraction(1, 3))) == Fraction(1, 6)
+
+
+def test_gram_matrices_are_pairwise_dots():
+    rng = random.Random(3105)
+    l = Lattice(conjugate_gram(standard_lattice("U+A2+D4").gram, random_unimodular(rng, 8)))
+    s = Sublattice(l, _random_hnf_basis(rng, 8, 5))
+    assert s.gram() == tuple(tuple(l.dot(u, v) for v in s.basis) for u in s.basis)
+    w = Subspace(l, ((1, 2, 0, 0, 1, 0, 0, 3), (Fraction(1, 2), 0, 1, 0, 0, 0, 2, 0)))
+    assert w.gram() == tuple(tuple(l.dot(u, v) for v in w.basis) for u in w.basis)
+
+
+def test_adjugate_matches_rational_inverse():
+    rng = random.Random(3106)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        a = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n))
+        adj, d = la.adjugate(a)
+        assert d == la.det(a)
+        if d:
+            assert adj == la.mat_scale(d, la.inverse(a))
+        else:
+            assert adj is None
+    assert la.adjugate(((1, 2), (2, 4))) == (None, 0)
+
+
+def _isometries_in_random_basis(rng, spec, generators, words):
+    """The standard lattice in a random basis, with products of the given
+    isometries conjugated into that basis."""
+    base = standard_lattice(spec)
+    b = random_unimodular(rng, base.rank)
+    b_inv = la.inverse_int(b)
+    l = Lattice(conjugate_gram(base.gram, b))
+    out = []
+    for _ in range(words):
+        m = la.identity(base.rank)
+        for _ in range(rng.randint(1, 5)):
+            m = la.mat_mul(m, rng.choice(generators))
+        out.append(la.mat_mul(la.mat_mul(b_inv, m), b))
+    return l, out
+
+
+def _reflections(spec, roots):
+    from lattact.root_systems import reflection
+
+    l = standard_lattice(spec)
+    return [reflection(l, r).matrix for r in roots]
+
+
+def test_isometry_inverse_in_random_bases():
+    rng = random.Random(3107)
+    e8_roots = [tuple(1 if i == j else 0 for i in range(22)) for j in range(6, 22)]
+    u_swap = la.mat_add(la.identity(22), ((-1, 1) + (0,) * 20, (1, -1) + (0,) * 20) + la.zero_mat(20, 22))
+    cases = (
+        ("U(2)", [((0, 1), (1, 0)), ((-1, 0), (0, -1))]),
+        ("A2", _reflections("A2", [(1, 0), (0, 1), (1, 1)])),
+        ("3U+2E8", _reflections("3U+2E8", e8_roots) + [u_swap]),
+    )
+    for spec, generators in cases:
+        l, mats = _isometries_in_random_basis(rng, spec, generators, 12)
+        for m in mats:
+            assert is_isometry(l, m)
+            inv = l.isometry_inverse(m)
+            assert inv == la.inverse_int(m)
+            assert Isometry(l, m).inverse().matrix == inv
+        n = l.rank
+        shear = la.mat_add(la.identity(n), ((0,) * (n - 1) + (1,),) + la.zero_mat(n - 1, n))
+        for bad in (shear, la.mat_scale(2, la.identity(n))):
+            assert not is_isometry(l, bad)
+            with pytest.raises(ValueError):
+                l.isometry_inverse(bad)
+
+
+def test_isometry_inverse_on_a_degenerate_lattice():
+    l = make_lattice(((0, 0), (0, 2)))
+    m = ((1, 3), (0, -1))
+    assert is_isometry(l, m)
+    assert l.isometry_inverse(m) == la.inverse_int(m)
+
+
+def test_adjugate_derived_once_per_lattice(monkeypatch):
+    from lattact.group_actions import fundamental_data
+
+    from helpers import klein_action
+
+    act = klein_action()
+    calls = count_calls(monkeypatch, la, "adjugate")
+    f = fundamental_data(act)
+    # one for the ambient lattice (group closure), one for the rotation
+    # block (orientation checks), however many elements are inverted
+    assert [args[0] for args in calls] == [act.ambient.gram, f.rho.gram()]
+    for m in f.group.elements:
+        act.ambient.isometry_inverse(m)
+    assert len(calls) == 2
+
+
+def test_signature_counts_diagonalization_signs():
+    rng = random.Random(3108)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        g = random_symmetric(rng, n, span=2)
+        rows, vals = la.diagonalize_symmetric(g)
+        d = la.mat_mul(la.mat_mul(rows, g), la.transpose(rows))
+        assert d == tuple(tuple(vals[i] if i == j else 0 for j in range(n)) for i in range(n))
+        sig = signature(make_lattice(g))
+        assert sig.as_tuple() == (
+            sum(v > 0 for v in vals), sum(v < 0 for v in vals), sum(v == 0 for v in vals)
+        )
+        assert sig.null == n - len(la.rref(g)[1])

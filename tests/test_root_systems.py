@@ -28,6 +28,8 @@ from lattact.root_systems import (
     to_fundamental_chamber,
 )
 
+from helpers import random_unimodular
+
 
 A2 = standard_lattice("A2")
 SWAP2 = ((0, 1), (1, 0))
@@ -142,6 +144,49 @@ def test_reflection_rejects_isotropic_and_nonintegral():
         reflection(standard_lattice("U"), (1, 0))
     with pytest.raises(InputError):
         reflection(standard_lattice("diag(-2,-6)"), (1, 1))
+
+
+def _reflection_by_fractions(l, v):
+    """x -> x - (2(x.v)/v^2) v, column by column in rational arithmetic."""
+    n = l.rank
+    vv = l.sq(v)
+    cols = []
+    for j in range(n):
+        e = tuple(1 if k == j else 0 for k in range(n))
+        coef = Fraction(2 * l.dot(e, v), vv)
+        cols.append(tuple(e[k] - coef * v[k] for k in range(n)))
+    return la.transpose(cols)
+
+
+def test_reflection_matches_fraction_formula_on_every_root():
+    for spec in ("A2", "D4", "E8"):
+        l = standard_lattice(spec)
+        for v in roots_of(l).roots:
+            assert reflection(l, v).matrix == _reflection_by_fractions(l, v)
+
+
+def test_reflection_in_a_multiple_is_the_same_reflection():
+    # 2(Gv)/v^2 is not integral for v = (2, 2), yet the reflection is
+    l = standard_lattice("diag(-2,-2)")
+    expected = _reflection_by_fractions(l, (2, 2))
+    assert la.is_integer_matrix(expected)
+    for v in ((2, 2), (1, 1), (-3, -3), (Fraction(1, 2), Fraction(1, 2))):
+        assert reflection(l, v).matrix == expected
+
+
+def test_reflection_nonintegral_in_a_random_basis():
+    rng = random.Random(2207)
+    base = standard_lattice("A2+diag(-4)")
+    b = random_unimodular(rng, 3)
+    l = make_lattice(la.mat_mul(la.mat_mul(la.transpose(b), base.gram), b))
+    b_inv = la.inverse_int(b)
+    root = la.mat_vec(b_inv, (1, 0, 0))
+    assert reflection(l, root).matrix == _reflection_by_fractions(l, root)
+    # (1, 0, 1) in the standard basis has square -6 and 2(Gv) = (-4, 2, -8)
+    bad = la.mat_vec(b_inv, (1, 0, 1))
+    assert not la.is_integer_matrix(_reflection_by_fractions(l, bad))
+    with pytest.raises(InputError):
+        reflection(l, bad)
 
 
 # ---------------------------------------------------------------------------
