@@ -130,13 +130,16 @@ def action_to_text(action: LatticeAction, comment: str | None = None) -> str:
 
 
 def _load_action(path: str):
-    if path == "-":
-        return parse_action_text(sys.stdin.read())
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"{path} is not UTF-8 text") from None
     return parse_action_text(text)
 
 

@@ -148,7 +148,7 @@ def degenerate(a: LatticeAction, s: SaturatedSystem) -> DegenerationResult:
         if la.mat_mul(s_g.matrix, w_g.isometry.matrix) != g.matrix:
             raise VerificationError("factorization does not recompose the generator")
         factors.append((name, s_g, w_g))
-        gens.append((name, s_g.matrix, kappa))
+        gens.append((name, s_g, kappa))
     result = DegenerationResult(s, tuple(factors), LatticeAction(a.ambient, tuple(gens)))
     _verify_homomorphism(a, s)
     return result
@@ -158,14 +158,15 @@ def _verify_homomorphism(a: LatticeAction, s: SaturatedSystem):
     """The camera factor of g.t must be the product of the camera factors
     of g and t, for every element g and generator t. Induction on word
     length gives the same for every pair of elements. Each element is
-    decomposed on its own, so no factor is built from the generators'."""
+    decomposed on its own, so no factor is built from the generators'.
+    The group's table gives the index of g.t; elements[0] is the identity,
+    so table[0][j] is the index of generator j."""
     group = s.data.group
     images = [_decompose(s, m)[0].matrix for m in group.elements]
-    for _, t, _ in a.generators:
-        t_image = images[group.index_of(t.matrix)]
-        for g, g_image in zip(group.elements, images):
-            k = group.index_of(la.mat_mul(g, t.matrix))
-            if images[k] != la.mat_mul(g_image, t_image):
+    for j, t in enumerate(group.table[0]):
+        t_image = images[t]
+        for row, g_image in zip(group.table, images):
+            if images[row[j]] != la.mat_mul(g_image, t_image):
                 raise VerificationError("degeneration is not a homomorphism")
 
 
@@ -299,21 +300,15 @@ def camera_adjacent(s: SaturatedSystem, r_prime: Sublattice) -> Camera:
         space = tuple(la.clear_denominators(row) for row in la.kernel_frac(conditions))
     else:
         space = la.identity(n)
-    face_point = None
-    for base in (10, 11, 13, 17, 23):
-        y0 = tuple(sum(base ** i * row[k] for i, row in enumerate(space)) for k in range(n))
-        generic = True
-        for root in r_bar.roots:
-            if la.dot(l.gram, y0, root) == 0 and any(
-                la.dot(l.gram, row, root) != 0 for row in space
-            ):
-                generic = False
-                break
-        if generic:
-            face_point = y0
-            break
-    if face_point is None:
-        raise VerificationError("no generic point of the face was found")
+    # every |pairing| of a face row with a root is below base, so the
+    # pairing of sum base^i row_i with a root is a signed base-`base`
+    # numeral and vanishes only when every digit does
+    pairings = [[la.dot(l.gram, row, root) for row in space] for root in r_bar.roots]
+    base = max([10] + [abs(p) + 1 for pairs in pairings for p in pairs])
+    face_point = tuple(sum(base ** i * row[k] for i, row in enumerate(space)) for k in range(n))
+    for root, pairs in zip(r_bar.roots, pairings):
+        if la.dot(l.gram, face_point, root) == 0 and any(pairs):
+            raise VerificationError("no generic point of the face was found")
     if not r_bar.roots:
         return Camera(r_bar, (), face_point)
     z = la.clear_denominators(fundamental_camera(r_bar).witness)

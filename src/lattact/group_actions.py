@@ -22,7 +22,6 @@ from .lattice import (
     Sublattice,
     Subspace,
     enumerate_vectors,
-    full_sublattice,
     is_isometry,
     orthogonal_complement,
     signature,
@@ -71,12 +70,14 @@ class GroupElements:
 
     Ordering is breadth-first over generator words, ties within a word
     length broken by plain tuple comparison of the matrices, so the list
-    is reproducible across runs.
+    is reproducible across runs. table[i][j] is the index of
+    elements[i] . (matrix of generator j), the edges of the closure.
     """
 
     action: LatticeAction
     elements: tuple
     kappas: tuple
+    table: tuple
 
     def __post_init__(self):
         index = {m: i for i, m in enumerate(self.elements)}
@@ -203,48 +204,36 @@ def _positive_directions(sub: Sublattice) -> list:
 def enumerate_group(action: LatticeAction, bound: int = 1024) -> GroupElements:
     """All elements of the generated group with their holomorphy signs.
 
-    Breadth-first closure over right multiplication by generators; the
-    declared signs are propagated multiplicatively and every generator
-    edge is checked, so a sign assignment that is not a homomorphism is
-    always detected.
+    The closure is la.group_closure over right multiplication by the
+    generators; the declared signs are propagated multiplicatively along
+    its table and checked on every generator edge, so a sign assignment
+    that is not a homomorphism is always detected.
     """
     if bound < 1:
         raise InputError("element bound must be positive")
-    n = action.ambient.rank
-    ident = la.identity(n)
-    kappa = {ident: 1}
-    gens = []
-    for _, iso, k in action.generators:
-        gens.append((iso.matrix, k))
-        if iso.matrix == ident and k != 1:
-            raise VerificationError("declared signs are not a homomorphism: identity marked -1")
-    order = [ident]
-    frontier = [ident]
-    while frontier:
-        fresh = {}
-        for m in frontier:
-            km = kappa[m]
-            for gm, gk in gens:
-                p = la.mat_mul(m, gm)
-                pk = km * gk
-                if p in kappa:
-                    if kappa[p] != pk:
-                        raise VerificationError("declared signs are not a homomorphism")
-                elif p in fresh:
-                    if fresh[p] != pk:
-                        raise VerificationError("declared signs are not a homomorphism")
-                else:
-                    fresh[p] = pk
-        frontier = sorted(fresh)
-        kappa.update(fresh)
-        order.extend(frontier)
-        if len(order) > bound:
-            raise ScopeError(f"group closure exceeds the bound {bound}")
-    for m in order:
-        inv = action.ambient.isometry_inverse(m)
-        if inv not in kappa or kappa[inv] != kappa[m]:
+    ident = la.identity(action.ambient.rank)
+    gens = [iso.matrix for _, iso, _ in action.generators]
+    signs = [k for _, _, k in action.generators]
+    if any(m == ident and k != 1 for m, k in zip(gens, signs)):
+        raise VerificationError("declared signs are not a homomorphism: identity marked -1")
+    try:
+        elements, table = la.group_closure(gens, action.ambient.rank, bound)
+    except ValueError as err:
+        raise ScopeError(str(err)) from None
+    # breadth-first order: each element's first edge comes from an earlier
+    # element, so one pass in index order assigns every sign before use
+    kappas = [1] + [None] * (len(elements) - 1)
+    for i, row in enumerate(table):
+        for t, k in zip(row, signs):
+            if kappas[t] is None:
+                kappas[t] = kappas[i] * k
+            elif kappas[t] != kappas[i] * k:
+                raise VerificationError("declared signs are not a homomorphism")
+    sign_of = dict(zip(elements, kappas))
+    for m, k in sign_of.items():
+        if sign_of.get(action.ambient.isometry_inverse(m)) != k:
             raise VerificationError("group closure is not inverse-closed with consistent signs")
-    return GroupElements(action, tuple(order), tuple(kappa[m] for m in order))
+    return GroupElements(action, elements, tuple(kappas), table)
 
 
 def fixed_lattice(action: LatticeAction, subgroup: str = "all") -> Sublattice:
@@ -261,11 +250,7 @@ def fixed_lattice(action: LatticeAction, subgroup: str = "all") -> Sublattice:
 
 def _fixed_by(l: Lattice, mats) -> Sublattice:
     """Primitive sublattice fixed pointwise by every matrix in mats."""
-    ident = la.identity(l.rank)
-    stacked = [row for m in mats for row in la.mat_sub(m, ident)]
-    if not stacked:
-        return full_sublattice(l)
-    return Sublattice(l, la.kernel_int(la.freeze_mat(stacked)))
+    return Sublattice(l, la.fixed_kernel(mats, l.rank))
 
 
 # ---------------------------------------------------------------------------

@@ -399,9 +399,14 @@ def primitive_hull(l: Lattice, s: Sublattice) -> Sublattice:
 
 
 def discriminant_form(l: Lattice) -> DiscriminantForm:
-    """Discriminant group L*/L with torsion forms, from the Smith form."""
+    """Discriminant group L*/L with torsion forms, from the Smith form.
+
+    Even lattices only: on an odd lattice q is defined modulo Z, not 2Z,
+    so the reduced values would not be canonical."""
     if not l.nondegenerate:
         raise InputError("discriminant form needs a nondegenerate lattice")
+    if not l.even:
+        raise ScopeError("discriminant form needs an even lattice; q is not canonical on an odd one")
     if l.rank == 0:
         return DiscriminantForm((), (), (), ())
     d, u, v = la.snf(l.gram)

@@ -497,6 +497,17 @@ def kernel_int(a: Mat) -> tuple[Vec, ...]:
     return tuple(vt[j] for j in range(r, cols))
 
 
+def fixed_kernel(mats, n: int) -> tuple[Vec, ...]:
+    """kernel_int of the stacked rows of m - I over every n x n matrix in
+    mats: a saturated integer basis of the vectors they all fix. The
+    identity rows when mats is empty."""
+    ident = identity(n)
+    stacked = [row for m in mats for row in mat_sub(m, ident)]
+    if not stacked:
+        return ident
+    return kernel_int(freeze_mat(stacked))
+
+
 def saturate_rows(b: Mat) -> Mat:
     """Basis (HNF rows) of the saturation of the row lattice of b in Z^n.
 
@@ -691,30 +702,36 @@ def matrix_order(a: Mat, bound: int = 60) -> int:
     raise ValueError(f"matrix order exceeds bound {bound}")
 
 
+def group_closure(generators: Sequence[Mat], n: int, bound: int = 1024) -> tuple[tuple, tuple]:
+    """Closure of the n x n identity under right multiplication by the
+    generators, which must generate a finite group.
+
+    Returns (elements, table): elements in breadth-first order over
+    generator words, each word length sorted by tuple comparison, and
+    table[i][j] the index of elements[i] . generators[j]. Raises
+    ValueError when a word length takes the count past bound.
+    """
+    elements = [identity(n)]
+    index = {elements[0]: 0}
+    table = []
+    while len(table) < len(elements):
+        products = [[mat_mul(m, g) for g in generators] for m in elements[len(table):]]
+        for p in sorted({p for row in products for p in row if p not in index}):
+            index[p] = len(elements)
+            elements.append(p)
+        table.extend(tuple(index[p] for p in row) for row in products)
+        if len(elements) > bound:
+            raise ValueError(f"group closure exceeds the bound {bound}")
+    return tuple(elements), tuple(table)
+
+
 def matrix_group_closure(generators: Sequence[Mat], bound: int = 1024) -> tuple:
     """All products of the given integer matrices, assumed to generate a
-    finite group; breadth-first closure. Raises ValueError past the bound."""
+    finite group, in group_closure's order. Raises ValueError past the bound."""
     gens = [freeze_mat(g) for g in generators]
     if not gens:
         raise ValueError("need at least one generator (pass the identity)")
-    n = len(gens[0])
-    ident = identity(n)
-    seen = {ident}
-    frontier = [ident]
-    order = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                p = mat_mul(m, g)
-                if p not in seen:
-                    seen.add(p)
-                    order.append(p)
-                    nxt.append(p)
-                    if len(seen) > bound:
-                        raise ValueError(f"group closure exceeds bound {bound}")
-        frontier = nxt
-    return tuple(order)
+    return group_closure(gens, len(gens[0]), bound)[0]
 
 
 def _echelon_pivots(rows: Mat) -> tuple[int, ...]:

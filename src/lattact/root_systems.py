@@ -315,6 +315,7 @@ def to_fundamental_chamber(r: RootSystem, c: Camera, target) -> WeylWord:
     _check_on_mirror(r, y)
     gram = r.ambient.gram
     applied = []
+    u = la.identity(r.ambient.rank)
     budget = len(r.positive_roots)
     while True:
         bad = None
@@ -326,17 +327,14 @@ def to_fundamental_chamber(r: RootSystem, c: Camera, target) -> WeylWord:
             break
         if len(applied) >= budget:
             raise VerificationError("chamber walk exceeded the positive-root bound")
-        refl = reflection(r.ambient, c.walls[bad])
-        y = la.mat_vec(refl.matrix, y)
+        refl = reflection(r.ambient, c.walls[bad]).matrix
+        y = la.mat_vec(refl, y)
+        u = la.mat_mul(refl, u)
         applied.append(r.root_index(c.walls[bad]))
     for wall in c.walls:
         if la.dot(gram, y, wall) <= 0:
             raise VerificationError("chamber walk did not land inside the camera")
-    word = tuple(reversed(applied))
-    m = la.identity(r.ambient.rank)
-    for i in word:
-        m = la.mat_mul(m, reflection(r.ambient, r.roots[i]).matrix)
-    return WeylWord(r, word, Isometry(r.ambient, m))
+    return WeylWord(r, tuple(reversed(applied)), Isometry(r.ambient, u))
 
 
 def _preserves_roots(r: RootSystem, m) -> bool:
@@ -365,7 +363,7 @@ def camera_decompose(r: RootSystem, c: Camera, g) -> tuple:
     w_word = tuple(
         r.root_index(la.mat_vec(s_inv, r.roots[i])) for i in reversed(u.word)
     )
-    w_mat = la.mat_mul(s_inv, la.mat_mul(r.ambient.isometry_inverse(u.isometry.matrix), s_mat))
+    w_mat = la.mat_mul(s_inv, gm)
     if la.mat_mul(s_mat, w_mat) != gm:
         raise VerificationError("camera decomposition failed to recompose")
     w = WeylWord(r, w_word, Isometry(r.ambient, w_mat))
@@ -385,17 +383,6 @@ def _action_matrices(action) -> tuple:
         else:
             mats.append(la.to_int_mat(la.freeze_mat(g)))
     return tuple(mats)
-
-
-def _fixed_subspace_rows(mats, n) -> tuple:
-    """Integer row basis of the common fixed subspace (saturated)."""
-    if not mats:
-        return la.identity(n)
-    stacked = []
-    for m in mats:
-        for i in range(n):
-            stacked.append(tuple(m[i][j] - (1 if i == j else 0) for j in range(n)))
-    return la.kernel_int(la.freeze_mat(stacked))
 
 
 def _canonical_sign(v) -> tuple:
@@ -423,7 +410,7 @@ def is_admissible(r: RootSystem, action) -> tuple:
         if c is None:
             raise VerificationError("root span is not invariant")
         span_mats.append(c)
-    fixed_rows = _fixed_subspace_rows(tuple(span_mats), r.span.rank)
+    fixed_rows = la.fixed_kernel(span_mats, r.span.rank)
     fixed_amb = tuple(r.span.to_ambient(row) for row in fixed_rows)
     if not fixed_amb:
         return False, _canonical_sign(r.roots[0])
@@ -464,29 +451,21 @@ def _graph_automorphisms(adj) -> tuple:
     return tuple(out)
 
 
-def _subgroups(perms) -> tuple:
-    """All subgroups of a small permutation group, as sorted tuples."""
-    def compose(p, q):
-        return tuple(p[q[i]] for i in range(len(q)))
+def _perm_matrix(perm) -> tuple:
+    """Matrix sending e_j to e_perm[j], so products compose permutations."""
+    n = len(perm)
+    return tuple(tuple(1 if i == perm[j] else 0 for j in range(n)) for i in range(n))
 
+
+def _subgroups(perms) -> tuple:
+    """All subgroups of a small permutation group, each as the sorted
+    tuple of its permutation matrices."""
+    mats = [_perm_matrix(p) for p in perms]
+    n = len(perms[0])
     found = set()
-    elems = list(perms)
-    n_sub = len(elems)
-    for bits in range(1 << n_sub):
-        gens = [elems[i] for i in range(n_sub) if bits >> i & 1]
-        ident = tuple(range(len(elems[0])))
-        group = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    b = compose(a, g)
-                    if b not in group:
-                        group.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        found.add(tuple(sorted(group)))
+    for bits in range(1 << len(mats)):
+        gens = [m for i, m in enumerate(mats) if bits >> i & 1]
+        found.add(tuple(sorted(la.group_closure(gens, n)[0])))
     return tuple(sorted(found))
 
 
@@ -516,19 +495,16 @@ def classify_admissible_b_transitive(max_rank: int) -> tuple:
         autos = _graph_automorphisms(adj)
         cols = la.transpose(la.freeze_mat(simple))  # columns are simple roots
         cols_inv = la.inverse(cols)
+        perm_ident = la.identity(len(simple))
         for sub in _subgroups(autos):
             mats = []
             faithful = True
-            for perm in sub:
-                pm = tuple(
-                    tuple(1 if i == perm[j] else 0 for j in range(len(simple)))
-                    for i in range(len(simple))
-                )
+            for pm in sub:
                 raw = la.mat_mul(cols, la.mat_mul(pm, cols_inv))
                 if not la.is_integer_matrix(raw):
                     raise VerificationError("diagram symmetry is not integral")
                 m = la.to_int_mat(raw)
-                if perm != tuple(range(len(simple))) and m == la.identity(lat.rank):
+                if pm != perm_ident and m == la.identity(lat.rank):
                     faithful = False
                 mats.append(m)
             if not faithful:
@@ -537,10 +513,11 @@ def classify_admissible_b_transitive(max_rank: int) -> tuple:
             ok, _ = is_admissible(rs, nontrivial)
             if not ok:
                 continue
-            closure = la.matrix_group_closure(mats)
+            # conjugating the closed subgroup by the simple-root basis
+            # keeps it closed, so mats is already the whole group
             spanning = False
             for root in rs.roots:
-                orbit = {tuple(la.mat_vec(m, root)) for m in closure}
+                orbit = {tuple(la.mat_vec(m, root)) for m in mats}
                 if la.hnf(la.freeze_mat(sorted(orbit))) == la.identity(lat.rank):
                     spanning = True
                     break
@@ -586,10 +563,10 @@ def fold_reflection(n: Lattice, action, v) -> FoldResult:
     if len(v) != n.rank or not la.is_integer_vector(v) or n.sq(v) != -2:
         raise InputError("v must be a root of the lattice")
     try:
-        closure = la.matrix_group_closure(mats or (la.identity(n.rank),))
+        closure, _ = la.group_closure(mats, n.rank)
     except ValueError as e:
         raise InputError(str(e)) from None
-    fixed_rows = _fixed_subspace_rows(mats, n.rank)
+    fixed_rows = la.fixed_kernel(mats, n.rank)
     fixed_sub = sublattice_from_rows(n, fixed_rows)
     comp = orthogonal_complement(n, fixed_sub)
     comp_sig = signature(comp.as_lattice())

@@ -3,6 +3,7 @@ command, the exit-code contract, and byte determinism."""
 
 import io
 import json
+import random
 import re
 import sys
 
@@ -357,6 +358,61 @@ class TestMalformedInput:
         assert err.count("\n") == 1 and "nested too deeply" in err
 
 
+def _fuzz_file(kind, rng):
+    """Bytes of one malformed variant of the e8_swap action file."""
+    obj = json.loads(action_to_text(fixture("e8_swap").action))
+    gram, gen = obj["gram"], obj["generators"][0]
+    n = len(gram)
+    i, j = rng.randrange(n), rng.randrange(n)
+    if kind == "truncated":
+        text = json.dumps(obj)
+        return text[: rng.randrange(1, len(text) - 1)].encode()
+    if kind == "non_object":
+        return rng.choice(["[]", "1", '"gram"', "null", "[" + json.dumps(obj) + "]"]).encode()
+    if kind == "ragged_gram":
+        del gram[i][j]
+    elif kind == "non_square_gram":
+        del gram[i]
+    elif kind == "wrong_rank_generator":
+        del gen["matrix"][i]
+        for row in gen["matrix"]:
+            del row[j]
+    elif kind == "non_isometry":
+        gen["matrix"][i][j] = str(int(gen["matrix"][i][j]) + rng.choice([-1, 1]) * 10 ** rng.randrange(3, 60))
+    elif kind == "bad_kappa":
+        gen["kappa"] = rng.choice(["0", "1", "+2", "", 1, -1, None])
+    elif kind == "huge_entry":
+        # off the diagonal a huge gram entry breaks symmetry, so every
+        # variant is malformed whether or not it parses
+        where = gram if rng.random() < 0.5 else gen["matrix"]
+        j = (i + rng.randrange(1, n)) % n
+        where[i][j] = rng.choice(["9" * 5000, str(10 ** rng.randrange(20, 200))])
+    elif kind == "non_utf8":
+        text = json.dumps(obj)
+        if rng.random() < 0.5:
+            return text.encode("utf-16")  # starts with the bytes ff fe
+        k = rng.randrange(len(text))
+        return text[:k].encode() + bytes([rng.randrange(0x80, 0x100)]) + text[k:].encode()
+    return json.dumps(obj).encode()
+
+
+class TestFuzzedInput:
+    @pytest.mark.parametrize("kind", [
+        "truncated", "non_object", "ragged_gram", "non_square_gram", "wrong_rank_generator",
+        "non_isometry", "bad_kappa", "huge_entry", "non_utf8",
+    ])
+    def test_malformed_file_exits_2_or_3_with_one_line(self, capsys, tmp_path, kind):
+        rng = random.Random(f"cli-fuzz:{kind}")
+        path = tmp_path / "fuzz.json"
+        for _ in range(4):
+            path.write_bytes(_fuzz_file(kind, rng))
+            for command in ("check", "walls", "discr"):
+                code, out, err = run(capsys, command, str(path))
+                assert code in (2, 3), (kind, command, code)
+                assert out == ""
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 class TestCatalogCommand:
     def test_byte_stable(self, capsys):
         for name in FIXTURE_NAMES:
@@ -439,6 +495,17 @@ class TestDiscrCommand:
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1 and "too many digits" in err
+
+
+    def test_odd_lattice_exit_3(self, capsys, tmp_path):
+        # q of an odd lattice is defined modulo Z only, so no canonical
+        # values can be printed
+        act = LatticeAction(make_lattice(((1, 0), (0, 3))), (("id", la.identity(2), 1),))
+        path = write_action(tmp_path, "odd.json", act)
+        code, out, err = run(capsys, "discr", path, "--format=lines")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "even lattice" in err
 
 
 class TestDeterminism:

@@ -18,6 +18,7 @@ from lattact import (
     fundamental_data,
     dilated_complex_structure,
     eigen_lattices,
+    fundamental_camera,
     is_geometric,
     leftover_lattice,
     linalg as la,
@@ -29,7 +30,7 @@ from lattact import (
     verify_degeneration,
 )
 from lattact.lattice import sublattice_from_rows
-from lattact.root_systems import camera_decompose
+from lattact.root_systems import RootSystem, camera_decompose
 from lattact.walls import candidate_roots, wall_in_H_plus
 
 L6 = standard_lattice("3U")
@@ -361,6 +362,24 @@ class TestCameraAdjacent:
         doubled = tuple(2 * x for x in s.r_bar.roots[0])
         with pytest.raises(InputError, match="generated by its roots"):
             camera_adjacent(s, sublattice_from_rows(L6, (doubled,)))
+
+    def test_face_point_generic_with_large_pairings(self):
+        # 5A1 in a basis whose rows pair with the roots up to 46: a fixed
+        # set of small bases puts every candidate face point on a mirror
+        m = ((10, 11, 0, 0, 0), (-1, -1, 13, 0, 0), (0, 0, -1, 17, 0),
+             (0, 0, 0, -1, 23), (0, 0, 0, 0, -1))
+        l = make_lattice(la.mat_scale(-2, la.mat_mul(m, la.transpose(m))))
+        # the roots are the rows of m^-1 and their negatives; roots_of
+        # would enumerate them in this skewed basis for many seconds
+        simple = tuple(sorted(la.inverse_int(m)))
+        roots = tuple(sorted(simple + tuple(la.vec_scale(-1, v) for v in simple)))
+        assert all(l.sq(v) == -2 for v in roots)
+        r = RootSystem(l, sublattice_from_rows(l, roots), roots, simple, simple, (("A", 1),) * 5)
+        # camera_adjacent reads no fundamental data
+        s = SaturatedSystem(r.span, r, fundamental_camera(r), None)
+        cam = camera_adjacent(s, sublattice_from_rows(l, ()))
+        assert len(cam.walls) == 5
+        assert all(la.dot(l.gram, cam.witness, v) != 0 for v in r.roots)
 
     def test_flip_decomposes_inside_the_face_group(self):
         # with the camera adjacent to one summand of an A1 + A1 system,

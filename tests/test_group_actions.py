@@ -16,6 +16,7 @@ import pytest
 import helpers
 from lattact import group_actions
 from lattact import linalg as la
+from lattact.catalog import FIXTURE_NAMES, fixture
 from lattact.errors import InputError, ScopeError, VerificationError
 from lattact.group_actions import (
     LatticeAction,
@@ -214,6 +215,18 @@ class TestEnumerateGroup:
     def test_bound_exceeded(self):
         with pytest.raises(ScopeError):
             enumerate_group(dihedral3(), bound=3)
+
+    def test_table_records_generator_edges(self):
+        actions = [fixture(name).action for name in FIXTURE_NAMES]
+        actions += [dihedral3(), dihedral4(), dihedral6(), sign_flip_pair(), LatticeAction(L6, ())]
+        for action in actions:
+            g = enumerate_group(action)
+            gens = [iso.matrix for _, iso, _ in action.generators]
+            assert len(g.table) == len(g)
+            for i, row in enumerate(g.table):
+                assert len(row) == len(gens)
+                for k, m in zip(row, gens):
+                    assert g.elements[k] == la.mat_mul(g.elements[i], m)
 
     def test_index_helpers(self):
         g = enumerate_group(dihedral3())

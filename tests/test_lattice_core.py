@@ -365,6 +365,12 @@ def test_discriminant_rejects_degenerate():
         discriminant_form(make_lattice(((0, 0), (0, 0))))
 
 
+def test_discriminant_rejects_odd():
+    # q is defined modulo 2Z only on even lattices
+    with pytest.raises(ScopeError, match="even lattice"):
+        discriminant_form(make_lattice(((1, 0), (0, 3))))
+
+
 # ---------------------------------------------------------------------------
 # vector enumeration
 
