@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from . import linalg as la
 from .errors import InputError, LattactError, ScopeError, VerificationError
@@ -28,7 +29,6 @@ from .group_actions import (
     LatticeAction,
     dilated_complex_structure,
     eigen_lattices,
-    enumerate_group,
     fundamental_data,
     is_geometric,
     leftover_lattice,
@@ -347,21 +347,37 @@ def classify_order3_on_2U(entry_bound: int = 2) -> ClassifyReport:
         if la.sq(g, v) == 0
     )
 
+    # Plesken-Souvignier: index the pool by pairings, so the candidates for
+    # a column are looked up from the placed columns instead of paired;
+    # partners[a][p] lists, in pool order, the pool indices b with
+    # pool[a] . pool[b] = p
+    partners = []
+    for gv in (la.mat_vec(g, v) for v in pool):
+        by_pairing = {}
+        for b, w in enumerate(pool):
+            by_pairing.setdefault(sum(map(mul, gv, w)), []).append(b)
+        partners.append(by_pairing)
+    members = [{p: set(bs) for p, bs in by_pairing.items()} for by_pairing in partners]
     hits = []
 
     def place(cols, trace):
         k = len(cols)
         if k == n:
-            t = la.transpose(la.freeze_mat(cols))
+            t = la.transpose(tuple(pool[b] for b in cols))
             if t != ident and la.mat_pow(t, 3) == ident:
                 hits.append(t)
             return
         slack = (n - k - 1) * entry_bound
-        for v in pool:
-            if all(la.dot(g, cols[i], v) == g[i][k] for i in range(k)):
-                tr = trace + v[k]
+        if k:
+            candidates = partners[cols[0]].get(g[0][k], ())
+            others = [members[cols[i]].get(g[i][k], ()) for i in range(1, k)]
+        else:
+            candidates, others = range(len(pool)), []
+        for b in candidates:
+            if all(b in other for other in others):
+                tr = trace + pool[b][k]
                 if min(abs(tr - 1), abs(tr + 2)) <= slack:
-                    place(cols + [v], tr)
+                    place(cols + [b], tr)
 
     if entry_bound:
         place([], 0)
@@ -494,7 +510,10 @@ def d3_full_pipeline(variant: str, action: LatticeAction | None = None) -> Pipel
     def stage_group():
         if len(act.generators) != 2:
             return False, f"expected two generators, got {len(act.generators)}"
-        grp = enumerate_group(act)
+        # the group is closed once, inside fundamental_data, which the
+        # later stages read
+        f = fundamental_data(act)
+        state["f"] = f
         t = act.generators[0][1].matrix
         s = act.generators[1][1].matrix
         relations = (
@@ -502,12 +521,11 @@ def d3_full_pipeline(variant: str, action: LatticeAction | None = None) -> Pipel
             and la.mat_pow(s, 2) == la.identity(22)
             and la.mat_mul(la.mat_mul(s, t), s) == la.mat_pow(t, 2)
         )
-        ok = len(grp) == exp["group_order"] and relations
-        return ok, f"order {len(grp)}, relations {'hold' if relations else 'fail'}"
+        ok = len(f.group) == exp["group_order"] and relations
+        return ok, f"order {len(f.group)}, relations {'hold' if relations else 'fail'}"
 
     def stage_fundamental():
-        f = fundamental_data(act)
-        state["f"] = f
+        f = state["f"]
         ok = f.order_n == exp["rotation_order"] and f.real is exp["real"]
         return ok, f"n={f.order_n}, real={f.real}"
 

@@ -15,7 +15,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul
 
 from . import linalg as la
 from .errors import InputError, ScopeError, VerificationError
@@ -477,11 +478,14 @@ def _binary_split_solutions(gram, t: int) -> tuple:
 def enumerate_vectors(l: Lattice, a: int, up_to_sign: bool = False) -> tuple:
     """All nonzero integer vectors of square a in a definite lattice.
 
-    Exact Fincke-Pohst with rational Cholesky data. The result is sorted
-    lexicographically; with up_to_sign=True only the representative with
-    positive first nonzero coordinate is kept. Rank-2 indefinite forms
-    whose discriminant is a perfect square (products of two linear forms,
-    e.g. U(k) or diag(2,-2)) are solved by divisor enumeration instead.
+    Exact Fincke-Pohst, fraction-free: the search runs in integers on the
+    Bareiss pivot rows of the (sign-corrected) Gram matrix, with exact
+    bounds per coordinate, and solves for the first coordinate instead of
+    scanning it. The result is sorted lexicographically; with
+    up_to_sign=True only the representative with positive first nonzero
+    coordinate is kept. Rank-2 indefinite forms whose discriminant is a
+    perfect square (products of two linear forms, e.g. U(k) or
+    diag(2,-2)) are solved by divisor enumeration instead.
     """
     n = l.rank
     if n == 0:
@@ -508,41 +512,45 @@ def enumerate_vectors(l: Lattice, a: int, up_to_sign: bool = False) -> tuple:
         return ()
     if l.even and target % 2 != 0:
         return ()
-    q = [[Fraction(x) for x in row] for row in (la.mat_scale(-1, l.gram) if negative else l.gram)]
-    # Cholesky-style decomposition: sum_i d_i (x_i + sum_{j>i} c_ij x_j)^2
-    for i in range(n):
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for j in range(i + 1, n):
-            for k in range(j, n):
-                q[j][k] = q[j][k] - q[j][i] * q[i][k]
+    # With a_l the Bareiss pivot rows of the positive form (a_ll = D_{l+1},
+    # D_l the leading minors, D_0 = 1), Q(x) = sum_l (a_l . x)^2 / (D_l D_{l+1}).
+    # Scaled by W = lcm(D_l D_{l+1}), level l spends w_l t_l^2 of the
+    # integer budget W * target, t_l = D_{l+1} x_l + sum_{j>l} a_lj x_j.
+    pos = la.mat_scale(-1, l.gram) if negative else l.gram
+    steps = la._jacobi_elimination([list(r) for r in pos])
+    rows = [prow for _, prow, _, _ in steps]  # definite: pivot l is row l
+    dens = [d * prow[piv] for piv, prow, _, d in steps]
+    scale = lcm(*dens)
+    weights = [scale // x for x in dens]
     found = []
     x = [0] * n
 
-    def descend(level: int, remaining: Fraction):
-        center = sum(q[level][j] * x[j] for j in range(level + 1, n))
-        bound2 = remaining / q[level][level]
-        spread = la.isqrt_frac_floor(bound2) + 2
-        base = -center
-        lo = int(base) - spread - 1
-        hi = int(base) + spread + 1
-        for k in range(lo, hi + 1):
-            off = k + center
-            val = q[level][level] * off * off
-            if val > remaining:
-                continue
+    def descend(level: int, budget: int):
+        row = rows[level]
+        lead = row[level]
+        w = weights[level]
+        s = sum(map(mul, row[level + 1:], x[level + 1:]))
+        if level == 0:
+            # x_0 must spend the whole budget: solve for it
+            q, r = divmod(budget, w)
+            t = isqrt(q)
+            if r or t * t != q:
+                return
+            for tt in (t, -t) if t else (0,):
+                k, r = divmod(tt - s, lead)
+                if not r:
+                    x[0] = k
+                    found.append(tuple(x))
+            x[0] = 0
+            return
+        bound = isqrt(budget // w)  # |t_l| <= bound
+        for k in range(-((bound + s) // lead), (bound - s) // lead + 1):
+            t = lead * k + s
             x[level] = k
-            if level == 0:
-                if val == remaining:
-                    vec = tuple(x)
-                    if any(vec):
-                        found.append(vec)
-            else:
-                descend(level - 1, remaining - val)
+            descend(level - 1, budget - w * t * t)
         x[level] = 0
 
-    descend(n - 1, Fraction(target))
+    descend(n - 1, scale * target)
     out = []
     for v in found:
         if up_to_sign:

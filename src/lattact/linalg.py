@@ -633,29 +633,32 @@ def cyclotomic(n: int) -> tuple:
     return p
 
 
-def diagonalize_symmetric(gram: Mat) -> tuple[Mat, tuple]:
-    """Congruence diagonalization of a symmetric matrix over Q.
+def _jacobi_elimination(m: list) -> list:
+    """Fraction-free Jacobi elimination of an integer symmetric matrix m,
+    given as a list of row lists and overwritten.
 
-    Returns (basis_rows, values) with basis_rows[i] . gram . basis_rows[j]
-    equal to values[i] when i == j and 0 otherwise. Jacobi pivoting: the
-    first active nonzero diagonal entry is the pivot, and the active block
-    is replaced by its Schur complement; a zero-diagonal block with a
-    nonzero off-diagonal entry is broken by a row/column addition first.
+    Jacobi pivoting: the first active nonzero diagonal entry is the pivot,
+    and the active block is replaced by its Schur complement; a
+    zero-diagonal block with a nonzero off-diagonal entry is broken by a
+    row/column addition first. The elimination is Bareiss's: the active
+    block is kept as d times the Schur complement and the basis rows as d
+    times the true rows, d being the previous pivot entry (1 at the start),
+    and every division by d is exact.
 
-    The elimination is fraction-free (Bareiss): a rational input is first
-    scaled to integers, the active block is kept as d times the Schur
-    complement and the basis rows as d times the true rows, d being the
-    previous pivot entry, and every division by d is exact.
+    Returns one (piv, prow, brow, d) per basis row, in pivot order: piv the
+    pivot index, prow the pivot row on the active columns (0 on columns
+    eliminated before), brow d times the basis row. Rows left in a zero
+    block come last with prow None. For a definite m the pivots are
+    0, 1, ..., n-1 and prow[k] (k >= piv) is the minor of m on rows
+    0..piv and columns 0..piv-1, k: prow[piv] is the leading minor of size
+    piv + 1, and d the one of size piv.
     """
-    n = len(gram)
-    if n == 0:
-        return (), ()
-    scale = lcm(*(x.denominator for row in gram for x in row))
-    m = [[int(x * scale) for x in row] for row in gram]
+    n = len(m)
     basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     d = 1
     active = list(range(n))
-    rows, vals = [], []
+    live = [True] * n
+    steps = []
     while active:
         piv = next((i for i in active if m[i][i] != 0), None)
         if piv is None:
@@ -672,10 +675,10 @@ def diagonalize_symmetric(gram: Mat) -> tuple[Mat, tuple]:
             basis[i] = [x + y for x, y in zip(basis[i], basis[j])]
             piv = i
         p = m[piv][piv]
-        rows.append(tuple(Fraction(x, d) for x in basis[piv]))
-        vals.append(Fraction(p, d * scale))
-        active.remove(piv)
         prow = m[piv]
+        steps.append((piv, tuple(x if a else 0 for x, a in zip(prow, live)), basis[piv], d))
+        active.remove(piv)
+        live[piv] = False
         bp = basis[piv]
         for i in active:
             row = m[i]
@@ -684,10 +687,26 @@ def diagonalize_symmetric(gram: Mat) -> tuple[Mat, tuple]:
                 row[k] = (p * row[k] - f * prow[k]) // d
             basis[i] = [(p * x - f * y) // d for x, y in zip(basis[i], bp)]
         d = p
-    for i in active:
-        rows.append(tuple(Fraction(x, d) for x in basis[i]))
-        vals.append(Fraction(0))
-    return tuple(rows), tuple(vals)
+    steps.extend((i, None, basis[i], d) for i in active)
+    return steps
+
+
+def diagonalize_symmetric(gram: Mat) -> tuple[Mat, tuple]:
+    """Congruence diagonalization of a symmetric matrix over Q.
+
+    Returns (basis_rows, values) with basis_rows[i] . gram . basis_rows[j]
+    equal to values[i] when i == j and 0 otherwise, from the fraction-free
+    Jacobi elimination; a rational input is first scaled to integers.
+    """
+    if not gram:
+        return (), ()
+    scale = lcm(*(x.denominator for row in gram for x in row))
+    steps = _jacobi_elimination([[int(x * scale) for x in row] for row in gram])
+    rows = tuple(tuple(Fraction(x, d) for x in brow) for _, _, brow, d in steps)
+    vals = tuple(
+        Fraction(prow[piv], d * scale) if prow else Fraction(0) for piv, prow, _, d in steps
+    )
+    return rows, vals
 
 
 def matrix_order(a: Mat, bound: int = 60) -> int:

@@ -232,12 +232,21 @@ def _verify_root_system(rs: RootSystem):
     if not rs.simple_roots:
         return
     # every root is an all-nonnegative or all-nonpositive integer combination
-    # of the simple roots
-    # simple roots are not an echelon basis: solve with them as columns
-    columns = la.transpose(rs.simple_roots)
-    for r in rs.roots:
-        c = la.solve(columns, r)
-        if c is None or not la.is_integer_vector(c):
+    # of the simple roots S: with A = S G S^T, the candidate coordinates of
+    # all roots R are adj(A) . S G R^T / det A, one integer solve; a root
+    # passes when the division is exact and the coordinates rebuild it
+    simple = rs.simple_roots
+    sg = la.mat_mul(simple, rs.ambient.gram)
+    adj, d = la.adjugate(la.mat_mul(sg, la.transpose(simple)))
+    if adj is None:
+        raise VerificationError("simple roots are linearly dependent")
+    scaled = la.mat_mul(adj, la.mat_mul(sg, la.transpose(rs.roots)))
+    columns = la.transpose(simple)
+    for r, col in zip(rs.roots, zip(*scaled)):
+        if any(x % d for x in col):
+            raise VerificationError("root outside the simple-root lattice")
+        c = [x // d for x in col]
+        if tuple(sum(map(mul, c, entries)) for entries in columns) != r:
             raise VerificationError("root outside the simple-root lattice")
         if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
             raise VerificationError("root with mixed-sign simple coordinates")

@@ -1,0 +1,36 @@
+"""The benchmark's `enumerate` workload checks every item against
+references that do not come from the library: closed-form vector counts,
+its own integer arithmetic for squares and crossings, and the order-3
+isometry conditions. One seeded round of it runs here, so a change that
+breaks those answers fails tier-1 rather than only a benchmark run."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # workloads.py imports gen by its bare name
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_enumerate_round_matches_the_benchmark_references(monkeypatch, tmp_path):
+    _load("gen", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    workload = workloads.Enumerate(7, tmp_path)
+    items = workload.round(0)
+    kinds = [item["kind"] for item in items]
+    assert (kinds.count("vectors"), kinds.count("segment"), kinds.count("classify")) == (21, 8, 1)
+    assert [item["bound"] for item in items if item["kind"] == "classify"] == [1]
+    failures = []
+    for item in items:
+        problem = workload.check(item, workload.run(item))
+        if problem is not None:
+            failures.append((item.get("spec", item["kind"]), problem))
+    assert failures == []

@@ -227,6 +227,14 @@ class TestPipeline:
         assert d3_full_pipeline("Sprime").all_passed
         assert len(calls) == 1  # fixed + rho, the leftover lattice's input
 
+    def test_group_closed_once(self, monkeypatch):
+        from helpers import count_calls
+        from lattact import group_actions
+
+        calls = count_calls(monkeypatch, group_actions, "enumerate_group")
+        assert d3_full_pipeline("S").all_passed
+        assert len(calls) == 1
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(InputError):
             d3_full_pipeline("T")

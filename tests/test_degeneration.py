@@ -369,11 +369,17 @@ class TestCameraAdjacent:
         m = ((10, 11, 0, 0, 0), (-1, -1, 13, 0, 0), (0, 0, -1, 17, 0),
              (0, 0, 0, -1, 23), (0, 0, 0, 0, -1))
         l = make_lattice(la.mat_scale(-2, la.mat_mul(m, la.transpose(m))))
-        # the roots are the rows of m^-1 and their negatives; roots_of
-        # would enumerate them in this skewed basis for many seconds
+        # the roots are the rows of m^-1 and their negatives, built by hand
+        # as the reference; roots_of finds the same system in this skewed
+        # basis, choosing its own sign for each simple root of 5A1
         simple = tuple(sorted(la.inverse_int(m)))
         roots = tuple(sorted(simple + tuple(la.vec_scale(-1, v) for v in simple)))
         assert all(l.sq(v) == -2 for v in roots)
+        found = roots_of(l)
+        assert found.roots == roots
+        assert {frozenset((v, la.vec_scale(-1, v))) for v in found.simple_roots} == {
+            frozenset((v, la.vec_scale(-1, v))) for v in simple
+        }
         r = RootSystem(l, sublattice_from_rows(l, roots), roots, simple, simple, (("A", 1),) * 5)
         # camera_adjacent reads no fundamental data
         s = SaturatedSystem(r.span, r, fundamental_camera(r), None)

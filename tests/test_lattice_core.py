@@ -435,6 +435,25 @@ def test_enumerate_definite_against_box_search():
         want = box_vectors_with_square(g, t, bound)
         assert list(got) == want
         checked += 1
+    # either sign, odd and even Grams and targets, rank up to 5: B^T D B
+    # for a positive diagonal D and a random unimodular B
+    for _ in range(120):
+        n = rng.randint(1, 5)
+        d = [[rng.randint(1, 4) if i == j else 0 for j in range(n)] for i in range(n)]
+        sign = rng.choice((1, -1))
+        g = la.mat_scale(sign, conjugate_gram(d, random_unimodular(rng, n, steps=n + 1)))
+        t = sign * rng.randint(1, 6)
+        got = enumerate_vectors(make_lattice(g), t)
+        assert list(got) == box_vectors_with_square(g, t, definite_enumeration_box_bound(g, t))
+    # D4 in a basis with entries 1000: leading minors near 4 * 10^6 and a
+    # large common scale W, past any box search; counts from the closed
+    # forms 2n(n-1) and 2n + 16 C(n, 4)
+    b = la.transpose(((1, 1000, 1000, 1000), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    g = conjugate_gram(standard_lattice("D4").gram, b)
+    for t, count in ((-2, 24), (-4, 24)):
+        got = enumerate_vectors(make_lattice(g), t)
+        assert len(set(got)) == count
+        assert all(la.sq(g, v) == t for v in got)
 
 
 def test_enumerate_rank_four_against_box_search():

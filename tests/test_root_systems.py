@@ -17,6 +17,7 @@ from lattact.root_systems import (
     FoldResult,
     RootSystem,
     WeylWord,
+    _verify_root_system,
     ade_decompose,
     camera_decompose,
     classify_admissible_b_transitive,
@@ -111,6 +112,32 @@ def test_root_counts_match_type():
     # number of roots for the classical series
     for name, count in [("A1", 2), ("A2", 6), ("A3", 12), ("D4", 24), ("E6", 72), ("E7", 126)]:
         assert len(roots_of(standard_lattice(name)).roots) == count, name
+
+
+def _corrupted_system(gram, roots, simple):
+    l = make_lattice(gram)
+    roots = tuple(sorted(roots))
+    return RootSystem(l, sublattice_from_rows(l, roots), roots, simple, simple, ())
+
+
+@pytest.mark.parametrize(
+    "gram, roots, simple, message",
+    [
+        # e2 is not in the span of the only simple root
+        ([[-2, 0], [0, -2]], [(1, 0), (-1, 0), (0, 1), (0, -1)], ((1, 0),),
+         "outside the simple-root lattice"),
+        # e1 is half the sum of the two "simple" roots: non-integer coordinates
+        ([[-2, 0], [0, -2]], [(1, 0), (-1, 0), (1, 1), (-1, -1), (1, -1), (-1, 1)],
+         ((1, -1), (1, 1)), "outside the simple-root lattice"),
+        # e1 - e2 has simple coordinates (1, -1)
+        ([[-2, 0], [0, -2]], [(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)],
+         ((0, 1), (1, 0)), "mixed-sign"),
+        ([[-2, 1], [1, -2]], [(1, 0), (-1, 0)], ((1, 0), (2, 0)), "linearly dependent"),
+    ],
+)
+def test_verify_root_system_rejects_corrupted_systems(gram, roots, simple, message):
+    with pytest.raises(VerificationError, match=message):
+        _verify_root_system(_corrupted_system(gram, roots, simple))
 
 
 # ---------------------------------------------------------------------------
