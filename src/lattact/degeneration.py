@@ -24,6 +24,7 @@ from .group_actions import (
     leftover_lattice,
 )
 from .lattice import (
+    Isometry,
     Sublattice,
     orthogonal_complement,
     primitive_hull,
@@ -132,37 +133,37 @@ def degenerate(a: LatticeAction, s: SaturatedSystem) -> DegenerationResult:
     decomposition g = s_g . w_g on the saturated system.
 
     The Weyl factors are products of ambient reflections, so they act
-    identically on the orthogonal complement; signs are inherited. The
-    result is verified to be a homomorphism on the whole closed group,
-    which s carries in its fundamental data.
+    identically on the orthogonal complement; signs are inherited. Every
+    element of the closed group, which s carries in its fundamental data,
+    is decomposed once; the generators' factors are read from those, and
+    the result is verified to be a homomorphism on the whole group.
     """
-    if s.data.group.action != a:
+    group = s.data.group
+    if group.action != a:
         raise InputError("system was saturated for a different action")
     geo, _ = is_geometric(a, s.data)
     if not geo:
         raise InputError("only geometric actions degenerate")
+    # the elements are products of the action's verified generators
+    decomposed = [_decompose(s, Isometry._trusted(a.ambient, m)) for m in group.elements]
+    _verify_homomorphism(group, [s_g.matrix for s_g, _ in decomposed])
     factors = []
     gens = []
-    for name, g, kappa in a.generators:
-        s_g, w_g = _decompose(s, g.matrix)
-        if la.mat_mul(s_g.matrix, w_g.isometry.matrix) != g.matrix:
-            raise VerificationError("factorization does not recompose the generator")
+    # elements[0] is the identity, so table[0][j] is the index of generator j
+    for (name, _, kappa), t in zip(a.generators, group.table[0]):
+        s_g, w_g = decomposed[t]
         factors.append((name, s_g, w_g))
         gens.append((name, s_g, kappa))
-    result = DegenerationResult(s, tuple(factors), LatticeAction(a.ambient, tuple(gens)))
-    _verify_homomorphism(a, s)
-    return result
+    return DegenerationResult(s, tuple(factors), LatticeAction(a.ambient, tuple(gens)))
 
 
-def _verify_homomorphism(a: LatticeAction, s: SaturatedSystem):
+def _verify_homomorphism(group, images):
     """The camera factor of g.t must be the product of the camera factors
     of g and t, for every element g and generator t. Induction on word
-    length gives the same for every pair of elements. Each element is
-    decomposed on its own, so no factor is built from the generators'.
-    The group's table gives the index of g.t; elements[0] is the identity,
-    so table[0][j] is the index of generator j."""
-    group = s.data.group
-    images = [_decompose(s, m)[0].matrix for m in group.elements]
+    length gives the same for every pair of elements. images[i] is the
+    camera factor of group.elements[i], each decomposed on its own, so no
+    factor is built from the generators'. The group's table gives the
+    index of g.t."""
     for j, t in enumerate(group.table[0]):
         t_image = images[t]
         for row, g_image in zip(group.table, images):
@@ -311,7 +312,7 @@ def camera_adjacent(s: SaturatedSystem, r_prime: Sublattice) -> Camera:
             raise VerificationError("no generic point of the face was found")
     if not r_bar.roots:
         return Camera(r_bar, (), face_point)
-    z = la.clear_denominators(fundamental_camera(r_bar).witness)
+    z = fundamental_camera(r_bar).witness
     scale = 1
     for root in r_bar.roots:
         p = la.dot(l.gram, face_point, root)

@@ -62,7 +62,7 @@ class Lattice:
 
     @property
     def nondegenerate(self) -> bool:
-        return self.rank == 0 or la.det(self.gram) != 0
+        return self._det != 0
 
     def dot(self, u, v):
         return la.dot(self.gram, u, v)
@@ -71,7 +71,12 @@ class Lattice:
         return la.sq(self.gram, v)
 
     def det(self):
-        return la.det(self.gram) if self.rank else 1
+        return self._det
+
+    @cached_property
+    def _det(self) -> int:
+        """det G (1 at rank 0), derived once per lattice object."""
+        return la.det(self.gram)
 
     @cached_property
     def adjugate(self) -> tuple:
@@ -193,11 +198,24 @@ class Isometry:
             raise InputError("matrix does not preserve the Gram matrix")
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def _trusted(cls, lattice: Lattice, matrix: tuple) -> "Isometry":
+        """An isometry by construction, built without the checks above:
+        an integral reflection, or a product of isometries of the same
+        lattice. matrix must already be a tuple of int tuples."""
+        iso = object.__new__(cls)
+        object.__setattr__(iso, "lattice", lattice)
+        object.__setattr__(iso, "matrix", matrix)
+        return iso
+
     def __call__(self, v):
         return la.mat_vec(self.matrix, v)
 
     def compose(self, other: "Isometry") -> "Isometry":
-        return Isometry(self.lattice, la.mat_mul(self.matrix, other.matrix))
+        product = la.mat_mul(self.matrix, other.matrix)
+        if other.lattice != self.lattice:
+            return Isometry(self.lattice, product)
+        return Isometry._trusted(self.lattice, product)
 
     def inverse(self) -> "Isometry":
         return Isometry(self.lattice, self.lattice.isometry_inverse(self.matrix))
@@ -608,7 +626,11 @@ def rank2_isomorphism_class(l) -> tuple:
 
 
 def is_isometry(l: Lattice, m) -> bool:
-    """m integer, invertible over Z, preserving the Gram matrix."""
+    """m integer, invertible over Z, preserving the Gram matrix.
+
+    On a nondegenerate lattice m^T G m = G already forces det m = +-1, so
+    the determinant of m is taken only when det G = 0.
+    """
     m = la.freeze_mat(m)
     if not la.is_integer_matrix(m):
         return False
@@ -617,9 +639,9 @@ def is_isometry(l: Lattice, m) -> bool:
         return False
     if l.rank == 0:
         return True
-    if la.det(m) not in (1, -1):
+    if la.mat_mul(la.mat_mul(la.transpose(m), l.gram), m) != l.gram:
         return False
-    return la.mat_mul(la.mat_mul(la.transpose(m), l.gram), m) == l.gram
+    return l.nondegenerate or la.det(m) in (1, -1)
 
 
 def sublattice_sum(l: Lattice, *subs: Sublattice) -> Sublattice:

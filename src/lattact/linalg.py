@@ -492,7 +492,7 @@ def kernel_int(a: Mat) -> tuple[Vec, ...]:
         return ()
     d, _, v = snf(a)
     cols = len(a[0])
-    r = len(elementary_divisors(a))
+    r = sum(1 for i in range(min(len(d), cols)) if d[i][i])
     vt = transpose(v)  # rows of vt are columns of v
     return tuple(vt[j] for j in range(r, cols))
 

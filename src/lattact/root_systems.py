@@ -64,13 +64,11 @@ class Camera:
     witness: tuple  # rational interior vector
 
     def __post_init__(self):
-        g = self.root_system.ambient.gram
-        for w in self.walls:
-            if la.dot(g, self.witness, w) <= 0:
-                raise InputError("camera witness must pair strictly positively with walls")
-        for r in self.root_system.roots:
-            if la.dot(g, self.witness, r) == 0:
-                raise InputError("camera witness lies on a mirror")
+        gw = la.mat_vec(self.root_system.ambient.gram, self.witness)
+        if any(sum(map(mul, gw, w)) <= 0 for w in self.walls):
+            raise InputError("camera witness must pair strictly positively with walls")
+        if _on_a_mirror(self.root_system, gw):
+            raise InputError("camera witness lies on a mirror")
 
 
 @dataclass(frozen=True)
@@ -80,10 +78,7 @@ class WeylWord:
     isometry: Isometry
 
     def __post_init__(self):
-        m = la.identity(self.root_system.ambient.rank)
-        for i in self.word:
-            m = la.mat_mul(m, reflection(self.root_system.ambient,
-                                         self.root_system.roots[i]).matrix)
+        m = _word_times(self.root_system, self.word, la.identity(self.root_system.ambient.rank))
         if m != self.isometry.matrix:
             raise VerificationError("Weyl word does not evaluate to its isometry")
 
@@ -261,12 +256,33 @@ def ade_decompose(r: RootSystem) -> tuple:
 # reflections and chambers
 
 
+def _reflect_rows(v, c, m) -> tuple:
+    """s . m for the reflection s = I - v c^T, c = 2Gv / v^2, as the
+    rank-1 update m - v (c^T m): O(n^2) instead of a matrix product."""
+    cm = [sum(map(mul, c, col)) for col in zip(*m)]
+    return tuple(
+        tuple(x - vi * y for x, y in zip(row, cm)) if vi else row
+        for row, vi in zip(m, v)
+    )
+
+
+def _word_times(r: RootSystem, word, m) -> tuple:
+    """The product of the word's reflections times m, rightmost first.
+    A root v has v^2 = -2, so c = 2Gv / v^2 is -Gv."""
+    gram = r.ambient.gram
+    for i in reversed(word):
+        v = r.roots[i]
+        m = _reflect_rows(v, tuple(-x for x in la.mat_vec(gram, v)), m)
+    return m
+
+
 def reflection(l: Lattice, v) -> Isometry:
     """Reflection x -> x - (2(Gv).x / v^2) v; must be integral on l.
 
     v is first scaled to a primitive integer vector, which leaves the
     reflection unchanged; the matrix I - v (2Gv)^T / v^2 is then integral
-    exactly when v^2 divides every entry of 2Gv.
+    exactly when v^2 divides every entry of 2Gv, and it is an isometry
+    by construction.
     """
     v = tuple(v)
     if l.sq(v) == 0:
@@ -280,34 +296,33 @@ def reflection(l: Lattice, v) -> Isometry:
         if r:
             raise InputError("reflection is not integral on this lattice")
         coef.append(q)
-    m = tuple(
-        tuple((1 if i == j else 0) - vi * c for j, c in enumerate(coef))
-        for i, vi in enumerate(v)
-    )
-    return Isometry(l, m)
+    return Isometry._trusted(l, _reflect_rows(v, coef, la.identity(l.rank)))
 
 
 def fundamental_camera(r: RootSystem) -> Camera:
-    """The camera cut out by the chosen simple roots."""
-    if not r.simple_roots:
+    """The camera cut out by the chosen simple roots.
+
+    With A = S G S^T the Gram matrix of the simple roots S, the witness is
+    the integer vector sign(det A) . sum_i (adj(A) . 1)_i S_i, a positive
+    multiple of sum_i (A^-1 . 1)_i S_i, which pairs to 1 with every simple
+    root.
+    """
+    simple = r.simple_roots
+    if not simple:
         return Camera(r, (), la.zero_vec(r.ambient.rank))
-    a = la.freeze_mat(
-        [[Fraction(r.ambient.dot(x, y)) for y in r.simple_roots] for x in r.simple_roots]
-    )
-    ones = tuple(Fraction(1) for _ in r.simple_roots)
-    c = la.mat_vec(la.inverse(a), ones)
-    n = r.ambient.rank
-    witness = tuple(
-        sum((c[i] * r.simple_roots[i][k] for i in range(len(c))), Fraction(0))
-        for k in range(n)
-    )
-    return Camera(r, r.simple_roots, witness)
+    sg = la.mat_mul(simple, r.ambient.gram)
+    adj, d = la.adjugate(la.mat_mul(sg, la.transpose(simple)))
+    if adj is None:
+        raise VerificationError("simple roots are linearly dependent")
+    sign = 1 if d > 0 else -1
+    c = [sign * sum(row) for row in adj]
+    witness = tuple(sum(map(mul, c, col)) for col in zip(*simple))
+    return Camera(r, simple, witness)
 
 
-def _check_on_mirror(r: RootSystem, y):
-    for root in r.roots:
-        if la.dot(r.ambient.gram, y, root) == 0:
-            raise InputError("target vector lies on a mirror")
+def _on_a_mirror(r: RootSystem, gy) -> bool:
+    """Whether y lies on a mirror, given gy = G . y."""
+    return any(sum(map(mul, gy, root)) == 0 for root in r.roots)
 
 
 def to_fundamental_chamber(r: RootSystem, c: Camera, target) -> WeylWord:
@@ -315,35 +330,33 @@ def to_fundamental_chamber(r: RootSystem, c: Camera, target) -> WeylWord:
 
     target is a Camera or a rational interior vector; the walk reflects in
     the lowest-index violated wall of c first, and terminates within the
-    positive-root count.
+    positive-root count. A rational target is cleared of denominators on
+    entry (a positive multiple lies in the same chamber), so the walk runs
+    in integers, and each step is a rank-1 update.
     """
-    if isinstance(target, Camera):
-        y = target.witness
-    else:
-        y = tuple(Fraction(x) for x in target)
-    _check_on_mirror(r, y)
+    y = la.clear_denominators(target.witness if isinstance(target, Camera) else target)
     gram = r.ambient.gram
+    if _on_a_mirror(r, la.mat_vec(gram, y)):
+        raise InputError("target vector lies on a mirror")
+    gws = [la.mat_vec(gram, wall) for wall in c.walls]
     applied = []
     u = la.identity(r.ambient.rank)
     budget = len(r.positive_roots)
     while True:
-        bad = None
-        for i, wall in enumerate(c.walls):
-            if la.dot(gram, y, wall) < 0:
-                bad = i
-                break
+        pairings = [sum(map(mul, gw, y)) for gw in gws]
+        bad = next((i for i, p in enumerate(pairings) if p < 0), None)
         if bad is None:
             break
         if len(applied) >= budget:
             raise VerificationError("chamber walk exceeded the positive-root bound")
-        refl = reflection(r.ambient, c.walls[bad]).matrix
-        y = la.mat_vec(refl, y)
-        u = la.mat_mul(refl, u)
-        applied.append(r.root_index(c.walls[bad]))
-    for wall in c.walls:
-        if la.dot(gram, y, wall) <= 0:
-            raise VerificationError("chamber walk did not land inside the camera")
-    return WeylWord(r, tuple(reversed(applied)), Isometry(r.ambient, u))
+        # walls are roots: the reflection is x -> x + (Gv.x) v
+        v = c.walls[bad]
+        applied.append(r.root_index(v))
+        y = tuple(a + pairings[bad] * b for a, b in zip(y, v))
+        u = _reflect_rows(v, tuple(-x for x in gws[bad]), u)
+    if any(p <= 0 for p in pairings):
+        raise VerificationError("chamber walk did not land inside the camera")
+    return WeylWord(r, tuple(reversed(applied)), Isometry._trusted(r.ambient, u))
 
 
 def _preserves_roots(r: RootSystem, m) -> bool:
@@ -355,28 +368,28 @@ def camera_decompose(r: RootSystem, c: Camera, g) -> tuple:
     """Split g = s . w with s(c) = c and w in the Weyl group; unique.
 
     Returns (s: Isometry, w: WeylWord). The input must map the root set
-    onto itself.
+    onto itself. g is verified here unless it is already an Isometry of
+    r's lattice; s and w are then products of it and of reflections, so
+    they are not verified again.
     """
-    gm = g.matrix if isinstance(g, Isometry) else la.to_int_mat(la.freeze_mat(g))
+    if not (isinstance(g, Isometry) and g.lattice == r.ambient):
+        g = Isometry(r.ambient, g.matrix if isinstance(g, Isometry) else g)
+    gm = g.matrix
     if not _preserves_roots(r, gm):
         raise InputError("isometry does not preserve the root system")
-    gy = la.mat_vec(gm, c.witness)
-    u = to_fundamental_chamber(r, c, gy)
-    s_mat = la.mat_mul(u.isometry.matrix, gm)
+    u = to_fundamental_chamber(r, c, la.mat_vec(gm, c.witness))
+    s_mat = _word_times(r, u.word, gm)
     # s fixes the camera, hence permutes its walls
-    wall_set = set(c.walls)
-    image = {tuple(la.mat_vec(s_mat, w)) for w in c.walls}
-    if image != wall_set:
+    preimage = {tuple(la.mat_vec(s_mat, wall)): wall for wall in c.walls}
+    if preimage.keys() != set(c.walls):
         raise VerificationError("camera factor does not permute the walls")
-    s_inv = r.ambient.isometry_inverse(s_mat)
-    w_word = tuple(
-        r.root_index(la.mat_vec(s_inv, r.roots[i])) for i in reversed(u.word)
-    )
-    w_mat = la.mat_mul(s_inv, gm)
+    # w = s^-1 g = s^-1 u^-1 s: the word of u reversed, each wall moved by s^-1
+    w_word = tuple(r.root_index(preimage[r.roots[i]]) for i in reversed(u.word))
+    w_mat = _word_times(r, w_word, la.identity(r.ambient.rank))
     if la.mat_mul(s_mat, w_mat) != gm:
         raise VerificationError("camera decomposition failed to recompose")
-    w = WeylWord(r, w_word, Isometry(r.ambient, w_mat))
-    return Isometry(r.ambient, s_mat), w
+    w = WeylWord(r, w_word, Isometry._trusted(r.ambient, w_mat))
+    return Isometry._trusted(r.ambient, s_mat), w
 
 
 # ---------------------------------------------------------------------------
@@ -630,4 +643,4 @@ def fold_reflection(n: Lattice, action, v) -> FoldResult:
         got = tuple(Fraction(t) for t in la.mat_vec(w, x))
         if got != expected:
             raise VerificationError("folded element is not the fixed-part reflection")
-    return FoldResult(witness_root=None, weyl=Isometry(n, w))
+    return FoldResult(witness_root=None, weyl=Isometry._trusted(n, w))

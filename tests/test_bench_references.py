@@ -1,8 +1,9 @@
-"""The benchmark's `enumerate` workload checks every item against
-references that do not come from the library: closed-form vector counts,
-its own integer arithmetic for squares and crossings, and the order-3
-isometry conditions. One seeded round of it runs here, so a change that
-breaks those answers fails tier-1 rather than only a benchmark run."""
+"""The benchmark's `enumerate` and `degenerate` workloads check every item
+against references that do not come from the library: closed-form vector
+and root counts, its own integer arithmetic for squares and crossings,
+the order-3 isometry conditions, and a passing five-point degeneration
+report. One seeded round of each runs here, so a change that breaks
+those answers fails tier-1 rather than only a benchmark run."""
 
 import importlib.util
 import sys
@@ -33,4 +34,18 @@ def test_enumerate_round_matches_the_benchmark_references(monkeypatch, tmp_path)
         problem = workload.check(item, workload.run(item))
         if problem is not None:
             failures.append((item.get("spec", item["kind"]), problem))
+    assert failures == []
+
+
+def test_degenerate_round_matches_the_benchmark_references(monkeypatch, tmp_path):
+    _load("gen", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    workload = workloads.Degenerate(7, tmp_path)
+    items = workload.round(0)
+    assert len(items) == 7
+    failures = []
+    for item in items:
+        problem = workload.check(item, workload.run(item))
+        if problem is not None:
+            failures.append((item["kind"], item["system"], problem))
     assert failures == []

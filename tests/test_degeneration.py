@@ -262,7 +262,7 @@ class TestDegenerate:
 
         def corrupted(r, c, g):
             s_g, w_g = original(r, c, g)
-            if g == target:
+            if g.matrix == target:
                 s_g = Isometry(act.ambient, la.mat_scale(-1, s_g.matrix))
             return s_g, w_g
 
@@ -311,6 +311,24 @@ class TestVerifyDegeneration:
         results = check_results(report)
         assert results["complement"] is False
         assert not report.all_passed
+
+    def test_corrupted_weyl_factor_is_reported(self):
+        # a camera factor times a Weyl element, built by the unchecked
+        # product of isometries, still fails the report's own checks
+        act, f, e, d = rotation_wall_degeneration()
+        w0 = reflection(act.ambient, d.system.r_bar.positive_roots[0])
+        bad_factors = tuple((name, s_g.compose(w0), w_g) for name, s_g, w_g in d.factors)
+        bad_action = LatticeAction(
+            act.ambient,
+            tuple(
+                (name, s_g, kappa)
+                for (name, s_g, _), (_, _, kappa) in zip(bad_factors, act.generators)
+            ),
+        )
+        bad = DegenerationResult(d.system, bad_factors, bad_action)
+        results = check_results(verify_degeneration(act, d.system, bad))
+        assert results["admissible"] is False
+        assert results["geometric"] is False
 
     def test_trivial_system_vacuous(self):
         act, f, _, _ = helpers.klein_pipeline()

@@ -595,6 +595,25 @@ def test_is_isometry_rejects_perturbed():
     assert not is_isometry(l, tuple(map(tuple, bad)))
 
 
+def test_is_isometry_takes_a_determinant_only_on_a_degenerate_gram(monkeypatch):
+    # on a degenerate Gram, m^T G m = G does not force det m = +-1
+    l = make_lattice(((0, 0), (0, 2)))
+    m = ((2, 0), (0, 1))
+    assert la.mat_mul(la.mat_mul(la.transpose(m), l.gram), m) == l.gram
+    assert not is_isometry(l, m)
+    with pytest.raises(InputError):
+        Isometry(l, m)
+    # on a nondegenerate one it does: det G is taken once, no det of m
+    a2 = make_lattice(A2_GRAM)
+    calls = count_calls(monkeypatch, la, "det")
+    for bad in (((1, 1), (0, 1)), ((2, 0), (0, 2)), ((0, 1), (1, 1))):
+        assert not is_isometry(a2, bad)
+        with pytest.raises(InputError):
+            Isometry(a2, bad)
+    assert is_isometry(a2, ((0, 1), (1, 0)))
+    assert [args[0] for args in calls] == [A2_GRAM]
+
+
 def test_isometry_class_validates():
     l = standard_lattice("2U")
     g = Isometry(l, T_2U)
@@ -802,6 +821,21 @@ def test_isometry_inverse_in_random_bases():
             assert not is_isometry(l, bad)
             with pytest.raises(ValueError):
                 l.isometry_inverse(bad)
+
+
+def test_kernel_int_runs_one_smith_form(monkeypatch):
+    rng = random.Random(5150)
+    calls = count_calls(monkeypatch, la, "snf")
+    for _ in range(50):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        a = tuple(tuple(rng.randint(-3, 3) for _ in range(cols)) for _ in range(rows))
+        if rng.random() < 0.3:
+            a = a + (la.vec_scale(2, a[0]),)
+        del calls[:]
+        ker = la.kernel_int(a)
+        assert len(calls) == 1
+        assert len(ker) == cols - len(la.elementary_divisors(a))
+        assert all(la.mat_vec(a, k) == la.zero_vec(len(a)) for k in ker)
 
 
 def test_isometry_inverse_on_a_degenerate_lattice():

@@ -221,12 +221,18 @@ def test_reflection_nonintegral_in_a_random_basis():
 
 
 def test_fundamental_camera_interior():
-    r = roots_of(A2)
-    c = fundamental_camera(r)
-    for w in c.walls:
-        assert la.dot(A2.gram, c.witness, w) > 0
-    for root in r.roots:
-        assert la.dot(A2.gram, c.witness, root) != 0
+    rng = random.Random(2718)
+    for name in ("A2", "D4", "E8"):
+        base = standard_lattice(name)
+        b = random_unimodular(rng, base.rank, 6)
+        l = make_lattice(la.mat_mul(la.mat_mul(b, base.gram), la.transpose(b)))
+        r = roots_of(l)
+        c = fundamental_camera(r)
+        assert all(type(x) is int for x in c.witness)
+        for w in c.walls:
+            assert la.dot(l.gram, c.witness, w) > 0
+        for root in r.roots:
+            assert la.dot(l.gram, c.witness, root) != 0
 
 
 def test_camera_rejects_mirror_witness():
@@ -338,6 +344,33 @@ def test_camera_decompose_rejects_non_preserving():
     c = fundamental_camera(r)
     with pytest.raises(InputError):
         camera_decompose(r, c, ((1, 1), (0, 1)))
+
+
+def test_camera_decompose_verifies_a_raw_matrix():
+    # (1,1),(0,1) fixes +-(1,0), the only roots of diag(-2,2), but is no isometry
+    l = make_lattice(((-2, 0), (0, 2)))
+    r = roots_of(sublattice_from_rows(l, ((1, 0),)))
+    c = fundamental_camera(r)
+    g = ((1, 1), (0, 1))
+    assert {tuple(la.mat_vec(g, v)) for v in r.roots} == set(r.roots)
+    with pytest.raises(InputError):
+        camera_decompose(r, c, g)
+
+
+def test_camera_decompose_verifies_only_raw_matrices(monkeypatch):
+    from helpers import count_calls
+    from lattact import lattice
+
+    l = standard_lattice("A3")
+    r = roots_of(l)
+    c = fundamental_camera(r)
+    g = Isometry(l, la.mat_scale(-1, la.identity(3)))
+    calls = count_calls(monkeypatch, lattice, "is_isometry")
+    s, w = camera_decompose(r, c, g)
+    assert calls == []
+    assert la.mat_mul(s.matrix, w.isometry.matrix) == g.matrix
+    assert camera_decompose(r, c, g.matrix) == (s, w)
+    assert len(calls) == 1
 
 
 def test_camera_decompose_unique_on_small_systems():
@@ -554,6 +587,15 @@ def test_weyl_word_rejects_wrong_isometry():
     i = r.root_index((1, 0))
     with pytest.raises(VerificationError):
         WeylWord(r, (i,), Isometry(A2, la.identity(2)))
+
+
+def test_weyl_word_rejects_the_product_in_the_other_order():
+    r = roots_of(A2)
+    i, j = r.root_index((1, 0)), r.root_index((0, 1))
+    si, sj = reflection(A2, (1, 0)).matrix, reflection(A2, (0, 1)).matrix
+    assert WeylWord(r, (i, j), Isometry(A2, la.mat_mul(si, sj))).word == (i, j)
+    with pytest.raises(VerificationError):
+        WeylWord(r, (i, j), Isometry(A2, la.mat_mul(sj, si)))
 
 
 def test_weyl_words_random_products():
