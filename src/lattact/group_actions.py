@@ -11,7 +11,7 @@ negative part. All arithmetic is exact.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
 
 from . import linalg as la
@@ -71,7 +71,9 @@ class GroupElements:
     Ordering is breadth-first over generator words, ties within a word
     length broken by plain tuple comparison of the matrices, so the list
     is reproducible across runs. table[i][j] is the index of
-    elements[i] . (matrix of generator j), the edges of the closure.
+    elements[i] . (matrix of generator j), the edges of the closure; its
+    columns permute the indices, so orders and inverses are read off the
+    table instead of from matrix products.
     """
 
     action: LatticeAction
@@ -80,8 +82,7 @@ class GroupElements:
     table: tuple
 
     def __post_init__(self):
-        index = {m: i for i, m in enumerate(self.elements)}
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_index", {m: i for i, m in enumerate(self.elements)})
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -97,6 +98,35 @@ class GroupElements:
 
     def kernel_matrices(self) -> tuple:
         return tuple(m for m, k in zip(self.elements, self.kappas) if k == 1)
+
+    @cached_property
+    def words(self) -> tuple:
+        """Generator indices whose product is each element, read off its
+        first incoming table edge (its breadth-first parent)."""
+        words = [()] + [None] * (len(self.elements) - 1)
+        for i, row in enumerate(self.table):
+            for j, t in enumerate(row):
+                if words[t] is None:
+                    words[t] = words[i] + (j,)
+        return tuple(words)
+
+    def _powers(self, i) -> list:
+        """Indices of x^0, ..., x^(o-1) for x = elements[i] of order o:
+        right multiplication by x applies the table columns of its word."""
+        powers, t = [0], i
+        while t:
+            powers.append(t)
+            for j in self.words[i]:
+                t = self.table[t][j]
+        return powers
+
+    def order(self, i) -> int:
+        """Multiplicative order of elements[i]."""
+        return len(self._powers(i))
+
+    def inverse(self, i) -> int:
+        """Index of the inverse of elements[i]."""
+        return self._powers(i)[-1]
 
 
 @dataclass(frozen=True)
@@ -207,7 +237,9 @@ def enumerate_group(action: LatticeAction, bound: int = 1024) -> GroupElements:
     The closure is la.group_closure over right multiplication by the
     generators; the declared signs are propagated multiplicatively along
     its table and checked on every generator edge, so a sign assignment
-    that is not a homomorphism is always detected.
+    that is not a homomorphism is always detected. Every table column must
+    permute the indices: then the finite set is closed under each
+    generator's inverse too, so it is the generated group.
     """
     if bound < 1:
         raise InputError("element bound must be positive")
@@ -229,10 +261,8 @@ def enumerate_group(action: LatticeAction, bound: int = 1024) -> GroupElements:
                 kappas[t] = kappas[i] * k
             elif kappas[t] != kappas[i] * k:
                 raise VerificationError("declared signs are not a homomorphism")
-    sign_of = dict(zip(elements, kappas))
-    for m, k in sign_of.items():
-        if sign_of.get(action.ambient.isometry_inverse(m)) != k:
-            raise VerificationError("group closure is not inverse-closed with consistent signs")
+    if any(len(set(column)) != len(elements) for column in zip(*table)):
+        raise VerificationError("group closure is not inverse-closed")
     return GroupElements(action, elements, tuple(kappas), table)
 
 
@@ -255,13 +285,6 @@ def _fixed_by(l: Lattice, mats) -> Sublattice:
 
 # ---------------------------------------------------------------------------
 # fundamental representation data
-
-
-def _first_positive_vector(sub: Sublattice, failure: str) -> tuple:
-    vecs = _positive_directions(sub)
-    if not vecs:
-        raise VerificationError(failure)
-    return vecs[0]
 
 
 def _real_branch(action, group, fixed0, fixed_all) -> FundamentalData:
@@ -294,13 +317,11 @@ def _real_branch(action, group, fixed0, fixed_all) -> FundamentalData:
 
 def _rotation_branch(action, group, fixed_all) -> FundamentalData:
     l = action.ambient
-    ident = la.identity(l.rank)
-    order_bound = max(60, len(group.elements))
     best = None
-    for m, k in zip(group.elements, group.kappas):
-        if k != 1 or m == ident:
+    for i, (m, k) in enumerate(zip(group.elements, group.kappas)):
+        if k != 1 or i == 0:
             continue
-        o = la.matrix_order(m, bound=order_bound)
+        o = group.order(i)
         for nn in (d for d in la.divisors_signed(o) if d > 1):
             if o % nn or (best is not None and nn <= best[0]):
                 continue
@@ -308,31 +329,32 @@ def _rotation_branch(action, group, fixed_all) -> FundamentalData:
             if ker:
                 sub = Sublattice(l, ker)
                 if signature(sub.as_lattice()).plus >= 2:
-                    best = (nn, m, sub)
+                    best = (nn, i, sub)
     if best is None:
         raise VerificationError("not almost geometric: no element carries a positive rotation plane")
-    nn, witness, rho = best
+    nn, w, rho = best
+    witness = group.elements[w]
     c = _restrict(witness, rho.basis)
-    if la.matrix_order(c, bound=order_bound) != nn:
+    # c's order divides the witness's, so the bound never cuts it short
+    if la.matrix_order(c, bound=group.order(w)) != nn:
         raise VerificationError("rotation block order disagrees with its cyclotomic kernel")
-    powers = set()
-    p = la.identity(len(c))
-    for _ in range(nn):
-        powers.add(p)
-        p = la.mat_mul(p, c)
+    powers = [la.identity(len(c))]
+    for _ in range(nn - 1):
+        powers.append(la.mat_mul(powers[-1], c))
+    kid, c_inv = powers[0], powers[-1]
     block = rho.as_lattice()
-    c_inv = block.isometry_inverse(c)
-    kid = la.identity(len(c))
     # restricting every element integrally is also the rotation block's
-    # invariance check: _restrict raises ScopeError otherwise
-    for m, k in zip(group.elements, group.kappas):
-        r = _restrict(m, rho.basis)
+    # invariance check: _restrict raises ScopeError otherwise; an element
+    # that restricts integrally has an inverse that does too
+    restriction = cache(lambda i: _restrict(group.elements[i], rho.basis))
+    for i, k in enumerate(group.kappas):
+        r = restriction(i)
         if k == 1:
             if r not in powers:
                 raise ScopeError("unsupported action shape: kernel subgroup is not cyclic on the rotation block")
             continue
         if nn >= 3:
-            if la.mat_mul(la.mat_mul(r, c), block.isometry_inverse(r)) != c_inv:
+            if la.mat_mul(la.mat_mul(r, c), restriction(group.inverse(i))) != c_inv:
                 raise VerificationError("declared signs disagree with the rotation orientation")
         else:
             if la.mat_mul(r, r) != kid:
@@ -343,10 +365,10 @@ def _rotation_branch(action, group, fixed_all) -> FundamentalData:
                     raise VerificationError("declared signs disagree with the rotation orientation")
     if signature(block).plus != 2:
         raise VerificationError("rotation block has the wrong positive index")
-    ell = _first_positive_vector(
-        fixed_all, "not almost geometric: no invariant positive direction"
-    )
-    return FundamentalData(nn, nn <= 2, witness, ell, Subspace(l, rho.basis), group, fixed_all, rho)
+    positive = _positive_directions(fixed_all)
+    if not positive:
+        raise VerificationError("not almost geometric: no invariant positive direction")
+    return FundamentalData(nn, nn <= 2, witness, positive[0], Subspace(l, rho.basis), group, fixed_all, rho)
 
 
 def fundamental_data(action: LatticeAction, bound: int = 1024) -> FundamentalData:
@@ -390,7 +412,8 @@ def _verify_flag(action: LatticeAction, data: FundamentalData) -> None:
     for row in rows:
         if l.dot(data.ell, row) != 0:
             raise VerificationError("flag line is not orthogonal to the plane")
-    if data.order_n > 1 and la.matrix_order(data.witness, bound=1024) % data.order_n:
+    group = data.group
+    if data.order_n > 1 and group.order(group.index_of(data.witness)) % data.order_n:
         raise VerificationError("witness order is not a multiple of the rotation order")
 
 
@@ -454,11 +477,7 @@ def eigen_lattices(action: LatticeAction, data: FundamentalData) -> EigenData:
     quotient block / (plus + minus); it clears the averaging projections
     (v +- cv)/2 into the eigenlattices.
     """
-    chosen = None
-    for name, iso, kap in action.generators:
-        if kap == -1:
-            chosen = (name, iso)
-            break
+    chosen = next(((name, iso) for name, iso, kap in action.generators if kap == -1), None)
     if chosen is None:
         raise InputError("action has no antiholomorphic generator to split by")
     name, iso = chosen
@@ -543,17 +562,10 @@ def extend_equivariantly(action: LatticeAction, data: FundamentalData, eigen: Ei
         cols.append(x)
     c = la.transpose(la.freeze_mat(cols))
     a_minus = la.mat_mul(la.mat_mul(la.inverse(c), la.to_frac_mat(a)), c)
-    k = eigen.rho.rank
-    p = plus.rank
-    blk = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(p):
-        for jj in range(p):
-            blk[i][jj] = Fraction(a[i][jj])
-    for i in range(k - p):
-        for jj in range(k - p):
-            blk[p + i][p + jj] = Fraction(a_minus[i][jj])
+    zeros = (0,) * plus.rank  # == minus.rank
+    blk = tuple(row + zeros for row in a) + tuple(zeros + row for row in a_minus)
     x = la.to_frac_mat(la.transpose(plus.basis + minus.basis))
-    ext = la.mat_mul(la.mat_mul(x, la.freeze_mat(tuple(map(tuple, blk)))), la.inverse(x))
+    ext = la.mat_mul(la.mat_mul(x, blk), la.inverse(x))
     if not la.is_integer_matrix(ext):
         return None
     return Isometry(eigen.rho.as_lattice(), la.to_int_mat(ext))
@@ -578,33 +590,21 @@ _WEDGE_TO_U = (
 
 
 def _wedge_matrix(phi) -> tuple:
-    out = []
-    for k, l in _WEDGE_PAIRS:
-        row = []
-        for i, j in _WEDGE_PAIRS:
-            row.append(phi[k][i] * phi[l][j] - phi[k][j] * phi[l][i])
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(
+        tuple(phi[k][i] * phi[l][j] - phi[k][j] * phi[l][i] for i, j in _WEDGE_PAIRS)
+        for k, l in _WEDGE_PAIRS
+    )
 
 
 def _perm_sign(p) -> int:
-    sign = 1
-    p = list(p)
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                sign = -sign
-    return sign
+    return (-1) ** sum(a > b for i, a in enumerate(p) for b in p[i + 1:])
 
 
 def _wedge_pairing() -> tuple:
-    rows = []
-    for a in _WEDGE_PAIRS:
-        row = []
-        for b in _WEDGE_PAIRS:
-            row.append(_perm_sign(a + b) if len(set(a + b)) == 4 else 0)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(
+        tuple(_perm_sign(a + b) if len(set(a + b)) == 4 else 0 for b in _WEDGE_PAIRS)
+        for a in _WEDGE_PAIRS
+    )
 
 
 def _as_int_square(phi, size: int) -> tuple:

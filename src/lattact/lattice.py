@@ -392,12 +392,12 @@ def orthogonal_complement(l: Lattice, s) -> Sublattice:
     if not rows:
         return full_sublattice(l)
     # one condition row per basis vector v: the covector v^T G, cleared to
-    # integer entries (rational v allowed for Subspace input)
-    cond = []
-    for v in rows:
-        covector = la.mat_vec(la.transpose(l.gram), v)  # G symmetric: G v
-        cond.append(la.clear_denominators(covector))
-    ker = la.kernel_int(la.freeze_mat(cond))
+    # integer entries where v is rational (Subspace input)
+    cond = tuple(
+        row if all(type(x) is int for x in row) else la.clear_denominators(row)
+        for row in la.mat_mul(rows, l.gram)
+    )
+    ker = la.kernel_int(cond)
     return Sublattice(l, la.freeze_mat(ker))
 
 

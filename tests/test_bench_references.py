@@ -1,5 +1,6 @@
-"""The benchmark's `enumerate` and `degenerate` workloads check every item
-against references that do not come from the library: closed-form vector
+"""The benchmark's `analyze`, `enumerate` and `degenerate` workloads check
+every item against references that do not come from the library: the
+fixtures' expected group, rotation and wall records, closed-form vector
 and root counts, its own integer arithmetic for squares and crossings,
 the order-3 isometry conditions, and a passing five-point degeneration
 report. One seeded round of each runs here, so a change that breaks
@@ -48,4 +49,18 @@ def test_degenerate_round_matches_the_benchmark_references(monkeypatch, tmp_path
         problem = workload.check(item, workload.run(item))
         if problem is not None:
             failures.append((item["kind"], item["system"], problem))
+    assert failures == []
+
+
+def test_analyze_round_matches_the_benchmark_references(monkeypatch, tmp_path):
+    _load("gen", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    workload = workloads.Analyze(7, tmp_path)
+    items = workload.round(0)
+    assert len(items) == 5
+    failures = []
+    for item in items:
+        problem = workload.check(item, workload.run(item))
+        if problem is not None:
+            failures.append((item["kind"], problem))
     assert failures == []

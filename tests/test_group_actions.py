@@ -128,6 +128,16 @@ def random_isometry_3u(rng):
     return m
 
 
+def in_basis(action, b):
+    """The same action written in the basis b of its ambient lattice."""
+    b_inv = la.inverse_int(b)
+    gens = tuple(
+        (name, la.mat_mul(la.mat_mul(b_inv, iso.matrix), b), kappa)
+        for name, iso, kappa in action.generators
+    )
+    return LatticeAction(make_lattice(helpers.conjugate_gram(action.ambient.gram, b)), gens)
+
+
 def conjugated(action, u):
     u_inv = la.inverse_int(u)
     gens = tuple(
@@ -236,6 +246,24 @@ class TestEnumerateGroup:
         assert len(g.kernel_matrices()) == 3
         with pytest.raises(InputError):
             g.index_of(la.mat_scale(-1, la.identity(6)))
+
+    def test_table_arithmetic_matches_matrix_arithmetic(self):
+        rng = random.Random(20261018)
+        fixtures = [fixture(name).action for name in FIXTURE_NAMES]
+        actions = fixtures + [
+            in_basis(a, helpers.random_unimodular(rng, a.ambient.rank)) for a in fixtures for _ in range(3)
+        ]
+        actions += [dihedral3(), dihedral4(), dihedral6(), sign_flip_pair(), antiflip(), LatticeAction(L6, ())]
+        for action in actions:
+            g = enumerate_group(action)
+            gens = [iso.matrix for _, iso, _ in action.generators]
+            for i, m in enumerate(g.elements):
+                product = la.identity(action.ambient.rank)
+                for j in g.words[i]:
+                    product = la.mat_mul(product, gens[j])
+                assert product == m
+                assert g.elements[g.inverse(i)] == action.ambient.isometry_inverse(m)
+                assert g.order(i) == la.matrix_order(m, bound=len(g))
 
 
 class TestFixedLattice:
@@ -369,6 +397,19 @@ class TestDerivedOnce:
         eigen_lattices(a, fd)
         dilated_complex_structure(a, fd)
         assert len(calls) == 1
+
+    def test_no_ambient_rank_inverse_adjugate_or_order(self, monkeypatch):
+        counted = {
+            name: helpers.count_calls(monkeypatch, la, name)
+            for name in ("isometry_inverse", "adjugate", "matrix_order")
+        }
+        for action in (helpers.klein_action(), fixture("d3_S").action):
+            fd = fundamental_data(action)
+            assert fd.order_n == 3
+            n = action.ambient.rank
+            for name, calls in counted.items():
+                assert [args for args in calls if len(args[0]) == n] == [], name
+                calls.clear()
 
     def test_data_of_another_action_rejected(self):
         fd = fundamental_data(dihedral3())

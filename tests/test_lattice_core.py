@@ -853,12 +853,13 @@ def test_adjugate_derived_once_per_lattice(monkeypatch):
     act = klein_action()
     calls = count_calls(monkeypatch, la, "adjugate")
     f = fundamental_data(act)
-    # one for the ambient lattice (group closure), one for the rotation
-    # block (orientation checks), however many elements are inverted
-    assert [args[0] for args in calls] == [act.ambient.gram, f.rho.gram()]
+    # the closed group's inverses come from its table, so fundamental_data
+    # derives no adjugate at all
+    assert calls == []
     for m in f.group.elements:
         act.ambient.isometry_inverse(m)
-    assert len(calls) == 2
+    # one for the ambient lattice, however many elements are inverted
+    assert [args[0] for args in calls] == [act.ambient.gram]
 
 
 def test_signature_counts_diagonalization_signs():
