@@ -486,7 +486,7 @@ def _wall_normal(wall, j) -> tuple:
     projection of its root when nonzero, otherwise J of the minus part."""
     if any(wall.v_plus):
         return la.primitive_vector(la.clear_denominators(wall.v_plus))
-    image = la.mat_vec(la.to_frac_mat(j.matrix), wall.v_minus)
+    image = la.mat_vec(j.matrix, wall.v_minus)
     return la.primitive_vector(la.clear_denominators(image))
 
 

@@ -247,14 +247,15 @@ def verify_degeneration(a: LatticeAction, s: SaturatedSystem, d: DegenerationRes
     def discriminant():
         if r_bar.span.rank == 0:
             return True, "trivial discriminant group"
-        ginv = la.inverse(la.to_frac_mat(r_bar.span.gram()))
+        # (c_tau - c_sig) . G^-1 integral, i.e. (c_tau - c_sig) . adj G = 0 mod det G
+        adj, d = r_bar.span.as_lattice().adjugate
         for n in names:
             c_tau = la.restrict_to_span(taus[n], r_bar.span.basis)
             c_sig = la.restrict_to_span(sigmas[n], r_bar.span.basis)
             if c_tau is None or c_sig is None:
                 return False, f"generator {n} does not preserve the root span"
-            diff = la.mat_mul(la.mat_sub(la.to_frac_mat(c_tau), la.to_frac_mat(c_sig)), ginv)
-            if not la.is_integer_matrix(diff):
+            diff = la.mat_mul(la.mat_sub(c_tau, c_sig), adj)
+            if any(x % d for row in diff for x in row):
                 return False, f"generator {n} acts differently on the discriminant group"
         return True, "same maps on the discriminant group"
 
@@ -298,7 +299,17 @@ def camera_adjacent(s: SaturatedSystem, r_prime: Sublattice) -> Camera:
         face_roots = ()
     if face_roots:
         conditions = la.freeze_mat([la.mat_vec(l.gram, v) for v in face_roots])
-        space = tuple(la.clear_denominators(row) for row in la.kernel_frac(conditions))
+        ker = la.kernel_int(conditions)
+        # face rows v_f, one per free (non-pivot) column f of the
+        # conditions: the kernel vector that is 0 at the other free columns,
+        # primitive and positive at f; adj(K_F) . K has d = det K_F at f
+        pivots = {next(j for j, x in enumerate(row) if x) for row in la.hnf(conditions)}
+        adj, d = la.adjugate(tuple(
+            tuple(x for j, x in enumerate(row) if j not in pivots) for row in ker))
+        space = []
+        for row in la.mat_mul(adj, ker):
+            g = la.vec_gcd(row) if d > 0 else -la.vec_gcd(row)
+            space.append(tuple(x // g for x in row))
     else:
         space = la.identity(n)
     # every |pairing| of a face row with a root is below base, so the

@@ -10,7 +10,6 @@ negative part. All arithmetic is exact.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm
 
@@ -497,14 +496,16 @@ def eigen_lattices(action: LatticeAction, data: FundamentalData) -> EigenData:
         for v in minus.basis:
             if block.dot(u, v) != 0:
                 raise VerificationError("eigenparts are not orthogonal")
-    divs = la.elementary_divisors(la.freeze_mat(plus.basis + minus.basis))
-    exponent = divs[-1] if divs else 1
+    # the largest elementary divisor of B = (plus; minus): |det B| over the
+    # gcd of its (k-1)-minors, which are the entries of adj B
+    adj, d = la.adjugate(plus.basis + minus.basis)
+    exponent = abs(d) // gcd(d, *(x for row in adj for x in row))
     for i in range(k):
         e = tuple(1 if t == i else 0 for t in range(k))
         ce = la.mat_vec(c, e)
         for sgn, part in ((1, plus), (-1, minus)):
-            w = tuple(Fraction(exponent * (a + sgn * b), 2) for a, b in zip(e, ce))
-            if not la.is_integer_vector(w) or not part.contains(la.to_int_vec(w)):
+            w = tuple(exponent * (a + sgn * b) for a, b in zip(e, ce))
+            if any(x % 2 for x in w) or not part.contains(tuple(x // 2 for x in w)):
                 raise VerificationError("exponent fails to clear the averaging denominators")
     return EigenData(name, iso, rho, plus, minus, exponent)
 
@@ -556,19 +557,25 @@ def extend_equivariantly(action: LatticeAction, data: FundamentalData, eigen: Ei
     j = dilated_complex_structure(action, data).matrix
     cols = []
     for b in minus.basis:
-        x = la.coords_in_rows(la.to_frac_vec(la.mat_vec(j, b)), plus.basis)
+        x = la.coords_in_rows(la.mat_vec(j, b), plus.basis)
         if x is None:
             raise VerificationError("dilation does not carry the minus part into the plus part")
         cols.append(x)
-    c = la.transpose(la.freeze_mat(cols))
-    a_minus = la.mat_mul(la.mat_mul(la.inverse(c), la.to_frac_mat(a)), c)
+    # with C = s . c integral: a_minus = c^-1 a c = adj(C) a C / det C, and
+    # ext = X . diag(a, a_minus) . X^-1 = X . diag(dC a, adj(C) a C) . adj X / (dC dX)
+    s = lcm(*(y.denominator for col in cols for y in col))
+    c = tuple(tuple(int(s * y) for y in row) for row in zip(*cols))
+    adj_c, d_c = la.adjugate(c)  # j^2 = -mult . I, so c is invertible
     zeros = (0,) * plus.rank  # == minus.rank
-    blk = tuple(row + zeros for row in a) + tuple(zeros + row for row in a_minus)
-    x = la.to_frac_mat(la.transpose(plus.basis + minus.basis))
-    ext = la.mat_mul(la.mat_mul(x, blk), la.inverse(x))
-    if not la.is_integer_matrix(ext):
+    blk = tuple(tuple(d_c * y for y in row) + zeros for row in a) + tuple(
+        zeros + row for row in la.mat_mul(la.mat_mul(adj_c, a), c))
+    x = la.transpose(plus.basis + minus.basis)
+    adj_x, d_x = la.adjugate(x)
+    ext = la.mat_mul(la.mat_mul(x, blk), adj_x)
+    d = d_c * d_x
+    if any(y % d for row in ext for y in row):
         return None
-    return Isometry(eigen.rho.as_lattice(), la.to_int_mat(ext))
+    return Isometry(eigen.rho.as_lattice(), tuple(tuple(y // d for y in row) for row in ext))
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +636,8 @@ def wedge_square(phi) -> Isometry:
         raise InputError("wedge square needs determinant +1")
     target = standard_lattice("3U")
     p = la.freeze_mat(_WEDGE_TO_U)
-    p_inv = la.inverse_int(p)
-    base_gram = la.mat_mul(la.mat_mul(la.transpose(p), _wedge_pairing()), p)
+    p_inv = la.transpose(p)  # p is a signed permutation
+    base_gram = la.mat_mul(la.mat_mul(p_inv, _wedge_pairing()), p)
     if base_gram != target.gram:
         raise VerificationError("wedge basis fails to present the pairing as 3U")
     w = la.mat_mul(la.mat_mul(p_inv, _wedge_matrix(m)), p)
@@ -655,7 +662,7 @@ def conjugation_obstruction(phi) -> bool:
     if order <= 2:
         raise InputError("conjugation obstruction needs order above two")
     w = _wedge_matrix(m)
-    nullity = len(la.kernel_frac(la.mat_add(w, la.identity(6))))
+    nullity = len(la.kernel_int(la.mat_add(w, la.identity(6))))
     if nullity < 2:
         raise InputError("wedge square needs eigenvalue -1 of multiplicity at least two")
     cp = la.char_poly(m)

@@ -113,11 +113,20 @@ class Sublattice:
         return len(self.basis)
 
     def gram(self) -> tuple:
+        return self._gram
+
+    @cached_property
+    def _gram(self) -> tuple:
+        """B . G . B^T, derived once per sublattice object."""
         b = self.basis
         return la.mat_mul(la.mat_mul(b, self.ambient.gram), la.transpose(b))
 
     def as_lattice(self) -> Lattice:
-        return Lattice(self.gram())
+        return self._lattice
+
+    @cached_property
+    def _lattice(self) -> Lattice:
+        return Lattice(self._gram)
 
     def contains(self, v) -> bool:
         if not la.is_integer_vector(v):
@@ -371,11 +380,14 @@ def sublattice_from_rows(l: Lattice, rows) -> Sublattice:
 
 
 def signature(l: Lattice) -> Signature:
-    """(+, -, 0) inertia: the signs of an exact congruence diagonalization."""
-    vals = la.diagonalize_symmetric(l.gram)[1]
-    plus = sum(1 for v in vals if v > 0)
-    minus = sum(1 for v in vals if v < 0)
-    return Signature(plus, minus, len(vals) - plus - minus)
+    """(+, -, 0) inertia: the signs of the fraction-free Jacobi pivots. The
+    diagonal value of a pivot is prow[piv] / d, so its sign is that of
+    prow[piv] * d; a row left in a zero block counts as null."""
+    steps = la._jacobi_elimination([list(r) for r in l.gram])
+    signs = [prow[piv] * d for piv, prow, _, d in steps if prow]
+    plus = sum(1 for v in signs if v > 0)
+    minus = len(signs) - plus
+    return Signature(plus, minus, l.rank - plus - minus)
 
 
 def _as_row_basis(s) -> tuple:
@@ -406,15 +418,9 @@ def primitive_hull(l: Lattice, s: Sublattice) -> Sublattice:
     if s.rank == 0:
         return Sublattice(l, (), index=1)
     sat = la.saturate_rows(s.basis)
-    # index = product of elementary divisors of s's coordinates in the hull
-    coords = []
-    for v in s.basis:
-        c = la.coords_in_rows(v, sat)
-        coords.append([int(x) for x in c])
-    idx = 1
-    for d in la.elementary_divisors(la.freeze_mat(coords)):
-        idx *= d
-    return Sublattice(l, sat, index=idx)
+    # index = |det| of s's (square, integer) coordinate matrix in the hull
+    coords = tuple(la.coords_in_rows(v, sat) for v in s.basis)
+    return Sublattice(l, sat, index=abs(la.det(coords)))
 
 
 def discriminant_form(l: Lattice) -> DiscriminantForm:
@@ -428,17 +434,18 @@ def discriminant_form(l: Lattice) -> DiscriminantForm:
         raise ScopeError("discriminant form needs an even lattice; q is not canonical on an odd one")
     if l.rank == 0:
         return DiscriminantForm((), (), (), ())
-    d, u, v = la.snf(l.gram)
-    ginv = la.inverse(l.gram)
-    uinv = la.inverse(u)
-    w = la.mat_mul(ginv, uinv)  # column i generates the i-th cyclic summand
+    d, u, _ = la.snf(l.gram)
+    adj, det_g = l.adjugate
+    # column i of G^-1 . U^-1 = adj(G) . U^-1 / det G generates the i-th
+    # cyclic summand
+    w = la.mat_mul(adj, la.inverse_int(u))
     factors = []
     gens = []
     for i in range(l.rank):
         di = abs(d[i][i])
         if di > 1:
             factors.append(di)
-            gens.append(tuple(w[k][i] for k in range(l.rank)))
+            gens.append(tuple(Fraction(w[k][i], det_g) for k in range(l.rank)))
     qs = []
     for g in gens:
         # quadratic refinement: self-pairing reduced into [0, 2); canonical

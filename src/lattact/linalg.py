@@ -146,14 +146,21 @@ def sq(gram: Mat, v: Vec):
 # determinants, rank, inverses
 
 
+def _scaled_to_int(a: Mat) -> tuple[list, int]:
+    """(s . a as integer row lists, s), s the lcm of the entries' denominators."""
+    s = lcm(*(x.denominator for row in a for x in row))
+    return [[int(x * s) for x in row] for row in a], s
+
+
 def det(a: Mat):
-    """Exact determinant. Bareiss for integer input, fraction elimination else."""
+    """Exact determinant by Bareiss elimination; a rational matrix is
+    scaled to integers first, det a = det(s . a) / s^n."""
     n = len(a)
     if n == 0:
         return 1
-    if is_integer_matrix(a):
-        return _det_bareiss([list(map(int, r)) for r in a])
-    return _det_fraction([list(map(Fraction, r)) for r in a])
+    m, s = _scaled_to_int(a)
+    d = _det_bareiss(m)
+    return d if s == 1 else Fraction(d, s ** n)
 
 
 def _det_bareiss(m: list) -> int:
@@ -172,26 +179,6 @@ def _det_bareiss(m: list) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[-1][-1]
-
-
-def _det_fraction(m: list) -> Fraction:
-    n = len(m)
-    result = Fraction(1)
-    for k in range(n):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return Fraction(0)
-            m[k], m[swap] = m[swap], m[k]
-            result = -result
-        result *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            factor = m[i][k] * inv
-            if factor:
-                for j in range(k, n):
-                    m[i][j] -= factor * m[k][j]
-    return result
 
 
 def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
@@ -226,22 +213,23 @@ def rank(a: Mat) -> int:
 
 
 def inverse(a: Mat) -> Mat:
-    """Exact inverse over the rationals; raises on singular input."""
-    n = len(a)
-    aug = tuple(tuple(Fraction(x) for x in row) + tuple(
-        Fraction(1 if i == j else 0) for j in range(n)) for i, row in enumerate(a))
-    red, pivots = rref(aug)
-    if pivots[:n] != tuple(range(n)):
+    """Exact inverse over the rationals, s . adj(s . a) / det(s . a) for the
+    integer multiple s . a of a; raises ValueError on singular input."""
+    m, s = _scaled_to_int(a)
+    adj, d = adjugate(m)
+    if adj is None:
         raise ValueError("matrix is singular")
-    return tuple(row[n:] for row in red)
+    return tuple(tuple(Fraction(s * x, d) for x in row) for row in adj)
 
 
 def inverse_int(a: Mat) -> Mat:
-    """Inverse of a unimodular integer matrix, returned with integer entries."""
-    inv = inverse(a)
-    if not is_integer_matrix(inv):
+    """Inverse of an integer matrix of determinant +-1: d . adj A, d = det A."""
+    if not is_integer_matrix(a):
+        raise ValueError("matrix is not an integer matrix")
+    adj, d = adjugate(a)
+    if d not in (1, -1):
         raise ValueError("matrix is not invertible over the integers")
-    return to_int_mat(inv)
+    return adj if d == 1 else mat_scale(-1, adj)
 
 
 def adjugate(a: Mat) -> tuple[Mat, int]:
@@ -302,23 +290,6 @@ def solve(a: Mat, b: Vec) -> Vec | None:
     for r, c in enumerate(pivots):
         x[c] = red[r][cols]
     return tuple(x)
-
-
-def kernel_frac(a: Mat) -> tuple[Vec, ...]:
-    """Basis of the rational right kernel {x : A x = 0}."""
-    if not a:
-        return ()
-    cols = len(a[0])
-    red, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        basis.append(tuple(v))
-    return tuple(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -483,26 +454,25 @@ def elementary_divisors(a: Mat) -> tuple[int, ...]:
 
 
 def kernel_int(a: Mat) -> tuple[Vec, ...]:
-    """Basis of the saturated integer right kernel {x in Z^n : A x = 0}.
+    """Basis, in HNF, of the saturated integer right kernel {x in Z^n : A x = 0}.
 
-    The basis comes from the unimodular column transform of the Smith form,
-    so it is automatically a basis of a direct summand of Z^n.
+    The rows of hnf([A^T | I]) whose A^T part is zero, with that part
+    dropped (Cohen, GTM 138, 2.4.3). The transform is unimodular, so the
+    basis spans a direct summand of Z^n.
     """
     if not a or not a[0]:
         return ()
-    d, _, v = snf(a)
-    cols = len(a[0])
-    r = sum(1 for i in range(min(len(d), cols)) if d[i][i])
-    vt = transpose(v)  # rows of vt are columns of v
-    return tuple(vt[j] for j in range(r, cols))
+    m = len(a)
+    h = hnf(tuple(col + row for col, row in zip(transpose(a), identity(len(a[0])))))
+    return tuple(row[m:] for row in h if not any(row[:m]))
 
 
 def fixed_kernel(mats, n: int) -> tuple[Vec, ...]:
-    """kernel_int of the stacked rows of m - I over every n x n matrix in
-    mats: a saturated integer basis of the vectors they all fix. The
-    identity rows when mats is empty."""
+    """kernel_int of the stacked rows of m - I over every distinct n x n
+    matrix in mats other than I: a saturated integer basis of the vectors
+    they all fix. The identity rows when no such matrix is left."""
     ident = identity(n)
-    stacked = [row for m in mats for row in mat_sub(m, ident)]
+    stacked = [row for m in dict.fromkeys(mats) if m != ident for row in mat_sub(m, ident)]
     if not stacked:
         return ident
     return kernel_int(freeze_mat(stacked))
@@ -516,12 +486,10 @@ def saturate_rows(b: Mat) -> Mat:
     """
     if not b:
         return ()
-    n = len(b[0])
     ker = kernel_int(b)
     if not ker:
-        return identity(n)
-    sat = kernel_int(freeze_mat(ker))
-    return hnf(freeze_mat(sat))
+        return identity(len(b[0]))
+    return kernel_int(ker)
 
 
 def primitive_vector(v: Vec) -> Vec:
@@ -529,21 +497,13 @@ def primitive_vector(v: Vec) -> Vec:
 
     Sign convention: first nonzero coordinate positive.
     """
-    fr = [Fraction(x) for x in v]
-    if all(x == 0 for x in fr):
+    ints = clear_denominators(v)
+    g = vec_gcd(ints)
+    if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    denom = 1
-    for x in fr:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
 
 
 def vec_gcd(v: Vec) -> int:
@@ -555,11 +515,8 @@ def vec_gcd(v: Vec) -> int:
 
 def clear_denominators(v: Vec) -> Vec:
     """Scale a rational vector by the lcm of denominators to integer entries."""
-    fr = [Fraction(x) for x in v]
-    denom = 1
-    for x in fr:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    return tuple(int(x * denom) for x in fr)
+    denom = lcm(*(x.denominator for x in v))
+    return tuple(int(x * denom) for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -568,25 +525,28 @@ def clear_denominators(v: Vec) -> Vec:
 
 def char_poly(a: Mat) -> tuple:
     """Characteristic polynomial coefficients (c_0, ..., c_n) with
-    p(x) = sum c_k x^k and c_n = 1, computed by Faddeev-LeVerrier."""
+    p(x) = sum c_k x^k and c_n = 1, computed by Faddeev-LeVerrier.
+
+    The recurrence runs on the integer multiple s . a, where its division
+    by k is exact (checked), and c_k(a) = c_k(s . a) / s^(n-k).
+    """
     n = len(a)
-    af = to_frac_mat(a)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    ident = to_frac_mat(identity(n))
-    mk = af
-    c = Fraction(0)
+    m, s = _scaled_to_int(a)
+    ident = identity(n)
+    coeffs = [0] * n + [1]
+    mk = m
+    c = 0
     for k in range(1, n + 1):
         if k > 1:
-            mk = mat_mul(af, mat_add(mk, mat_scale(c, ident)))
-        trace = sum(mk[i][i] for i in range(n))
-        c = -trace / k
+            mk = mat_mul(m, mat_add(mk, mat_scale(c, ident)))
+        c, r = divmod(-sum(mk[i][i] for i in range(n)), k)
+        if r:
+            raise ValueError("inexact Faddeev-LeVerrier division")
         coeffs[n - k] = c
-    out = []
-    for x in coeffs:
-        fx = Fraction(x)
-        out.append(int(fx) if fx.denominator == 1 else fx)
-    return tuple(out)
+    return tuple(
+        c // s ** (n - k) if c % s ** (n - k) == 0 else Fraction(c, s ** (n - k))
+        for k, c in enumerate(coeffs)
+    )
 
 
 def poly_eval(coeffs: Sequence, x):

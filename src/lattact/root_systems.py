@@ -516,16 +516,16 @@ def classify_admissible_b_transitive(max_rank: int) -> tuple:
         adj = _simple_adjacency(lat, simple)
         autos = _graph_automorphisms(adj)
         cols = la.transpose(la.freeze_mat(simple))  # columns are simple roots
-        cols_inv = la.inverse(cols)
+        cols_adj, cols_det = la.adjugate(cols)  # cols^-1 = cols_adj / cols_det
         perm_ident = la.identity(len(simple))
         for sub in _subgroups(autos):
             mats = []
             faithful = True
             for pm in sub:
-                raw = la.mat_mul(cols, la.mat_mul(pm, cols_inv))
-                if not la.is_integer_matrix(raw):
+                raw = la.mat_mul(cols, la.mat_mul(pm, cols_adj))
+                if any(x % cols_det for row in raw for x in row):
                     raise VerificationError("diagram symmetry is not integral")
-                m = la.to_int_mat(raw)
+                m = tuple(tuple(x // cols_det for x in row) for row in raw)
                 if pm != perm_ident and m == la.identity(lat.rank):
                     faithful = False
                 mats.append(m)

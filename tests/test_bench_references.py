@@ -4,7 +4,9 @@ fixtures' expected group, rotation and wall records, closed-form vector
 and root counts, its own integer arithmetic for squares and crossings,
 the order-3 isometry conditions, and a passing five-point degeneration
 report. One seeded round of each runs here, so a change that breaks
-those answers fails tier-1 rather than only a benchmark run."""
+those answers fails tier-1 rather than only a benchmark run. The
+`analyze` and `degenerate` rounds also guard which eliminations run:
+no Smith form, and rref only for a Subspace's basis."""
 
 import importlib.util
 import sys
@@ -20,6 +22,27 @@ def _load(name, monkeypatch):
     monkeypatch.setitem(sys.modules, name, module)
     spec.loader.exec_module(module)
     return module
+
+
+def _guard_eliminations(monkeypatch):
+    """Record Smith forms and the callers of rref: on these rounds the
+    library takes no Smith form (only discriminant forms need one), and
+    rref runs only for a Subspace's canonical basis."""
+    from lattact import linalg as la
+    from lattact.lattice import Subspace
+
+    from helpers import count_calls
+
+    snf = count_calls(monkeypatch, la, "snf")
+    original = la.rref
+    callers = []
+
+    def recording(*args):
+        callers.append(sys._getframe(1).f_code)
+        return original(*args)
+
+    monkeypatch.setattr(la, "rref", recording)
+    return snf, callers, Subspace.__post_init__.__code__
 
 
 def test_enumerate_round_matches_the_benchmark_references(monkeypatch, tmp_path):
@@ -43,6 +66,7 @@ def test_degenerate_round_matches_the_benchmark_references(monkeypatch, tmp_path
     workloads = _load("workloads", monkeypatch)
     workload = workloads.Degenerate(7, tmp_path)
     items = workload.round(0)
+    snf, rref_callers, subspace_code = _guard_eliminations(monkeypatch)
     assert len(items) == 7
     failures = []
     for item in items:
@@ -50,6 +74,8 @@ def test_degenerate_round_matches_the_benchmark_references(monkeypatch, tmp_path
         if problem is not None:
             failures.append((item["kind"], item["system"], problem))
     assert failures == []
+    assert snf == []
+    assert rref_callers and set(rref_callers) == {subspace_code}
 
 
 def test_analyze_round_matches_the_benchmark_references(monkeypatch, tmp_path):
@@ -57,6 +83,7 @@ def test_analyze_round_matches_the_benchmark_references(monkeypatch, tmp_path):
     workloads = _load("workloads", monkeypatch)
     workload = workloads.Analyze(7, tmp_path)
     items = workload.round(0)
+    snf, rref_callers, subspace_code = _guard_eliminations(monkeypatch)
     assert len(items) == 5
     failures = []
     for item in items:
@@ -64,3 +91,5 @@ def test_analyze_round_matches_the_benchmark_references(monkeypatch, tmp_path):
         if problem is not None:
             failures.append((item["kind"], problem))
     assert failures == []
+    assert snf == []
+    assert rref_callers and set(rref_callers) == {subspace_code}

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -295,6 +296,8 @@ def test_primitive_hull_index_matches_elementary_divisors():
             assert h.contains(v)
         # index 1 iff the input was already primitive
         assert (h.index == 1) == s.primitive
+        # [hull : s] is the product of the elementary divisors of s's basis
+        assert h.index == prod(la.elementary_divisors(s.basis))
         checked += 1
 
 
@@ -770,7 +773,9 @@ def test_adjugate_matches_rational_inverse():
         adj, d = la.adjugate(a)
         assert d == la.det(a)
         if d:
-            assert adj == la.mat_scale(d, la.inverse(a))
+            inv = tuple(tuple(Fraction(x, d) for x in row) for row in adj)
+            assert la.mat_mul(a, inv) == la.identity(n)
+            assert la.inverse(a) == inv
         else:
             assert adj is None
     assert la.adjugate(((1, 2), (2, 4))) == (None, 0)
@@ -823,7 +828,7 @@ def test_isometry_inverse_in_random_bases():
                 l.isometry_inverse(bad)
 
 
-def test_kernel_int_runs_one_smith_form(monkeypatch):
+def test_kernel_int_is_a_saturated_hnf_basis_without_smith_forms(monkeypatch):
     rng = random.Random(5150)
     calls = count_calls(monkeypatch, la, "snf")
     for _ in range(50):
@@ -831,11 +836,35 @@ def test_kernel_int_runs_one_smith_form(monkeypatch):
         a = tuple(tuple(rng.randint(-3, 3) for _ in range(cols)) for _ in range(rows))
         if rng.random() < 0.3:
             a = a + (la.vec_scale(2, a[0]),)
-        del calls[:]
         ker = la.kernel_int(a)
-        assert len(calls) == 1
-        assert len(ker) == cols - len(la.elementary_divisors(a))
+        assert calls == []
+        assert len(ker) == cols - la.rank(a)
         assert all(la.mat_vec(a, k) == la.zero_vec(len(a)) for k in ker)
+        if ker:
+            assert la.hnf(ker) == ker
+            # a basis of a direct summand: every elementary divisor is 1
+            assert la.elementary_divisors(ker) == (1,) * len(ker)
+            del calls[:]
+
+
+def test_fixed_kernel_stacks_each_distinct_non_identity_matrix_once(monkeypatch):
+    calls = count_calls(monkeypatch, la, "kernel_int")
+    ident = la.identity(3)
+    swap = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    assert la.fixed_kernel([ident, ident], 3) == ident
+    assert calls == []
+    assert la.fixed_kernel([ident, swap, swap], 3) == ((1, 1, 0), (0, 0, 1))
+    assert [len(args[0]) for args in calls] == [3]
+
+
+def test_sublattice_gram_derived_once(monkeypatch):
+    l = standard_lattice("U+A2")
+    s = sublattice_from_rows(l, ((1, 0, 0, 0), (0, 0, 1, 1)))
+    calls = count_calls(monkeypatch, la, "mat_mul")
+    assert s.as_lattice().gram == s.gram() == ((0, 0), (0, -2))
+    assert s.as_lattice() is s.as_lattice()
+    assert len(calls) == 2  # one B . G . B^T
+    assert s == sublattice_from_rows(l, s.basis)
 
 
 def test_isometry_inverse_on_a_degenerate_lattice():
