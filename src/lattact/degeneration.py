@@ -11,6 +11,7 @@ verification report carries exactly those five checks.
 """
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import linalg as la
 from .errors import InputError, LattactError, VerificationError
@@ -39,6 +40,7 @@ from .root_systems import (
     fundamental_camera,
     is_admissible,
     roots_of,
+    _simple_roots,
 )
 from .walls import wall_in_H_plus
 
@@ -331,13 +333,10 @@ def camera_adjacent(s: SaturatedSystem, r_prime: Sublattice) -> Camera:
             q = abs(la.dot(l.gram, z, root))
             scale = max(scale, q // abs(p) + 1)
     witness = tuple(scale * a + b for a, b in zip(face_point, z))
-    pos = [v for v in r_bar.roots if la.dot(l.gram, witness, v) > 0]
-    pos_set = set(pos)
-    walls = tuple(sorted(
-        p for p in pos
-        if not any(tuple(x - y for x, y in zip(p, q)) in pos_set for q in pos if q != p)
-    ))
-    cam = Camera(r_bar, walls, witness)
+    gw = la.mat_vec(l.gram, witness)
+    height = {v: sum(map(mul, gw, v)) for v in r_bar.roots}
+    pos = [v for v in r_bar.roots if height[v] > 0]
+    cam = Camera(r_bar, _simple_roots(pos, [height[v] for v in pos]), witness)
     for wall in cam.walls:
         if la.dot(l.gram, face_point, wall) < 0:
             raise VerificationError("face point fell outside the camera closure")

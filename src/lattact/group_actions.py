@@ -10,7 +10,7 @@ negative part. All arithmetic is exact.
 """
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from math import gcd, lcm
 
 from . import linalg as la
@@ -19,7 +19,6 @@ from .lattice import (
     Isometry,
     Lattice,
     Sublattice,
-    Subspace,
     enumerate_vectors,
     is_isometry,
     orthogonal_complement,
@@ -138,15 +137,17 @@ class FundamentalData:
     witness: ambient matrix whose rotation block realises that order (the
     identity when order_n is 1).
     ell: integer vector spanning the invariant positive line.
-    plane: invariant subspace of positive index exactly two carrying the
-    rotation (for order_n >= 2 this is the full rotation block over Q;
-    for order_n = 1 it is a definite plane of eigenvectors).
+    plane: invariant primitive sublattice of positive index exactly two
+    carrying the rotation (for order_n >= 2 this is rho itself; for
+    order_n = 1 it is the saturated span of two positive eigenvectors).
     group: the closed group of the action; group.action is the action
     every consumer of this data must be called with.
     fixed: primitive sublattice fixed pointwise by the whole group.
     rho: integral rotation block, invariant under every group element: the
     saturated cyclotomic kernel of the witness for order_n >= 2, the
     kernel-fixed sublattice for order_n = 1.
+    rho_action: integer matrix of each group element on rho (column
+    action in rho's basis coordinates), index-aligned with group.elements.
     leftover: orthogonal complement of (fixed + rho), derived on first use.
     """
 
@@ -154,10 +155,11 @@ class FundamentalData:
     real: bool
     witness: tuple
     ell: tuple
-    plane: Subspace
+    plane: Sublattice
     group: GroupElements
     fixed: Sublattice
     rho: Sublattice
+    rho_action: tuple
 
     @cached_property
     def leftover(self) -> Sublattice:
@@ -180,6 +182,15 @@ class EigenData:
     m_plus: Sublattice
     m_minus: Sublattice
     exponent: int
+
+    @cached_property
+    def reflector_block(self) -> tuple:
+        """Integer matrix of the reflector on the rotation block, derived
+        once per object (eigen_lattices hands in the one it already has)."""
+        c = la.restrict_to_span(self.reflector.matrix, self.rho.basis)
+        if c is None or not la.is_integer_matrix(c):
+            raise VerificationError("reflector does not act on the rotation block")
+        return la.to_int_mat(c)
 
 
 @dataclass(frozen=True)
@@ -210,18 +221,16 @@ def _restrict(matrix, basis_rows) -> tuple:
 
 def _positive_directions(sub: Sublattice) -> list:
     """Pairwise orthogonal integer vectors of positive square spanning the
-    positive part of the sublattice, in diagonalization order."""
-    rows, vals = la.diagonalize_symmetric(sub.gram())
+    positive part of the sublattice, in Jacobi pivot order."""
     columns = la.transpose(sub.basis)
     out = []
-    for r, v in zip(rows, vals):
-        if v > 0:
-            # r = w / q with w integral, so the ambient vector r . basis is
-            # (w . basis) / q, and clearing its denominators divides
-            # w . basis by gcd(q, w . basis)
-            q = lcm(*(x.denominator for x in r))
-            amb = la.mat_vec(columns, tuple(int(x * q) for x in r))
-            g = gcd(q, *amb)
+    for piv, prow, brow, d in la._jacobi_elimination([list(r) for r in sub.gram()]):
+        if prow and prow[piv] * d > 0:
+            # the diagonalizing row is brow / d, so its ambient vector is
+            # (brow . basis) / d; clearing that of denominators divides
+            # brow . basis by gcd(d, brow . basis), with the sign of d
+            amb = la.mat_vec(columns, brow)
+            g = gcd(d, *amb) if d > 0 else -gcd(d, *amb)
             out.append(tuple(x // g for x in amb))
     return out
 
@@ -289,19 +298,19 @@ def _fixed_by(l: Lattice, mats) -> Sublattice:
 def _real_branch(action, group, fixed0, fixed_all) -> FundamentalData:
     l = action.ambient
     ident = la.identity(l.rank)
-    minus = [m for m, k in zip(group.elements, group.kappas) if k == -1]
-    if not minus:
+    fid = la.identity(fixed0.rank)
+    if -1 not in group.kappas:
+        # the kernel is the whole group, so every element fixes fixed0
         vecs = _positive_directions(fixed0)
         if len(vecs) < 3:
             raise VerificationError("not almost geometric: fixed part lost a positive direction")
-        plane = Subspace(l, (vecs[1], vecs[2]))
-        return FundamentalData(1, True, ident, vecs[0], plane, group, fixed_all, fixed0)
-    cf = _restrict(minus[0], fixed0.basis)
+        plane = Sublattice(l, la.saturate_rows((vecs[1], vecs[2])))
+        return FundamentalData(1, True, ident, vecs[0], plane, group, fixed_all, fixed0, (fid,) * len(group))
+    rho_action = tuple(_restrict(m, fixed0.basis) for m in group.elements)
+    cf = rho_action[group.kappas.index(-1)]
     # on the kernel-fixed part every -1 element acts the same way and
     # every +1 element acts trivially; anything else is a sign conflict
-    fid = la.identity(fixed0.rank)
-    for m, k in zip(group.elements, group.kappas):
-        r = _restrict(m, fixed0.basis)
+    for r, k in zip(rho_action, group.kappas):
         if r != (fid if k == 1 else cf):
             raise VerificationError("declared signs disagree with the action on the fixed part")
     f_plus = Sublattice(l, tuple(fixed0.to_ambient(r) for r in la.kernel_int(la.mat_sub(cf, fid))))
@@ -310,8 +319,8 @@ def _real_branch(action, group, fixed0, fixed_all) -> FundamentalData:
     pos_minus = _positive_directions(f_minus)
     if len(pos_plus) < 2 or len(pos_minus) < 1:
         raise VerificationError("not almost geometric: no flag compatible with the declared signs")
-    plane = Subspace(l, (pos_plus[1], pos_minus[0]))
-    return FundamentalData(1, True, ident, pos_plus[0], plane, group, fixed_all, fixed0)
+    plane = Sublattice(l, la.saturate_rows((pos_plus[1], pos_minus[0])))
+    return FundamentalData(1, True, ident, pos_plus[0], plane, group, fixed_all, fixed0, rho_action)
 
 
 def _rotation_branch(action, group, fixed_all) -> FundamentalData:
@@ -343,17 +352,18 @@ def _rotation_branch(action, group, fixed_all) -> FundamentalData:
     kid, c_inv = powers[0], powers[-1]
     block = rho.as_lattice()
     # restricting every element integrally is also the rotation block's
-    # invariance check: _restrict raises ScopeError otherwise; an element
-    # that restricts integrally has an inverse that does too
-    restriction = cache(lambda i: _restrict(group.elements[i], rho.basis))
-    for i, k in enumerate(group.kappas):
-        r = restriction(i)
+    # invariance check: _restrict raises ScopeError otherwise
+    rho_action = []
+    for i, (m, k) in enumerate(zip(group.elements, group.kappas)):
+        r = c if i == w else _restrict(m, rho.basis)
+        rho_action.append(r)
         if k == 1:
             if r not in powers:
                 raise ScopeError("unsupported action shape: kernel subgroup is not cyclic on the rotation block")
             continue
         if nn >= 3:
-            if la.mat_mul(la.mat_mul(r, c), restriction(group.inverse(i))) != c_inv:
+            # r c r^-1 = c^-1, multiplied through by r
+            if la.mat_mul(r, c) != la.mat_mul(c_inv, r):
                 raise VerificationError("declared signs disagree with the rotation orientation")
         else:
             if la.mat_mul(r, r) != kid:
@@ -367,7 +377,7 @@ def _rotation_branch(action, group, fixed_all) -> FundamentalData:
     positive = _positive_directions(fixed_all)
     if not positive:
         raise VerificationError("not almost geometric: no invariant positive direction")
-    return FundamentalData(nn, nn <= 2, witness, positive[0], Subspace(l, rho.basis), group, fixed_all, rho)
+    return FundamentalData(nn, nn <= 2, witness, positive[0], rho, group, fixed_all, rho, tuple(rho_action))
 
 
 def fundamental_data(action: LatticeAction, bound: int = 1024) -> FundamentalData:
@@ -400,13 +410,13 @@ def _verify_flag(action: LatticeAction, data: FundamentalData) -> None:
     l = action.ambient
     if l.sq(data.ell) <= 0:
         raise VerificationError("flag line is not positive")
-    rows = data.plane.integer_rows()
+    rows = data.plane.basis
     for _, iso, _ in action.generators:
         if iso(data.ell) != tuple(data.ell):
             raise VerificationError("flag line is not invariant")
         if la.restrict_to_span(iso.matrix, rows) is None:
             raise VerificationError("flag plane is not invariant")
-    if sum(v > 0 for v in la.diagonalize_symmetric(data.plane.gram())[1]) != 2:
+    if signature(data.plane.as_lattice()).plus != 2:
         raise VerificationError("flag plane has the wrong positive index")
     for row in rows:
         if l.dot(data.ell, row) != 0:
@@ -446,7 +456,7 @@ def dilated_complex_structure(action: LatticeAction, data: FundamentalData) -> D
         raise ScopeError("no integral dilation for this rotation order")
     _check_owner(action, data)
     rho = data.rho
-    c = _restrict(data.witness, rho.basis)
+    c = data.rho_action[data.group.index_of(data.witness)]
     t = _T_FOR_ORDER[data.order_n]
     k = rho.rank
     j = la.mat_sub(la.mat_scale(2, c), la.mat_scale(t, la.identity(k)))
@@ -456,8 +466,7 @@ def dilated_complex_structure(action: LatticeAction, data: FundamentalData) -> D
     g = la.freeze_mat(rho.gram())
     if la.mat_mul(la.transpose(j), g) != la.mat_scale(-1, la.mat_mul(g, j)):
         raise VerificationError("dilation is not anti-selfadjoint")
-    for m, kap in zip(data.group.elements, data.group.kappas):
-        r = _restrict(m, rho.basis)
+    for r, kap in zip(data.rho_action, data.group.kappas):
         left = la.mat_mul(r, j)
         right = la.mat_mul(j, r)
         if kap == 1 and left != right:
@@ -476,13 +485,14 @@ def eigen_lattices(action: LatticeAction, data: FundamentalData) -> EigenData:
     quotient block / (plus + minus); it clears the averaging projections
     (v +- cv)/2 into the eigenlattices.
     """
-    chosen = next(((name, iso) for name, iso, kap in action.generators if kap == -1), None)
+    chosen = next((j for j, (_, _, kap) in enumerate(action.generators) if kap == -1), None)
     if chosen is None:
         raise InputError("action has no antiholomorphic generator to split by")
-    name, iso = chosen
+    name, iso, _ = action.generators[chosen]
     _check_owner(action, data)
     rho = data.rho
-    c = _restrict(iso.matrix, rho.basis)
+    # generator j is the element identity . g_j, index table[0][j]
+    c = data.rho_action[data.group.table[0][chosen]]
     k = rho.rank
     kid = la.identity(k)
     if la.mat_mul(c, c) != kid:
@@ -507,7 +517,9 @@ def eigen_lattices(action: LatticeAction, data: FundamentalData) -> EigenData:
             w = tuple(exponent * (a + sgn * b) for a, b in zip(e, ce))
             if any(x % 2 for x in w) or not part.contains(tuple(x // 2 for x in w)):
                 raise VerificationError("exponent fails to clear the averaging denominators")
-    return EigenData(name, iso, rho, plus, minus, exponent)
+    eigen = EigenData(name, iso, rho, plus, minus, exponent)
+    eigen.__dict__["reflector_block"] = c  # the cached property, already known
+    return eigen
 
 
 # ---------------------------------------------------------------------------

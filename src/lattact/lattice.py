@@ -156,40 +156,6 @@ class Sublattice:
 
 
 @dataclass(frozen=True)
-class Subspace:
-    """Rational subspace of the ambient lattice, basis rows in reduced form."""
-
-    ambient: Lattice
-    basis: tuple  # rows: rational vectors, canonical rref
-
-    def __post_init__(self):
-        rows = la.freeze_mat(self.basis)
-        if rows:
-            red, pivots = la.rref(rows)
-            rows = tuple(red[i] for i in range(len(pivots)))
-        object.__setattr__(self, "basis", rows)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def integer_rows(self) -> tuple:
-        """The basis rows cleared of denominators: integer rows with the
-        same pivots, so an echelon basis of the same span."""
-        return tuple(la.clear_denominators(row) for row in self.basis)
-
-    def gram(self) -> tuple:
-        # products in integers; an rref row has pivot 1, so the pivot
-        # entry of its integer row is the factor it was scaled by
-        b = self.integer_rows()
-        g = la.mat_mul(la.mat_mul(b, self.ambient.gram), la.transpose(b))
-        scale = [next(x for x in row if x) for row in b]
-        return tuple(
-            tuple(Fraction(x, s * t) for x, t in zip(row, scale)) for row, s in zip(g, scale)
-        )
-
-
-@dataclass(frozen=True)
 class Isometry:
     """Integer matrix m with m^T G m = G, acting on column vectors."""
 
@@ -390,27 +356,14 @@ def signature(l: Lattice) -> Signature:
     return Signature(plus, minus, l.rank - plus - minus)
 
 
-def _as_row_basis(s) -> tuple:
-    if isinstance(s, Sublattice):
-        return s.basis
-    if isinstance(s, Subspace):
-        return s.basis
-    raise InputError("expected a Sublattice or Subspace")
-
-
-def orthogonal_complement(l: Lattice, s) -> Sublattice:
+def orthogonal_complement(l: Lattice, s: Sublattice) -> Sublattice:
     """Primitive sublattice of all integer vectors orthogonal to s."""
-    rows = _as_row_basis(s)
-    if not rows:
+    if not isinstance(s, Sublattice):
+        raise InputError("expected a Sublattice")
+    if not s.basis:
         return full_sublattice(l)
-    # one condition row per basis vector v: the covector v^T G, cleared to
-    # integer entries where v is rational (Subspace input)
-    cond = tuple(
-        row if all(type(x) is int for x in row) else la.clear_denominators(row)
-        for row in la.mat_mul(rows, l.gram)
-    )
-    ker = la.kernel_int(cond)
-    return Sublattice(l, la.freeze_mat(ker))
+    # one condition row per basis vector v: the covector v^T G
+    return Sublattice(l, la.kernel_int(la.mat_mul(s.basis, l.gram)))
 
 
 def primitive_hull(l: Lattice, s: Sublattice) -> Sublattice:

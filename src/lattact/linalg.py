@@ -651,24 +651,6 @@ def _jacobi_elimination(m: list) -> list:
     return steps
 
 
-def diagonalize_symmetric(gram: Mat) -> tuple[Mat, tuple]:
-    """Congruence diagonalization of a symmetric matrix over Q.
-
-    Returns (basis_rows, values) with basis_rows[i] . gram . basis_rows[j]
-    equal to values[i] when i == j and 0 otherwise, from the fraction-free
-    Jacobi elimination; a rational input is first scaled to integers.
-    """
-    if not gram:
-        return (), ()
-    scale = lcm(*(x.denominator for row in gram for x in row))
-    steps = _jacobi_elimination([[int(x * scale) for x in row] for row in gram])
-    rows = tuple(tuple(Fraction(x, d) for x in brow) for _, _, brow, d in steps)
-    vals = tuple(
-        Fraction(prow[piv], d * scale) if prow else Fraction(0) for piv, prow, _, d in steps
-    )
-    return rows, vals
-
-
 def matrix_order(a: Mat, bound: int = 60) -> int:
     """Multiplicative order of an integer matrix, or raise if it exceeds bound."""
     n = len(a)

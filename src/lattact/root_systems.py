@@ -1,10 +1,11 @@
 """Root systems, Weyl machinery, cameras, and equivariant folding.
 
 Roots are square-(-2) vectors of a negative definite (sub)lattice, kept in
-ambient coordinates. Positivity comes from a fixed generic functional: the
-root's coordinates in the span basis weighted by powers of ten. Cameras are
-chambers of the mirror arrangement; the fundamental one pairs strictly
-positively with every simple root.
+ambient coordinates. A root is positive when the last nonzero coordinate
+of its expansion in the span basis is positive: a lexicographic order, so
+a linear order compatible with addition. Cameras are chambers of the
+mirror arrangement; the fundamental one pairs strictly positively with
+every simple root.
 
 Composition convention for words: word (i1, ..., ik) denotes the product
 s_{r[i1]} . s_{r[i2]} ... s_{r[ik]} as matrices, so the rightmost reflection
@@ -14,7 +15,6 @@ acts first on vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from . import linalg as la
@@ -116,29 +116,42 @@ def roots_of(s) -> RootSystem:
     roots = tuple(sorted(s.to_ambient(c) for c in local))
     if not roots:
         return RootSystem(ambient, sublattice_from_rows(ambient, ()), (), (), (), ())
-    # positivity evaluated on span coordinates of each root
-    values = {}
+    # positivity evaluated on span coordinates of each root; the reversed
+    # coordinates order the positive roots by that same lexicographic order
+    positive, height = [], []
     span = sublattice_from_rows(ambient, roots)
     for r in roots:
         coords = span.coords_of(r)
         f = _positivity_functional(coords)
         if f == 0:
             raise VerificationError("generic functional vanished on a root")
-        values[r] = f
-    positive = tuple(r for r in roots if values[r] > 0)
-    pos_set = set(positive)
-    simple = []
-    for p in positive:
-        decomposable = any(
-            tuple(x - y for x, y in zip(p, q)) in pos_set for q in positive if q != p
-        )
-        if not decomposable:
-            simple.append(p)
-    simple = tuple(sorted(simple))
+        if f > 0:
+            positive.append(r)
+            height.append(coords[::-1])
+    simple = _simple_roots(positive, height)
+    positive = tuple(positive)
     components = _classify_components(ambient, simple)
     rs = RootSystem(ambient, span, roots, positive, simple, components)
     _verify_root_system(rs)
     return rs
+
+
+def _simple_roots(positive, height) -> tuple:
+    """The indecomposable roots among the positive ones, sorted.
+
+    height[i] orders positive[i] like a linear functional defining the
+    positivity (any key with that order). Walking the positive roots by
+    increasing height, a root is simple unless subtracting an already
+    kept simple root leaves a positive root: a decomposable root always
+    has such a simple summand, of smaller height (Bourbaki, Lie Groups
+    VI, 1.6). O(N r) set lookups for N positive roots of rank r.
+    """
+    pos_set = set(positive)
+    simple = []
+    for _, p in sorted(zip(height, positive)):
+        if not any(tuple(x - y for x, y in zip(p, s)) in pos_set for s in simple):
+            simple.append(p)
+    return tuple(sorted(simple))
 
 
 def _simple_adjacency(ambient: Lattice, simple) -> list:
@@ -633,14 +646,11 @@ def fold_reflection(n: Lattice, action, v) -> FoldResult:
     for m in mats:
         if la.mat_mul(w, m) != la.mat_mul(m, w):
             raise VerificationError("folded element does not commute with the action")
-    # and restrict to the fixed lattice as the reflection against vbar
-    denom = Fraction(n.sq(vbar))
+    # and restrict to the fixed lattice as the reflection against vbar:
+    # vbar^2 (w x) = vbar^2 x - 2 (x . vbar) vbar, in integers
+    vv = n.sq(vbar)
     for x in fixed_rows:
-        expected = tuple(
-            Fraction(x[k]) - Fraction(2 * n.dot(x, vbar)) / denom * vbar[k]
-            for k in range(n.rank)
-        )
-        got = tuple(Fraction(t) for t in la.mat_vec(w, x))
-        if got != expected:
+        xv2 = 2 * n.dot(x, vbar)
+        if any(vv * g != vv * a - xv2 * b for g, a, b in zip(la.mat_vec(w, x), x, vbar)):
             raise VerificationError("folded element is not the fixed-part reflection")
     return FoldResult(witness_root=None, weyl=Isometry._trusted(n, w))

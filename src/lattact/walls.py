@@ -69,25 +69,24 @@ class WallReport:
 # ---------------------------------------------------------------------------
 
 
-def _reflector_block(e: EigenData) -> tuple:
-    c = la.restrict_to_span(e.reflector.matrix, e.rho.basis)
-    if c is None or not la.is_integer_matrix(c):
-        raise VerificationError("reflector does not act on the rotation block")
-    return la.to_int_mat(c)
+def _doubled_projections(v, e: EigenData) -> tuple:
+    """(p, m) = (v + cv, v - cv) for the reflector c on the block: twice
+    the eigenprojections, integral for an integral v."""
+    cv = la.mat_vec(e.reflector_block, v)
+    return tuple(a + b for a, b in zip(v, cv)), tuple(a - b for a, b in zip(v, cv))
+
+
+def _halved(p) -> tuple:
+    return tuple(Fraction(x, 2) for x in p)
 
 
 def project_to_eigenspaces(v, e: EigenData) -> tuple:
     """Eigenprojections v -> (v_plus, v_minus), rational vectors with
     v = v_plus + v_minus, in rotation-block coordinates."""
-    k = e.rho.rank
-    if len(v) != k:
+    if len(v) != e.rho.rank:
         raise InputError("vector length does not match the rotation block")
-    c = _reflector_block(e)
-    cv = la.mat_vec(c, v)
-    v_plus = tuple(Fraction(a) + Fraction(b) for a, b in zip(v, cv))
-    v_plus = tuple(x / 2 for x in v_plus)
-    v_minus = tuple(Fraction(a) - x for a, x in zip(v, v_plus))
-    return v_plus, v_minus
+    p, m = _doubled_projections(v, e)
+    return _halved(p), _halved(m)
 
 
 def _vectors_of_square(sub: Sublattice, s: int, bound) -> tuple:
@@ -137,10 +136,10 @@ def candidate_roots(e: EigenData, bound: int | None = None) -> CandidateReport:
         found = set()
         for a in plus_vecs:
             for b in minus_vecs:
-                w = tuple(Fraction(x + y, n) for x, y in zip(a, b))
-                if not la.is_integer_vector(w):
+                w = tuple(x + y for x, y in zip(a, b))
+                if any(x % n for x in w):
                     continue
-                v = la.to_int_vec(w)
+                v = tuple(x // n for x in w)
                 if block.sq(v) != -2:
                     raise VerificationError("candidate construction produced a non-root")
                 found.add(la.primitive_vector(v))
@@ -162,30 +161,30 @@ def wall_in_H_plus(v, e: EigenData, j: DilatedComplexStructure) -> Wall | None:
     block = e.rho.as_lattice()
     if len(v) != e.rho.rank or block.sq(v) != -2:
         raise InputError("defining vector must be a root of the rotation block")
-    v_plus, v_minus = project_to_eigenspaces(v, e)
+    # p = 2 v+ and m = 2 v-: the factor 2 changes no dependence, ray or sign
+    p, m = _doubled_projections(v, e)
     gram = block.gram
-    jv = la.mat_vec(j.matrix, v_minus)
-    alpha = tuple(la.dot(gram, row, v_plus) for row in e.m_plus.basis)
-    beta = tuple(la.dot(gram, row, jv) for row in e.m_plus.basis)
+    jm = la.mat_vec(j.matrix, m)
+    alpha = tuple(la.dot(gram, row, p) for row in e.m_plus.basis)
+    beta = tuple(la.dot(gram, row, jm) for row in e.m_plus.basis)
     if not any(alpha) and not any(beta):
         # the root sees nothing of the plus part: no codimension-1 cut
         return None
     if alpha[0] * beta[1] - alpha[1] * beta[0] != 0:
         return None
     gamma = alpha if any(alpha) else beta
-    ray = la.primitive_vector(la.clear_denominators((gamma[1], -gamma[0])))
+    ray = la.primitive_vector((gamma[1], -gamma[0]))
     plus_gram = la.freeze_mat(e.m_plus.gram())
     if la.sq(plus_gram, ray) <= 0:
         return None
     if sum(r * a for r, a in zip(ray, alpha)) != 0 or sum(r * b for r, b in zip(ray, beta)) != 0:
         raise VerificationError("cut ray fails its defining orthogonality")
-    scaled_plus = tuple(e.exponent * x for x in v_plus)
-    scaled_minus = tuple(e.exponent * x for x in v_minus)
-    if not la.is_integer_vector(scaled_plus) or not la.is_integer_vector(scaled_minus):
+    # n v+ and n v- = n v - n v+ are integral exactly when n p is even
+    if any(e.exponent * x % 2 for x in p):
         raise VerificationError("projections are not cleared by the exponent")
-    if la.sq(gram, v_plus) > 0 or la.sq(gram, v_minus) > 0:
+    if la.sq(gram, p) > 0 or la.sq(gram, m) > 0:
         raise VerificationError("a cutting root must have nonpositive projection squares")
-    return Wall(v, v_plus, v_minus, ray)
+    return Wall(v, _halved(p), _halved(m), ray)
 
 
 def component_count(
@@ -280,11 +279,10 @@ def segment_vectors(m: Lattice, u1, u2, a: int) -> tuple:
         for aa in la.divisors_signed(k):
             bb = k // aa
             for x in xs:
-                w = tuple(
-                    Fraction(aa * p + bb * q + r, d) for p, q, r in zip(u1, u2, x)
-                )
-                if la.is_integer_vector(w):
-                    v = la.to_int_vec(w)
-                    if m.sq(v) == a and m.dot(v, u1) * m.dot(v, u2) < 0:
-                        out.add(v)
+                w = tuple(aa * p + bb * q + r for p, q, r in zip(u1, u2, x))
+                if any(y % d for y in w):
+                    continue
+                v = tuple(y // d for y in w)
+                if m.sq(v) == a and m.dot(v, u1) * m.dot(v, u2) < 0:
+                    out.add(v)
     return tuple(sorted(out))

@@ -6,7 +6,8 @@ the order-3 isometry conditions, and a passing five-point degeneration
 report. One seeded round of each runs here, so a change that breaks
 those answers fails tier-1 rather than only a benchmark run. The
 `analyze` and `degenerate` rounds also guard which eliminations run:
-no Smith form, and rref only for a Subspace's basis."""
+no Smith form and no rref; the `degenerate` round builds no
+Fraction at all."""
 
 import importlib.util
 import sys
@@ -25,24 +26,29 @@ def _load(name, monkeypatch):
 
 
 def _guard_eliminations(monkeypatch):
-    """Record Smith forms and the callers of rref: on these rounds the
-    library takes no Smith form (only discriminant forms need one), and
-    rref runs only for a Subspace's canonical basis."""
+    """Record Smith forms and rref calls: on these rounds the library takes
+    no Smith form (only discriminant forms need one) and no rref (only
+    rank and solve use it)."""
     from lattact import linalg as la
-    from lattact.lattice import Subspace
 
     from helpers import count_calls
 
-    snf = count_calls(monkeypatch, la, "snf")
-    original = la.rref
-    callers = []
+    return count_calls(monkeypatch, la, "snf"), count_calls(monkeypatch, la, "rref")
 
-    def recording(*args):
-        callers.append(sys._getframe(1).f_code)
-        return original(*args)
 
-    monkeypatch.setattr(la, "rref", recording)
-    return snf, callers, Subspace.__post_init__.__code__
+def _count_fractions(monkeypatch):
+    """Record every Fraction construction, arithmetic results included."""
+    from fractions import Fraction
+
+    original = Fraction.__new__
+    made = []
+
+    def recording(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(recording))
+    return made
 
 
 def test_enumerate_round_matches_the_benchmark_references(monkeypatch, tmp_path):
@@ -66,7 +72,8 @@ def test_degenerate_round_matches_the_benchmark_references(monkeypatch, tmp_path
     workloads = _load("workloads", monkeypatch)
     workload = workloads.Degenerate(7, tmp_path)
     items = workload.round(0)
-    snf, rref_callers, subspace_code = _guard_eliminations(monkeypatch)
+    snf, rref = _guard_eliminations(monkeypatch)
+    fractions = _count_fractions(monkeypatch)
     assert len(items) == 7
     failures = []
     for item in items:
@@ -74,8 +81,8 @@ def test_degenerate_round_matches_the_benchmark_references(monkeypatch, tmp_path
         if problem is not None:
             failures.append((item["kind"], item["system"], problem))
     assert failures == []
-    assert snf == []
-    assert rref_callers and set(rref_callers) == {subspace_code}
+    assert snf == [] and rref == []
+    assert fractions == []
 
 
 def test_analyze_round_matches_the_benchmark_references(monkeypatch, tmp_path):
@@ -83,7 +90,7 @@ def test_analyze_round_matches_the_benchmark_references(monkeypatch, tmp_path):
     workloads = _load("workloads", monkeypatch)
     workload = workloads.Analyze(7, tmp_path)
     items = workload.round(0)
-    snf, rref_callers, subspace_code = _guard_eliminations(monkeypatch)
+    snf, rref = _guard_eliminations(monkeypatch)
     assert len(items) == 5
     failures = []
     for item in items:
@@ -91,5 +98,4 @@ def test_analyze_round_matches_the_benchmark_references(monkeypatch, tmp_path):
         if problem is not None:
             failures.append((item["kind"], problem))
     assert failures == []
-    assert snf == []
-    assert rref_callers and set(rref_callers) == {subspace_code}
+    assert snf == [] and rref == []

@@ -303,7 +303,7 @@ class TestFundamentalData:
         assert fd.order_n == 3 and fd.real is False
         assert fd.witness == helpers.block_diag(ROT3, I2)
         assert fd.ell == (0, 0, 0, 0, 1, 1)
-        assert fd.plane.dim == 4
+        assert fd.plane.rank == 4
 
     def test_dihedral3_other_involution(self):
         fd = fundamental_data(dihedral3(INV_B))
@@ -341,6 +341,21 @@ class TestFundamentalData:
             scaled = tuple(la.clear_denominators(row) for row in fd.plane.basis)
             gram = tuple(tuple(action.ambient.dot(u, v) for v in scaled) for u in scaled)
             assert signature(make_lattice(gram)).plus == 2
+
+    def test_flag_keeps_the_row_signs_past_a_negative_pivot(self):
+        # the first Jacobi pivot is negative, so the later rows are scaled
+        # by d < 0; each positive direction is a positive multiple of its row
+        gram = ((-2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))
+        fd = fundamental_data(LatticeAction(make_lattice(gram), ()))
+        assert fd.ell == (0, 1, 0, 0)
+        assert fd.plane.basis == ((0, 0, 1, 0), (0, 0, 0, 1))
+
+    def test_rho_action_is_each_element_on_the_block(self):
+        for action in (dihedral3(), dihedral4(), sign_flip_pair(), antiflip(), LatticeAction(L6, ())):
+            fd = fundamental_data(action)
+            assert len(fd.rho_action) == len(fd.group)
+            for m, r in zip(fd.group.elements, fd.rho_action):
+                assert r == la.restrict_to_span(m, fd.rho.basis)
 
     def test_minus_identity_rejected_both_signs(self):
         for k in (1, -1):

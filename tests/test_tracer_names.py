@@ -1,6 +1,6 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps library functions by
 name. A renamed function breaks only traced benchmark runs, so every name
-it traces is checked here."""
+it traces is checked here, and so is every name the package exports."""
 
 import importlib
 import importlib.util
@@ -17,3 +17,10 @@ def test_every_traced_name_resolves():
         module = importlib.import_module(f"lattact.{mod}")
         for name in names:
             assert callable(getattr(module, name, None)), f"lattact.{mod}.{name}"
+
+
+def test_every_exported_name_resolves():
+    import lattact
+
+    for name in lattact.__all__:
+        assert hasattr(lattact, name), f"lattact.{name}"

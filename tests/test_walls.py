@@ -311,6 +311,24 @@ class TestWallReport:
             assert len(report.walls) == 2
 
 
+    def test_block_restrictions_are_read_not_derived_again(self, monkeypatch):
+        # fundamental_data restricts every group element to the rotation
+        # block once; the dilation, the eigen split and the wall report
+        # (one reflector block for all candidate roots) read those
+        from lattact import dilated_complex_structure, fixture
+
+        calls = helpers.count_calls(monkeypatch, la, "restrict_to_span")
+        for act in (helpers.klein_action(), fixture("d3_S").action):
+            f = fundamental_data(act)
+            calls.clear()
+            j = dilated_complex_structure(act, f)
+            e = eigen_lattices(act, f)
+            report = wall_report(e, j)
+            assert report.candidate_count > 0
+            assert calls == []
+            assert e.reflector_block == reflector_block(e)
+
+
 class TestSegmentVectors:
     def test_hyperbolic_plane(self):
         assert segment_vectors(U, (1, 0), (0, 1), -2) == ((-1, 1), (1, -1))
