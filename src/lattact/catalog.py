@@ -41,6 +41,7 @@ from .lattice import (
     standard_lattice,
     sublattice_from_rows,
 )
+from .root_systems import reflection
 from .walls import wall_report
 
 
@@ -401,19 +402,6 @@ def classify_order3_on_2U(entry_bound: int = 2) -> ClassifyReport:
 # symplectic survey over the three small root systems
 
 
-def _basis_reflections(gram) -> tuple:
-    """Reflections in the basis roots of a root lattice with all squares -2,
-    as matrices on that lattice: e_j maps to e_j + (e_j . e_i) e_i."""
-    n = len(gram)
-    out = []
-    for i in range(n):
-        rows = [list(r) for r in la.identity(n)]
-        for j in range(n):
-            rows[i][j] += gram[j][i]
-        out.append(la.freeze_mat(rows))
-    return tuple(out)
-
-
 def _embed_into_e8(system_gram) -> tuple:
     """First tuple of E8 roots (enumeration order) pairing exactly as the
     given gram; backtracks, so failure means no embedding exists at all."""
@@ -458,8 +446,9 @@ def torus_symplectic_survey() -> SurveyReport:
     entries = []
     consistent = True
     for name, formula in systems:
-        gram = standard_lattice(name).gram
-        closure = la.matrix_group_closure(_basis_reflections(gram))
+        lat = standard_lattice(name)
+        gram = lat.gram
+        closure = la.matrix_group_closure([reflection(lat, e).matrix for e in la.identity(lat.rank)])
         weyl = len(closure)
         rotation = sum(1 for m in closure if la.det(m) == 1)
         embedding = _embed_into_e8(gram)
@@ -514,12 +503,14 @@ def d3_full_pipeline(variant: str, action: LatticeAction | None = None) -> Pipel
         # later stages read
         f = fundamental_data(act)
         state["f"] = f
-        t = act.generators[0][1].matrix
-        s = act.generators[1][1].matrix
+        # t^3 = s^2 = 1 and s t s = t^2 on the group table: table[i][j]
+        # indexes elements[i] . g_j, so row 0 indexes the generators
+        table = f.group.table
+        t, s = table[0]
         relations = (
-            la.mat_pow(t, 3) == la.identity(22)
-            and la.mat_pow(s, 2) == la.identity(22)
-            and la.mat_mul(la.mat_mul(s, t), s) == la.mat_pow(t, 2)
+            3 % f.group.order(t) == 0
+            and 2 % f.group.order(s) == 0
+            and table[table[s][0]][1] == table[t][0]
         )
         ok = len(f.group) == exp["group_order"] and relations
         return ok, f"order {len(f.group)}, relations {'hold' if relations else 'fail'}"

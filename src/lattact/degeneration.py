@@ -177,27 +177,6 @@ def _verify_homomorphism(group, images):
 # verification report
 
 
-def _root_components(r: RootSystem) -> tuple:
-    gram = r.ambient.gram
-    roots = r.roots
-    parent = list(range(len(roots)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if la.dot(gram, roots[i], roots[j]) != 0:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i, v in enumerate(roots):
-        groups.setdefault(find(i), set()).add(v)
-    return tuple(sorted((frozenset(g) for g in groups.values()), key=sorted))
-
-
 def _induced_permutation(components, m) -> tuple:
     out = []
     for comp in components:
@@ -240,7 +219,7 @@ def verify_degeneration(a: LatticeAction, s: SaturatedSystem, d: DegenerationRes
         return True, f"agree on all {comp.rank} basis vectors"
 
     def components():
-        comps = _root_components(r_bar)
+        comps = r_bar.component_roots
         for n in names:
             if _induced_permutation(comps, taus[n]) != _induced_permutation(comps, sigmas[n]):
                 return False, f"generator {n} permutes components differently"

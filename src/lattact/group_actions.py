@@ -304,7 +304,7 @@ def _real_branch(action, group, fixed0, fixed_all) -> FundamentalData:
         vecs = _positive_directions(fixed0)
         if len(vecs) < 3:
             raise VerificationError("not almost geometric: fixed part lost a positive direction")
-        plane = Sublattice(l, la.saturate_rows((vecs[1], vecs[2])))
+        plane = _flag_plane(action, vecs[1], vecs[2])
         return FundamentalData(1, True, ident, vecs[0], plane, group, fixed_all, fixed0, (fid,) * len(group))
     rho_action = tuple(_restrict(m, fixed0.basis) for m in group.elements)
     cf = rho_action[group.kappas.index(-1)]
@@ -319,8 +319,22 @@ def _real_branch(action, group, fixed0, fixed_all) -> FundamentalData:
     pos_minus = _positive_directions(f_minus)
     if len(pos_plus) < 2 or len(pos_minus) < 1:
         raise VerificationError("not almost geometric: no flag compatible with the declared signs")
-    plane = Sublattice(l, la.saturate_rows((pos_plus[1], pos_minus[0])))
+    plane = _flag_plane(action, pos_plus[1], pos_minus[0])
     return FundamentalData(1, True, ident, pos_plus[0], plane, group, fixed_all, fixed0, rho_action)
+
+
+def _flag_plane(action, u, v) -> Sublattice:
+    """The saturated span of u and v, checked to be invariant under every
+    generator and of positive index two. The order >= 2 branch needs no
+    such check: its plane is rho, which _rotation_branch restricts every
+    element to and whose positive index it checks."""
+    plane = Sublattice(action.ambient, la.saturate_rows((u, v)))
+    for _, iso, _ in action.generators:
+        if la.restrict_to_span(iso.matrix, plane.basis) is None:
+            raise VerificationError("flag plane is not invariant")
+    if signature(plane.as_lattice()).plus != 2:
+        raise VerificationError("flag plane has the wrong positive index")
+    return plane
 
 
 def _rotation_branch(action, group, fixed_all) -> FundamentalData:
@@ -410,15 +424,11 @@ def _verify_flag(action: LatticeAction, data: FundamentalData) -> None:
     l = action.ambient
     if l.sq(data.ell) <= 0:
         raise VerificationError("flag line is not positive")
-    rows = data.plane.basis
+    # the plane was checked where it was built (_flag_plane, _rotation_branch)
     for _, iso, _ in action.generators:
         if iso(data.ell) != tuple(data.ell):
             raise VerificationError("flag line is not invariant")
-        if la.restrict_to_span(iso.matrix, rows) is None:
-            raise VerificationError("flag plane is not invariant")
-    if signature(data.plane.as_lattice()).plus != 2:
-        raise VerificationError("flag plane has the wrong positive index")
-    for row in rows:
+    for row in data.plane.basis:
         if l.dot(data.ell, row) != 0:
             raise VerificationError("flag line is not orthogonal to the plane")
     group = data.group

@@ -83,15 +83,6 @@ class Lattice:
         """(adj G, det G), derived once per lattice object."""
         return la.adjugate(self.gram)
 
-    def isometry_inverse(self, m) -> tuple:
-        """Inverse of an integer isometry of this lattice, as
-        adj(G) . m^T G / det G in integers (checked; ValueError when m is
-        not an isometry). A degenerate Gram falls back to inverse_int."""
-        adj, d = self.adjugate
-        if not d:
-            return la.inverse_int(m)
-        return la.isometry_inverse(m, self.gram, adj, d)
-
 
 @dataclass(frozen=True)
 class Sublattice:
@@ -138,11 +129,9 @@ class Sublattice:
 
     def to_ambient(self, coords):
         """Map basis coordinates to an ambient vector."""
-        n = self.ambient.rank
-        return tuple(
-            sum(coords[i] * self.basis[i][k] for i in range(self.rank))
-            for k in range(n)
-        )
+        if not self.basis:
+            return la.zero_vec(self.ambient.rank)
+        return tuple(sum(map(mul, coords, col)) for col in zip(*self.basis))
 
     def coords_of(self, v):
         """Rational coordinates of an ambient vector in this basis, or None."""
@@ -193,7 +182,8 @@ class Isometry:
         return Isometry._trusted(self.lattice, product)
 
     def inverse(self) -> "Isometry":
-        return Isometry(self.lattice, self.lattice.isometry_inverse(self.matrix))
+        # the inverse of an isometry is an isometry
+        return Isometry._trusted(self.lattice, la.inverse_int(self.matrix))
 
     @property
     def det(self) -> int:

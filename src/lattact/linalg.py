@@ -182,7 +182,8 @@ def _det_bareiss(m: list) -> int:
 
 
 def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form over the rationals; returns (R, pivot columns)."""
+    """Reduced row echelon form over the rationals; returns (R, pivot columns).
+    Like solve, it has no caller in the library and serves as a test oracle."""
     m = [list(map(Fraction, row)) for row in a]
     rows = len(m)
     cols = len(m[0]) if m else 0
@@ -262,22 +263,6 @@ def adjugate(a: Mat) -> tuple[Mat, int]:
     return tuple(tuple(sign * x for x in row[n:]) for row in m), sign * prev
 
 
-def isometry_inverse(m: Mat, gram: Mat, adj: Mat, d: int) -> Mat:
-    """Inverse of an integer isometry m of a nondegenerate Gram matrix
-    (m^T G m = G), computed in integers as adj(G) . m^T G / det G.
-
-    adj, d: adjugate(gram). The quotient must be exact and m . m^-1 = I
-    is checked, so a matrix that is not an isometry raises ValueError.
-    """
-    t = mat_mul(adj, mat_mul(transpose(m), gram))
-    if any(x % d for row in t for x in row):
-        raise ValueError("matrix is not an isometry of the Gram matrix")
-    inv = tuple(tuple(x // d for x in row) for row in t)
-    if mat_mul(m, inv) != identity(len(m)):
-        raise ValueError("matrix is not an isometry of the Gram matrix")
-    return inv
-
-
 def solve(a: Mat, b: Vec) -> Vec | None:
     """One rational solution x of A x = b, or None if inconsistent."""
     rows = len(a)
@@ -342,25 +327,11 @@ def hnf(a: Mat) -> Mat:
     return freeze_mat(m[:r])
 
 
-def hnf_reduce(v: Vec, h: Mat) -> Vec:
-    """Reduce an integer vector modulo the row lattice of an HNF matrix.
-
-    Result is zero iff v lies in the lattice spanned by the rows of h.
-    """
-    w = list(map(int, v))
-    for row in h:
-        c = next((j for j, x in enumerate(row) if x != 0), None)
-        if c is None:
-            continue
-        q = w[c] // row[c]
-        if q:
-            for j in range(len(w)):
-                w[j] -= q * row[j]
-    return tuple(w)
-
-
 def in_row_lattice(v: Vec, h: Mat) -> bool:
-    return all(x == 0 for x in hnf_reduce(v, h))
+    """Whether v lies in the row lattice of echelon rows h (an HNF basis):
+    its coordinates in h exist and are integers."""
+    c = coords_in_rows(v, h)
+    return c is not None and is_integer_vector(c)
 
 
 def snf(a: Mat) -> tuple[Mat, Mat, Mat]:

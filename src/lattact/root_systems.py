@@ -15,6 +15,7 @@ acts first on vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 
 from . import linalg as la
@@ -53,6 +54,44 @@ class RootSystem:
             return self.roots.index(tuple(v))
         except ValueError:
             raise InputError(f"{v!r} is not a root of this system") from None
+
+    @cached_property
+    def cartan(self) -> tuple:
+        """(S G, adj A, det A) for the simple roots S and their Gram matrix
+        A = S G S^T, derived once per root system."""
+        sg = la.mat_mul(self.simple_roots, self.ambient.gram)
+        adj, d = la.adjugate(la.mat_mul(sg, la.transpose(self.simple_roots)))
+        if adj is None:
+            raise VerificationError("simple roots are linearly dependent")
+        return sg, adj, d
+
+    def simple_coords(self, vectors) -> tuple:
+        """Integer coordinates of each vector in the simple roots, one
+        integer solve adj(A) . S G v / det A for all of them; None for a
+        vector where the division is inexact or the coordinates do not
+        rebuild it (a vector outside the simple-root lattice)."""
+        sg, adj, d = self.cartan
+        scaled = la.mat_mul(adj, la.mat_mul(sg, la.transpose(vectors)))
+        columns = la.transpose(self.simple_roots)
+        out = []
+        for v, col in zip(vectors, zip(*scaled)):
+            c = tuple(x // d for x in col)
+            exact = not any(x % d for x in col)
+            out.append(c if exact and tuple(sum(map(mul, c, e)) for e in columns) == tuple(v) else None)
+        return tuple(out)
+
+    @cached_property
+    def component_roots(self) -> tuple:
+        """The roots split into irreducible components, frozensets sorted by
+        their sorted members. The components are those of the Dynkin
+        diagram (Humphreys, GTM 9, 10.4): a root belongs to the one whose
+        simple roots its coordinates use."""
+        groups = _component_indices(self.ambient, self.simple_roots)
+        group_of = {i: k for k, group in enumerate(groups) for i in group}
+        parts = [set() for _ in groups]
+        for r, c in zip(self.roots, self.simple_coords(self.roots)):
+            parts[group_of[next(i for i, x in enumerate(c) if x)]].add(r)
+        return tuple(sorted((frozenset(p) for p in parts), key=sorted))
 
 
 @dataclass(frozen=True)
@@ -239,22 +278,10 @@ def _verify_root_system(rs: RootSystem):
             raise VerificationError("root set not closed under negation")
     if not rs.simple_roots:
         return
-    # every root is an all-nonnegative or all-nonpositive integer combination
-    # of the simple roots S: with A = S G S^T, the candidate coordinates of
-    # all roots R are adj(A) . S G R^T / det A, one integer solve; a root
-    # passes when the division is exact and the coordinates rebuild it
-    simple = rs.simple_roots
-    sg = la.mat_mul(simple, rs.ambient.gram)
-    adj, d = la.adjugate(la.mat_mul(sg, la.transpose(simple)))
-    if adj is None:
-        raise VerificationError("simple roots are linearly dependent")
-    scaled = la.mat_mul(adj, la.mat_mul(sg, la.transpose(rs.roots)))
-    columns = la.transpose(simple)
-    for r, col in zip(rs.roots, zip(*scaled)):
-        if any(x % d for x in col):
-            raise VerificationError("root outside the simple-root lattice")
-        c = [x // d for x in col]
-        if tuple(sum(map(mul, c, entries)) for entries in columns) != r:
+    # every root is an all-nonnegative or all-nonpositive integer
+    # combination of the simple roots
+    for c in rs.simple_coords(rs.roots):
+        if c is None:
             raise VerificationError("root outside the simple-root lattice")
         if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
             raise VerificationError("root with mixed-sign simple coordinates")
@@ -323,10 +350,7 @@ def fundamental_camera(r: RootSystem) -> Camera:
     simple = r.simple_roots
     if not simple:
         return Camera(r, (), la.zero_vec(r.ambient.rank))
-    sg = la.mat_mul(simple, r.ambient.gram)
-    adj, d = la.adjugate(la.mat_mul(sg, la.transpose(simple)))
-    if adj is None:
-        raise VerificationError("simple roots are linearly dependent")
+    _, adj, d = r.cartan
     sign = 1 if d > 0 else -1
     c = [sign * sum(row) for row in adj]
     witness = tuple(sum(map(mul, c, col)) for col in zip(*simple))
@@ -410,9 +434,12 @@ def camera_decompose(r: RootSystem, c: Camera, g) -> tuple:
 
 
 def _action_matrices(action) -> tuple:
+    """Matrices of a LatticeAction's generators, or of a sequence of
+    Isometry objects and integer matrices."""
+    if hasattr(action, "generators"):
+        return tuple(iso.matrix for _, iso, _ in action.generators)
     mats = []
-    gens = getattr(action, "generators", action)
-    for g in gens:
+    for g in action:
         if isinstance(g, Isometry):
             mats.append(g.matrix)
         else:
@@ -623,7 +650,8 @@ def fold_reflection(n: Lattice, action, v) -> FoldResult:
     rsub = sublattice_from_rows(n, tuple(sorted(orbit)))
     rs = roots_of(rsub)
     groups = _component_indices(n, rs.simple_roots)
-    coords = la.solve(la.transpose(rs.simple_roots), vbar)
+    # vbar is a sum of roots of rsub, so its coordinates are integers
+    coords = rs.simple_coords((vbar,))[0]
     if coords is None:
         raise VerificationError("orbit sum fell outside the orbit root span")
     pieces = []

@@ -235,6 +235,18 @@ class TestPipeline:
         assert d3_full_pipeline("S").all_passed
         assert len(calls) == 1
 
+    def test_relations_read_off_the_group_table(self, monkeypatch):
+        from helpers import count_calls
+
+        calls = count_calls(monkeypatch, la, "mat_pow")
+        rep = d3_full_pipeline("S")
+        assert rep.entries[0] == ("group", True, "order 6, relations hold")
+        # with the generators swapped, s^3 = 1 and t^2 = 1 fail
+        a = fixture("d3_S").action
+        rep = d3_full_pipeline("S", action=LatticeAction(a.ambient, a.generators[::-1]))
+        assert rep.entries == (("group", False, "order 6, relations fail"),)
+        assert calls == []
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(InputError):
             d3_full_pipeline("T")

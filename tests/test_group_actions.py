@@ -262,7 +262,7 @@ class TestEnumerateGroup:
                 for j in g.words[i]:
                     product = la.mat_mul(product, gens[j])
                 assert product == m
-                assert g.elements[g.inverse(i)] == action.ambient.isometry_inverse(m)
+                assert g.elements[g.inverse(i)] == la.inverse_int(m)
                 assert g.order(i) == la.matrix_order(m, bound=len(g))
 
 
@@ -416,7 +416,7 @@ class TestDerivedOnce:
     def test_no_ambient_rank_inverse_adjugate_or_order(self, monkeypatch):
         counted = {
             name: helpers.count_calls(monkeypatch, la, name)
-            for name in ("isometry_inverse", "adjugate", "matrix_order")
+            for name in ("inverse_int", "adjugate", "matrix_order")
         }
         for action in (helpers.klein_action(), fixture("d3_S").action):
             fd = fundamental_data(action)
@@ -425,6 +425,14 @@ class TestDerivedOnce:
             for name, calls in counted.items():
                 assert [args for args in calls if len(args[0]) == n] == [], name
                 calls.clear()
+
+    def test_rotation_plane_restricted_once_per_element(self, monkeypatch):
+        # for order >= 2 the flag plane is rho: _rotation_branch restricts
+        # each element to it once, and the flag check adds no restriction
+        calls = helpers.count_calls(monkeypatch, la, "restrict_to_span")
+        fd = fundamental_data(helpers.klein_action())
+        assert fd.order_n == 3 and fd.plane == fd.rho
+        assert len(calls) == len(fd.group) == 6
 
     def test_data_of_another_action_rejected(self):
         fd = fundamental_data(dihedral3())

@@ -495,6 +495,54 @@ def test_classify_rejects_bad_rank():
 
 
 # ---------------------------------------------------------------------------
+# simple coordinates and components
+
+
+def _connected_by_pairing(r):
+    """Components of the graph on the roots joining two non-orthogonal
+    roots, by search from each unvisited root."""
+    left = set(r.roots)
+    out = []
+    while left:
+        stack = [left.pop()]
+        comp = set(stack)
+        while stack:
+            u = stack.pop()
+            near = {v for v in left if r.ambient.dot(u, v) != 0}
+            left -= near
+            comp |= near
+            stack.extend(near)
+        out.append(frozenset(comp))
+    return tuple(sorted(out, key=sorted))
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2+A1", "3A1", "D4+A2", "E6", "A3+A3", "D5+2A1"])
+def test_component_roots_match_pairing_connectivity(spec):
+    r = roots_of(standard_lattice(spec))
+    comps = r.component_roots
+    assert comps == _connected_by_pairing(r)
+    assert len(comps) == len(r.components)
+    assert set().union(*comps) == set(r.roots)
+
+
+def test_simple_coords_rebuild_every_root():
+    r = roots_of(standard_lattice("D4"))
+    coords = r.simple_coords(r.roots)
+    for v, c in zip(r.roots, coords):
+        assert c is not None and all(isinstance(x, int) for x in c)
+        assert tuple(sum(x * s[k] for x, s in zip(c, r.simple_roots)) for k in range(4)) == v
+
+
+def test_simple_coords_none_outside_the_root_span():
+    l = standard_lattice("A2+A1")
+    r = roots_of(sublattice_from_rows(l, ((1, 0, 0), (0, 1, 0))))
+    assert r.components == (("A", 2),)
+    outside, root = r.simple_coords(((0, 0, 1), (1, 1, 0)))
+    assert outside is None  # S G v = 0, so the zero coordinates fail to rebuild v
+    assert root is not None
+
+
+# ---------------------------------------------------------------------------
 # folding
 
 
@@ -571,6 +619,31 @@ def test_fold_postconditions_random_roots():
         else:
             assert A2.sq(res.witness_root) == -2
             assert A2.dot(res.witness_root, (1, 1)) == 0
+
+
+def test_fold_reflection_solves_in_integers(monkeypatch):
+    from helpers import count_calls
+
+    calls = count_calls(monkeypatch, la, "rref")
+    l = standard_lattice("A2+A1")
+    assert fold_reflection(l, (((0, 1, 0), (1, 0, 0), (0, 0, 1)),), (1, 0, 0)).folded
+    assert fold_reflection(A2, (SWAP2,), (1, 0)).folded
+    assert calls == []
+
+
+def test_action_and_its_generator_matrices_agree():
+    from lattact.catalog import fixture
+
+    a = fixture("e8_swap").action
+    l = a.ambient
+    e6, e14 = (tuple(1 if k == i else 0 for k in range(l.rank)) for i in (6, 14))
+    r = roots_of(sublattice_from_rows(l, (e6, e14)))
+    mats = [iso.matrix for _, iso, _ in a.generators]
+    assert is_admissible(r, a) == is_admissible(r, mats)
+    assert is_admissible(r, a)[0]
+    folded = fold_reflection(l, a, e6)
+    assert folded == fold_reflection(l, mats, e6)
+    assert folded.folded
 
 
 def is_admissibleish(m):
