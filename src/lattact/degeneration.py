@@ -27,6 +27,7 @@ from .group_actions import (
 from .lattice import (
     Isometry,
     Sublattice,
+    _trusted,
     orthogonal_complement,
     primitive_hull,
     signature,
@@ -147,7 +148,7 @@ def degenerate(a: LatticeAction, s: SaturatedSystem) -> DegenerationResult:
     if not geo:
         raise InputError("only geometric actions degenerate")
     # the elements are products of the action's verified generators
-    decomposed = [_decompose(s, Isometry._trusted(a.ambient, m)) for m in group.elements]
+    decomposed = [_decompose(s, _trusted(Isometry, a.ambient, m)) for m in group.elements]
     _verify_homomorphism(group, [s_g.matrix for s_g, _ in decomposed])
     factors = []
     gens = []

@@ -19,6 +19,7 @@ from .lattice import (
     Isometry,
     Lattice,
     Sublattice,
+    _trusted,
     enumerate_vectors,
     is_isometry,
     orthogonal_complement,
@@ -30,6 +31,8 @@ from .lattice import (
 
 # ---------------------------------------------------------------------------
 # types
+
+_ORDER_BOUND = 1024  # a closure past this many elements ends in ScopeError
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,7 @@ class LatticeAction:
             if kappa not in (1, -1):
                 raise InputError("holomorphy sign must be +1 or -1")
             if not isinstance(iso, Isometry):
-                iso = Isometry(self.ambient, la.freeze_mat(iso))
+                iso = Isometry(self.ambient, iso)
             elif iso.lattice.gram != self.ambient.gram:
                 raise InputError("generator acts on a different lattice")
             name = str(name)
@@ -60,6 +63,37 @@ class LatticeAction:
                 raise InputError(f"duplicate generator name {name!r}")
             gens.append((name, iso, kappa))
         object.__setattr__(self, "generators", tuple(gens))
+
+    @cached_property
+    def _group(self) -> "GroupElements":
+        """The closed group (see enumerate_group), derived once per action."""
+        gens = [iso.matrix for _, iso, _ in self.generators]
+        signs = [k for _, _, k in self.generators]
+        ident = la.identity(self.ambient.rank)
+        if any(m == ident and k != 1 for m, k in zip(gens, signs)):
+            raise VerificationError("declared signs are not a homomorphism: identity marked -1")
+        try:
+            elements, table = la.group_closure(gens, self.ambient.rank, _ORDER_BOUND)
+        except ValueError as err:
+            raise ScopeError(str(err)) from None
+        # breadth-first order: each element's first edge comes from an earlier
+        # element, so one pass in index order assigns every sign before use
+        kappas = [1] + [None] * (len(elements) - 1)
+        for i, row in enumerate(table):
+            for t, k in zip(row, signs):
+                if kappas[t] is None:
+                    kappas[t] = kappas[i] * k
+                elif kappas[t] != kappas[i] * k:
+                    raise VerificationError("declared signs are not a homomorphism")
+        if any(len(set(column)) != len(elements) for column in zip(*table)):
+            raise VerificationError("group closure is not inverse-closed")
+        return GroupElements(self, elements, tuple(kappas), table)
+
+    @cached_property
+    def _fixed(self) -> Sublattice:
+        """Primitive sublattice fixed pointwise by every generator."""
+        mats = [iso.matrix for _, iso, _ in self.generators]
+        return _trusted(Sublattice, self.ambient, la.fixed_kernel(mats, self.ambient.rank))
 
 
 @dataclass(frozen=True)
@@ -239,8 +273,9 @@ def _positive_directions(sub: Sublattice) -> list:
 # enumeration and fixed parts
 
 
-def enumerate_group(action: LatticeAction, bound: int = 1024) -> GroupElements:
-    """All elements of the generated group with their holomorphy signs.
+def enumerate_group(action: LatticeAction) -> GroupElements:
+    """All elements of the generated group with their holomorphy signs,
+    closed once per action.
 
     The closure is la.group_closure over right multiplication by the
     generators; the declared signs are propagated multiplicatively along
@@ -249,53 +284,25 @@ def enumerate_group(action: LatticeAction, bound: int = 1024) -> GroupElements:
     permute the indices: then the finite set is closed under each
     generator's inverse too, so it is the generated group.
     """
-    if bound < 1:
-        raise InputError("element bound must be positive")
-    ident = la.identity(action.ambient.rank)
-    gens = [iso.matrix for _, iso, _ in action.generators]
-    signs = [k for _, _, k in action.generators]
-    if any(m == ident and k != 1 for m, k in zip(gens, signs)):
-        raise VerificationError("declared signs are not a homomorphism: identity marked -1")
-    try:
-        elements, table = la.group_closure(gens, action.ambient.rank, bound)
-    except ValueError as err:
-        raise ScopeError(str(err)) from None
-    # breadth-first order: each element's first edge comes from an earlier
-    # element, so one pass in index order assigns every sign before use
-    kappas = [1] + [None] * (len(elements) - 1)
-    for i, row in enumerate(table):
-        for t, k in zip(row, signs):
-            if kappas[t] is None:
-                kappas[t] = kappas[i] * k
-            elif kappas[t] != kappas[i] * k:
-                raise VerificationError("declared signs are not a homomorphism")
-    if any(len(set(column)) != len(elements) for column in zip(*table)):
-        raise VerificationError("group closure is not inverse-closed")
-    return GroupElements(action, elements, tuple(kappas), table)
+    return action._group
 
 
 def fixed_lattice(action: LatticeAction, subgroup: str = "all") -> Sublattice:
     """Primitive sublattice fixed pointwise, by the whole group or by the
     kernel of the holomorphy sign (subgroup = "all" or "kernel")."""
     if subgroup == "all":
-        mats = [iso.matrix for _, iso, _ in action.generators]
-    elif subgroup == "kernel":
-        mats = enumerate_group(action).kernel_matrices()
-    else:
+        return action._fixed
+    if subgroup != "kernel":
         raise InputError('subgroup must be "all" or "kernel"')
-    return _fixed_by(action.ambient, mats)
-
-
-def _fixed_by(l: Lattice, mats) -> Sublattice:
-    """Primitive sublattice fixed pointwise by every matrix in mats."""
-    return Sublattice(l, la.fixed_kernel(mats, l.rank))
+    l = action.ambient
+    return _trusted(Sublattice, l, la.fixed_kernel(action._group.kernel_matrices(), l.rank))
 
 
 # ---------------------------------------------------------------------------
 # fundamental representation data
 
 
-def _real_branch(action, group, fixed0, fixed_all) -> FundamentalData:
+def _real_branch(action, group, fixed0) -> FundamentalData:
     l = action.ambient
     ident = la.identity(l.rank)
     fid = la.identity(fixed0.rank)
@@ -305,7 +312,7 @@ def _real_branch(action, group, fixed0, fixed_all) -> FundamentalData:
         if len(vecs) < 3:
             raise VerificationError("not almost geometric: fixed part lost a positive direction")
         plane = _flag_plane(action, vecs[1], vecs[2])
-        return FundamentalData(1, True, ident, vecs[0], plane, group, fixed_all, fixed0, (fid,) * len(group))
+        return FundamentalData(1, True, ident, vecs[0], plane, group, action._fixed, fixed0, (fid,) * len(group))
     rho_action = tuple(_restrict(m, fixed0.basis) for m in group.elements)
     cf = rho_action[group.kappas.index(-1)]
     # on the kernel-fixed part every -1 element acts the same way and
@@ -320,7 +327,7 @@ def _real_branch(action, group, fixed0, fixed_all) -> FundamentalData:
     if len(pos_plus) < 2 or len(pos_minus) < 1:
         raise VerificationError("not almost geometric: no flag compatible with the declared signs")
     plane = _flag_plane(action, pos_plus[1], pos_minus[0])
-    return FundamentalData(1, True, ident, pos_plus[0], plane, group, fixed_all, fixed0, rho_action)
+    return FundamentalData(1, True, ident, pos_plus[0], plane, group, action._fixed, fixed0, rho_action)
 
 
 def _flag_plane(action, u, v) -> Sublattice:
@@ -328,7 +335,7 @@ def _flag_plane(action, u, v) -> Sublattice:
     generator and of positive index two. The order >= 2 branch needs no
     such check: its plane is rho, which _rotation_branch restricts every
     element to and whose positive index it checks."""
-    plane = Sublattice(action.ambient, la.saturate_rows((u, v)))
+    plane = _trusted(Sublattice, action.ambient, la.saturate_rows((u, v)))
     for _, iso, _ in action.generators:
         if la.restrict_to_span(iso.matrix, plane.basis) is None:
             raise VerificationError("flag plane is not invariant")
@@ -337,7 +344,7 @@ def _flag_plane(action, u, v) -> Sublattice:
     return plane
 
 
-def _rotation_branch(action, group, fixed_all) -> FundamentalData:
+def _rotation_branch(action, group) -> FundamentalData:
     l = action.ambient
     best = None
     for i, (m, k) in enumerate(zip(group.elements, group.kappas)):
@@ -349,7 +356,7 @@ def _rotation_branch(action, group, fixed_all) -> FundamentalData:
                 continue
             ker = la.kernel_int(la.poly_mat(la.cyclotomic(nn), m))
             if ker:
-                sub = Sublattice(l, ker)
+                sub = _trusted(Sublattice, l, ker)
                 if signature(sub.as_lattice()).plus >= 2:
                     best = (nn, i, sub)
     if best is None:
@@ -383,18 +390,18 @@ def _rotation_branch(action, group, fixed_all) -> FundamentalData:
             if la.mat_mul(r, r) != kid:
                 raise VerificationError("declared signs disagree with the rotation orientation")
             for sgn in (1, -1):
-                part = Sublattice(block, la.kernel_int(la.mat_sub(r, la.mat_scale(sgn, kid))))
+                part = _trusted(Sublattice, block, la.kernel_int(la.mat_sub(r, la.mat_scale(sgn, kid))))
                 if signature(part.as_lattice()).plus != 1:
                     raise VerificationError("declared signs disagree with the rotation orientation")
     if signature(block).plus != 2:
         raise VerificationError("rotation block has the wrong positive index")
-    positive = _positive_directions(fixed_all)
+    positive = _positive_directions(action._fixed)
     if not positive:
         raise VerificationError("not almost geometric: no invariant positive direction")
-    return FundamentalData(nn, nn <= 2, witness, positive[0], rho, group, fixed_all, rho, tuple(rho_action))
+    return FundamentalData(nn, nn <= 2, witness, positive[0], rho, group, action._fixed, rho, tuple(rho_action))
 
 
-def fundamental_data(action: LatticeAction, bound: int = 1024) -> FundamentalData:
+def fundamental_data(action: LatticeAction) -> FundamentalData:
     """Rotation order and invariant flag of an action on a lattice of
     positive index three, or a refusal.
 
@@ -409,13 +416,12 @@ def fundamental_data(action: LatticeAction, bound: int = 1024) -> FundamentalDat
     l = action.ambient
     if signature(l).plus != 3:
         raise ScopeError("ambient lattice must have positive index three")
-    group = enumerate_group(action, bound)
-    fixed0 = _fixed_by(l, group.kernel_matrices())
-    fixed_all = _fixed_by(l, (iso.matrix for _, iso, _ in action.generators))
+    group = enumerate_group(action)
+    fixed0 = fixed_lattice(action, "kernel")
     if signature(fixed0.as_lattice()).plus == 3:
-        data = _real_branch(action, group, fixed0, fixed_all)
+        data = _real_branch(action, group, fixed0)
     else:
-        data = _rotation_branch(action, group, fixed_all)
+        data = _rotation_branch(action, group)
     _verify_flag(action, data)
     return data
 
@@ -508,8 +514,8 @@ def eigen_lattices(action: LatticeAction, data: FundamentalData) -> EigenData:
     if la.mat_mul(c, c) != kid:
         raise ScopeError("antiholomorphic generator is not an involution on the rotation block")
     block = rho.as_lattice()
-    plus = Sublattice(block, la.kernel_int(la.mat_sub(c, kid)))
-    minus = Sublattice(block, la.kernel_int(la.mat_add(c, kid)))
+    plus = _trusted(Sublattice, block, la.kernel_int(la.mat_sub(c, kid)))
+    minus = _trusted(Sublattice, block, la.kernel_int(la.mat_add(c, kid)))
     if plus.rank + minus.rank != k:
         raise VerificationError("eigenparts do not span the rotation block")
     for u in plus.basis:
@@ -572,7 +578,7 @@ def extend_equivariantly(action: LatticeAction, data: FundamentalData, eigen: Ei
         raise InputError("plus-part map must be an integer matrix")
     a = la.to_int_mat(a)
     plus, minus = eigen.m_plus, eigen.m_minus
-    if len(a) != plus.rank or not is_isometry(plus.as_lattice(), a):
+    if not is_isometry(plus.as_lattice(), a):
         raise InputError("map is not an isometry of the plus eigenlattice")
     if plus.rank != minus.rank:
         raise VerificationError("eigenparts have different ranks; no dilation exchange")

@@ -12,7 +12,7 @@ equal sublattices compare equal and reports are reproducible byte for byte.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
@@ -24,6 +24,15 @@ from .errors import InputError, ScopeError, VerificationError
 
 # ---------------------------------------------------------------------------
 # types
+
+
+def _trusted(cls, *values):
+    """A Lattice, Sublattice, Isometry or WeylWord valid by construction, built
+    from its fields (the rest keep their defaults) without __post_init__."""
+    obj = object.__new__(cls)
+    for field, value in zip(fields(cls), values):
+        object.__setattr__(obj, field.name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -94,30 +103,25 @@ class Sublattice:
 
     def __post_init__(self):
         b = la.freeze_mat(self.basis)
-        if b and not la.is_integer_matrix(b):
+        if not la.is_integer_matrix(b):
             raise InputError("sublattice basis must be integral")
-        b = la.hnf(la.to_int_mat(b)) if b else ()
-        object.__setattr__(self, "basis", b)
+        object.__setattr__(self, "basis", la.hnf(b))
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
     def gram(self) -> tuple:
-        return self._gram
-
-    @cached_property
-    def _gram(self) -> tuple:
-        """B . G . B^T, derived once per sublattice object."""
-        b = self.basis
-        return la.mat_mul(la.mat_mul(b, self.ambient.gram), la.transpose(b))
+        return self._lattice.gram
 
     def as_lattice(self) -> Lattice:
         return self._lattice
 
     @cached_property
     def _lattice(self) -> Lattice:
-        return Lattice(self._gram)
+        """B . G . B^T, derived once: integral and symmetric by construction."""
+        b = self.basis
+        return _trusted(Lattice, la.mat_mul(la.mat_mul(b, self.ambient.gram), la.transpose(b)))
 
     def contains(self, v) -> bool:
         if not la.is_integer_vector(v):
@@ -153,24 +157,9 @@ class Isometry:
 
     def __post_init__(self):
         m = la.freeze_mat(self.matrix)
-        if not la.is_integer_matrix(m):
-            raise InputError("isometry matrix must be integral")
-        m = la.to_int_mat(m)
-        if len(m) != self.lattice.rank or any(len(r) != self.lattice.rank for r in m):
-            raise InputError("isometry matrix shape does not match the lattice rank")
         if not is_isometry(self.lattice, m):
-            raise InputError("matrix does not preserve the Gram matrix")
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def _trusted(cls, lattice: Lattice, matrix: tuple) -> "Isometry":
-        """An isometry by construction, built without the checks above:
-        an integral reflection, or a product of isometries of the same
-        lattice. matrix must already be a tuple of int tuples."""
-        iso = object.__new__(cls)
-        object.__setattr__(iso, "lattice", lattice)
-        object.__setattr__(iso, "matrix", matrix)
-        return iso
+            raise InputError(_entry_error(self.lattice, m) or "matrix does not preserve the Gram matrix")
+        object.__setattr__(self, "matrix", la.to_int_mat(m))
 
     def __call__(self, v):
         return la.mat_vec(self.matrix, v)
@@ -179,11 +168,11 @@ class Isometry:
         product = la.mat_mul(self.matrix, other.matrix)
         if other.lattice != self.lattice:
             return Isometry(self.lattice, product)
-        return Isometry._trusted(self.lattice, product)
+        return _trusted(Isometry, self.lattice, product)
 
     def inverse(self) -> "Isometry":
         # the inverse of an isometry is an isometry
-        return Isometry._trusted(self.lattice, la.inverse_int(self.matrix))
+        return _trusted(Isometry, self.lattice, la.inverse_int(self.matrix))
 
     @property
     def det(self) -> int:
@@ -353,7 +342,7 @@ def orthogonal_complement(l: Lattice, s: Sublattice) -> Sublattice:
     if not s.basis:
         return full_sublattice(l)
     # one condition row per basis vector v: the covector v^T G
-    return Sublattice(l, la.kernel_int(la.mat_mul(s.basis, l.gram)))
+    return _trusted(Sublattice, l, la.kernel_int(la.mat_mul(s.basis, l.gram)))
 
 
 def primitive_hull(l: Lattice, s: Sublattice) -> Sublattice:
@@ -363,7 +352,7 @@ def primitive_hull(l: Lattice, s: Sublattice) -> Sublattice:
     sat = la.saturate_rows(s.basis)
     # index = |det| of s's (square, integer) coordinate matrix in the hull
     coords = tuple(la.coords_in_rows(v, sat) for v in s.basis)
-    return Sublattice(l, sat, index=abs(la.det(coords)))
+    return _trusted(Sublattice, l, sat, abs(la.det(coords)))
 
 
 def discriminant_form(l: Lattice) -> DiscriminantForm:
@@ -575,20 +564,23 @@ def rank2_isomorphism_class(l) -> tuple:
     return la.freeze_mat([[sign * a, sign * b], [sign * b, sign * c]])
 
 
+def _entry_error(l: Lattice, m) -> str | None:
+    """Why the rows m do not form an integer matrix of l's rank, or None."""
+    if not la.is_integer_matrix(m):
+        return "isometry matrix must be integral"
+    if len(m) != l.rank or any(len(r) != l.rank for r in m):
+        return "isometry matrix shape does not match the lattice rank"
+    return None
+
+
 def is_isometry(l: Lattice, m) -> bool:
-    """m integer, invertible over Z, preserving the Gram matrix.
+    """m (a sequence of rows) integer, invertible over Z, preserving G.
 
     On a nondegenerate lattice m^T G m = G already forces det m = +-1, so
     the determinant of m is taken only when det G = 0.
     """
-    m = la.freeze_mat(m)
-    if not la.is_integer_matrix(m):
+    if _entry_error(l, m) is not None:
         return False
-    m = la.to_int_mat(m)
-    if len(m) != l.rank or any(len(r) != l.rank for r in m):
-        return False
-    if l.rank == 0:
-        return True
     if la.mat_mul(la.mat_mul(la.transpose(m), l.gram), m) != l.gram:
         return False
     return l.nondegenerate or la.det(m) in (1, -1)

@@ -15,6 +15,7 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Sequence
@@ -31,7 +32,9 @@ def freeze_mat(rows: Sequence[Sequence]) -> Mat:
     return tuple(tuple(x for x in row) for row in rows)
 
 
+@cache
 def identity(n: int) -> Mat:
+    """The n x n identity, built once per n (the tuple is immutable)."""
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 

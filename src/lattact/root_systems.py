@@ -24,6 +24,7 @@ from .lattice import (
     Isometry,
     Lattice,
     Sublattice,
+    _trusted,
     full_sublattice,
     enumerate_vectors,
     orthogonal_complement,
@@ -81,15 +82,25 @@ class RootSystem:
         return tuple(out)
 
     @cached_property
+    def _diagram(self) -> tuple:
+        """_dynkin of the simple roots, derived once per root system."""
+        return _dynkin(self.ambient, self.simple_roots)
+
+    @cached_property
+    def _root_coords(self) -> tuple:
+        """simple_coords of every root, solved once per root system."""
+        return self.simple_coords(self.roots)
+
+    @cached_property
     def component_roots(self) -> tuple:
         """The roots split into irreducible components, frozensets sorted by
         their sorted members. The components are those of the Dynkin
         diagram (Humphreys, GTM 9, 10.4): a root belongs to the one whose
         simple roots its coordinates use."""
-        groups = _component_indices(self.ambient, self.simple_roots)
+        groups = self._diagram[1]
         group_of = {i: k for k, group in enumerate(groups) for i in group}
         parts = [set() for _ in groups]
-        for r, c in zip(self.roots, self.simple_coords(self.roots)):
+        for r, c in zip(self.roots, self._root_coords):
             parts[group_of[next(i for i, x in enumerate(c) if x)]].add(r)
         return tuple(sorted((frozenset(p) for p in parts), key=sorted))
 
@@ -168,9 +179,9 @@ def roots_of(s) -> RootSystem:
             positive.append(r)
             height.append(coords[::-1])
     simple = _simple_roots(positive, height)
-    positive = tuple(positive)
-    components = _classify_components(ambient, simple)
-    rs = RootSystem(ambient, span, roots, positive, simple, components)
+    diagram = _dynkin(ambient, simple)
+    rs = RootSystem(ambient, span, roots, tuple(positive), simple, _classify_components(diagram))
+    rs.__dict__["_diagram"] = diagram  # the cached property, already known
     _verify_root_system(rs)
     return rs
 
@@ -193,7 +204,8 @@ def _simple_roots(positive, height) -> tuple:
     return tuple(sorted(simple))
 
 
-def _simple_adjacency(ambient: Lattice, simple) -> list:
+def _dynkin(ambient: Lattice, simple) -> tuple:
+    """(adjacency, components as sorted index lists) of the Dynkin diagram."""
     n = len(simple)
     adj = [[False] * n for _ in range(n)]
     for i in range(n):
@@ -203,28 +215,17 @@ def _simple_adjacency(ambient: Lattice, simple) -> list:
                 raise VerificationError("simple roots with pairing outside {0,1}")
             if p == 1:
                 adj[i][j] = adj[j][i] = True
-    return adj
-
-
-def _component_indices(ambient: Lattice, simple) -> list:
-    adj = _simple_adjacency(ambient, simple)
-    n = len(simple)
-    seen = [False] * n
-    groups = []
+    groups, seen = [], set()
     for start in range(n):
-        if seen[start]:
-            continue
-        stack, group = [start], []
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            group.append(i)
-            for j in range(n):
-                if adj[i][j] and not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        groups.append(sorted(group))
-    return groups
+        if start not in seen:
+            group, stack = {start}, [start]
+            while stack:
+                new = {j for j, edge in enumerate(adj[stack.pop()]) if edge} - group
+                group |= new
+                stack.extend(new)
+            seen |= group
+            groups.append(sorted(group))
+    return adj, groups
 
 
 def _classify_one(adj, group) -> tuple:
@@ -263,12 +264,9 @@ def _classify_one(adj, group) -> tuple:
     raise VerificationError("component graph is not an ADE diagram")
 
 
-def _classify_components(ambient: Lattice, simple) -> tuple:
-    if not simple:
-        return ()
-    adj = _simple_adjacency(ambient, simple)
-    comps = [_classify_one(adj, g) for g in _component_indices(ambient, simple)]
-    return tuple(sorted(comps))
+def _classify_components(diagram) -> tuple:
+    adj, groups = diagram
+    return tuple(sorted(_classify_one(adj, g) for g in groups))
 
 
 def _verify_root_system(rs: RootSystem):
@@ -280,7 +278,7 @@ def _verify_root_system(rs: RootSystem):
         return
     # every root is an all-nonnegative or all-nonpositive integer
     # combination of the simple roots
-    for c in rs.simple_coords(rs.roots):
+    for c in rs._root_coords:
         if c is None:
             raise VerificationError("root outside the simple-root lattice")
         if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
@@ -288,8 +286,8 @@ def _verify_root_system(rs: RootSystem):
 
 
 def ade_decompose(r: RootSystem) -> tuple:
-    """Multiset of irreducible ADE types, re-derived from the simple roots."""
-    return _classify_components(r.ambient, r.simple_roots)
+    """Multiset of irreducible ADE types, re-derived from the Dynkin diagram."""
+    return _classify_components(r._diagram)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +334,7 @@ def reflection(l: Lattice, v) -> Isometry:
         if r:
             raise InputError("reflection is not integral on this lattice")
         coef.append(q)
-    return Isometry._trusted(l, _reflect_rows(v, coef, la.identity(l.rank)))
+    return _trusted(Isometry, l, _reflect_rows(v, coef, la.identity(l.rank)))
 
 
 def fundamental_camera(r: RootSystem) -> Camera:
@@ -393,7 +391,8 @@ def to_fundamental_chamber(r: RootSystem, c: Camera, target) -> WeylWord:
         u = _reflect_rows(v, tuple(-x for x in gws[bad]), u)
     if any(p <= 0 for p in pairings):
         raise VerificationError("chamber walk did not land inside the camera")
-    return WeylWord(r, tuple(reversed(applied)), Isometry._trusted(r.ambient, u))
+    # u is the product of the word, rightmost first, by construction
+    return _trusted(WeylWord, r, tuple(reversed(applied)), _trusted(Isometry, r.ambient, u))
 
 
 def _preserves_roots(r: RootSystem, m) -> bool:
@@ -425,8 +424,8 @@ def camera_decompose(r: RootSystem, c: Camera, g) -> tuple:
     w_mat = _word_times(r, w_word, la.identity(r.ambient.rank))
     if la.mat_mul(s_mat, w_mat) != gm:
         raise VerificationError("camera decomposition failed to recompose")
-    w = WeylWord(r, w_word, Isometry._trusted(r.ambient, w_mat))
-    return Isometry._trusted(r.ambient, s_mat), w
+    w = _trusted(WeylWord, r, w_word, _trusted(Isometry, r.ambient, w_mat))
+    return _trusted(Isometry, r.ambient, s_mat), w
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +552,7 @@ def classify_admissible_b_transitive(max_rank: int) -> tuple:
         lat = standard_lattice(name)
         rs = roots_of(lat)
         simple = rs.simple_roots
-        adj = _simple_adjacency(lat, simple)
-        autos = _graph_automorphisms(adj)
+        autos = _graph_automorphisms(rs._diagram[0])
         cols = la.transpose(la.freeze_mat(simple))  # columns are simple roots
         cols_adj, cols_det = la.adjugate(cols)  # cols^-1 = cols_adj / cols_det
         perm_ident = la.identity(len(simple))
@@ -629,7 +627,7 @@ def fold_reflection(n: Lattice, action, v) -> FoldResult:
     except ValueError as e:
         raise InputError(str(e)) from None
     fixed_rows = la.fixed_kernel(mats, n.rank)
-    fixed_sub = sublattice_from_rows(n, fixed_rows)
+    fixed_sub = _trusted(Sublattice, n, fixed_rows)
     comp = orthogonal_complement(n, fixed_sub)
     comp_sig = signature(comp.as_lattice())
     if comp.rank and (comp_sig.plus != 0 or comp_sig.null != 0):
@@ -649,13 +647,12 @@ def fold_reflection(n: Lattice, action, v) -> FoldResult:
     # branch 2: fold over the orbit span's components
     rsub = sublattice_from_rows(n, tuple(sorted(orbit)))
     rs = roots_of(rsub)
-    groups = _component_indices(n, rs.simple_roots)
     # vbar is a sum of roots of rsub, so its coordinates are integers
     coords = rs.simple_coords((vbar,))[0]
     if coords is None:
         raise VerificationError("orbit sum fell outside the orbit root span")
     pieces = []
-    for group in groups:
+    for group in rs._diagram[1]:
         part = la.zero_vec(n.rank)
         for i in group:
             part = la.vec_add(part, la.vec_scale(coords[i], rs.simple_roots[i]))
@@ -681,4 +678,4 @@ def fold_reflection(n: Lattice, action, v) -> FoldResult:
         xv2 = 2 * n.dot(x, vbar)
         if any(vv * g != vv * a - xv2 * b for g, a, b in zip(la.mat_vec(w, x), x, vbar)):
             raise VerificationError("folded element is not the fixed-part reflection")
-    return FoldResult(witness_root=None, weyl=Isometry._trusted(n, w))
+    return FoldResult(witness_root=None, weyl=_trusted(Isometry, n, w))

@@ -7,7 +7,10 @@ report. One seeded round of each runs here, so a change that breaks
 those answers fails tier-1 rather than only a benchmark run. The
 `analyze` and `degenerate` rounds also guard which eliminations run:
 no Smith form and no rref; the `degenerate` round builds no
-Fraction at all."""
+Fraction at all. Their round 0 also guards what is derived once: one
+group closure per action, one Dynkin diagram per root system, and
+objects built without re-checks equal to what the public constructors
+build. The CLI's stdout is compared with every `cli_ref` file."""
 
 import importlib.util
 import sys
@@ -99,3 +102,89 @@ def test_analyze_round_matches_the_benchmark_references(monkeypatch, tmp_path):
             failures.append((item["kind"], problem))
     assert failures == []
     assert snf == [] and rref == []
+
+
+def _derived_once_guard(monkeypatch):
+    """Record group closures, Dynkin diagram builds and root systems,
+    and compare every object lattice._trusted makes with the one its
+    public constructor makes from the same fields."""
+    from lattact import lattice, root_systems
+    from lattact import linalg as la
+    from lattact.errors import LattactError
+
+    from helpers import count_calls
+
+    closures = count_calls(monkeypatch, la, "group_closure")
+    diagrams = count_calls(monkeypatch, root_systems, "_dynkin")
+    systems = []
+    init = root_systems.RootSystem.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        systems.append(self)
+
+    monkeypatch.setattr(root_systems.RootSystem, "__init__", recording_init)
+    trusted = lattice._trusted
+    made, mismatches = [], []
+
+    def checked(cls, *values):
+        obj = trusted(cls, *values)
+        made.append(cls.__name__)
+        try:
+            public = cls(*values)
+        except LattactError as err:
+            public = err
+        if public != obj:
+            mismatches.append((cls.__name__, values, public))
+        return obj
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lattact" and getattr(module, "_trusted", None) is trusted:
+            monkeypatch.setattr(module, "_trusted", checked)
+    return closures, diagrams, systems, made, mismatches
+
+
+def test_analyze_round_derives_once(monkeypatch, tmp_path):
+    _load("gen", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    workload = workloads.Analyze(7, tmp_path)
+    items = workload.round(0)
+    closures, _, _, made, mismatches = _derived_once_guard(monkeypatch)
+    for item in items:
+        assert workload.check(item, workload.run(item)) is None
+    assert len(closures) == len(items)
+    assert {"Lattice", "Sublattice"} <= set(made)
+    assert mismatches == []
+
+
+def test_degenerate_round_derives_once(monkeypatch, tmp_path):
+    _load("gen", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    workload = workloads.Degenerate(7, tmp_path)
+    items = workload.round(0)
+    closures, diagrams, systems, made, mismatches = _derived_once_guard(monkeypatch)
+    actions = 0
+    for item in items:
+        sat, d, report = result = workload.run(item)
+        assert workload.check(item, result) is None
+        # verify_degeneration analyses the degenerate action when it differs
+        actions += 1 + (d.action != sat.data.group.action)
+    assert len(closures) == actions
+    assert systems and len(diagrams) <= len(systems)
+    assert {"Lattice", "Sublattice", "Isometry", "WeylWord"} <= set(made)
+    assert mismatches == []
+
+
+def test_cli_stdout_matches_every_reference_file(monkeypatch, tmp_path, capsys):
+    _load("gen", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    from lattact.cli import main
+
+    cli = workloads.Cli(0, tmp_path)
+    items = {item["ref"]: item for index in range(4) for item in cli.round(index) if "ref" in item}
+    refs = sorted(path.stem for path in workloads.CLI_REF.glob("*.out"))
+    assert len(refs) == 17 and sorted(items) == refs
+    for name in refs:
+        assert main(cli.argv(items[name])) == 0, name
+        out = capsys.readouterr().out
+        assert out.encode() == (workloads.CLI_REF / f"{name}.out").read_bytes(), name

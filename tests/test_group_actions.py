@@ -17,6 +17,7 @@ import helpers
 from lattact import group_actions
 from lattact import linalg as la
 from lattact.catalog import FIXTURE_NAMES, fixture
+from lattact.cli import action_to_text, main
 from lattact.errors import InputError, ScopeError, VerificationError
 from lattact.group_actions import (
     LatticeAction,
@@ -222,9 +223,21 @@ class TestEnumerateGroup:
         with pytest.raises(VerificationError):
             enumerate_group(LatticeAction(L6, (("e", la.identity(6), -1),)))
 
-    def test_bound_exceeded(self):
+    def test_bound_exceeded(self, capsys, tmp_path):
+        # the Eichler transvection x -> x + (x.e1) e2 - (x.e2) e1 of
+        # U + U(-1) + U (e1, e2 isotropic, orthogonal) has infinite order,
+        # so its closure reaches the element bound
+        transvection = ((1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0),
+                        (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
+        action = LatticeAction(standard_lattice("U+U(-1)+U"), (("t", transvection, 1),))
         with pytest.raises(ScopeError):
-            enumerate_group(dihedral3(), bound=3)
+            enumerate_group(action)
+        path = tmp_path / "transvection.json"
+        path.write_text(action_to_text(action), encoding="utf-8")
+        assert main(["check", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_table_records_generator_edges(self):
         actions = [fixture(name).action for name in FIXTURE_NAMES]
