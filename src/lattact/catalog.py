@@ -176,7 +176,7 @@ def _split_rank2_class(l: Lattice) -> str:
     sig = signature(l)
     if (sig.plus, sig.minus) != (1, 1):
         raise ScopeError("split-form naming needs signature (1,1)")
-    d = la.det(l.gram)
+    d = l.det()
     if d == -1:
         return "U"
     if d == -4:
@@ -547,7 +547,7 @@ def d3_full_pipeline(variant: str, action: LatticeAction | None = None) -> Pipel
             checks += [
                 e.m_plus.contains(w1) and e.m_plus.contains(w2),
                 wgram == exp["m_plus_gram_in_w"],
-                abs(la.det(wgram)) == abs(la.det(mp.gram)),
+                abs(la.det(wgram)) == abs(mp.det()),
                 len(enumerate_vectors(mp, -2, up_to_sign=True))
                 == exp["plus_minus2_pairs"],
                 len(enumerate_vectors(mp, -6, up_to_sign=True))

@@ -194,7 +194,7 @@ def verify_degeneration(a: LatticeAction, s: SaturatedSystem, d: DegenerationRes
     never exceptions."""
     names = [name for name, _, _ in a.generators]
     taus = {name: g.matrix for name, g, _ in a.generators}
-    sigmas = {name: g.matrix for name, g, _ in d.action.generators}
+    sigmas = {name: g for name, g, _ in d.action.generators}
     r_bar = s.r_bar
     l = a.ambient
     entries = []
@@ -215,14 +215,14 @@ def verify_degeneration(a: LatticeAction, s: SaturatedSystem, d: DegenerationRes
         comp = orthogonal_complement(l, r_bar.span)
         for n in names:
             for row in comp.basis:
-                if la.mat_vec(taus[n], row) != la.mat_vec(sigmas[n], row):
+                if la.mat_vec(taus[n], row) != la.mat_vec(sigmas[n].matrix, row):
                     return False, f"generator {n} differs on the complement"
         return True, f"agree on all {comp.rank} basis vectors"
 
     def components():
         comps = r_bar.component_roots
         for n in names:
-            if _induced_permutation(comps, taus[n]) != _induced_permutation(comps, sigmas[n]):
+            if _induced_permutation(comps, taus[n]) != _induced_permutation(comps, sigmas[n].matrix):
                 return False, f"generator {n} permutes components differently"
         return True, f"same permutations of {len(comps)} components"
 
@@ -233,7 +233,7 @@ def verify_degeneration(a: LatticeAction, s: SaturatedSystem, d: DegenerationRes
         adj, d = r_bar.span.as_lattice().adjugate
         for n in names:
             c_tau = la.restrict_to_span(taus[n], r_bar.span.basis)
-            c_sig = la.restrict_to_span(sigmas[n], r_bar.span.basis)
+            c_sig = la.restrict_to_span(sigmas[n].matrix, r_bar.span.basis)
             if c_tau is None or c_sig is None:
                 return False, f"generator {n} does not preserve the root span"
             diff = la.mat_mul(la.mat_sub(c_tau, c_sig), adj)

@@ -258,7 +258,7 @@ def _positive_directions(sub: Sublattice) -> list:
     positive part of the sublattice, in Jacobi pivot order."""
     columns = la.transpose(sub.basis)
     out = []
-    for piv, prow, brow, d in la._jacobi_elimination([list(r) for r in sub.gram()]):
+    for piv, prow, brow, d in sub.as_lattice()._jacobi:
         if prow and prow[piv] * d > 0:
             # the diagonalizing row is brow / d, so its ambient vector is
             # (brow . basis) / d; clearing that of denominators divides

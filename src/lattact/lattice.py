@@ -83,9 +83,22 @@ class Lattice:
         return self._det
 
     @cached_property
+    def _jacobi(self) -> tuple:
+        """The fraction-free Jacobi elimination steps of G (see
+        la._jacobi_elimination), run once per lattice object: the
+        signature and the determinant both read them."""
+        return tuple(la._jacobi_elimination([list(r) for r in self.gram]))
+
+    @cached_property
     def _det(self) -> int:
-        """det G (1 at rank 0), derived once per lattice object."""
-        return la.det(self.gram)
+        """det G: the last pivot entry when every row pivots (the
+        congruences of the elimination have determinant 1), 0 when a zero
+        block is left, 1 at rank 0."""
+        steps = self._jacobi
+        if not steps:
+            return 1
+        piv, prow, _, _ = steps[-1]
+        return prow[piv] if prow else 0
 
     @cached_property
     def adjugate(self) -> tuple:
@@ -328,8 +341,7 @@ def signature(l: Lattice) -> Signature:
     """(+, -, 0) inertia: the signs of the fraction-free Jacobi pivots. The
     diagonal value of a pivot is prow[piv] / d, so its sign is that of
     prow[piv] * d; a row left in a zero block counts as null."""
-    steps = la._jacobi_elimination([list(r) for r in l.gram])
-    signs = [prow[piv] * d for piv, prow, _, d in steps if prow]
+    signs = [prow[piv] * d for piv, prow, _, d in l._jacobi if prow]
     plus = sum(1 for v in signs if v > 0)
     minus = len(signs) - plus
     return Signature(plus, minus, l.rank - plus - minus)

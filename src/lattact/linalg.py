@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import repeat
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Sequence
 
 Vec = tuple
@@ -92,10 +93,29 @@ def transpose(a: Mat) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
+    """Row-wise product (Gustavson): row i of a . b is the sum of a_ik times
+    row k of b over the nonzero a_ik, so a zero of a costs nothing and an
+    integer coefficient of 1 or -1 costs one addition per column, no
+    multiplication (a first term of 1 is row k itself: 0 + y is y).
+    Entries are exact; an entry with no nonzero term is the int 0."""
     if a and b and len(a[0]) != len(b):
         raise ValueError("shape mismatch in mat_mul")
-    bt = transpose(b)
-    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+    zero = (0,) * len(b[0]) if b else ()
+    out = []
+    for row in a:
+        acc = zero
+        for x, brow in zip(row, b):
+            if not x:
+                continue
+            if type(x) is int and (x == 1 or x == -1):
+                if x == 1 and acc is zero:
+                    acc = brow
+                else:
+                    acc = tuple(map(add if x == 1 else sub, acc, brow))
+            else:
+                acc = tuple(map(add, acc, map(mul, repeat(x), brow)))
+        out.append(acc)
+    return tuple(out)
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:

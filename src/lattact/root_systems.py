@@ -408,9 +408,7 @@ def camera_decompose(r: RootSystem, c: Camera, g) -> tuple:
     r's lattice; s and w are then products of it and of reflections, so
     they are not verified again.
     """
-    if not (isinstance(g, Isometry) and g.lattice == r.ambient):
-        g = Isometry(r.ambient, g.matrix if isinstance(g, Isometry) else g)
-    gm = g.matrix
+    gm = _as_isometry(r.ambient, g).matrix
     if not _preserves_roots(r, gm):
         raise InputError("isometry does not preserve the root system")
     u = to_fundamental_chamber(r, c, la.mat_vec(gm, c.witness))
@@ -432,18 +430,21 @@ def camera_decompose(r: RootSystem, c: Camera, g) -> tuple:
 # admissibility
 
 
-def _action_matrices(action) -> tuple:
+def _as_isometry(l: Lattice, g) -> Isometry:
+    """g (an Isometry or a raw matrix) as an Isometry of l, checked unless
+    it already is one: a raw matrix is checked before anything reads it,
+    so a non-integral entry is refused, not truncated."""
+    if isinstance(g, Isometry) and g.lattice == l:
+        return g
+    return Isometry(l, g.matrix if isinstance(g, Isometry) else g)
+
+
+def _action_matrices(action, l: Lattice) -> tuple:
     """Matrices of a LatticeAction's generators, or of a sequence of
-    Isometry objects and integer matrices."""
+    Isometry objects and raw matrices, each an isometry of l."""
     if hasattr(action, "generators"):
-        return tuple(iso.matrix for _, iso, _ in action.generators)
-    mats = []
-    for g in action:
-        if isinstance(g, Isometry):
-            mats.append(g.matrix)
-        else:
-            mats.append(la.to_int_mat(la.freeze_mat(g)))
-    return tuple(mats)
+        action = [iso for _, iso, _ in action.generators]
+    return tuple(_as_isometry(l, g).matrix for g in action)
 
 
 def _canonical_sign(v) -> tuple:
@@ -458,7 +459,7 @@ def is_admissible(r: RootSystem, action) -> tuple:
     span; equivalently the action preserves a camera, whose interior witness
     is returned.
     """
-    mats = _action_matrices(action)
+    mats = _action_matrices(action, r.ambient)
     for m in mats:
         if not _preserves_roots(r, m):
             raise InputError("action element does not preserve the root system")
@@ -569,7 +570,8 @@ def classify_admissible_b_transitive(max_rank: int) -> tuple:
                 mats.append(m)
             if not faithful:
                 continue
-            nontrivial = tuple(m for m in mats if m != la.identity(lat.rank))
+            # isometries of lat by construction: conjugates of simple-root permutations
+            nontrivial = tuple(_trusted(Isometry, lat, m) for m in mats if m != la.identity(lat.rank))
             ok, _ = is_admissible(rs, nontrivial)
             if not ok:
                 continue
@@ -616,9 +618,7 @@ def fold_reflection(n: Lattice, action, v) -> FoldResult:
     sum, an element of the Weyl group commuting with the action and acting
     on n^G as the reflection against the orbit sum.
     """
-    mats = _action_matrices(action)
-    for m in mats:
-        Isometry(n, m)  # validates shape and Gram preservation
+    mats = _action_matrices(action, n)
     v = tuple(v)
     if len(v) != n.rank or not la.is_integer_vector(v) or n.sq(v) != -2:
         raise InputError("v must be a root of the lattice")

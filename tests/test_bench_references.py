@@ -10,7 +10,8 @@ no Smith form and no rref; the `degenerate` round builds no
 Fraction at all. Their round 0 also guards what is derived once: one
 group closure per action, one Dynkin diagram per root system, and
 objects built without re-checks equal to what the public constructors
-build. The CLI's stdout is compared with every `cli_ref` file."""
+build. The CLI's stdout is compared with every `cli_ref` file, and a
+hash of the repr of every round-0 result pins the bytes out."""
 
 import importlib.util
 import sys
@@ -188,3 +189,22 @@ def test_cli_stdout_matches_every_reference_file(monkeypatch, tmp_path, capsys):
         assert main(cli.argv(items[name])) == 0, name
         out = capsys.readouterr().out
         assert out.encode() == (workloads.CLI_REF / f"{name}.out").read_bytes(), name
+
+
+# sha256 of the repr of every result of round 0 of `analyze`, `degenerate`
+# and `enumerate` at seed 7, one line each, computed on the commit before
+# mat_mul became a row-wise product: the same input gives the same bytes out
+ROUND_REPR_SHA256 = "be18ee5540bf0bc12ead81eb6a899af85e5004087b263e1a78bdbe84f2a7dbc3"
+
+
+def test_round_results_repr_hash_is_pinned(monkeypatch, tmp_path):
+    import hashlib
+
+    _load("gen", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    digest = hashlib.sha256()
+    for name in ("Analyze", "Degenerate", "Enumerate"):
+        workload = getattr(workloads, name)(7, tmp_path)
+        for item in workload.round(0):
+            digest.update(repr(workload.run(item)).encode() + b"\n")
+    assert digest.hexdigest() == ROUND_REPR_SHA256

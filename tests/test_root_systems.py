@@ -600,6 +600,23 @@ def test_fold_rejects_positive_complement():
         fold_reflection(l, (g,), (0, 1))
 
 
+def test_raw_matrix_with_a_non_integral_entry_is_refused():
+    # truncating 3/2 to 1 would turn this into the swap, which folds
+    # and is admissible
+    half_swap = ((0, Fraction(3, 2)), (1, 0))
+    with pytest.raises(InputError):
+        fold_reflection(A2, (half_swap,), (1, 0))
+    with pytest.raises(InputError):
+        is_admissible(roots_of(A2), (half_swap,))
+
+
+def test_admissible_rejects_a_root_preserving_non_isometry():
+    # fixes the one root pair of A1 + <-4> but doubles the second vector
+    l = make_lattice(((-2, 0), (0, -4)))
+    with pytest.raises(InputError):
+        is_admissible(roots_of(l), (((1, 0), (0, 2)),))
+
+
 def test_fold_rejects_non_root():
     with pytest.raises(InputError):
         fold_reflection(A2, (SWAP2,), (1, 1, 1))
