@@ -8,172 +8,116 @@ Core layers:
 - degeneration: saturation and degeneration of actions at root systems
 - catalog: built-in fixtures and explicit classifications
 - cli: command-line front end over action files
+
+``import lattact`` loads none of these. Each exported name lives in one
+module (``_HOMES``); the module is imported the first time one of its names
+is read (PEP 562), and every read returns the module's current attribute,
+so the package never holds a stale copy of a rebound function.
 """
 
-from .catalog import (
-    ClassifyReport,
-    Fixture,
-    Order3Hit,
-    PipelineReport,
-    SurveyEntry,
-    SurveyReport,
-    classify_order3_on_2U,
-    d3_full_pipeline,
-    fixture,
-    torus_symplectic_survey,
-)
-from .degeneration import (
-    DegenerationReport,
-    DegenerationResult,
-    SaturatedSystem,
-    camera_adjacent,
-    degenerate,
-    degenerate_at_wall,
-    tau_saturation,
-    verify_degeneration,
-)
-from .errors import InputError, LattactError, ScopeError, VerificationError
-from .group_actions import (
-    DilatedComplexStructure,
-    EigenData,
-    FundamentalData,
-    GroupElements,
-    LatticeAction,
-    conjugation_obstruction,
-    dilated_complex_structure,
-    eigen_lattices,
-    enumerate_group,
-    extend_equivariantly,
-    fixed_lattice,
-    fundamental_data,
-    is_geometric,
-    leftover_lattice,
-    rho_lattice,
-    wedge_square,
-)
-from .lattice import (
-    DiscriminantForm,
-    Isometry,
-    Lattice,
-    Signature,
-    Sublattice,
-    direct_sum,
-    discriminant_form,
-    enumerate_vectors,
-    is_isometry,
-    make_lattice,
-    orthogonal_complement,
-    primitive_hull,
-    rank2_isomorphism_class,
-    signature,
-    standard_lattice,
-    sublattice_sum,
-)
-from .walls import (
-    CandidateReport,
-    Wall,
-    WallReport,
-    candidate_roots,
-    component_count,
-    project_to_eigenspaces,
-    segment_vectors,
-    wall_in_H_plus,
-    wall_report,
-)
-from .root_systems import (
-    Camera,
-    FoldResult,
-    RootSystem,
-    WeylWord,
-    ade_decompose,
-    camera_decompose,
-    classify_admissible_b_transitive,
-    fold_reflection,
-    fundamental_camera,
-    is_admissible,
-    reflection,
-    roots_of,
-    to_fundamental_chamber,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Camera",
-    "CandidateReport",
-    "ClassifyReport",
-    "DegenerationReport",
-    "DegenerationResult",
-    "DilatedComplexStructure",
-    "DiscriminantForm",
-    "EigenData",
-    "Fixture",
-    "FoldResult",
-    "FundamentalData",
-    "GroupElements",
-    "InputError",
-    "Isometry",
-    "LattactError",
-    "Lattice",
-    "LatticeAction",
-    "Order3Hit",
-    "PipelineReport",
-    "RootSystem",
-    "SaturatedSystem",
-    "ScopeError",
-    "Signature",
-    "Sublattice",
-    "SurveyEntry",
-    "SurveyReport",
-    "VerificationError",
-    "Wall",
-    "WallReport",
-    "WeylWord",
-    "ade_decompose",
-    "camera_adjacent",
-    "camera_decompose",
-    "candidate_roots",
-    "classify_admissible_b_transitive",
-    "classify_order3_on_2U",
-    "component_count",
-    "conjugation_obstruction",
-    "d3_full_pipeline",
-    "degenerate",
-    "degenerate_at_wall",
-    "dilated_complex_structure",
-    "direct_sum",
-    "discriminant_form",
-    "eigen_lattices",
-    "enumerate_group",
-    "enumerate_vectors",
-    "extend_equivariantly",
-    "fixed_lattice",
-    "fixture",
-    "fold_reflection",
-    "fundamental_camera",
-    "fundamental_data",
-    "is_admissible",
-    "is_geometric",
-    "is_isometry",
-    "leftover_lattice",
-    "make_lattice",
-    "orthogonal_complement",
-    "primitive_hull",
-    "project_to_eigenspaces",
-    "rank2_isomorphism_class",
-    "reflection",
-    "rho_lattice",
-    "roots_of",
-    "segment_vectors",
-    "signature",
-    "standard_lattice",
-    "sublattice_sum",
-    "tau_saturation",
-    "to_fundamental_chamber",
-    "torus_symplectic_survey",
-    "verify_degeneration",
-    "wall_in_H_plus",
-    "wall_report",
-    "wedge_square",
-    "__version__",
-]
+_HOMES = {
+    "catalog": (
+        "ClassifyReport",
+        "Fixture",
+        "Order3Hit",
+        "PipelineReport",
+        "SurveyEntry",
+        "SurveyReport",
+        "classify_order3_on_2U",
+        "d3_full_pipeline",
+        "fixture",
+        "torus_symplectic_survey",
+    ),
+    "degeneration": (
+        "DegenerationReport",
+        "DegenerationResult",
+        "SaturatedSystem",
+        "camera_adjacent",
+        "degenerate",
+        "degenerate_at_wall",
+        "tau_saturation",
+        "verify_degeneration",
+    ),
+    "errors": ("InputError", "LattactError", "ScopeError", "VerificationError"),
+    "group_actions": (
+        "DilatedComplexStructure",
+        "EigenData",
+        "FundamentalData",
+        "GroupElements",
+        "LatticeAction",
+        "conjugation_obstruction",
+        "dilated_complex_structure",
+        "eigen_lattices",
+        "enumerate_group",
+        "extend_equivariantly",
+        "fixed_lattice",
+        "fundamental_data",
+        "is_geometric",
+        "leftover_lattice",
+        "rho_lattice",
+        "wedge_square",
+    ),
+    "lattice": (
+        "DiscriminantForm",
+        "Isometry",
+        "Lattice",
+        "Signature",
+        "Sublattice",
+        "direct_sum",
+        "discriminant_form",
+        "enumerate_vectors",
+        "is_isometry",
+        "make_lattice",
+        "orthogonal_complement",
+        "primitive_hull",
+        "rank2_isomorphism_class",
+        "signature",
+        "standard_lattice",
+        "sublattice_sum",
+    ),
+    "walls": (
+        "CandidateReport",
+        "Wall",
+        "WallReport",
+        "candidate_roots",
+        "component_count",
+        "project_to_eigenspaces",
+        "segment_vectors",
+        "wall_in_H_plus",
+        "wall_report",
+    ),
+    "root_systems": (
+        "Camera",
+        "FoldResult",
+        "RootSystem",
+        "WeylWord",
+        "ade_decompose",
+        "camera_decompose",
+        "classify_admissible_b_transitive",
+        "fold_reflection",
+        "fundamental_camera",
+        "is_admissible",
+        "reflection",
+        "roots_of",
+        "to_fundamental_chamber",
+    ),
+}
+
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = [*sorted(_HOME_OF), "__version__"]
+
+
+def __getattr__(name):
+    home = _HOME_OF.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

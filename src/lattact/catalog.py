@@ -41,8 +41,6 @@ from .lattice import (
     standard_lattice,
     sublattice_from_rows,
 )
-from .root_systems import reflection
-from .walls import wall_report
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +436,9 @@ def torus_symplectic_survey() -> SurveyReport:
     all_consistent certifies, per system, that the two counts agree and
     that the embedded roots reproduce the gram exactly.
     """
+    # imported here: fixture and classify need no root systems
+    from .root_systems import reflection
+
     systems = (
         ("A3", math.factorial(4)),
         ("A2+A1", math.factorial(3) * math.factorial(2)),
@@ -489,6 +490,9 @@ def d3_full_pipeline(variant: str, action: LatticeAction | None = None) -> Pipel
     the bundled one while keeping the same expectations, which is how
     corrupted declarations are exercised.
     """
+    # imported here: fixture, classify and survey need no walls
+    from .walls import wall_report
+
     if variant not in ("S", "Sprime"):
         raise InputError('pipeline variant must be "S" or "Sprime"')
     fx = fixture("d3_S" if variant == "S" else "d3_Sprime")

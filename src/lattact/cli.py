@@ -27,19 +27,7 @@ import json
 import re
 import sys
 
-from .catalog import classify_order3_on_2U, fixture, torus_symplectic_survey
-from .degeneration import degenerate, tau_saturation, verify_degeneration
 from .errors import InputError, LattactError, ScopeError, VerificationError
-from .group_actions import (
-    LatticeAction,
-    dilated_complex_structure,
-    eigen_lattices,
-    fundamental_data,
-    is_geometric,
-    leftover_lattice,
-)
-from .lattice import discriminant_form, make_lattice, signature, sublattice_from_rows
-from .walls import wall_report
 
 _INT_RE = re.compile(r"^[+-]?[0-9]+$")
 
@@ -75,6 +63,9 @@ def _parse_matrix(obj, where: str) -> tuple:
 
 def parse_action_text(text: str):
     """Parse action-file text into (LatticeAction, comment)."""
+    from .group_actions import LatticeAction
+    from .lattice import make_lattice
+
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as err:
@@ -190,10 +181,14 @@ def _emit(entries, fmt: str, header: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each imports the library modules it runs, and no others, so a
+# cold process loads only what its subcommand needs
 
 
 def cmd_check(args) -> int:
+    from .group_actions import eigen_lattices, fundamental_data, is_geometric, leftover_lattice
+    from .lattice import signature
+
     a, _ = _load_action(args.file)
     f = fundamental_data(a)
     geo, witnesses = is_geometric(a, f)
@@ -218,6 +213,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_walls(args) -> int:
+    from .group_actions import dilated_complex_structure, eigen_lattices, fundamental_data
+    from .lattice import signature
+    from .walls import wall_report
+
     a, _ = _load_action(args.file)
     if not any(kappa == -1 for _, _, kappa in a.generators):
         raise ScopeError("wall analysis needs an anti-holomorphic generator")
@@ -242,6 +241,10 @@ def cmd_walls(args) -> int:
 
 
 def cmd_degenerate(args) -> int:
+    from .degeneration import degenerate, tau_saturation, verify_degeneration
+    from .group_actions import fundamental_data
+    from .lattice import sublattice_from_rows
+
     a, _ = _load_action(args.file)
     roots = tuple(_parse_vector(r, a.ambient.rank) for r in args.roots)
     header = f"degenerate {args.file}"
@@ -280,6 +283,8 @@ def cmd_degenerate(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from .catalog import fixture
+
     fx = fixture(args.name)
     sys.stdout.write(
         action_to_text(fx.action, comment=f"{fx.name} fixture; {_COLUMN_NOTE}")
@@ -288,6 +293,8 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .catalog import classify_order3_on_2U
+
     if args.target != "order3-2u":
         raise InputError(f"unknown classification target {args.target!r}")
     rep = classify_order3_on_2U(args.bound)
@@ -302,6 +309,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_survey(args) -> int:
+    from .catalog import torus_symplectic_survey
+
     if args.target != "torus":
         raise InputError(f"unknown survey target {args.target!r}")
     rep = torus_symplectic_survey()
@@ -316,6 +325,8 @@ def cmd_survey(args) -> int:
 
 
 def cmd_discr(args) -> int:
+    from .lattice import discriminant_form
+
     a, _ = _load_action(args.file)
     d = discriminant_form(a.ambient)
     entries = [

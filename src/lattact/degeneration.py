@@ -43,7 +43,6 @@ from .root_systems import (
     roots_of,
     _simple_roots,
 )
-from .walls import wall_in_H_plus
 
 
 @dataclass(frozen=True)
@@ -330,6 +329,9 @@ def degenerate_at_wall(a: LatticeAction, f: FundamentalData, e: EigenData, v) ->
     parametrizes; the generating roots are the roots of the orthogonal
     complement of the fixed part that kill that plane.
     """
+    # imported here: saturation, degeneration and verification need no walls
+    from .walls import wall_in_H_plus
+
     if all(kappa == 1 for _, _, kappa in a.generators):
         raise InputError("wall degeneration needs a sign-nontrivial action")
     j = dilated_complex_structure(a, f)

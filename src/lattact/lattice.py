@@ -485,10 +485,16 @@ def enumerate_vectors(l: Lattice, a: int, up_to_sign: bool = False) -> tuple:
     # D_l the leading minors, D_0 = 1), Q(x) = sum_l (a_l . x)^2 / (D_l D_{l+1}).
     # Scaled by W = lcm(D_l D_{l+1}), level l spends w_l t_l^2 of the
     # integer budget W * target, t_l = D_{l+1} x_l + sum_{j>l} a_lj x_j.
-    pos = la.mat_scale(-1, l.gram) if negative else l.gram
-    steps = la._jacobi_elimination([list(r) for r in pos])
+    # The steps are the lattice's one elimination of G. For a negative
+    # definite G the positive form is -G, whose minors of size s are (-1)^s
+    # times those of G: its pivot row l is (-1)^(l+1) times G's, and its
+    # d * pivot entry is minus G's.
+    steps = l._jacobi
     rows = [prow for _, prow, _, _ in steps]  # definite: pivot l is row l
     dens = [d * prow[piv] for piv, prow, _, d in steps]
+    if negative:
+        rows = [row if level % 2 else tuple(-x for x in row) for level, row in enumerate(rows)]
+        dens = [-x for x in dens]
     scale = lcm(*dens)
     weights = [scale // x for x in dens]
     found = []

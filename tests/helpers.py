@@ -146,7 +146,8 @@ def klein_pipeline(inv=INV_A):
 
 def count_calls(monkeypatch, module, name):
     """Record the positional arguments of every call to module.name, made
-    through any lattact module that holds that function."""
+    through any lattact module that holds that function. The package holds
+    none: it reads each exported name off its home module on every access."""
     import sys
 
     original = getattr(module, name)
@@ -157,6 +158,6 @@ def count_calls(monkeypatch, module, name):
         return original(*args, **kwargs)
 
     for mod_name, mod in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "lattact" and getattr(mod, name, None) is original:
+        if mod_name.split(".")[0] == "lattact" and vars(mod).get(name) is original:
             monkeypatch.setattr(mod, name, counting)
     return calls

@@ -3,12 +3,16 @@ command, the exit-code contract, and byte determinism."""
 
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import lattact
 import lattact.linalg as la
 from lattact import InputError, LatticeAction, make_lattice, standard_lattice
 from lattact.catalog import FIXTURE_NAMES, fixture
@@ -525,3 +529,64 @@ class TestDeterminism:
             first = run(capsys, *argv)
             second = run(capsys, *argv)
             assert first == second
+
+
+# Run one command in a fresh interpreter; print its exit code and the
+# lattact modules it loaded.
+_MODULES_AFTER = """
+import contextlib, io, sys
+from lattact.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as stop:
+        code = stop.code
+print(code, *sorted(m[8:] for m in sys.modules if m.startswith("lattact.")))
+"""
+
+# subcommand -> (its arguments, a fixture name first where it reads an
+# action file; the library modules it must not load)
+_COLD_RUNS = {
+    "check": (("d3_S",), {"root_systems", "walls", "degeneration", "catalog"}),
+    "discr": (("d3_S",), {"root_systems", "walls", "degeneration", "catalog"}),
+    "walls": (("d3_S",), {"root_systems", "degeneration", "catalog"}),
+    "degenerate": (("e8_swap", "--roots", U1_MINUS_V1), {"catalog", "walls"}),
+    "catalog": (("d3_S",), {"root_systems", "walls", "degeneration"}),
+    "classify": (("order3-2u", "--bound", "1"), {"root_systems", "walls", "degeneration"}),
+    "survey": (("torus",), {"walls", "degeneration"}),
+}
+_READS_FILE = ("check", "discr", "walls", "degenerate")
+
+
+def _fresh(*argv, code=_MODULES_AFTER):
+    env = dict(os.environ, PYTHONPATH=str(Path(lattact.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    exit_code, *modules = done.stdout.split()
+    return int(exit_code), set(modules)
+
+
+class TestColdStartModules:
+    """Each subcommand, run in a fresh interpreter, loads only the library
+    modules it computes with."""
+
+    @pytest.mark.parametrize("command", sorted(_COLD_RUNS))
+    def test_subcommand_loads_only_its_modules(self, capsys, tmp_path, command):
+        (first, *rest), not_loaded = _COLD_RUNS[command]
+        if command in _READS_FILE:
+            first = catalog_file(capsys, tmp_path, first)
+        code, modules = _fresh(command, first, *rest)
+        assert code == 0
+        assert {"cli", "errors"} < modules
+        assert not modules & not_loaded, modules
+
+    @pytest.mark.parametrize("argv", [("--help",), ("bogus",), ("check",)])
+    def test_help_and_usage_errors_load_only_cli_and_errors(self, argv):
+        code, modules = _fresh(*argv)
+        assert code == (0 if argv == ("--help",) else 2)
+        assert modules == {"cli", "errors"}
+
+    def test_import_lattact_loads_no_module(self):
+        code = "import sys, lattact; print(0, *(m for m in sys.modules if m.startswith('lattact.')))"
+        assert _fresh(code=code) == (0, set())

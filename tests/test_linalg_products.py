@@ -1,6 +1,6 @@
 """The row-wise product in la.mat_mul against the dense formula, and the
-determinant and signature a Lattice reads off its one Jacobi elimination
-against independent oracles."""
+determinant, signature and vector enumeration a Lattice reads off its one
+Jacobi elimination against independent oracles."""
 
 import random
 from fractions import Fraction
@@ -11,7 +11,7 @@ from operator import mul
 import pytest
 
 from lattact import linalg as la
-from lattact.lattice import Lattice, Signature, signature
+from lattact.lattice import Lattice, Signature, enumerate_vectors, signature, standard_lattice
 
 from helpers import count_calls, random_symmetric
 
@@ -146,4 +146,18 @@ def test_one_elimination_per_lattice_for_det_and_signature(monkeypatch):
     assert len(eliminations) == 1 and dets == []
     # a second object with an equal Gram runs its own
     signature(Lattice(gram))
+    assert len(eliminations) == 2
+
+
+@pytest.mark.parametrize("spec, counts", [("E8", (240, 2160)), ("D4", (24, 24)), ("A2", (6, 0))])
+def test_enumerate_vectors_reads_the_lattice_elimination(monkeypatch, spec, counts):
+    # root-lattice counts of square 2 and 4 (theta series), for the negative
+    # definite standard form and for its positive twin: one elimination each
+    eliminations = count_calls(monkeypatch, la, "_jacobi_elimination")
+    negative = standard_lattice(spec)
+    positive = Lattice(la.mat_scale(-1, negative.gram))
+    for l, sign in ((negative, -1), (positive, 1)):
+        found = tuple(len(enumerate_vectors(l, sign * a)) for a in (2, 4))
+        assert found == counts
+        assert len(enumerate_vectors(l, sign * 4, up_to_sign=True)) == counts[1] // 2
     assert len(eliminations) == 2
