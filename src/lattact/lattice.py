@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
-from operator import mul
+from operator import mul, neg
 
 from . import linalg as la
 from .errors import InputError, ScopeError, VerificationError
@@ -149,10 +149,6 @@ class Sublattice:
         if not self.basis:
             return la.zero_vec(self.ambient.rank)
         return tuple(sum(map(mul, coords, col)) for col in zip(*self.basis))
-
-    def coords_of(self, v):
-        """Rational coordinates of an ambient vector in this basis, or None."""
-        return la.coords_in_rows(v, self.basis)
 
     @property
     def primitive(self) -> bool:
@@ -450,10 +446,12 @@ def enumerate_vectors(l: Lattice, a: int, up_to_sign: bool = False) -> tuple:
     Exact Fincke-Pohst, fraction-free: the search runs in integers on the
     Bareiss pivot rows of the (sign-corrected) Gram matrix, with exact
     bounds per coordinate, and solves for the first coordinate instead of
-    scanning it. The result is sorted lexicographically; with
-    up_to_sign=True only the representative with positive first nonzero
-    coordinate is kept. Rank-2 indefinite forms whose discriminant is a
-    perfect square (products of two linear forms, e.g. U(k) or
+    scanning it. The solutions are symmetric under v -> -v, so the search
+    walks only the half whose last nonzero coordinate is positive and
+    adds the negatives (Fincke-Pohst, Math. Comp. 44, 1985). The result
+    is sorted lexicographically; with up_to_sign=True only the
+    representative with positive first nonzero coordinate is kept.
+    Rank-2 indefinite forms whose discriminant is a perfect square (products of two linear forms, e.g. U(k) or
     diag(2,-2)) are solved by divisor enumeration instead.
     """
     n = l.rank
@@ -500,7 +498,10 @@ def enumerate_vectors(l: Lattice, a: int, up_to_sign: bool = False) -> tuple:
     found = []
     x = [0] * n
 
-    def descend(level: int, budget: int):
+    def descend(level: int, budget: int, half: bool):
+        # half: every coordinate above this level is 0 (so s = 0) and the
+        # last nonzero one is still to come, so x_level >= 0 here and
+        # x_0 > 0 at level 0, where the budget is the whole target
         row = rows[level]
         lead = row[level]
         w = weights[level]
@@ -511,7 +512,7 @@ def enumerate_vectors(l: Lattice, a: int, up_to_sign: bool = False) -> tuple:
             t = isqrt(q)
             if r or t * t != q:
                 return
-            for tt in (t, -t) if t else (0,):
+            for tt in (t,) if half else (t, -t) if t else (0,):
                 k, r = divmod(tt - s, lead)
                 if not r:
                     x[0] = k
@@ -519,20 +520,16 @@ def enumerate_vectors(l: Lattice, a: int, up_to_sign: bool = False) -> tuple:
             x[0] = 0
             return
         bound = isqrt(budget // w)  # |t_l| <= bound
-        for k in range(-((bound + s) // lead), (bound - s) // lead + 1):
+        for k in range(0 if half else -((bound + s) // lead), (bound - s) // lead + 1):
             t = lead * k + s
             x[level] = k
-            descend(level - 1, budget - w * t * t)
+            descend(level - 1, budget - w * t * t, half and not k)
         x[level] = 0
 
-    descend(n - 1, scale * target)
-    out = []
-    for v in found:
-        if up_to_sign:
-            lead = next(c for c in v if c != 0)
-            if lead < 0:
-                continue
-        out.append(v)
+    descend(n - 1, scale * target, True)
+    out = found + [tuple(map(neg, v)) for v in found]
+    if up_to_sign:
+        out = [v for v in out if next(c for c in v if c) > 0]
     return tuple(sorted(out))
 
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
+from itertools import repeat
+from operator import floordiv, mod, mul, neg, sub
 
 from . import linalg as la
 from .errors import InputError, VerificationError
@@ -72,13 +73,19 @@ class RootSystem:
         vector where the division is inexact or the coordinates do not
         rebuild it (a vector outside the simple-root lattice)."""
         sg, adj, d = self.cartan
-        scaled = la.mat_mul(adj, la.mat_mul(sg, la.transpose(vectors)))
+        scaled = la.mat_mul(la.mat_mul(adj, sg), la.transpose(vectors))
+        # When the simple roots S are square (rank = ambient rank),
+        # det A = det(S)^2 det G != 0 makes S G invertible, so an exact
+        # A c = S G v, that is S G (S^T c - v) = 0, forces S^T c = v: the
+        # rebuild is needed only below full rank.
+        square = self.rank == self.ambient.rank
         columns = la.transpose(self.simple_roots)
+        quotients = zip(*(map(floordiv, row, repeat(d)) for row in scaled))
+        remainders = zip(*(map(mod, row, repeat(d)) for row in scaled))
         out = []
-        for v, col in zip(vectors, zip(*scaled)):
-            c = tuple(x // d for x in col)
-            exact = not any(x % d for x in col)
-            out.append(c if exact and tuple(sum(map(mul, c, e)) for e in columns) == tuple(v) else None)
+        for v, c, r in zip(vectors, quotients, remainders):
+            rebuilt = not any(r) and (square or tuple(sum(map(mul, c, e)) for e in columns) == tuple(v))
+            out.append(c if rebuilt else None)
         return tuple(out)
 
     @cached_property
@@ -152,26 +159,36 @@ def _positivity_functional(coords) -> int:
 def roots_of(s) -> RootSystem:
     """Complete root system of a negative definite sublattice (or lattice)."""
     if isinstance(s, Lattice):
-        s = full_sublattice(s)
-    if not isinstance(s, Sublattice):
+        ambient, sl = s, s
+    elif isinstance(s, Sublattice):
+        ambient, sl = s.ambient, s.as_lattice()
+    else:
         raise InputError("expected a Sublattice or Lattice")
-    ambient = s.ambient
     if s.rank == 0:
-        return RootSystem(ambient, s, (), (), (), ())
-    sl = s.as_lattice()
+        return RootSystem(ambient, full_sublattice(s) if sl is s else s, (), (), (), ())
     sig = signature(sl)
     if sig.plus != 0 or sig.null != 0:
         raise InputError("root systems need a negative definite form")
     local = enumerate_vectors(sl, -2)
-    roots = tuple(sorted(s.to_ambient(c) for c in local))
-    if not roots:
+    if not local:
         return RootSystem(ambient, sublattice_from_rows(ambient, ()), (), (), (), ())
-    # positivity evaluated on span coordinates of each root; the reversed
-    # coordinates order the positive roots by that same lexicographic order
+    roots = local if sl is s else tuple(sorted(la.mat_mul(local, s.basis)))
+    # Sorted and closed under negation (checked below), the roots hold one
+    # of each pair +-r in their upper half, which spans the same lattice.
+    basis = la.hnf(roots[len(roots) // 2:])
+    span = _trusted(Sublattice, ambient, basis)
+    # A root is positive when the last nonzero entry of its span
+    # coordinates c is. On the pivot columns of the HNF basis a root reads
+    # c T, T upper triangular with a positive diagonal, so one product
+    # gives (c T) adj T = det(T) c for every root: det T > 0 keeps each
+    # sign and the lexicographic order of the reversed coordinates, which
+    # orders the positive roots by height.
+    pivots = la._echelon_pivots(basis)
+    adj_t, _ = la.adjugate(tuple(tuple(row[p] for p in pivots) for row in basis))
+    columns = tuple(zip(*roots))
+    scaled = zip(*la.mat_mul(la.transpose(adj_t), tuple(columns[p] for p in pivots)))
     positive, height = [], []
-    span = sublattice_from_rows(ambient, roots)
-    for r in roots:
-        coords = span.coords_of(r)
+    for r, coords in zip(roots, scaled):
         f = _positivity_functional(coords)
         if f == 0:
             raise VerificationError("generic functional vanished on a root")
@@ -199,7 +216,7 @@ def _simple_roots(positive, height) -> tuple:
     pos_set = set(positive)
     simple = []
     for _, p in sorted(zip(height, positive)):
-        if not any(tuple(x - y for x, y in zip(p, s)) in pos_set for s in simple):
+        if not any(tuple(map(sub, p, s)) in pos_set for s in simple):
             simple.append(p)
     return tuple(sorted(simple))
 
@@ -272,7 +289,7 @@ def _classify_components(diagram) -> tuple:
 def _verify_root_system(rs: RootSystem):
     root_set = set(rs.roots)
     for r in rs.roots:
-        if tuple(-x for x in r) not in root_set:
+        if tuple(map(neg, r)) not in root_set:
             raise VerificationError("root set not closed under negation")
     if not rs.simple_roots:
         return
@@ -281,7 +298,7 @@ def _verify_root_system(rs: RootSystem):
     for c in rs._root_coords:
         if c is None:
             raise VerificationError("root outside the simple-root lattice")
-        if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
+        if min(c) < 0 < max(c):
             raise VerificationError("root with mixed-sign simple coordinates")
 
 

@@ -15,13 +15,18 @@ vectors of a fixed square cut the open arc between two isotropic rays
 of a hyperbolic lattice.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import linalg as la
 from .errors import InputError, ScopeError, VerificationError
-from .group_actions import DilatedComplexStructure, EigenData
 from .lattice import Lattice, Sublattice, enumerate_vectors, orthogonal_complement, signature
+
+if TYPE_CHECKING:
+    from .group_actions import DilatedComplexStructure, EigenData
 
 
 @dataclass(frozen=True)

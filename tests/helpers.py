@@ -110,6 +110,29 @@ def all_sign_vectors(n):
     return list(itertools.product((-1, 1), repeat=n))
 
 
+# 8A1 glued by g = (e1 + ... + e8) / 2, in the basis e1, ..., e7, g: the
+# roots are the 16 vectors +-e_i (g's coset has nothing of square -2), so
+# they span a sublattice of index 2 and the span's HNF basis is not I
+GLUED_8A1 = tuple(
+    tuple(-4 if i == j == 7 else -2 if i == j else -1 if 7 in (i, j) else 0 for j in range(8))
+    for i in range(8)
+)
+
+
+def positive_and_simple_by_span_coords(r):
+    """Reference positive and simple roots of a RootSystem: span
+    coordinates solved root by root with coords_in_rows, positive when
+    the last nonzero one is; simple when positive and not the sum of two
+    positive roots."""
+    positive = []
+    for v in r.roots:
+        c = la.coords_in_rows(v, r.span.basis)
+        if next(x for x in reversed(c) if x) > 0:
+            positive.append(v)
+    sums = {tuple(a + b for a, b in zip(p, q)) for p in positive for q in positive}
+    return tuple(positive), tuple(sorted(p for p in positive if p not in sums))
+
+
 # ---------------------------------------------------------------------------
 # shared rank-6 fixtures: an order-3 rotation with two choices of reflector
 # acting on 3U, trivial on the last hyperbolic block

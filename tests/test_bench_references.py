@@ -11,7 +11,10 @@ Fraction at all. Their round 0 also guards what is derived once: one
 group closure per action, one Dynkin diagram per root system, and
 objects built without re-checks equal to what the public constructors
 build. The CLI's stdout is compared with every `cli_ref` file, and a
-hash of the repr of every round-0 result pins the bytes out."""
+hash of the repr of every round-0 result pins the bytes out. The
+`enumerate` round solves no coordinates root by root (`coords_in_rows`),
+and the positive and simple roots of both rounds' root systems match
+that root-by-root reference."""
 
 import importlib.util
 import sys
@@ -56,10 +59,15 @@ def _count_fractions(monkeypatch):
 
 
 def test_enumerate_round_matches_the_benchmark_references(monkeypatch, tmp_path):
+    from lattact import linalg as la
+
+    from helpers import count_calls
+
     _load("gen", monkeypatch)
     workloads = _load("workloads", monkeypatch)
     workload = workloads.Enumerate(7, tmp_path)
     items = workload.round(0)
+    coords = count_calls(monkeypatch, la, "coords_in_rows")
     kinds = [item["kind"] for item in items]
     assert (kinds.count("vectors"), kinds.count("segment"), kinds.count("classify")) == (21, 8, 1)
     assert [item["bound"] for item in items if item["kind"] == "classify"] == [1]
@@ -69,6 +77,38 @@ def test_enumerate_round_matches_the_benchmark_references(monkeypatch, tmp_path)
         if problem is not None:
             failures.append((item.get("spec", item["kind"]), problem))
     assert failures == []
+    assert coords == []
+
+
+def test_roots_of_positivity_matches_span_coordinates(monkeypatch, tmp_path):
+    """Positive and simple roots equal the reference solved root by root
+    on the 21 random-basis root lattices of the enumerate round and on
+    every Sublattice the degenerate round asks roots_of about."""
+    from lattact import degeneration, root_systems
+    from lattact.lattice import Lattice, Sublattice
+
+    from helpers import positive_and_simple_by_span_coords
+
+    _load("gen", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    items = workloads.Enumerate(7, tmp_path).round(0)
+    systems = [root_systems.roots_of(Lattice(item["gram"])) for item in items if item["kind"] == "vectors"]
+    original = root_systems.roots_of
+
+    def recording(s):
+        r = original(s)
+        if isinstance(s, Sublattice):
+            systems.append(r)
+        return r
+
+    monkeypatch.setattr(root_systems, "roots_of", recording)
+    monkeypatch.setattr(degeneration, "roots_of", recording)
+    workload = workloads.Degenerate(7, tmp_path)
+    for item in workload.round(0):
+        workload.run(item)
+    assert len(systems) > 21
+    for r in systems:
+        assert (r.positive_roots, r.simple_roots) == positive_and_simple_by_span_coords(r)
 
 
 def test_degenerate_round_matches_the_benchmark_references(monkeypatch, tmp_path):

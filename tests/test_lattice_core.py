@@ -445,8 +445,10 @@ def test_enumerate_definite_against_box_search():
         sign = rng.choice((1, -1))
         g = la.mat_scale(sign, conjugate_gram(d, random_unimodular(rng, n, steps=n + 1)))
         t = sign * rng.randint(1, 6)
-        got = enumerate_vectors(make_lattice(g), t)
-        assert list(got) == box_vectors_with_square(g, t, definite_enumeration_box_bound(g, t))
+        want = box_vectors_with_square(g, t, definite_enumeration_box_bound(g, t))
+        assert list(enumerate_vectors(make_lattice(g), t)) == want
+        ups = enumerate_vectors(make_lattice(g), t, up_to_sign=True)
+        assert list(ups) == [v for v in want if next(x for x in v if x) > 0]
     # D4 in a basis with entries 1000: leading minors near 4 * 10^6 and a
     # large common scale W, past any box search; counts from the closed
     # forms 2n(n-1) and 2n + 16 C(n, 4)

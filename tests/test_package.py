@@ -3,6 +3,10 @@ first use from its home module, lists it in ``dir`` and ``*`` imports, and
 keeps no copy of it, so a function rebound in its home module is seen."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,3 +56,12 @@ def test_rebinding_in_the_home_module_is_seen(monkeypatch):
         assert lattact.fundamental_data is patched
     assert lattact.fundamental_data is original
 
+
+def test_walls_does_not_import_group_actions():
+    # walls names group_actions' types only in annotations, so importing it
+    # must not load group_actions (segment_vectors users never need it)
+    src = str(Path(lattact.__file__).resolve().parents[1])
+    code = "import sys, lattact.walls; print('lattact.group_actions' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

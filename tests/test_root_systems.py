@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -29,7 +30,7 @@ from lattact.root_systems import (
     to_fundamental_chamber,
 )
 
-from helpers import random_unimodular
+from helpers import GLUED_8A1, conjugate_gram, positive_and_simple_by_span_coords, random_unimodular
 
 
 A2 = standard_lattice("A2")
@@ -531,6 +532,38 @@ def test_simple_coords_rebuild_every_root():
     for v, c in zip(r.roots, coords):
         assert c is not None and all(isinstance(x, int) for x in c)
         assert tuple(sum(x * s[k] for x, s in zip(c, r.simple_roots)) for k in range(4)) == v
+
+
+def test_simple_coords_square_case_on_glued_8a1():
+    # rank = ambient rank: the exact division alone decides, with no rebuild
+    l = make_lattice(GLUED_8A1)
+    r = roots_of(l)
+    assert r.rank == l.rank == 8
+    glue, doubled = (0,) * 7 + (1,), (0,) * 7 + (2,)
+    *coords, glue_c, doubled_c = r.simple_coords(r.roots + (glue, doubled))
+    assert glue_c is None
+    assert sorted(map(abs, doubled_c)) == [1] * 8
+    for v, c in zip(r.roots + (doubled,), coords + [doubled_c]):
+        assert tuple(sum(x * s[k] for x, s in zip(c, r.simple_roots)) for k in range(8)) == v
+
+
+def test_positivity_matches_span_coordinates_on_a_proper_root_span():
+    # the roots of 8A1 + glue (in several bases) and of Z^3(-1) (the A3 of
+    # vectors with even coordinate sum) span index-2 sublattices: the pivot
+    # block T of the span's HNF basis has determinant 2, and for Z^3(-1) it
+    # is not diagonal, so the raw pivot entries of (-1, -1, 0), c T with
+    # span coordinates c = (-1, -1, 1), would call a positive root negative
+    rng = random.Random(8)
+    lattices = [make_lattice(conjugate_gram(GLUED_8A1, b))
+                for b in [la.identity(8)] + [random_unimodular(rng, 8, steps=6) for _ in range(3)]]
+    z3 = standard_lattice("diag(-1,-1,-1)")
+    for l in lattices + [z3]:
+        r = roots_of(l)
+        pivots = [next(x for x in row if x) for row in r.span.basis]
+        assert len(r.roots) == (16 if l.rank == 8 else 12) and prod(pivots) == 2
+        assert (r.positive_roots, r.simple_roots) == positive_and_simple_by_span_coords(r)
+    assert roots_of(z3).span.basis == ((1, 0, 1), (0, 1, 1), (0, 0, 2))
+    assert (-1, -1, 0) in roots_of(z3).positive_roots
 
 
 def test_simple_coords_none_outside_the_root_span():
