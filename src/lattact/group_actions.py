@@ -294,8 +294,12 @@ def fixed_lattice(action: LatticeAction, subgroup: str = "all") -> Sublattice:
         return action._fixed
     if subgroup != "kernel":
         raise InputError('subgroup must be "all" or "kernel"')
+    group = action._group
+    if -1 not in group.kappas:
+        # the kernel is the whole group, which fixes what its generators fix
+        return action._fixed
     l = action.ambient
-    return _trusted(Sublattice, l, la.fixed_kernel(action._group.kernel_matrices(), l.rank))
+    return _trusted(Sublattice, l, la.fixed_kernel(group.kernel_matrices(), l.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +311,7 @@ def _real_branch(action, group, fixed0) -> FundamentalData:
     ident = la.identity(l.rank)
     fid = la.identity(fixed0.rank)
     if -1 not in group.kappas:
-        # the kernel is the whole group, so every element fixes fixed0
+        # the kernel is the whole group, so fixed0 is action._fixed
         vecs = _positive_directions(fixed0)
         if len(vecs) < 3:
             raise VerificationError("not almost geometric: fixed part lost a positive direction")
@@ -320,7 +324,10 @@ def _real_branch(action, group, fixed0) -> FundamentalData:
     for r, k in zip(rho_action, group.kappas):
         if r != (fid if k == 1 else cf):
             raise VerificationError("declared signs disagree with the action on the fixed part")
-    f_plus = Sublattice(l, tuple(fixed0.to_ambient(r) for r in la.kernel_int(la.mat_sub(cf, fid))))
+    # a vector of fixed0 that cf fixes is fixed by every element, and a
+    # vector every element fixes lies in fixed0: the plus part is the
+    # whole group's fixed lattice, both primitive and in HNF
+    f_plus = action._fixed
     f_minus = Sublattice(l, tuple(fixed0.to_ambient(r) for r in la.kernel_int(la.mat_add(cf, fid))))
     pos_plus = _positive_directions(f_plus)
     pos_minus = _positive_directions(f_minus)

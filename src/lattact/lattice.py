@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from operator import mul, neg
 
 from . import linalg as la
@@ -132,8 +132,12 @@ class Sublattice:
 
     @cached_property
     def _lattice(self) -> Lattice:
-        """B . G . B^T, derived once: integral and symmetric by construction."""
+        """B . G . B^T, derived once: integral and symmetric by construction.
+        For the identity basis that is G, so the ambient itself is returned
+        with whatever it has derived (its elimination)."""
         b = self.basis
+        if b == la.identity(self.ambient.rank):
+            return self.ambient
         return _trusted(Lattice, la.mat_mul(la.mat_mul(b, self.ambient.gram), la.transpose(b)))
 
     def contains(self, v) -> bool:
@@ -349,6 +353,9 @@ def orthogonal_complement(l: Lattice, s: Sublattice) -> Sublattice:
         raise InputError("expected a Sublattice")
     if not s.basis:
         return full_sublattice(l)
+    if s.rank == l.rank and l.nondegenerate:
+        # B . G is invertible for a square B of full rank
+        return _trusted(Sublattice, l, ())
     # one condition row per basis vector v: the covector v^T G
     return _trusted(Sublattice, l, la.kernel_int(la.mat_mul(s.basis, l.gram)))
 
@@ -358,9 +365,12 @@ def primitive_hull(l: Lattice, s: Sublattice) -> Sublattice:
     if s.rank == 0:
         return Sublattice(l, (), index=1)
     sat = la.saturate_rows(s.basis)
-    # index = |det| of s's (square, integer) coordinate matrix in the hull
-    coords = tuple(la.coords_in_rows(v, sat) for v in s.basis)
-    return _trusted(Sublattice, l, sat, abs(la.det(coords)))
+    # s and sat are HNF bases of one rational span, so they share their
+    # pivot columns; on those columns s = C . sat is a product of upper
+    # triangular blocks, and the index |det C| is the product of s's
+    # pivots over the product of sat's
+    s_pivots = prod(next(filter(None, row)) for row in s.basis)
+    return _trusted(Sublattice, l, sat, s_pivots // prod(next(filter(None, row)) for row in sat))
 
 
 def discriminant_form(l: Lattice) -> DiscriminantForm:

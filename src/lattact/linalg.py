@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 from typing import Sequence
@@ -30,7 +30,7 @@ Mat = tuple
 
 
 def freeze_mat(rows: Sequence[Sequence]) -> Mat:
-    return tuple(tuple(x for x in row) for row in rows)
+    return tuple(map(tuple, rows))
 
 
 @cache
@@ -48,6 +48,9 @@ def zero_vec(n: int) -> Vec:
 
 
 def is_integer_matrix(a: Sequence[Sequence]) -> bool:
+    # the common case, every entry exactly an int, without a Python loop
+    if set(map(type, chain.from_iterable(a))) <= {int}:
+        return True
     for row in a:
         for x in row:
             if isinstance(x, bool) or not isinstance(x, int):
@@ -475,12 +478,18 @@ def fixed_kernel(mats, n: int) -> tuple[Vec, ...]:
 def saturate_rows(b: Mat) -> Mat:
     """Basis (HNF rows) of the saturation of the row lattice of b in Z^n.
 
-    The saturation is span_Q(rows) intersected with Z^n, computed as the
-    integer kernel of the integer kernel.
+    The saturation is span_Q(rows) intersected with Z^n. When every pivot
+    of H = hnf(b) is 1, H's block on its pivot columns is unitriangular,
+    so an integer vector of the span has integer coordinates in H by back
+    substitution: H is already saturated. Otherwise the saturation is the
+    integer kernel of the integer kernel (Cohen, GTM 138, 2.4.3).
     """
     if not b:
         return ()
-    ker = kernel_int(b)
+    h = hnf(b)
+    if all(next(filter(None, row)) == 1 for row in h):
+        return h
+    ker = kernel_int(h)
     if not ker:
         return identity(len(b[0]))
     return kernel_int(ker)

@@ -413,8 +413,8 @@ def to_fundamental_chamber(r: RootSystem, c: Camera, target) -> WeylWord:
 
 
 def _preserves_roots(r: RootSystem, m) -> bool:
-    root_set = set(r.roots)
-    return all(tuple(la.mat_vec(m, v)) in root_set for v in r.roots)
+    # row i of R . m^T is m . r_i
+    return set(la.mat_mul(r.roots, la.transpose(m))) <= set(r.roots)
 
 
 def camera_decompose(r: RootSystem, c: Camera, g) -> tuple:

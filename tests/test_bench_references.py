@@ -14,7 +14,10 @@ build. The CLI's stdout is compared with every `cli_ref` file, and a
 hash of the repr of every round-0 result pins the bytes out. The
 `enumerate` round solves no coordinates root by root (`coords_in_rows`),
 and the positive and simple roots of both rounds' root systems match
-that root-by-root reference."""
+that root-by-root reference. The `degenerate` round runs a third fewer
+integer kernels than it did before it reused the action's fixed
+lattice, takes no determinant, solves no coordinates in
+`primitive_hull`, and eliminates each ambient Gram once."""
 
 import importlib.util
 import sys
@@ -127,6 +130,59 @@ def test_degenerate_round_matches_the_benchmark_references(monkeypatch, tmp_path
     assert failures == []
     assert snf == [] and rref == []
     assert fractions == []
+
+
+# kernel_int calls over round 0 of `degenerate` at seed 7, counted on the
+# commit before the fundamental data and the saturation read the fixed
+# lattice, the ambient elimination and the HNF pivots they already hold
+KERNEL_INT_CALLS_BEFORE = 74
+
+
+def test_degenerate_round_reuses_what_the_action_holds(monkeypatch, tmp_path):
+    """Round 0 of `degenerate` runs at most two thirds of the integer
+    kernels it ran before, no determinant, no coordinate solve inside
+    primitive_hull, and eliminates each action's ambient Gram once: no
+    Sublattice with the identity basis eliminates a copy of it."""
+    from lattact import degeneration, lattice
+    from lattact import linalg as la
+
+    from helpers import count_calls
+
+    _load("gen", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    workload = workloads.Degenerate(7, tmp_path)
+    items = workload.round(0)
+    kernels = count_calls(monkeypatch, la, "kernel_int")
+    dets = count_calls(monkeypatch, la, "det")
+    coords = count_calls(monkeypatch, la, "coords_in_rows")
+    hull_coords = []
+    original_hull = lattice.primitive_hull
+
+    def hull(*args):
+        before = len(coords)
+        out = original_hull(*args)
+        hull_coords.append(len(coords) - before)
+        return out
+
+    for module in (lattice, degeneration):
+        monkeypatch.setattr(module, "primitive_hull", hull)
+    # the elimination overwrites its argument: record the Gram on entry
+    eliminated = []
+    original_elimination = la._jacobi_elimination
+
+    def elimination(m):
+        eliminated.append(la.freeze_mat(m))
+        return original_elimination(m)
+
+    monkeypatch.setattr(la, "_jacobi_elimination", elimination)
+    for item in items:
+        start = len(eliminated)
+        sat, _, _ = result = workload.run(item)
+        assert workload.check(item, result) is None
+        assert eliminated[start:].count(sat.data.group.action.ambient.gram) == 1
+    assert 3 * len(kernels) <= 2 * KERNEL_INT_CALLS_BEFORE
+    assert dets == []
+    assert hull_coords and not any(hull_coords)
 
 
 def test_analyze_round_matches_the_benchmark_references(monkeypatch, tmp_path):

@@ -297,6 +297,41 @@ class TestFixedLattice:
         with pytest.raises(InputError):
             fixed_lattice(dihedral3(), "everything")
 
+    def test_kernel_and_plus_parts_match_fixed_kernels_over_elements(self, monkeypatch):
+        """fixed_lattice(a, "kernel") equals la.fixed_kernel over every
+        kernel element, and the plus part the real branch reads first
+        (the whole group's fixed lattice) equals it over every group
+        element, on every fixture, the Klein action, the sign-flip pair,
+        the antiflip, and random bases of each."""
+        seen = []
+        original = group_actions._positive_directions
+
+        def recording(sub):
+            seen.append(sub)
+            return original(sub)
+
+        monkeypatch.setattr(group_actions, "_positive_directions", recording)
+        rng = random.Random(20261018)
+        actions = [fixture(name).action for name in FIXTURE_NAMES]
+        actions += [helpers.klein_action(), sign_flip_pair(), antiflip()]
+        actions += [in_basis(a, helpers.random_unimodular(rng, a.ambient.rank, 8)) for a in actions for _ in range(2)]
+        real_with_minus = 0
+        for a in actions:
+            n = a.ambient.rank
+            group = enumerate_group(a)
+            whole = la.fixed_kernel(group.elements, n)
+            kernel = fixed_lattice(a, "kernel")
+            assert kernel.basis == la.fixed_kernel(group.kernel_matrices(), n)
+            assert fixed_lattice(a, "all").basis == whole
+            if -1 not in group.kappas:
+                assert kernel is fixed_lattice(a, "all")
+            seen.clear()
+            fd = fundamental_data(a)
+            if fd.order_n == 1 and -1 in group.kappas:
+                assert seen[0].basis == whole
+                real_with_minus += 1
+        assert real_with_minus == 3
+
     def test_fixed_rows_are_fixed_and_primitive(self):
         rng = random.Random(20260815)
         for _ in range(60):

@@ -300,6 +300,93 @@ def test_primitive_hull_index_matches_elementary_divisors():
         checked += 1
 
 
+def _saturation_inputs():
+    """360 seeded integer matrices, 60 of each kind: saturated row sets in
+    disguise (rows of a unimodular matrix mixed by a unimodular
+    transform), the same with one row scaled so a pivot exceeds 1, random
+    entries, dependent rows, zero rows, and full-rank squares alternating
+    with 1 x n rows."""
+    rng = random.Random(1507)
+    for i in range(360):
+        kind = i % 6
+        n = rng.randint(1, 6)
+        if kind in (0, 1):
+            k = rng.randint(1, n)
+            rows = [list(r) for r in la.mat_mul(random_unimodular(rng, k, 6), random_unimodular(rng, n, 10)[:k])]
+            if kind == 1:
+                j = rng.randrange(k)
+                rows[j] = [rng.choice((2, 3, -2, 6)) * x for x in rows[j]]
+        elif kind == 2:
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+        elif kind == 3:
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+            rows.append([sum(rng.randint(-2, 2) * r[c] for r in rows) for c in range(n)])
+            rng.shuffle(rows)
+        elif kind == 4:
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+            rows[rng.randint(0, len(rows)):0] = [[0] * n] * rng.randint(1, 2)
+        elif i % 12 == 5:
+            d = [rng.choice((1, 1, 2, 3)) for _ in range(n)]
+            rows = [[d[r] * x for x in row] for r, row in enumerate(random_unimodular(rng, n, 12))]
+        else:
+            rows = [[rng.choice((1, 2, 4)) * rng.randint(-3, 3) for _ in range(n)]]
+        yield la.freeze_mat(rows)
+
+
+def test_saturate_rows_matches_the_kernel_of_the_kernel():
+    """saturate_rows returns hnf(b) when its pivots are all 1; on every
+    input it equals the integer kernel of the integer kernel."""
+    paths = {True: 0, False: 0}
+    for b in _saturation_inputs():
+        ker = la.kernel_int(b)
+        expected = la.kernel_int(ker) if ker else la.identity(len(b[0]))
+        assert la.saturate_rows(b) == expected, b
+        paths[all(next(filter(None, row)) == 1 for row in la.hnf(b))] += 1
+    assert min(paths.values()) >= 100
+
+
+def test_primitive_hull_index_is_the_coordinate_determinant():
+    """[hull : s], read off the two HNF bases' pivots, equals |det| of s's
+    coordinate matrix in the hull on every saturation input."""
+    indices = set()
+    for b in _saturation_inputs():
+        l = make_lattice(la.identity(len(b[0])))  # the Gram plays no part
+        s = sublattice_from_rows(l, b)
+        h = primitive_hull(l, s)
+        coords = tuple(la.coords_in_rows(v, h.basis) for v in s.basis)
+        assert h.index == abs(la.det(coords)), b
+        indices.add(h.index)
+    assert {1, 2, 3} <= indices and max(indices) > 6
+
+
+def test_identity_basis_sublattice_is_its_ambient(monkeypatch):
+    """as_lattice() of the identity basis is the ambient with its own
+    elimination, and the complement of a full-rank sublattice of a
+    nondegenerate lattice is 0 without an integer kernel."""
+    lattices = [standard_lattice(spec) for spec in ("U+A2", "3U+2E8", "diag(2,-2)", "E8")]
+    for l in lattices:
+        signature(l)
+    eliminations = count_calls(monkeypatch, la, "_jacobi_elimination")
+    kernels = count_calls(monkeypatch, la, "kernel_int")
+    rng = random.Random(2207)
+    for l in lattices:
+        s = full_sublattice(l)
+        assert s.as_lattice() is l and s.gram() == l.gram
+        assert signature(s.as_lattice()) == signature(l)
+        for sub in (s, sublattice_from_rows(l, la.mat_scale(2, random_unimodular(rng, l.rank, 9)))):
+            assert sub.rank == l.rank
+            assert orthogonal_complement(l, sub).basis == ()
+            assert la.kernel_int(la.mat_mul(sub.basis, l.gram)) == ()
+    assert eliminations == []
+    assert len(kernels) == 2 * len(lattices)  # the references above
+    # a proper sublattice keeps B . G . B^T, and a degenerate ambient keeps
+    # the kernel: its full-rank complement is the radical
+    l = standard_lattice("U+A2")
+    assert sublattice_from_rows(l, ((1, 0, 0, 0),)).as_lattice() is not l
+    radical = make_lattice(((0, 0), (0, 2)))
+    assert orthogonal_complement(radical, full_sublattice(radical)).basis == ((1, 0),)
+
+
 # ---------------------------------------------------------------------------
 # discriminant form
 
@@ -854,6 +941,22 @@ def test_fixed_kernel_stacks_each_distinct_non_identity_matrix_once(monkeypatch)
     assert calls == []
     assert la.fixed_kernel([ident, swap, swap], 3) == ((1, 1, 0), (0, 0, 1))
     assert [len(args[0]) for args in calls] == [3]
+
+
+def test_integer_matrix_check_and_freeze_on_mixed_entries():
+    """The all-int fast path of is_integer_matrix leaves the other answers
+    as they were: a bool is refused, a Fraction with denominator 1 is
+    accepted; freeze_mat makes tuples of any row iterables."""
+    assert la.is_integer_matrix(((1, -2), (3, 10**30)))
+    assert la.is_integer_matrix(()) and la.is_integer_matrix(((), ()))
+    assert la.is_integer_matrix(((1, Fraction(4, 2)),))
+    assert la.is_integer_vector((Fraction(-3), 0))
+    for bad in (((1, True),), ((False,),), ((1, Fraction(1, 2)),), ((1.0, 2),), (("1",),)):
+        assert not la.is_integer_matrix(bad), bad
+    frozen = la.freeze_mat([[1, 2], (x for x in (3, 4)), range(5, 7)])
+    assert frozen == ((1, 2), (3, 4), (5, 6)) and all(type(r) is tuple for r in frozen)
+    with pytest.raises(InputError):
+        Lattice(((True, 0), (0, 2)))
 
 
 def test_sublattice_gram_derived_once(monkeypatch):

@@ -734,3 +734,21 @@ def test_weyl_words_random_products():
             m = la.mat_mul(m, reflection(l, r.roots[i]).matrix)
         w = WeylWord(r, word, Isometry(l, m))
         assert all(tuple(la.mat_vec(w.isometry.matrix, v)) in root_set for v in r.roots)
+
+
+def test_isometries_that_move_a_root_off_the_system_are_refused():
+    """The swap of 2A1 is an isometry, but it moves the first A1's roots
+    to the second's: both root-set checks refuse it. The reflection in
+    a simple root of A2 is not symmetric in the simple-root basis; it
+    maps the roots onto themselves (its transpose would not)."""
+    l = standard_lattice("2A1")
+    r = roots_of(sublattice_from_rows(l, ((1, 0),)))
+    swap = ((0, 1), (1, 0))
+    with pytest.raises(InputError, match="does not preserve the root system"):
+        camera_decompose(r, fundamental_camera(r), swap)
+    with pytest.raises(InputError, match="does not preserve the root system"):
+        is_admissible(r, [swap])
+    a2 = roots_of(standard_lattice("A2"))
+    s1 = ((-1, 1), (0, 1))
+    s, w = camera_decompose(a2, fundamental_camera(a2), s1)
+    assert la.mat_mul(s.matrix, w.isometry.matrix) == s1
