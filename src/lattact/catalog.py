@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import mul
 
 from . import linalg as la
+from ._record import dataclass
 from .errors import InputError, LattactError, ScopeError, VerificationError
 from .group_actions import (
     LatticeAction,

@@ -10,10 +10,10 @@ set, and is again geometric. All of that is checked, not assumed: the
 verification report carries exactly those five checks.
 """
 
-from dataclasses import dataclass
 from operator import mul
 
 from . import linalg as la
+from ._record import dataclass
 from .errors import InputError, LattactError, VerificationError
 from .group_actions import (
     EigenData,

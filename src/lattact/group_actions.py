@@ -9,11 +9,11 @@ antiholomorphic involution, and the geometricity test on the leftover
 negative part. All arithmetic is exact.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 
 from . import linalg as la
+from ._record import dataclass
 from .errors import InputError, ScopeError, VerificationError
 from .lattice import (
     Isometry,
@@ -198,7 +198,10 @@ class FundamentalData:
     @cached_property
     def leftover(self) -> Sublattice:
         l = self.group.action.ambient
-        return orthogonal_complement(l, sublattice_sum(l, self.fixed, self.rho))
+        # a complement depends only on the rational span, which a full-rank
+        # rho already fills: no sum with the fixed lattice is needed
+        spanned = self.rho if self.rho.rank == l.rank else sublattice_sum(l, self.fixed, self.rho)
+        return orthogonal_complement(l, spanned)
 
 
 @dataclass(frozen=True)
@@ -317,7 +320,12 @@ def _real_branch(action, group, fixed0) -> FundamentalData:
             raise VerificationError("not almost geometric: fixed part lost a positive direction")
         plane = _flag_plane(action, vecs[1], vecs[2])
         return FundamentalData(1, True, ident, vecs[0], plane, group, action._fixed, fixed0, (fid,) * len(group))
-    rho_action = tuple(_restrict(m, fixed0.basis) for m in group.elements)
+    if fixed0.basis == ident:
+        # fixed0 is the whole lattice (the sign kernel is trivial): each
+        # element is its own restriction
+        rho_action = group.elements
+    else:
+        rho_action = tuple(_restrict(m, fixed0.basis) for m in group.elements)
     cf = rho_action[group.kappas.index(-1)]
     # on the kernel-fixed part every -1 element acts the same way and
     # every +1 element acts trivially; anything else is a sign conflict

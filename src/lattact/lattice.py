@@ -12,13 +12,13 @@ equal sublattices compare equal and reports are reproducible byte for byte.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm, prod
 from operator import mul, neg
 
 from . import linalg as la
+from ._record import dataclass, fields
 from .errors import InputError, ScopeError, VerificationError
 
 
@@ -30,8 +30,8 @@ def _trusted(cls, *values):
     """A Lattice, Sublattice, Isometry or WeylWord valid by construction, built
     from its fields (the rest keep their defaults) without __post_init__."""
     obj = object.__new__(cls)
-    for field, value in zip(fields(cls), values):
-        object.__setattr__(obj, field.name, value)
+    for name, value in zip(fields(cls), values):
+        object.__setattr__(obj, name, value)
     return obj
 
 

@@ -14,12 +14,12 @@ acts first on vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import floordiv, mod, mul, neg, sub
 
 from . import linalg as la
+from ._record import dataclass
 from .errors import InputError, VerificationError
 from .lattice import (
     Isometry,

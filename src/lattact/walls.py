@@ -17,11 +17,11 @@ of a hyperbolic lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import linalg as la
+from ._record import dataclass
 from .errors import InputError, ScopeError, VerificationError
 from .lattice import Lattice, Sublattice, enumerate_vectors, orthogonal_complement, signature
 

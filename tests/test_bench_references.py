@@ -17,7 +17,9 @@ and the positive and simple roots of both rounds' root systems match
 that root-by-root reference. The `degenerate` round runs a third fewer
 integer kernels than it did before it reused the action's fixed
 lattice, takes no determinant, solves no coordinates in
-`primitive_hull`, and eliminates each ambient Gram once."""
+`primitive_hull`, and eliminates each ambient Gram once. Where its sign
+kernel is trivial, no group element is restricted to the identity basis
+and no sum is taken with the full-rank rotation block."""
 
 import importlib.util
 import sys
@@ -184,6 +186,49 @@ def test_degenerate_round_reuses_what_the_action_holds(monkeypatch, tmp_path):
     assert dets == []
     assert hull_coords and not any(hull_coords)
 
+
+
+def _full_rank_rho_items(monkeypatch, tmp_path, module, name):
+    """Run round 0 of `degenerate`, recording the calls to module.name;
+    return those calls and the fundamental data of each item whose rotation
+    block rho fills the whole lattice (a trivial sign kernel)."""
+    from helpers import count_calls
+
+    _load("gen", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    workload = workloads.Degenerate(7, tmp_path)
+    calls = count_calls(monkeypatch, module, name)
+    full = []
+    for item in workload.round(0):
+        sat, _, _ = result = workload.run(item)
+        assert workload.check(item, result) is None
+        if sat.data.rho.rank == sat.data.rho.ambient.rank:
+            full.append(sat.data)
+    assert full
+    return calls, full
+
+
+def test_degenerate_round_restricts_no_element_to_an_identity_basis(monkeypatch, tmp_path):
+    """Where the sign kernel is trivial its fixed part has the identity
+    basis, and each group element is its own restriction to it."""
+    from lattact import group_actions
+    from lattact import linalg as la
+
+    restricts, full = _full_rank_rho_items(monkeypatch, tmp_path, group_actions, "_restrict")
+    assert [basis for _, basis in restricts if basis == la.identity(len(basis))] == []
+    for data in full:
+        assert data.rho_action == data.group.elements
+
+
+def test_degenerate_round_sums_nothing_with_a_full_rank_rho(monkeypatch, tmp_path):
+    """The leftover of a full-rank rho is 0 without a sum with the fixed
+    lattice: a complement depends only on the rational span."""
+    from lattact import lattice
+
+    sums, full = _full_rank_rho_items(monkeypatch, tmp_path, lattice, "sublattice_sum")
+    assert [args for args in sums if any(s.rank == args[0].rank for s in args[1:])] == []
+    for data in full:
+        assert data.leftover.basis == ()
 
 def test_analyze_round_matches_the_benchmark_references(monkeypatch, tmp_path):
     _load("gen", monkeypatch)

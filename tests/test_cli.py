@@ -1,6 +1,7 @@
 """Command-line behavior: file format round trips, report content per
 command, the exit-code contract, and byte determinism."""
 
+import ast
 import io
 import json
 import os
@@ -531,9 +532,12 @@ class TestDeterminism:
             assert first == second
 
 
-# Run one command in a fresh interpreter; print its exit code and the
-# lattact modules it loaded.
-_MODULES_AFTER = """
+# stdlib modules no cold run loads: the records need neither
+_HEAVY = {"dataclasses", "inspect"}
+
+# Run one command in a fresh interpreter; print its exit code, the lattact
+# modules it loaded and those of _HEAVY it loaded.
+_MODULES_AFTER = f"""
 import contextlib, io, sys
 from lattact.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -541,7 +545,8 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         code = main(sys.argv[1:])
     except SystemExit as stop:
         code = stop.code
-print(code, *sorted(m[8:] for m in sys.modules if m.startswith("lattact.")))
+heavy = [m for m in {sorted(_HEAVY)!r} if m in sys.modules]
+print(code, *sorted(m[8:] for m in sys.modules if m.startswith("lattact.")), *heavy)
 """
 
 # subcommand -> (its arguments, a fixture name first where it reads an
@@ -569,7 +574,7 @@ def _fresh(*argv, code=_MODULES_AFTER):
 
 class TestColdStartModules:
     """Each subcommand, run in a fresh interpreter, loads only the library
-    modules it computes with."""
+    modules it computes with, and neither dataclasses nor inspect."""
 
     @pytest.mark.parametrize("command", sorted(_COLD_RUNS))
     def test_subcommand_loads_only_its_modules(self, capsys, tmp_path, command):
@@ -580,12 +585,25 @@ class TestColdStartModules:
         assert code == 0
         assert {"cli", "errors"} < modules
         assert not modules & not_loaded, modules
+        assert not modules & _HEAVY, modules
 
     @pytest.mark.parametrize("argv", [("--help",), ("bogus",), ("check",)])
     def test_help_and_usage_errors_load_only_cli_and_errors(self, argv):
         code, modules = _fresh(*argv)
         assert code == (0 if argv == ("--help",) else 2)
+        # nor anything of _HEAVY
         assert modules == {"cli", "errors"}
+
+    def test_no_library_module_imports_dataclasses(self):
+        for path in Path(lattact.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                assert not [n for n in names if n.split(".")[0] == "dataclasses"], path.name
 
     def test_import_lattact_loads_no_module(self):
         code = "import sys, lattact; print(0, *(m for m in sys.modules if m.startswith('lattact.')))"
