@@ -184,17 +184,24 @@ def _split_rank2_class(l: Lattice) -> str:
     raise ScopeError("split-form naming covers determinants -1 and -4 only")
 
 
+def _fixture_from_table(name, action, table) -> Fixture:
+    """A Fixture whose expected values and origin tags come from one
+    key: (value, origin) table, in its key order."""
+    expected = {key: value for key, (value, _) in table.items()}
+    origins = {key: origin for key, (_, origin) in table.items()}
+    return Fixture(name, action, expected, origins)
+
+
 def _unimodular_fixture(name, sig_expected) -> Fixture:
     spec = "3U+2E8" if name == "k3_lattice" else "3U"
     l = standard_lattice(spec)
     action = LatticeAction(l, (("id", la.identity(l.rank), 1),))
-    expected = {
-        "signature": sig_expected,
-        "even": True,
-        "determinant": -1,
+    table = {
+        "signature": (sig_expected, "claimed"),
+        "even": (True, "claimed"),
+        "determinant": (-1, "claimed"),
     }
-    origins = {"signature": "claimed", "even": "claimed", "determinant": "claimed"}
-    return Fixture(name, action, expected, origins)
+    return _fixture_from_table(name, action, table)
 
 
 def _d3_fixture(name) -> Fixture:
@@ -210,81 +217,45 @@ def _d3_fixture(name) -> Fixture:
     rho_basis = tuple(
         tuple(1 if j == i else 0 for j in range(22)) for i in range(4)
     )
-    expected = {
-        "group_order": 6,
-        "rotation_order": 3,
-        "real": False,
-        "fixed_gram": standard_lattice("U+2E8").gram,
-        "rho_basis": rho_basis,
-        "ldot_rank": 0,
-        "eigen_exponent": 2,
-    }
-    origins = {
-        "group_order": "claimed",
-        "rotation_order": "claimed",
-        "real": "claimed",
-        "fixed_gram": "claimed",
-        "rho_basis": "recorded",
-        "ldot_rank": "claimed",
-        "eigen_exponent": "recorded",
+    table = {
+        "group_order": (6, "claimed"),
+        "rotation_order": (3, "claimed"),
+        "real": (False, "claimed"),
+        "fixed_gram": (standard_lattice("U+2E8").gram, "claimed"),
+        "rho_basis": (rho_basis, "recorded"),
+        "ldot_rank": (0, "claimed"),
+        "eigen_exponent": (2, "recorded"),
     }
     if name == "d3_S":
-        expected.update(
+        table.update(
             {
-                "m_plus_vectors": ((1, 1, 1, 0), (1, 0, 1, -1)),
-                "m_plus_gram_in_w": ((2, 0), (0, -2)),
-                "m_plus_class": "diag(2,-2)",
-                "m_minus_class": "diag(2,-2)",
-                "plus_minus2_pairs": 1,
-                "plus_minus6_pairs": 2,
-                "plus_minus4_pairs": 0,
-                "candidate_count": 10,
-                "wall_count": 2,
-                "wall_rays": ((1, 1), (3, 2)),
-                "wall_normals": ((1, 0, 1, -1), (3, 1, 3, -2)),
-                "components": 3,
-            }
-        )
-        origins.update(
-            {
-                "m_plus_vectors": "claimed",
-                "m_plus_gram_in_w": "claimed",
-                "m_plus_class": "claimed",
-                "m_minus_class": "claimed",
-                "plus_minus2_pairs": "claimed",
-                "plus_minus6_pairs": "claimed",
-                "plus_minus4_pairs": "claimed",
-                "candidate_count": "recorded",
-                "wall_count": "claimed",
-                "wall_rays": "recorded",
-                "wall_normals": "recorded",
-                "components": "claimed",
+                "m_plus_vectors": (((1, 1, 1, 0), (1, 0, 1, -1)), "claimed"),
+                "m_plus_gram_in_w": (((2, 0), (0, -2)), "claimed"),
+                "m_plus_class": ("diag(2,-2)", "claimed"),
+                "m_minus_class": ("diag(2,-2)", "claimed"),
+                "plus_minus2_pairs": (1, "claimed"),
+                "plus_minus6_pairs": (2, "claimed"),
+                "plus_minus4_pairs": (0, "claimed"),
+                "candidate_count": (10, "recorded"),
+                "wall_count": (2, "claimed"),
+                "wall_rays": (((1, 1), (3, 2)), "recorded"),
+                "wall_normals": (((1, 0, 1, -1), (3, 1, 3, -2)), "recorded"),
+                "components": (3, "claimed"),
             }
         )
     else:
-        expected.update(
+        table.update(
             {
-                "m_plus_class": "U(2)",
-                "m_minus_class": "U(2)",
-                "plus_minus4_pairs": 1,
-                "minus_minus4_pairs": 1,
-                "candidate_count": 2,
-                "wall_count": 0,
-                "components": 1,
+                "m_plus_class": ("U(2)", "claimed"),
+                "m_minus_class": ("U(2)", "claimed"),
+                "plus_minus4_pairs": (1, "claimed"),
+                "minus_minus4_pairs": (1, "claimed"),
+                "candidate_count": (2, "recorded"),
+                "wall_count": (0, "claimed"),
+                "components": (1, "claimed"),
             }
         )
-        origins.update(
-            {
-                "m_plus_class": "claimed",
-                "m_minus_class": "claimed",
-                "plus_minus4_pairs": "claimed",
-                "minus_minus4_pairs": "claimed",
-                "candidate_count": "recorded",
-                "wall_count": "claimed",
-                "components": "claimed",
-            }
-        )
-    return Fixture(name, action, expected, origins)
+    return _fixture_from_table(name, action, table)
 
 
 def _swap_fixture() -> Fixture:

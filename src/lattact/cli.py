@@ -272,12 +272,16 @@ def cmd_degenerate(args) -> int:
     for label, ok, _ in report.entries:
         entries.append((f"degeneration.{label}", _fmt_bool(ok)))
     entries.append(("degeneration.all", _fmt_bool(report.all_passed)))
-    _emit(entries, args.format, header)
     text = action_to_text(result.action, comment=f"degenerated action; {_COLUMN_NOTE}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+        # written before the report, so an unwritable path prints no report
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise InputError(f"cannot write {args.out}: {err}") from None
+    _emit(entries, args.format, header)
+    if not args.out:
         sys.stdout.write("\n" + text if args.format == "human" else text)
     return 0 if report.all_passed else 1
 
@@ -386,22 +390,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# exit code of each error class; VerificationError and any other
+# LattactError exit 1
+_EXIT_CODES = ((InputError, 2), (ScopeError, 3))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ScopeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except VerificationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except LattactError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
+        return next((code for cls, code in _EXIT_CODES if isinstance(err, cls)), 1)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ negative part. All arithmetic is exact.
 """
 
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
 from . import linalg as la
 from ._record import dataclass
@@ -225,9 +225,9 @@ class EigenData:
         """Integer matrix of the reflector on the rotation block, derived
         once per object (eigen_lattices hands in the one it already has)."""
         c = la.restrict_to_span(self.reflector.matrix, self.rho.basis)
-        if c is None or not la.is_integer_matrix(c):
+        if c is None:
             raise VerificationError("reflector does not act on the rotation block")
-        return la.to_int_mat(c)
+        return c
 
 
 @dataclass(frozen=True)
@@ -251,9 +251,9 @@ def _check_owner(action: LatticeAction, data: FundamentalData) -> None:
 def _restrict(matrix, basis_rows) -> tuple:
     """Integer restriction of an ambient matrix to an invariant row span."""
     r = la.restrict_to_span(matrix, basis_rows)
-    if r is None or not la.is_integer_matrix(r):
+    if r is None:
         raise ScopeError("unsupported action shape: a required block is not invariant")
-    return la.to_int_mat(r)
+    return r
 
 
 def _positive_directions(sub: Sublattice) -> list:
@@ -302,7 +302,13 @@ def fixed_lattice(action: LatticeAction, subgroup: str = "all") -> Sublattice:
         # the kernel is the whole group, which fixes what its generators fix
         return action._fixed
     l = action.ambient
-    return _trusted(Sublattice, l, la.fixed_kernel(group.kernel_matrices(), l.rank))
+    kernel = la.fixed_kernel(group.kernel_matrices(), l.rank)
+    # both are primitive and the group's fixed lattice lies in the kernel's,
+    # so equal ranks mean equal lattices: hand out the object already held
+    # (and whatever it has derived, its Gram elimination)
+    if len(kernel) == action._fixed.rank:
+        return action._fixed
+    return _trusted(Sublattice, l, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -589,12 +595,10 @@ def extend_equivariantly(action: LatticeAction, data: FundamentalData, eigen: Ei
     by conjugating with the dilation on the minus side; returns the
     extension when it is integral on the block, None otherwise."""
     a = m_plus_map.matrix if isinstance(m_plus_map, Isometry) else la.freeze_mat(m_plus_map)
-    if not la.is_integer_matrix(a):
-        raise InputError("plus-part map must be an integer matrix")
-    a = la.to_int_mat(a)
     plus, minus = eigen.m_plus, eigen.m_minus
+    # is_isometry also refuses a non-integer or wrongly shaped matrix
     if not is_isometry(plus.as_lattice(), a):
-        raise InputError("map is not an isometry of the plus eigenlattice")
+        raise InputError("map is not an integer isometry of the plus eigenlattice")
     if plus.rank != minus.rank:
         raise VerificationError("eigenparts have different ranks; no dilation exchange")
     j = dilated_complex_structure(action, data).matrix
@@ -604,10 +608,9 @@ def extend_equivariantly(action: LatticeAction, data: FundamentalData, eigen: Ei
         if x is None:
             raise VerificationError("dilation does not carry the minus part into the plus part")
         cols.append(x)
-    # with C = s . c integral: a_minus = c^-1 a c = adj(C) a C / det C, and
-    # ext = X . diag(a, a_minus) . X^-1 = X . diag(dC a, adj(C) a C) . adj X / (dC dX)
-    s = lcm(*(y.denominator for col in cols for y in col))
-    c = tuple(tuple(int(s * y) for y in row) for row in zip(*cols))
+    # c is integral (plus is saturated): a_minus = c^-1 a c = adj(c) a c / det c,
+    # and ext = X . diag(a, a_minus) . X^-1 = X . diag(dc a, adj(c) a c) . adj X / (dc dX)
+    c = la.transpose(cols)
     adj_c, d_c = la.adjugate(c)  # j^2 = -mult . I, so c is invertible
     zeros = (0,) * plus.rank  # == minus.rank
     blk = tuple(tuple(d_c * y for y in row) + zeros for row in a) + tuple(

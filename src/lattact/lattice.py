@@ -573,8 +573,10 @@ def rank2_isomorphism_class(l) -> tuple:
             b = -b
             continue
         if abs(2 * b) > a:
-            # translate: b -> b - k a with |b'| minimal
-            k = round(Fraction(b, a))
+            # translate: b -> b - k a with |b'| minimal, k = floor(b/a + 1/2);
+            # on a tie either neighbour gives the same c, and the sign of b
+            # is fixed below
+            k = (2 * b + a) // (2 * a)
             bb = b - k * a
             cc = c - 2 * k * b + k * k * a
             b, c = bb, cc

@@ -1,9 +1,13 @@
 """Exact linear algebra over the integers and rationals.
 
 Everything here works on immutable tuples: a matrix is a tuple of row
-tuples, a vector is a tuple. Entries are Python ints or fractions.Fraction;
-no floats anywhere. All routines are deterministic (pivot choices are fixed),
-so downstream canonical forms and reports are byte-stable.
+tuples, a vector is a tuple. The library's kernels (products, det,
+char_poly, normal forms, kernels, echelon coordinates) take and return
+Python ints; products and dot also carry fractions.Fraction entries through
+exactly. rref, solve, rank and inverse work over the rationals and serve as
+test oracles. No floats anywhere. All routines are deterministic (pivot
+choices are fixed), so downstream canonical forms and reports are
+byte-stable.
 
 Conventions:
 - matrices act on column vectors: (A x)_i = sum_j A[i][j] x[j];
@@ -172,21 +176,17 @@ def sq(gram: Mat, v: Vec):
 # determinants, rank, inverses
 
 
-def _scaled_to_int(a: Mat) -> tuple[list, int]:
-    """(s . a as integer row lists, s), s the lcm of the entries' denominators."""
-    s = lcm(*(x.denominator for row in a for x in row))
-    return [[int(x * s) for x in row] for row in a], s
+def _int_rows(a: Mat) -> list:
+    """a as integer row lists; ValueError unless every entry is an integer."""
+    if not is_integer_matrix(a):
+        raise ValueError("matrix is not an integer matrix")
+    return [list(map(int, row)) for row in a]
 
 
-def det(a: Mat):
-    """Exact determinant by Bareiss elimination; a rational matrix is
-    scaled to integers first, det a = det(s . a) / s^n."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m, s = _scaled_to_int(a)
-    d = _det_bareiss(m)
-    return d if s == 1 else Fraction(d, s ** n)
+def det(a: Mat) -> int:
+    """Exact determinant of an integer matrix by Bareiss elimination."""
+    m = _int_rows(a)
+    return _det_bareiss(m) if m else 1
 
 
 def _det_bareiss(m: list) -> int:
@@ -241,9 +241,10 @@ def rank(a: Mat) -> int:
 
 def inverse(a: Mat) -> Mat:
     """Exact inverse over the rationals, s . adj(s . a) / det(s . a) for the
-    integer multiple s . a of a; raises ValueError on singular input."""
-    m, s = _scaled_to_int(a)
-    adj, d = adjugate(m)
+    integer multiple s . a of a, s the lcm of the entries' denominators;
+    raises ValueError on singular input. A test oracle, like rref."""
+    s = lcm(*(x.denominator for row in a for x in row))
+    adj, d = adjugate([[int(x * s) for x in row] for row in a])
     if adj is None:
         raise ValueError("matrix is singular")
     return tuple(tuple(Fraction(s * x, d) for x in row) for row in adj)
@@ -355,9 +356,8 @@ def hnf(a: Mat) -> Mat:
 
 def in_row_lattice(v: Vec, h: Mat) -> bool:
     """Whether v lies in the row lattice of echelon rows h (an HNF basis):
-    its coordinates in h exist and are integers."""
-    c = coords_in_rows(v, h)
-    return c is not None and is_integer_vector(c)
+    it is an integer combination of them."""
+    return coords_in_rows(v, h) is not None
 
 
 def snf(a: Mat) -> tuple[Mat, Mat, Mat]:
@@ -527,14 +527,12 @@ def clear_denominators(v: Vec) -> Vec:
 
 
 def char_poly(a: Mat) -> tuple:
-    """Characteristic polynomial coefficients (c_0, ..., c_n) with
-    p(x) = sum c_k x^k and c_n = 1, computed by Faddeev-LeVerrier.
-
-    The recurrence runs on the integer multiple s . a, where its division
-    by k is exact (checked), and c_k(a) = c_k(s . a) / s^(n-k).
+    """Characteristic polynomial coefficients (c_0, ..., c_n) of an integer
+    matrix, p(x) = sum c_k x^k and c_n = 1, computed by Faddeev-LeVerrier;
+    its division by k is exact on integers (checked).
     """
     n = len(a)
-    m, s = _scaled_to_int(a)
+    m = _int_rows(a)
     ident = identity(n)
     coeffs = [0] * n + [1]
     mk = m
@@ -546,10 +544,7 @@ def char_poly(a: Mat) -> tuple:
         if r:
             raise ValueError("inexact Faddeev-LeVerrier division")
         coeffs[n - k] = c
-    return tuple(
-        c // s ** (n - k) if c % s ** (n - k) == 0 else Fraction(c, s ** (n - k))
-        for k, c in enumerate(coeffs)
-    )
+    return tuple(coeffs)
 
 
 def poly_eval(coeffs: Sequence, x):
@@ -712,32 +707,32 @@ def _echelon_pivots(rows: Mat) -> tuple[int, ...]:
 
 
 def _echelon_coords(v: Vec, rows: Mat, pivots: Sequence[int]) -> Vec | None:
-    """Coordinates of v in echelon rows by substitution on the pivot
-    columns, or None when the remainder does not vanish (v outside the
-    span). Integer quotients stay integers when they divide exactly."""
+    """Integer coordinates of v in echelon integer rows by substitution on
+    the pivot columns, or None when v is no integer combination of them: a
+    pivot leaves a remainder, or the last remainder does not vanish."""
     w = v
     coords = []
     for row, c in zip(rows, pivots):
-        q = w[c]
+        q, r = divmod(w[c], row[c])
+        if r:
+            return None
         if q:
-            p = row[c]
-            if isinstance(q, int) and isinstance(p, int):
-                q = q // p if q % p == 0 else Fraction(q, p)
-            else:
-                q = q / p
             w = tuple(a - q * b for a, b in zip(w, row))
         coords.append(q)
     return None if any(w) else tuple(coords)
 
 
 def restrict_to_span(m: Mat, basis_rows: Mat) -> Mat | None:
-    """Matrix of the column action of m on span(basis rows), or None.
+    """Integer matrix of the column action of m on the row lattice of the
+    basis rows, or None.
 
     Returns C with m . b_i = sum_j C[j][i] b_j (column convention in the
-    basis coordinates). None when the span is not invariant. The basis
-    must be in row echelon form (an HNF or rref basis); the coordinates
-    of each image come from substitution on the pivot columns, and the
-    vanishing remainder is the exact check that they rebuild the image.
+    basis coordinates). None when some image m . b_i is no integer
+    combination of the rows; on a saturated basis, exactly when the span
+    is not invariant. The basis must be integer rows in row echelon form
+    (an HNF basis); the coordinates of each image come from substitution
+    on the pivot columns, and the vanishing remainder is the exact check
+    that they rebuild the image.
     """
     if not basis_rows:
         return ()
@@ -752,8 +747,8 @@ def restrict_to_span(m: Mat, basis_rows: Mat) -> Mat | None:
 
 
 def coords_in_rows(v: Vec, basis_rows: Mat) -> Vec | None:
-    """Rational coordinates of v in echelon basis rows (an HNF or rref
-    basis), or None if outside the span."""
+    """Integer coordinates of v in echelon integer basis rows (an HNF
+    basis), or None when v is no integer combination of them."""
     if not basis_rows:
         return None if any(v) else ()
     return _echelon_coords(tuple(v), basis_rows, _echelon_pivots(basis_rows))

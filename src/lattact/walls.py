@@ -128,6 +128,8 @@ def candidate_roots(e: EigenData, bound: int | None = None) -> CandidateReport:
     """
     if e.m_plus.rank != 2 or e.m_minus.rank != 2:
         raise InputError("candidate enumeration needs rank-2 eigenlattices")
+    if bound is not None and (not isinstance(bound, int) or bound < 0):
+        raise InputError("search bound must be a nonnegative integer")
     n = e.exponent
     block = e.rho.as_lattice()
     total = -2 * n * n

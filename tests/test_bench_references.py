@@ -19,7 +19,8 @@ integer kernels than it did before it reused the action's fixed
 lattice, takes no determinant, solves no coordinates in
 `primitive_hull`, and eliminates each ambient Gram once. Where its sign
 kernel is trivial, no group element is restricted to the identity basis
-and no sum is taken with the full-rank rotation block."""
+and no sum is taken with the full-rank rotation block. No `analyze` item
+eliminates an equal Gram of rank above two twice."""
 
 import importlib.util
 import sys
@@ -244,6 +245,35 @@ def test_analyze_round_matches_the_benchmark_references(monkeypatch, tmp_path):
             failures.append((item["kind"], problem))
     assert failures == []
     assert snf == [] and rref == []
+
+
+def test_analyze_round_eliminates_each_gram_once(monkeypatch, tmp_path):
+    """Within one item of round 0 of `analyze` no Gram of rank above two is
+    eliminated twice: the sign kernel's fixed lattice is the action's own
+    fixed lattice object when the two are equal, so fundamental_data and
+    the rotation branch read one elimination."""
+    from lattact import linalg as la
+
+    _load("gen", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    workload = workloads.Analyze(7, tmp_path)
+    items = workload.round(0)
+    # the elimination overwrites its argument: record the Gram on entry
+    eliminated = []
+    original_elimination = la._jacobi_elimination
+
+    def elimination(m):
+        eliminated.append(la.freeze_mat(m))
+        return original_elimination(m)
+
+    monkeypatch.setattr(la, "_jacobi_elimination", elimination)
+    repeats = []
+    for item in items:
+        start = len(eliminated)
+        assert workload.check(item, workload.run(item)) is None
+        grams = [g for g in eliminated[start:] if len(g) > 2]
+        repeats += [(item["kind"], len(g)) for i, g in enumerate(grams) if g in grams[:i]]
+    assert repeats == []
 
 
 def _derived_once_guard(monkeypatch):

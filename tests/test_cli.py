@@ -207,6 +207,12 @@ class TestWalls:
         assert rep["components"] == "1"
         assert rep["walls.rays"] == ""
 
+    def test_negative_bound_exit_2(self, capsys, tmp_path):
+        path = catalog_file(capsys, tmp_path, "d3_S")
+        code, out, err = run(capsys, "walls", path, "--bound", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: search bound must be a nonnegative integer\n"
+
     def test_sign_trivial_action_is_out_of_scope(self, capsys, tmp_path):
         path = catalog_file(capsys, tmp_path, "e8_swap")
         code, _, err = run(capsys, "walls", path)
@@ -277,6 +283,16 @@ class TestDegenerate:
         m = iso.matrix
         assert [row[:2] for row in m[:2]] == [(0, -1), (-1, 0)]
         assert all(m[i][i] == 1 for i in range(2, 22))
+
+    def test_unwritable_out_path_exit_2(self, capsys, tmp_path):
+        path = catalog_file(capsys, tmp_path, "e8_swap")
+        out_path = tmp_path / "missing" / "x.json"
+        code, out, err = run(
+            capsys, "degenerate", path, f"--roots={U1_MINUS_V1}", "--out", str(out_path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {out_path}: ") and err.count("\n") == 1
+        assert not out_path.parent.exists()
 
     def test_non_invariant_roots_exit_1(self, capsys, tmp_path):
         path = catalog_file(capsys, tmp_path, "d3_S")
@@ -416,6 +432,21 @@ class TestFuzzedInput:
                 assert code in (2, 3), (kind, command, code)
                 assert out == ""
                 assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [("InputError", 2), ("ScopeError", 3), ("VerificationError", 1), ("LattactError", 1)],
+)
+def test_each_error_class_has_its_exit_code(capsys, monkeypatch, error, code):
+    import lattact.cli
+    import lattact.errors
+
+    def failing(args):
+        raise getattr(lattact.errors, error)("boom")
+
+    monkeypatch.setattr(lattact.cli, "cmd_survey", failing)
+    assert run(capsys, "survey", "torus") == (code, "", "error: boom\n")
 
 
 class TestCatalogCommand:

@@ -760,34 +760,36 @@ def _random_hnf_basis(rng, n, k):
             return h
 
 
-def _rref_basis(rows):
-    red, pivots = la.rref(rows)
-    return red[: len(pivots)]
-
-
 def _combine(coords, basis):
     return tuple(sum(c * b[j] for c, b in zip(coords, basis)) for j in range(len(basis[0])))
 
 
-def test_echelon_coordinates_match_fraction_solve():
+def _integral_or_none(x):
+    """The oracle answer for integer coordinates: a rational solution with
+    every entry integral, else None."""
+    return x if x is not None and all(c.denominator == 1 for c in x) else None
+
+
+def test_echelon_coordinates_match_integral_solve():
+    """coords_in_rows is solve's (unique) answer when that is integral,
+    and None when it is fractional or missing."""
     rng = random.Random(3101)
-    outside = 0
+    counts = {"integral": 0, "fractional": 0, "outside": 0}
     for _ in range(80):
         n = rng.randint(2, 7)
         k = rng.randint(1, n)
-        hnf_basis = _random_hnf_basis(rng, n, k)
-        for basis in (hnf_basis, _rref_basis(hnf_basis)):
-            columns = la.transpose(basis)
-            for denom in (1, 2, 3):
-                x = tuple(Fraction(rng.randint(-5, 5), denom) for _ in range(k))
-                v = _combine(x, basis)
-                assert la.coords_in_rows(v, basis) == la.solve(columns, v) == x
-            for _ in range(3):
-                v = tuple(rng.randint(-5, 5) for _ in range(n))
-                if la.solve(columns, v) is None:
-                    assert la.coords_in_rows(v, basis) is None
-                    outside += 1
-    assert outside > 20
+        basis = _random_hnf_basis(rng, n, k)
+        columns = la.transpose(basis)
+        vectors = [_combine(tuple(Fraction(rng.randint(-5, 5), d) for _ in range(k)), basis) for d in (1, 2, 3)]
+        vectors += [tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(3)]
+        for v in vectors:
+            x = la.solve(columns, v)
+            got = la.coords_in_rows(v, basis)
+            assert got == _integral_or_none(x)
+            if got is not None:
+                assert all(type(c) is int for c in got)
+            counts["outside" if x is None else "integral" if got is not None else "fractional"] += 1
+    assert min(counts.values()) > 20, counts
 
 
 def test_echelon_coordinates_stay_integers_in_the_lattice():
@@ -800,10 +802,13 @@ def test_echelon_coordinates_stay_integers_in_the_lattice():
         assert got == x and all(type(c) is int for c in got)
 
 
-def test_restrict_to_span_matches_fraction_solve():
+def test_restrict_to_span_matches_integral_solve():
+    """restrict_to_span is the matrix of solve's answers on the images of
+    the basis when all are integral, and None otherwise; the bases include
+    non-saturated ones, whose invariant spans can still give fractions."""
     rng = random.Random(3103)
-    invariant = 0
-    for _ in range(40):
+    counts = {"integral": 0, "fractional": 0, "not invariant": 0}
+    for _ in range(60):
         n = rng.randint(2, 6)
         k = rng.randint(1, n)
         # an integer matrix with the span of the first k columns of p invariant
@@ -816,13 +821,46 @@ def test_restrict_to_span_matches_fraction_solve():
         m = la.mat_mul(la.mat_mul(p, la.freeze_mat(d)), la.inverse_int(p))
         if rng.random() < 0.3:
             m = la.mat_add(m, ((0,) * (n - 1) + (1,),) + la.zero_mat(n - 1, n))
-        for basis in (la.hnf(la.transpose(p)[:k]), _rref_basis(la.transpose(p)[:k])):
+        span = la.transpose(p)[:k]
+        scale = tuple(tuple(rng.choice((1, 2)) if i == j else rng.randint(0, 1) * (i < j) for j in range(k)) for i in range(k))
+        for basis in (la.hnf(span), la.hnf(la.mat_mul(scale, span))):
             columns = la.transpose(basis)
             images = [la.solve(columns, la.mat_vec(m, b)) for b in basis]
-            expected = None if None in images else la.transpose(images)
-            assert la.restrict_to_span(m, basis) == expected
-            invariant += expected is not None
-    assert invariant > 20
+            if None in images:
+                expected, kind = None, "not invariant"
+            elif all(map(_integral_or_none, images)):
+                expected, kind = la.transpose(images), "integral"
+            else:
+                expected, kind = None, "fractional"
+            got = la.restrict_to_span(m, basis)
+            assert got == expected
+            if got is not None:
+                assert all(type(c) is int for row in got for c in row)
+            counts[kind] += 1
+    assert min(counts.values()) > 5, counts
+
+
+def test_coordinates_outside_the_row_lattice_are_none():
+    # (0, 1) lies in the span of (1, 0), (0, 2) but not in their lattice
+    assert la.coords_in_rows((0, 1), ((1, 0), (0, 2))) is None
+    assert la.coords_in_rows((0, 2), ((1, 0), (0, 2))) == (0, 1)
+    assert not la.in_row_lattice((0, 1), ((1, 0), (0, 2)))
+    # the swap keeps the span of (1, 0), (0, 2) but not its lattice
+    assert la.restrict_to_span(((0, 1), (1, 0)), ((1, 0), (0, 2))) is None
+    assert la.restrict_to_span(((1, 0), (0, -1)), ((1, 0), (0, 2))) == ((1, 0), (0, -1))
+
+
+def test_det_and_char_poly_take_integer_matrices_only():
+    for bad in (((Fraction(1, 2),),), ((1, 0), (0, Fraction(2, 3))), ((True,),), ((1.0,),)):
+        with pytest.raises(ValueError):
+            la.det(bad)
+        with pytest.raises(ValueError):
+            la.char_poly(bad)
+    # an integral Fraction is accepted and read as the integer it equals
+    got = la.det(((Fraction(4), 1), (Fraction(2), 3)))
+    assert got == 10 and type(got) is int
+    assert la.char_poly(((Fraction(4), 1), (Fraction(2), 3))) == (10, -7, 1)
+    assert la.det(()) == 1 and la.char_poly(()) == (1,)
 
 
 def test_echelon_kernels_reject_non_echelon_bases():

@@ -2,6 +2,7 @@
 first use from its home module, lists it in ``dir`` and ``*`` imports, and
 keeps no copy of it, so a function rebound in its home module is seen."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -65,3 +66,40 @@ def test_walls_does_not_import_group_actions():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# The functions that name Fraction: the rational oracles and test helpers
+# of linalg, integral-Fraction input acceptance, and the two rational
+# outputs (discriminant form values, wall eigenprojections). Every other
+# kernel works on integers only.
+FRACTION_USERS = {
+    "linalg.is_integer_matrix",
+    "linalg.to_frac_mat",
+    "linalg.to_frac_vec",
+    "linalg.rref",
+    "linalg.inverse",
+    "linalg.solve",
+    "linalg.isqrt_frac_floor",
+    "lattice.discriminant_form",
+    "walls._halved",
+}
+
+
+def _functions_naming(name):
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(child)):
+                    found.add(prefix + child.name)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+
+    for path in Path(lattact.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), f"{path.stem}.")
+    return found
+
+
+def test_only_the_allowed_functions_name_fraction():
+    assert _functions_naming("Fraction") == FRACTION_USERS
