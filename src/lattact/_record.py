@@ -3,7 +3,7 @@ lattact's value and result classes use.
 
 Every such class is a plain record: annotated fields in declaration order,
 a class-level default on some trailing fields, and optionally a
-``__post_init__`` that checks or canonicalizes them.  ``dataclass`` gives
+``__post_init__`` that checks or canonicalizes them.  ``record`` gives
 it ``__init__``, ``__repr__``, ``__eq__``, ``__hash__``, a frozen
 ``__setattr__``/``__delattr__`` and ``__match_args__`` that behave as the
 ones ``dataclasses`` generates, built as closures: no ``exec`` per class,
@@ -26,14 +26,8 @@ def fields(cls) -> tuple:
     return cls.__match_args__
 
 
-def dataclass(*, frozen: bool = True):
+def record(cls):
     """Class decorator: make ``cls`` a frozen record over its annotations."""
-    if not frozen:
-        raise TypeError("lattact records are always frozen")
-    return _record
-
-
-def _record(cls):
     names = tuple(cls.__dict__.get("__annotations__", {}))
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     count = len(names)

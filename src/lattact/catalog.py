@@ -23,7 +23,7 @@ import math
 from operator import mul
 
 from . import linalg as la
-from ._record import dataclass
+from ._record import record
 from .errors import InputError, LattactError, ScopeError, VerificationError
 from .group_actions import (
     LatticeAction,
@@ -63,7 +63,7 @@ _CLASS_LABELS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class Fixture:
     """A named action plus its expected-results record.
 
@@ -86,7 +86,7 @@ class Fixture:
             raise InputError(f"unknown origin tags: {sorted(bad)}")
 
 
-@dataclass(frozen=True)
+@record
 class Order3Hit:
     """One matrix found by the bounded order-3 search, with the isomorphism
     class of its fixed lattice ("A2", "A2(-1)", "0", or the canonical gram
@@ -97,7 +97,7 @@ class Order3Hit:
     fixed_class: str
 
 
-@dataclass(frozen=True)
+@record
 class ClassifyReport:
     entry_bound: int
     hits: tuple
@@ -105,7 +105,7 @@ class ClassifyReport:
     note: str
 
 
-@dataclass(frozen=True)
+@record
 class SurveyEntry:
     """One root system of the survey: Weyl group counted by matrix closure
     and by the product formula, plus an explicit root embedding into E8."""
@@ -119,13 +119,13 @@ class SurveyEntry:
     embedding: tuple  # rows: roots of E8 realising gram exactly
 
 
-@dataclass(frozen=True)
+@record
 class SurveyReport:
     entries: tuple
     all_consistent: bool
 
 
-@dataclass(frozen=True)
+@record
 class PipelineReport:
     """Per-stage (label, ok, note) entries; a failing stage stops the run,
     so all_passed also certifies that every stage was reached."""
@@ -451,6 +451,9 @@ def _wall_normal(wall, j) -> tuple:
     return la.primitive_vector(la.clear_denominators(image))
 
 
+_PIPELINE_STAGES = ("group", "fundamental", "fixed", "rotation", "eigen", "geometric", "walls")
+
+
 def d3_full_pipeline(variant: str, action: LatticeAction | None = None) -> PipelineReport:
     """Drive one of the two order-6 rank-22 actions end to end.
 
@@ -461,129 +464,97 @@ def d3_full_pipeline(variant: str, action: LatticeAction | None = None) -> Pipel
     the bundled one while keeping the same expectations, which is how
     corrupted declarations are exercised.
     """
-    # imported here: fixture, classify and survey need no walls
-    from .walls import wall_report
-
     if variant not in ("S", "Sprime"):
         raise InputError('pipeline variant must be "S" or "Sprime"')
     fx = fixture("d3_S" if variant == "S" else "d3_Sprime")
     act = fx.action if action is None else action
-    exp = fx.expected
-    state = {}
-
-    def stage_group():
-        if len(act.generators) != 2:
-            return False, f"expected two generators, got {len(act.generators)}"
-        # the group is closed once, inside fundamental_data, which the
-        # later stages read
-        f = fundamental_data(act)
-        state["f"] = f
-        # t^3 = s^2 = 1 and s t s = t^2 on the group table: table[i][j]
-        # indexes elements[i] . g_j, so row 0 indexes the generators
-        table = f.group.table
-        t, s = table[0]
-        relations = (
-            3 % f.group.order(t) == 0
-            and 2 % f.group.order(s) == 0
-            and table[table[s][0]][1] == table[t][0]
-        )
-        ok = len(f.group) == exp["group_order"] and relations
-        return ok, f"order {len(f.group)}, relations {'hold' if relations else 'fail'}"
-
-    def stage_fundamental():
-        f = state["f"]
-        ok = f.order_n == exp["rotation_order"] and f.real is exp["real"]
-        return ok, f"n={f.order_n}, real={f.real}"
-
-    def stage_fixed():
-        fl = state["f"].fixed
-        ok = fl.gram() == exp["fixed_gram"]
-        return ok, f"rank {fl.rank} invariant block"
-
-    def stage_rotation():
-        rho = state["f"].rho
-        ok = rho.basis == exp["rho_basis"]
-        return ok, f"rotation block rank {rho.rank}"
-
-    def stage_eigen():
-        e = eigen_lattices(act, state["f"])
-        state["e"] = e
-        mp = e.m_plus.as_lattice()
-        mm = e.m_minus.as_lattice()
-        checks = [
-            e.exponent == exp["eigen_exponent"],
-            _split_rank2_class(mp) == exp["m_plus_class"],
-            _split_rank2_class(mm) == exp["m_minus_class"],
-        ]
-        if variant == "S":
-            w1, w2 = exp["m_plus_vectors"]
-            bg = e.m_plus.ambient.gram
-            wgram = tuple(tuple(la.dot(bg, u, v) for v in (w1, w2)) for u in (w1, w2))
-            checks += [
-                e.m_plus.contains(w1) and e.m_plus.contains(w2),
-                wgram == exp["m_plus_gram_in_w"],
-                abs(la.det(wgram)) == abs(mp.det()),
-                len(enumerate_vectors(mp, -2, up_to_sign=True))
-                == exp["plus_minus2_pairs"],
-                len(enumerate_vectors(mp, -6, up_to_sign=True))
-                == exp["plus_minus6_pairs"],
-                len(enumerate_vectors(mp, -4, up_to_sign=True))
-                == exp["plus_minus4_pairs"],
-            ]
-        else:
-            checks += [
-                len(enumerate_vectors(mp, -4, up_to_sign=True))
-                == exp["plus_minus4_pairs"],
-                len(enumerate_vectors(mm, -4, up_to_sign=True))
-                == exp["minus_minus4_pairs"],
-            ]
-        ok = all(checks)
-        return ok, f"classes {exp['m_plus_class']}/{exp['m_minus_class']}, exponent {e.exponent}"
-
-    def stage_geometric():
-        geo, witnesses = is_geometric(act, state["f"])
-        ld = leftover_lattice(act, state["f"])
-        ok = geo and not witnesses and ld.rank == exp["ldot_rank"]
-        return ok, f"geometric={geo}, leftover rank {ld.rank}"
-
-    def stage_walls():
-        j = dilated_complex_structure(act, state["f"])
-        rep = wall_report(state["e"], j)
-        checks = [
-            rep.complete,
-            rep.candidate_count == exp["candidate_count"],
-            len(rep.walls) == exp["wall_count"],
-            rep.components == exp["components"],
-        ]
-        if exp["wall_count"]:
-            rays = tuple(sorted(w.direction for w in rep.walls))
-            normals = tuple(sorted(_wall_normal(w, j) for w in rep.walls))
-            checks += [rays == exp["wall_rays"], normals == exp["wall_normals"]]
-        ok = all(checks)
-        return (
-            ok,
-            f"{rep.candidate_count} candidates, {len(rep.walls)} walls, "
-            f"{rep.components} components",
-        )
-
-    stages = (
-        ("group", stage_group),
-        ("fundamental", stage_fundamental),
-        ("fixed", stage_fixed),
-        ("rotation", stage_rotation),
-        ("eigen", stage_eigen),
-        ("geometric", stage_geometric),
-        ("walls", stage_walls),
-    )
     entries = []
-    for label, fn in stages:
-        try:
-            ok, note = fn()
-        except LattactError as err:
-            entries.append((label, False, f"{type(err).__name__}: {err}"))
-            break
-        entries.append((label, bool(ok), note))
-        if not ok:
-            break
-    all_passed = len(entries) == len(stages) and all(ok for _, ok, _ in entries)
+    try:
+        for label, ok, note in _pipeline_stages(variant, act, fx.expected):
+            entries.append((label, bool(ok), note))
+            if not ok:
+                break
+    except LattactError as err:
+        # the stages run lazily: the one that raised is the next to report
+        entries.append((_PIPELINE_STAGES[len(entries)], False, f"{type(err).__name__}: {err}"))
+    all_passed = len(entries) == len(_PIPELINE_STAGES) and all(ok for _, ok, _ in entries)
     return PipelineReport(variant, tuple(entries), all_passed)
+
+
+def _pipeline_stages(variant, act, exp):
+    """Yield d3_full_pipeline's (label, ok, note) entries, one stage per
+    step, in _PIPELINE_STAGES order."""
+    # imported here: fixture, classify and survey need no walls
+    from .walls import wall_report
+
+    if len(act.generators) != 2:
+        yield "group", False, f"expected two generators, got {len(act.generators)}"
+        return
+    # the group is closed once, inside fundamental_data, which the later
+    # stages read
+    f = fundamental_data(act)
+    # t^3 = s^2 = 1 and s t s = t^2 on the group table: table[i][j]
+    # indexes elements[i] . g_j, so row 0 indexes the generators
+    table = f.group.table
+    t, s = table[0]
+    relations = (
+        3 % f.group.order(t) == 0
+        and 2 % f.group.order(s) == 0
+        and table[table[s][0]][1] == table[t][0]
+    )
+    ok = len(f.group) == exp["group_order"] and relations
+    yield "group", ok, f"order {len(f.group)}, relations {'hold' if relations else 'fail'}"
+
+    ok = f.order_n == exp["rotation_order"] and f.real is exp["real"]
+    yield "fundamental", ok, f"n={f.order_n}, real={f.real}"
+
+    yield "fixed", f.fixed.gram() == exp["fixed_gram"], f"rank {f.fixed.rank} invariant block"
+
+    yield "rotation", f.rho.basis == exp["rho_basis"], f"rotation block rank {f.rho.rank}"
+
+    e = eigen_lattices(act, f)
+    mp = e.m_plus.as_lattice()
+    mm = e.m_minus.as_lattice()
+    checks = [
+        e.exponent == exp["eigen_exponent"],
+        _split_rank2_class(mp) == exp["m_plus_class"],
+        _split_rank2_class(mm) == exp["m_minus_class"],
+    ]
+    if variant == "S":
+        w1, w2 = exp["m_plus_vectors"]
+        bg = e.m_plus.ambient.gram
+        wgram = tuple(tuple(la.dot(bg, u, v) for v in (w1, w2)) for u in (w1, w2))
+        checks += [
+            e.m_plus.contains(w1) and e.m_plus.contains(w2),
+            wgram == exp["m_plus_gram_in_w"],
+            abs(la.det(wgram)) == abs(mp.det()),
+            len(enumerate_vectors(mp, -2, up_to_sign=True)) == exp["plus_minus2_pairs"],
+            len(enumerate_vectors(mp, -6, up_to_sign=True)) == exp["plus_minus6_pairs"],
+            len(enumerate_vectors(mp, -4, up_to_sign=True)) == exp["plus_minus4_pairs"],
+        ]
+    else:
+        checks += [
+            len(enumerate_vectors(mp, -4, up_to_sign=True)) == exp["plus_minus4_pairs"],
+            len(enumerate_vectors(mm, -4, up_to_sign=True)) == exp["minus_minus4_pairs"],
+        ]
+    yield "eigen", all(checks), f"classes {exp['m_plus_class']}/{exp['m_minus_class']}, exponent {e.exponent}"
+
+    geo, witnesses = is_geometric(act, f)
+    ld = leftover_lattice(act, f)
+    ok = geo and not witnesses and ld.rank == exp["ldot_rank"]
+    yield "geometric", ok, f"geometric={geo}, leftover rank {ld.rank}"
+
+    j = dilated_complex_structure(act, f)
+    rep = wall_report(e, j)
+    checks = [
+        rep.complete,
+        rep.candidate_count == exp["candidate_count"],
+        len(rep.walls) == exp["wall_count"],
+        rep.components == exp["components"],
+    ]
+    if exp["wall_count"]:
+        rays = tuple(sorted(w.direction for w in rep.walls))
+        normals = tuple(sorted(_wall_normal(w, j) for w in rep.walls))
+        checks += [rays == exp["wall_rays"], normals == exp["wall_normals"]]
+    note = f"{rep.candidate_count} candidates, {len(rep.walls)} walls, {rep.components} components"
+    yield "walls", all(checks), note

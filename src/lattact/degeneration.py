@@ -13,7 +13,7 @@ verification report carries exactly those five checks.
 from operator import mul
 
 from . import linalg as la
-from ._record import dataclass
+from ._record import record
 from .errors import InputError, LattactError, VerificationError
 from .group_actions import (
     EigenData,
@@ -45,7 +45,7 @@ from .root_systems import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class SaturatedSystem:
     """An input system together with its saturation, a chosen camera and
     the fundamental data of the action it was saturated for."""
@@ -56,7 +56,7 @@ class SaturatedSystem:
     data: FundamentalData
 
 
-@dataclass(frozen=True)
+@record
 class DegenerationResult:
     """Per-generator factorizations (name, s_g, w_g) and the new action."""
 
@@ -65,7 +65,7 @@ class DegenerationResult:
     action: LatticeAction
 
 
-@dataclass(frozen=True)
+@record
 class DegenerationReport:
     entries: tuple  # (label, passed, note)
 

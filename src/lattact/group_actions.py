@@ -13,7 +13,7 @@ from functools import cached_property
 from math import gcd
 
 from . import linalg as la
-from ._record import dataclass
+from ._record import record
 from .errors import InputError, ScopeError, VerificationError
 from .lattice import (
     Isometry,
@@ -35,7 +35,7 @@ from .lattice import (
 _ORDER_BOUND = 1024  # a closure past this many elements ends in ScopeError
 
 
-@dataclass(frozen=True)
+@record
 class LatticeAction:
     """Named generators with declared holomorphy signs on a common lattice.
 
@@ -96,7 +96,7 @@ class LatticeAction:
         return _trusted(Sublattice, self.ambient, la.fixed_kernel(mats, self.ambient.rank))
 
 
-@dataclass(frozen=True)
+@record
 class GroupElements:
     """Complete element list of a finite action, with signs.
 
@@ -161,7 +161,7 @@ class GroupElements:
         return self._powers(i)[-1]
 
 
-@dataclass(frozen=True)
+@record
 class FundamentalData:
     """Rotation order of the sign-kernel plus the invariant flag, with the
     group, fixed lattice and rotation block they were derived from.
@@ -204,7 +204,7 @@ class FundamentalData:
         return orthogonal_complement(l, spanned)
 
 
-@dataclass(frozen=True)
+@record
 class EigenData:
     """Eigenlattice split of the rotation block under a chosen reflector.
 
@@ -230,7 +230,7 @@ class EigenData:
         return c
 
 
-@dataclass(frozen=True)
+@record
 class DilatedComplexStructure:
     """Integer matrix J on the rotation block with J^2 = -multiplier."""
 
@@ -373,7 +373,7 @@ def _rotation_branch(action, group) -> FundamentalData:
             continue
         o = group.order(i)
         for nn in (d for d in la.divisors_signed(o) if d > 1):
-            if o % nn or (best is not None and nn <= best[0]):
+            if best is not None and nn <= best[0]:
                 continue
             ker = la.kernel_int(la.poly_mat(la.cyclotomic(nn), m))
             if ker:

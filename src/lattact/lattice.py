@@ -18,7 +18,7 @@ from math import isqrt, lcm, prod
 from operator import mul, neg
 
 from . import linalg as la
-from ._record import dataclass, fields
+from ._record import fields, record
 from .errors import InputError, ScopeError, VerificationError
 
 
@@ -35,7 +35,7 @@ def _trusted(cls, *values):
     return obj
 
 
-@dataclass(frozen=True)
+@record
 class Signature:
     plus: int
     minus: int
@@ -48,7 +48,7 @@ class Signature:
         return f"({self.plus},{self.minus},{self.null})"
 
 
-@dataclass(frozen=True)
+@record
 class Lattice:
     gram: tuple
 
@@ -106,7 +106,7 @@ class Lattice:
         return la.adjugate(self.gram)
 
 
-@dataclass(frozen=True)
+@record
 class Sublattice:
     """Finite-rank sublattice of an ambient lattice, basis rows in HNF."""
 
@@ -118,6 +118,8 @@ class Sublattice:
         b = la.freeze_mat(self.basis)
         if not la.is_integer_matrix(b):
             raise InputError("sublattice basis must be integral")
+        if any(len(row) != self.ambient.rank for row in b):
+            raise InputError("sublattice basis rows must have the ambient rank")
         object.__setattr__(self, "basis", la.hnf(b))
 
     @property
@@ -141,6 +143,8 @@ class Sublattice:
         return _trusted(Lattice, la.mat_mul(la.mat_mul(b, self.ambient.gram), la.transpose(b)))
 
     def contains(self, v) -> bool:
+        if len(v) != self.ambient.rank:
+            raise InputError("vector length does not match the ambient rank")
         if not la.is_integer_vector(v):
             return False
         return la.in_row_lattice(la.to_int_vec(v), self.basis)
@@ -161,7 +165,7 @@ class Sublattice:
         return la.saturate_rows(self.basis) == self.basis
 
 
-@dataclass(frozen=True)
+@record
 class Isometry:
     """Integer matrix m with m^T G m = G, acting on column vectors."""
 
@@ -192,7 +196,7 @@ class Isometry:
         return la.det(self.matrix)
 
 
-@dataclass(frozen=True)
+@record
 class DiscriminantForm:
     """Finite discriminant group with torsion quadratic/bilinear data.
 
@@ -277,27 +281,9 @@ def standard_lattice(spec: str) -> Lattice:
     """
     if not isinstance(spec, str) or not spec.strip():
         raise InputError("empty lattice expression")
-    text = spec.replace(" ", "")
-    # split on '+' not inside parentheses
-    terms, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise InputError(f"unbalanced parentheses in {spec!r}")
-        if ch == "+" and depth == 0:
-            terms.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise InputError(f"unbalanced parentheses in {spec!r}")
-    terms.append("".join(cur))
-
     blocks = []
-    for term in terms:
+    # no term admits a '+', so every '+' separates two terms
+    for term in spec.replace(" ", "").split("+"):
         m = _TERM_RE.match(term)
         if not m:
             raise InputError(f"cannot parse lattice term {term!r}")
@@ -347,10 +333,17 @@ def signature(l: Lattice) -> Signature:
     return Signature(plus, minus, l.rank - plus - minus)
 
 
+def _check_ambient(l: Lattice, s: Sublattice) -> None:
+    # identity first: the library's own calls pass the ambient object itself
+    if s.ambient is not l and s.ambient != l:
+        raise InputError("sublattice lives in a different lattice")
+
+
 def orthogonal_complement(l: Lattice, s: Sublattice) -> Sublattice:
     """Primitive sublattice of all integer vectors orthogonal to s."""
     if not isinstance(s, Sublattice):
         raise InputError("expected a Sublattice")
+    _check_ambient(l, s)
     if not s.basis:
         return full_sublattice(l)
     if s.rank == l.rank and l.nondegenerate:
@@ -362,6 +355,7 @@ def orthogonal_complement(l: Lattice, s: Sublattice) -> Sublattice:
 
 def primitive_hull(l: Lattice, s: Sublattice) -> Sublattice:
     """Smallest primitive sublattice containing s; carries the finite index."""
+    _check_ambient(l, s)
     if s.rank == 0:
         return Sublattice(l, (), index=1)
     sat = la.saturate_rows(s.basis)
@@ -384,18 +378,16 @@ def discriminant_form(l: Lattice) -> DiscriminantForm:
         raise ScopeError("discriminant form needs an even lattice; q is not canonical on an odd one")
     if l.rank == 0:
         return DiscriminantForm((), (), (), ())
-    d, u, _ = la.snf(l.gram)
-    adj, det_g = l.adjugate
-    # column i of G^-1 . U^-1 = adj(G) . U^-1 / det G generates the i-th
-    # cyclic summand
-    w = la.mat_mul(adj, la.inverse_int(u))
+    d, v = la.snf(l.gram)
+    # U G V = D gives G^-1 U^-1 = V D^-1: column i of V over d_i
+    # generates the i-th cyclic summand (Nikulin, 1979)
     factors = []
     gens = []
     for i in range(l.rank):
-        di = abs(d[i][i])
+        di = d[i][i]
         if di > 1:
             factors.append(di)
-            gens.append(tuple(Fraction(w[k][i], det_g) for k in range(l.rank)))
+            gens.append(tuple(Fraction(row[i], di) for row in v))
     qs = []
     for g in gens:
         # quadratic refinement: self-pairing reduced into [0, 2); canonical
@@ -464,6 +456,9 @@ def enumerate_vectors(l: Lattice, a: int, up_to_sign: bool = False) -> tuple:
     Rank-2 indefinite forms whose discriminant is a perfect square (products of two linear forms, e.g. U(k) or
     diag(2,-2)) are solved by divisor enumeration instead.
     """
+    if not la.is_integer_vector((a,)):
+        raise InputError("vector square must be an integer")
+    a = int(a)
     n = l.rank
     if n == 0:
         return ()
@@ -483,9 +478,7 @@ def enumerate_vectors(l: Lattice, a: int, up_to_sign: bool = False) -> tuple:
         raise ScopeError("vector enumeration needs a definite lattice")
     negative = sig.minus > 0
     target = -a if negative else a
-    if target < 0:
-        return ()
-    if target == 0:
+    if target <= 0:
         return ()
     if l.even and target % 2 != 0:
         return ()
@@ -582,9 +575,6 @@ def rank2_isomorphism_class(l) -> tuple:
             b, c = bb, cc
             continue
         break
-    if a > c:
-        a, c = c, a
-        b = -b
     # (a,b,c) and (a,-b,c) are improperly equivalent; pick b <= 0 so the
     # negative-definite canonical forms carry nonnegative off-diagonal
     b = -abs(b)
@@ -616,5 +606,6 @@ def is_isometry(l: Lattice, m) -> bool:
 def sublattice_sum(l: Lattice, *subs: Sublattice) -> Sublattice:
     rows = []
     for s in subs:
+        _check_ambient(l, s)
         rows.extend(s.basis)
     return Sublattice(l, la.freeze_mat(rows))

@@ -13,7 +13,8 @@ Conventions:
 - matrices act on column vectors: (A x)_i = sum_j A[i][j] x[j];
 - the Hermite normal form is row-style, pivots positive, entries above a
   pivot reduced into [0, pivot);
-- Smith normal form returns (D, U, V) with U*A*V = D, U and V unimodular.
+- Smith normal form returns (D, V) with U*A*V = D, U and V unimodular;
+  U is not kept.
 """
 
 from __future__ import annotations
@@ -184,27 +185,8 @@ def _int_rows(a: Mat) -> list:
 
 
 def det(a: Mat) -> int:
-    """Exact determinant of an integer matrix by Bareiss elimination."""
-    m = _int_rows(a)
-    return _det_bareiss(m) if m else 1
-
-
-def _det_bareiss(m: list) -> int:
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
+    """Exact determinant of an integer matrix, from the adjugate's elimination."""
+    return adjugate(_int_rows(a))[1]
 
 
 def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
@@ -360,8 +342,9 @@ def in_row_lattice(v: Vec, h: Mat) -> bool:
     return coords_in_rows(v, h) is not None
 
 
-def snf(a: Mat) -> tuple[Mat, Mat, Mat]:
-    """Smith normal form: (D, U, V) with U*A*V = D, diagonal d1 | d2 | ...
+def snf(a: Mat) -> tuple[Mat, Mat]:
+    """Smith normal form: (D, V) with U*A*V = D, diagonal d1 | d2 | ..., for
+    unimodular U and V; the row transform U is not kept.
 
     Pivot choice: minimum absolute value in the working submatrix, first by
     rows then columns, which keeps the transform entries small and the
@@ -370,12 +353,7 @@ def snf(a: Mat) -> tuple[Mat, Mat, Mat]:
     m = [list(map(int, row)) for row in a]
     rows = len(m)
     cols = len(m[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in m:
@@ -385,7 +363,6 @@ def snf(a: Mat) -> tuple[Mat, Mat, Mat]:
 
     def add_row(src, dst, q):
         m[dst] = [x - q * y for x, y in zip(m[dst], m[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, q):
         for row in m:
@@ -404,7 +381,7 @@ def snf(a: Mat) -> tuple[Mat, Mat, Mat]:
                     best = (i, j)
         if best is None:
             break
-        swap_rows(t, best[0])
+        m[t], m[best[0]] = m[best[0]], m[t]
         swap_cols(t, best[1])
         dirty = False
         for i in range(t + 1, rows):
@@ -435,14 +412,13 @@ def snf(a: Mat) -> tuple[Mat, Mat, Mat]:
             continue
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]
-            u[t] = [-x for x in u[t]]
         t += 1
-    return freeze_mat(m), freeze_mat(u), freeze_mat(v)
+    return freeze_mat(m), freeze_mat(v)
 
 
 def elementary_divisors(a: Mat) -> tuple[int, ...]:
     """Nonzero diagonal entries of the Smith form, in divisibility order."""
-    d, _, _ = snf(a)
+    d, _ = snf(a)
     out = []
     for i in range(min(len(d), len(d[0]) if d else 0)):
         if d[i][i] != 0:

@@ -19,7 +19,7 @@ from itertools import repeat
 from operator import floordiv, mod, mul, neg, sub
 
 from . import linalg as la
-from ._record import dataclass
+from ._record import record
 from .errors import InputError, VerificationError
 from .lattice import (
     Isometry,
@@ -38,7 +38,7 @@ from .lattice import (
 # types
 
 
-@dataclass(frozen=True)
+@record
 class RootSystem:
     ambient: Lattice
     span: Sublattice  # Z-span of the root set inside ambient
@@ -112,7 +112,7 @@ class RootSystem:
         return tuple(sorted((frozenset(p) for p in parts), key=sorted))
 
 
-@dataclass(frozen=True)
+@record
 class Camera:
     """Connected chamber of the mirror complement, with an interior point."""
 
@@ -128,7 +128,7 @@ class Camera:
             raise InputError("camera witness lies on a mirror")
 
 
-@dataclass(frozen=True)
+@record
 class WeylWord:
     root_system: RootSystem
     word: tuple  # indices into root_system.roots, rightmost acts first
@@ -340,6 +340,8 @@ def reflection(l: Lattice, v) -> Isometry:
     by construction.
     """
     v = tuple(v)
+    if len(v) != l.rank:
+        raise InputError("reflection vector length does not match the lattice rank")
     if l.sq(v) == 0:
         raise InputError("cannot reflect in an isotropic vector")
     v = la.primitive_vector(v)
@@ -610,7 +612,7 @@ def classify_admissible_b_transitive(max_rank: int) -> tuple:
 # equivariant folding
 
 
-@dataclass(frozen=True)
+@record
 class FoldResult:
     """Outcome of folding a reflection through a finite action.
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import linalg as la
-from ._record import dataclass
+from ._record import record
 from .errors import InputError, ScopeError, VerificationError
 from .lattice import Lattice, Sublattice, enumerate_vectors, orthogonal_complement, signature
 
@@ -29,7 +29,7 @@ if TYPE_CHECKING:
     from .group_actions import DilatedComplexStructure, EigenData
 
 
-@dataclass(frozen=True)
+@record
 class Wall:
     """Nonempty wall data for one defining root.
 
@@ -45,7 +45,7 @@ class Wall:
     direction: tuple | None = None
 
 
-@dataclass(frozen=True)
+@record
 class CandidateReport:
     """Roots compatible with the projection square constraint.
 
@@ -63,7 +63,7 @@ class CandidateReport:
         return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class WallReport:
     candidate_count: int
     walls: tuple  # one Wall per distinct ray, candidate order
@@ -247,8 +247,13 @@ def segment_vectors(m: Lattice, u1, u2, a: int) -> tuple:
     """
     if not la.is_integer_vector(u1) or not la.is_integer_vector(u2):
         raise InputError("segment endpoints must be integral")
+    if len(u1) != m.rank or len(u2) != m.rank:
+        raise InputError("segment endpoints must have the lattice's rank")
+    if not la.is_integer_vector((a,)):
+        raise InputError("vector square must be an integer")
     u1 = la.to_int_vec(u1)
     u2 = la.to_int_vec(u2)
+    a = int(a)
     sig = signature(m)
     if sig.plus != 1 or sig.null != 0:
         raise InputError("ambient lattice must be hyperbolic")
@@ -276,9 +281,8 @@ def segment_vectors(m: Lattice, u1, u2, a: int) -> tuple:
     k_min = -((-a * d * d) // (2 * b))  # ceil(a d^2 / (2 b))
     perp_lat = perp.as_lattice()
     for k in range(k_min, 0):
+        # k >= k_min makes t <= 0
         t = a * d * d - 2 * k * b
-        if t > 0:
-            continue
         if t == 0:
             xs = [la.zero_vec(m.rank)]
         else:

@@ -9,6 +9,7 @@ import lattact.linalg as la
 from lattact import (
     InputError,
     LatticeAction,
+    ScopeError,
     classify_order3_on_2U,
     d3_full_pipeline,
     enumerate_group,
@@ -266,6 +267,28 @@ class TestPipeline:
         assert label == "group" and not ok
         assert "homomorphism" in note
         assert len(rep.entries) == 1
+
+    @pytest.mark.parametrize(
+        "name, label",
+        [
+            ("fundamental_data", "group"),
+            ("eigen_lattices", "eigen"),
+            ("is_geometric", "geometric"),
+            ("dilated_complex_structure", "walls"),
+        ],
+    )
+    def test_an_error_is_reported_by_the_stage_that_raised(self, monkeypatch, name, label):
+        from lattact import catalog
+
+        def refuse(*args):
+            raise ScopeError("refused")
+
+        monkeypatch.setattr(catalog, name, refuse)
+        rep = d3_full_pipeline("S")
+        assert not rep.all_passed
+        assert rep.entries[-1] == (label, False, "ScopeError: refused")
+        assert all(ok for _, ok, _ in rep.entries[:-1])
+        assert tuple(lab for lab, _, _ in rep.entries) == PIPELINE_LABELS[: len(rep.entries)]
 
     def test_wrong_action_fails_at_the_eigen_stage(self):
         rep = d3_full_pipeline("S", action=fixture("d3_Sprime").action)

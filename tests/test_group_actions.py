@@ -16,7 +16,7 @@ import pytest
 import helpers
 from lattact import group_actions
 from lattact import linalg as la
-from lattact.catalog import FIXTURE_NAMES, fixture
+from lattact.catalog import FIXTURE_NAMES, _swap_matrix, fixture
 from lattact.cli import action_to_text, main
 from lattact.errors import InputError, ScopeError, VerificationError
 from lattact.group_actions import (
@@ -685,6 +685,25 @@ class TestRank22Fixtures:
         )
         assert leftover.rank == 8
         assert leftover.gram() == la.mat_scale(2, standard_lattice("E8").gram)
+
+    def test_e8_swap_with_a_sign_reversing_flip(self, monkeypatch):
+        # the sign kernel is nontrivial, so its fixed lattice is a proper
+        # block and every element is restricted to it
+        l22 = standard_lattice("3U+2E8")
+        flip = tuple(
+            tuple((-1 if i in (4, 5) else 1) if i == j else 0 for j in range(22)) for i in range(22)
+        )
+        a = LatticeAction(l22, (("w", _swap_matrix(), 1), ("s", flip, -1)))
+        calls = helpers.count_calls(monkeypatch, group_actions, "_restrict")
+        fd = fundamental_data(a)
+        assert (len(fd.group), fd.order_n, fd.real) == (4, 1, True)
+        assert fd.rho.rank == 14 and len(calls) == 4
+        ident = la.identity(14)
+        for m, k, r in zip(fd.group.elements, fd.group.kappas, fd.rho_action):
+            assert r == la.restrict_to_span(m, fd.rho.basis)
+            assert (r == ident) == (k == 1)
+        assert is_geometric(a, fd) == (True, ())
+        assert leftover_lattice(a, fd).rank == 8
 
 
 class TestExtendEquivariantly:

@@ -22,6 +22,7 @@ from lattact.lattice import (
     signature,
     standard_lattice,
     sublattice_from_rows,
+    sublattice_sum,
 )
 
 from helpers import (
@@ -995,6 +996,27 @@ def test_integer_matrix_check_and_freeze_on_mixed_entries():
     assert frozen == ((1, 2), (3, 4), (5, 6)) and all(type(r) is tuple for r in frozen)
     with pytest.raises(InputError):
         Lattice(((True, 0), (0, 2)))
+
+
+_A2 = standard_lattice("A2")
+_FOREIGN = Sublattice(standard_lattice("U"), ((1, 0),))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Sublattice(_A2, ((1, 0, 0),)),
+        lambda: Sublattice(_A2, ((1, 0),)).contains((1, 0, 0)),
+        lambda: orthogonal_complement(_A2, _FOREIGN),
+        lambda: primitive_hull(_A2, _FOREIGN),
+        lambda: sublattice_sum(_A2, full_sublattice(_A2), _FOREIGN),
+        lambda: enumerate_vectors(_A2, -2.0),
+    ],
+    ids=["row-length", "contains-length", "complement", "hull", "sum", "float-square"],
+)
+def test_wrong_shapes_and_foreign_sublattices_raise_input_error(call):
+    with pytest.raises(InputError):
+        call()
 
 
 def test_sublattice_gram_derived_once(monkeypatch):

@@ -103,3 +103,39 @@ def _functions_naming(name):
 
 def test_only_the_allowed_functions_name_fraction():
     assert _functions_naming("Fraction") == FRACTION_USERS
+
+
+# The library functions that only tests call: linalg's rational oracles,
+# casts and Smith-form divisors. Every other top-level function is named
+# by library code or exported; a new helper that serves tests alone has
+# to be listed here.
+TEST_ONLY = {
+    "linalg.elementary_divisors",
+    "linalg.inverse",
+    "linalg.isqrt_frac_floor",
+    "linalg.solve",
+    "linalg.to_frac_mat",
+    "linalg.to_frac_vec",
+}
+
+
+def test_only_the_listed_functions_serve_tests_alone():
+    trees = {path.stem: ast.parse(path.read_text()) for path in Path(lattact.__file__).parent.glob("*.py")}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    # module hooks such as __getattr__ are called by the interpreter
+    unnamed = {
+        f"{stem}.{node.name}"
+        for stem, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("__")
+        and node.name not in named
+        and node.name not in lattact.__all__
+    }
+    assert unnamed == TEST_ONLY

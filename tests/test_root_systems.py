@@ -174,6 +174,11 @@ def test_reflection_rejects_isotropic_and_nonintegral():
         reflection(standard_lattice("diag(-2,-6)"), (1, 1))
 
 
+def test_reflection_rejects_a_vector_of_the_wrong_length():
+    with pytest.raises(InputError):
+        reflection(standard_lattice("A2"), (1,))
+
+
 def _reflection_by_fractions(l, v):
     """x -> x - (2(x.v)/v^2) v, column by column in rational arithmetic."""
     n = l.rank

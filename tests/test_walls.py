@@ -18,6 +18,7 @@ from lattact import (
     standard_lattice,
 )
 from lattact.walls import (
+    _vectors_of_square,
     candidate_roots,
     component_count,
     project_to_eigenspaces,
@@ -59,6 +60,17 @@ def rotation_fixture():
 
 def split_fixture():
     return helpers.klein_pipeline(helpers.INV_B)
+
+
+def pell_fixture():
+    """Eigendata on diag(2, -6, -2, -2) whose plus part diag(2, -6) is
+    indefinite with a non-square discriminant."""
+    amb = make_lattice(((2, 0, 0, 0), (0, -6, 0, 0), (0, 0, -2, 0), (0, 0, 0, -2)))
+    c = Isometry(amb, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)))
+    rho = Sublattice(amb, la.identity(4))
+    plus = Sublattice(rho.as_lattice(), ((1, 0, 0, 0), (0, 1, 0, 0)))
+    minus = Sublattice(rho.as_lattice(), ((0, 0, 1, 0), (0, 0, 0, 1)))
+    return EigenData("c", c, rho, plus, minus, 1)
 
 
 def reflector_block(e):
@@ -149,12 +161,7 @@ class TestCandidateRoots:
     def test_pell_form_needs_bound(self):
         # plus form x^2 - 3 y^2 (scaled) is indefinite with non-square
         # discriminant: exact enumeration is out of scope, a bound works
-        amb = make_lattice(((2, 0, 0, 0), (0, -6, 0, 0), (0, 0, -2, 0), (0, 0, 0, -2)))
-        c = Isometry(amb, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)))
-        rho = Sublattice(amb, la.identity(4))
-        plus = Sublattice(rho.as_lattice(), ((1, 0, 0, 0), (0, 1, 0, 0)))
-        minus = Sublattice(rho.as_lattice(), ((0, 0, 1, 0), (0, 0, 0, 1)))
-        e = EigenData("c", c, rho, plus, minus, 1)
+        e = pell_fixture()
         with pytest.raises(ScopeError):
             candidate_roots(e)
         report = candidate_roots(e, bound=4)
@@ -162,6 +169,16 @@ class TestCandidateRoots:
         groups = dict(report.groups)
         assert groups[(0, -2)] == ((0, 0, 0, 1), (0, 0, 1, 0))
         assert groups[(-2, 0)] == ()
+
+    def test_box_scan_finds_pell_vectors(self):
+        # x^2 - 3 y^2 = -2 has solutions, unlike the -1 of square -2 above
+        plus = pell_fixture().m_plus
+        vecs, complete = _vectors_of_square(plus, -4, 5)
+        assert not complete
+        assert sorted(vecs) == sorted(
+            (x, y, 0, 0) for x, y in helpers.box_vectors_with_square(((2, 0), (0, -6)), -4, 5)
+        )
+        assert set(vecs) == {(sx, sy, 0, 0) for x, y in ((1, 1), (5, 3)) for sx in (x, -x) for sy in (y, -y)}
 
 
 class TestWallInHPlus:
@@ -398,3 +415,7 @@ class TestSegmentVectors:
             segment_vectors(standard_lattice("2U"), (1, 0, 0, 0), (0, 1, 0, 0), -2)
         with pytest.raises(InputError):
             segment_vectors(U, (1, 0), (Fraction(1, 2), 1), -2)
+        with pytest.raises(InputError):
+            segment_vectors(U, (1, 0), (0, 1), -2.0)  # square not an integer
+        with pytest.raises(InputError):
+            segment_vectors(standard_lattice("U+A1"), (1, 0), (0, 1, 0), -2)  # short endpoint
