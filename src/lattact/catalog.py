@@ -35,11 +35,12 @@ from .group_actions import (
 )
 from .lattice import (
     Lattice,
+    Sublattice,
+    _trusted,
     enumerate_vectors,
     rank2_isomorphism_class,
     signature,
     standard_lattice,
-    sublattice_from_rows,
 )
 
 
@@ -305,7 +306,7 @@ def classify_order3_on_2U(entry_bound: int = 2) -> ClassifyReport:
     trace can still reach one of the two values an order-3 isometry of a
     rank-4 lattice allows (1 with a rank-2 fixed part, -2 with none).
     """
-    if not isinstance(entry_bound, int) or entry_bound < 0:
+    if not isinstance(entry_bound, int) or isinstance(entry_bound, bool) or entry_bound < 0:
         raise InputError("entry bound must be a nonnegative integer")
     l = standard_lattice("2U")
     g = l.gram
@@ -354,8 +355,8 @@ def classify_order3_on_2U(entry_bound: int = 2) -> ClassifyReport:
 
     out = []
     for t in sorted(hits):
-        rows = la.kernel_int(la.mat_sub(t, ident))
-        sub = sublattice_from_rows(l, rows)
+        # kernel_int's basis is in HNF already
+        sub = _trusted(Sublattice, l, la.kernel_int(la.mat_sub(t, ident)))
         cls = rank2_isomorphism_class(sub.as_lattice())
         label = _CLASS_LABELS.get(cls, f"gram{cls}")
         out.append(Order3Hit(t, sub.basis, label))
@@ -371,11 +372,9 @@ def classify_order3_on_2U(entry_bound: int = 2) -> ClassifyReport:
 # symplectic survey over the three small root systems
 
 
-def _embed_into_e8(system_gram) -> tuple:
-    """First tuple of E8 roots (enumeration order) pairing exactly as the
-    given gram; backtracks, so failure means no embedding exists at all."""
-    e8 = standard_lattice("E8")
-    roots = enumerate_vectors(e8, -2)
+def _embed_into_e8(system_gram, e8: Lattice, roots) -> tuple:
+    """First tuple of the E8 roots (enumeration order) pairing exactly as
+    the given gram; backtracks, so failure means no embedding exists at all."""
     k = len(system_gram)
     chosen = []
 
@@ -417,14 +416,15 @@ def torus_symplectic_survey() -> SurveyReport:
     )
     entries = []
     consistent = True
+    e8 = standard_lattice("E8")
+    e8_roots = enumerate_vectors(e8, -2)
     for name, formula in systems:
         lat = standard_lattice(name)
         gram = lat.gram
         closure = la.matrix_group_closure([reflection(lat, e).matrix for e in la.identity(lat.rank)])
         weyl = len(closure)
         rotation = sum(1 for m in closure if la.det(m) == 1)
-        embedding = _embed_into_e8(gram)
-        e8 = standard_lattice("E8")
+        embedding = _embed_into_e8(gram, e8, e8_roots)
         embedded_gram = tuple(
             tuple(la.dot(e8.gram, u, v) for v in embedding) for u in embedding
         )

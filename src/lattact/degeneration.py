@@ -110,11 +110,12 @@ def tau_saturation(a: LatticeAction, f: FundamentalData, r: Sublattice) -> Satur
             hsig = signature(hull.as_lattice())
             if hsig.plus or hsig.null:
                 raise InputError("hull of system and leftover part is not negative definite")
-        grown = roots_of(hull).span
-        if grown == current:
+        # once the span of the hull's roots is current, the hull's roots
+        # all lie in current, so they are current's roots: r_bar is kept
+        r_bar = roots_of(hull)
+        if r_bar.span == current:
             break
-        current = grown
-    r_bar = roots_of(current)
+        current = r_bar.span
     if not r_bar.span.contains_sublattice(r):
         raise InputError("input system is not generated by roots of its hull")
     root_set = set(r_bar.roots)
@@ -342,7 +343,7 @@ def degenerate_at_wall(a: LatticeAction, f: FundamentalData, e: EigenData, v) ->
     if wall is None:
         raise InputError("the defining root cuts no wall")
     ray_block = e.m_plus.to_ambient(wall.direction)
-    jray_block = la.to_int_vec(la.mat_vec(j.matrix, ray_block))
+    jray_block = la.mat_vec(j.matrix, ray_block)
     ray = e.rho.to_ambient(ray_block)
     jray = e.rho.to_ambient(jray_block)
     l = a.ambient

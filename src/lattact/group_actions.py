@@ -385,13 +385,13 @@ def _rotation_branch(action, group) -> FundamentalData:
     nn, w, rho = best
     witness = group.elements[w]
     c = _restrict(witness, rho.basis)
-    # c's order divides the witness's, so the bound never cuts it short
-    if la.matrix_order(c, bound=group.order(w)) != nn:
-        raise VerificationError("rotation block order disagrees with its cyclotomic kernel")
     powers = [la.identity(len(c))]
     for _ in range(nn - 1):
         powers.append(la.mat_mul(powers[-1], c))
     kid, c_inv = powers[0], powers[-1]
+    # c's order is exactly nn: c^nn = I and no earlier power is I
+    if la.mat_mul(c_inv, c) != kid or kid in powers[1:]:
+        raise VerificationError("rotation block order disagrees with its cyclotomic kernel")
     block = rho.as_lattice()
     # restricting every element integrally is also the rotation block's
     # invariance check: _restrict raises ScopeError otherwise
@@ -500,7 +500,7 @@ def dilated_complex_structure(action: LatticeAction, data: FundamentalData) -> D
     mult = 4 - t * t
     if la.mat_mul(j, j) != la.mat_scale(-mult, la.identity(k)):
         raise VerificationError("dilation square is not the expected scalar")
-    g = la.freeze_mat(rho.gram())
+    g = rho.gram()
     if la.mat_mul(la.transpose(j), g) != la.mat_scale(-1, la.mat_mul(g, j)):
         raise VerificationError("dilation is not anti-selfadjoint")
     for r, kap in zip(data.rho_action, data.group.kappas):
@@ -661,10 +661,9 @@ def _wedge_pairing() -> tuple:
 
 
 def _as_int_square(phi, size: int) -> tuple:
-    m = phi.matrix if isinstance(phi, Isometry) else la.freeze_mat(phi)
-    if not la.is_integer_matrix(m):
+    m = phi.matrix if isinstance(phi, Isometry) else la.int_rows(phi)
+    if m is None:
         raise InputError("matrix must be integral")
-    m = la.to_int_mat(m)
     if len(m) != size or any(len(r) != size for r in m):
         raise InputError(f"matrix must be {size} x {size}")
     return m

@@ -53,10 +53,9 @@ class Lattice:
     gram: tuple
 
     def __post_init__(self):
-        g = la.freeze_mat(self.gram)
-        if not la.is_integer_matrix(g):
+        g = la.int_rows(self.gram)
+        if g is None:
             raise InputError("Gram matrix must have integer entries")
-        g = la.to_int_mat(g)
         if not la.is_symmetric(g):
             raise InputError("Gram matrix must be symmetric")
         object.__setattr__(self, "gram", g)
@@ -115,8 +114,8 @@ class Sublattice:
     index: int | None = None  # set by primitive_hull: [hull : input]
 
     def __post_init__(self):
-        b = la.freeze_mat(self.basis)
-        if not la.is_integer_matrix(b):
+        b = la.int_rows(self.basis)
+        if b is None:
             raise InputError("sublattice basis must be integral")
         if any(len(row) != self.ambient.rank for row in b):
             raise InputError("sublattice basis rows must have the ambient rank")
@@ -145,15 +144,17 @@ class Sublattice:
     def contains(self, v) -> bool:
         if len(v) != self.ambient.rank:
             raise InputError("vector length does not match the ambient rank")
-        if not la.is_integer_vector(v):
-            return False
-        return la.in_row_lattice(la.to_int_vec(v), self.basis)
+        rows = la.int_rows((v,))
+        return rows is not None and la.in_row_lattice(rows[0], self.basis)
 
     def contains_sublattice(self, other: "Sublattice") -> bool:
+        _check_ambient(self.ambient, other)
         return all(self.contains(row) for row in other.basis)
 
     def to_ambient(self, coords):
         """Map basis coordinates to an ambient vector."""
+        if len(coords) != self.rank:
+            raise InputError("coordinate count does not match the sublattice rank")
         if not self.basis:
             return la.zero_vec(self.ambient.rank)
         return tuple(sum(map(mul, coords, col)) for col in zip(*self.basis))
@@ -173,10 +174,11 @@ class Isometry:
     matrix: tuple
 
     def __post_init__(self):
-        m = la.freeze_mat(self.matrix)
-        if not is_isometry(self.lattice, m):
-            raise InputError(_entry_error(self.lattice, m) or "matrix does not preserve the Gram matrix")
-        object.__setattr__(self, "matrix", la.to_int_mat(m))
+        m = la.int_rows(self.matrix)
+        error = _isometry_error(self.lattice, m)
+        if error:
+            raise InputError(error)
+        object.__setattr__(self, "matrix", m)
 
     def __call__(self, v):
         return la.mat_vec(self.matrix, v)
@@ -214,10 +216,7 @@ class DiscriminantForm:
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return prod(self.invariant_factors)
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +395,7 @@ def discriminant_form(l: Lattice) -> DiscriminantForm:
     bs = tuple(
         tuple(Fraction(la.dot(l.gram, gi, gj)) % 1 for gj in gens) for gi in gens
     )
-    total = 1
-    for f in factors:
-        total *= f
-    if total != abs(l.det()):
+    if prod(factors) != abs(l.det()):
         raise VerificationError("discriminant order does not match |det|")
     # q refines b: q(x+y) - q(x) - q(y) = 2 b(x,y) mod 2Z on generator pairs
     for i, gi in enumerate(gens):
@@ -456,9 +452,10 @@ def enumerate_vectors(l: Lattice, a: int, up_to_sign: bool = False) -> tuple:
     Rank-2 indefinite forms whose discriminant is a perfect square (products of two linear forms, e.g. U(k) or
     diag(2,-2)) are solved by divisor enumeration instead.
     """
-    if not la.is_integer_vector((a,)):
+    rows = la.int_rows(((a,),))
+    if rows is None:
         raise InputError("vector square must be an integer")
-    a = int(a)
+    a = rows[0][0]
     n = l.rank
     if n == 0:
         return ()
@@ -469,11 +466,7 @@ def enumerate_vectors(l: Lattice, a: int, up_to_sign: bool = False) -> tuple:
             if a == 0:
                 raise ScopeError("isotropic vectors of a split form are infinite in number")
             found = _binary_split_solutions(l.gram, a)
-            if up_to_sign:
-                found = tuple(
-                    v for v in found if next(c for c in v if c != 0) > 0
-                )
-            return found
+            return tuple(v for v in found if not up_to_sign or next(filter(None, v)) > 0)
     if sig.null != 0 or (sig.plus != 0 and sig.minus != 0):
         raise ScopeError("vector enumeration needs a definite lattice")
     negative = sig.minus > 0
@@ -581,26 +574,25 @@ def rank2_isomorphism_class(l) -> tuple:
     return la.freeze_mat([[sign * a, sign * b], [sign * b, sign * c]])
 
 
-def _entry_error(l: Lattice, m) -> str | None:
-    """Why the rows m do not form an integer matrix of l's rank, or None."""
-    if not la.is_integer_matrix(m):
-        return "isometry matrix must be integral"
-    if len(m) != l.rank or any(len(r) != l.rank for r in m):
-        return "isometry matrix shape does not match the lattice rank"
-    return None
-
-
-def is_isometry(l: Lattice, m) -> bool:
-    """m (a sequence of rows) integer, invertible over Z, preserving G.
+def _isometry_error(l: Lattice, m) -> str | None:
+    """Why m, int_rows' result for some rows, is no isometry of l, or None.
 
     On a nondegenerate lattice m^T G m = G already forces det m = +-1, so
     the determinant of m is taken only when det G = 0.
     """
-    if _entry_error(l, m) is not None:
-        return False
-    if la.mat_mul(la.mat_mul(la.transpose(m), l.gram), m) != l.gram:
-        return False
-    return l.nondegenerate or la.det(m) in (1, -1)
+    if m is None:
+        return "isometry matrix must be integral"
+    if len(m) != l.rank or any(len(r) != l.rank for r in m):
+        return "isometry matrix shape does not match the lattice rank"
+    if la.mat_mul(la.mat_mul(la.transpose(m), l.gram), m) != l.gram or not (
+            l.nondegenerate or la.det(m) in (1, -1)):
+        return "matrix does not preserve the Gram matrix"
+    return None
+
+
+def is_isometry(l: Lattice, m) -> bool:
+    """m (a sequence of rows) integer, invertible over Z, preserving G."""
+    return _isometry_error(l, la.int_rows(m)) is None
 
 
 def sublattice_sum(l: Lattice, *subs: Sublattice) -> Sublattice:

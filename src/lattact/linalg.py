@@ -5,7 +5,9 @@ tuples, a vector is a tuple. The library's kernels (products, det,
 char_poly, normal forms, kernels, echelon coordinates) take and return
 Python ints; products and dot also carry fractions.Fraction entries through
 exactly. rref, solve, rank and inverse work over the rationals and serve as
-test oracles. No floats anywhere. All routines are deterministic (pivot
+test oracles. int_rows is the one integer check-and-convert of matrix
+input: ints and integral Fractions pass, bools and everything else give
+None. No floats anywhere. All routines are deterministic (pivot
 choices are fixed), so downstream canonical forms and reports are
 byte-stable.
 
@@ -52,29 +54,19 @@ def zero_vec(n: int) -> Vec:
     return tuple(0 for _ in range(n))
 
 
-def is_integer_matrix(a: Sequence[Sequence]) -> bool:
+def int_rows(a: Sequence[Sequence]) -> Mat | None:
+    """a as a tuple of int row tuples, or None unless every entry is an
+    integer: an int that is not a bool, or a Fraction of denominator 1.
+    The one integer check-and-convert of the library; all-int input comes
+    back frozen as it is, with no per-entry conversion."""
+    rows = freeze_mat(a)
     # the common case, every entry exactly an int, without a Python loop
-    if set(map(type, chain.from_iterable(a))) <= {int}:
-        return True
-    for row in a:
-        for x in row:
-            if isinstance(x, bool) or not isinstance(x, int):
-                if isinstance(x, Fraction) and x.denominator == 1:
-                    continue
-                return False
-    return True
-
-
-def is_integer_vector(v: Sequence) -> bool:
-    return is_integer_matrix((v,))
-
-
-def to_int_mat(a: Sequence[Sequence]) -> Mat:
-    return tuple(tuple(int(x) for x in row) for row in a)
-
-
-def to_int_vec(v: Sequence) -> Vec:
-    return tuple(int(x) for x in v)
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return rows
+    for x in chain.from_iterable(rows):
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)) or x.denominator != 1:
+            return None
+    return tuple(tuple(map(int, row)) for row in rows)
 
 
 def to_frac_mat(a: Sequence[Sequence]) -> Mat:
@@ -177,11 +169,12 @@ def sq(gram: Mat, v: Vec):
 # determinants, rank, inverses
 
 
-def _int_rows(a: Mat) -> list:
-    """a as integer row lists; ValueError unless every entry is an integer."""
-    if not is_integer_matrix(a):
+def _int_rows(a: Mat) -> Mat:
+    """int_rows(a); ValueError unless every entry is an integer."""
+    rows = int_rows(a)
+    if rows is None:
         raise ValueError("matrix is not an integer matrix")
-    return [list(map(int, row)) for row in a]
+    return rows
 
 
 def det(a: Mat) -> int:
@@ -234,9 +227,7 @@ def inverse(a: Mat) -> Mat:
 
 def inverse_int(a: Mat) -> Mat:
     """Inverse of an integer matrix of determinant +-1: d . adj A, d = det A."""
-    if not is_integer_matrix(a):
-        raise ValueError("matrix is not an integer matrix")
-    adj, d = adjugate(a)
+    adj, d = adjugate(_int_rows(a))
     if d not in (1, -1):
         raise ValueError("matrix is not invertible over the integers")
     return adj if d == 1 else mat_scale(-1, adj)

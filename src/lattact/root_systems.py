@@ -121,6 +121,8 @@ class Camera:
     witness: tuple  # rational interior vector
 
     def __post_init__(self):
+        if len(self.witness) != self.root_system.ambient.rank:
+            raise InputError("camera witness length does not match the lattice rank")
         gw = la.mat_vec(self.root_system.ambient.gram, self.witness)
         if any(sum(map(mul, gw, w)) <= 0 for w in self.walls):
             raise InputError("camera witness must pair strictly positively with walls")
@@ -390,6 +392,8 @@ def to_fundamental_chamber(r: RootSystem, c: Camera, target) -> WeylWord:
     """
     y = la.clear_denominators(target.witness if isinstance(target, Camera) else target)
     gram = r.ambient.gram
+    if len(y) != len(gram):
+        raise InputError("target vector length does not match the lattice rank")
     if _on_a_mirror(r, la.mat_vec(gram, y)):
         raise InputError("target vector lies on a mirror")
     gws = [la.mat_vec(gram, wall) for wall in c.walls]
@@ -466,11 +470,6 @@ def _action_matrices(action, l: Lattice) -> tuple:
     return tuple(_as_isometry(l, g).matrix for g in action)
 
 
-def _canonical_sign(v) -> tuple:
-    lead = next((x for x in v if x != 0), 0)
-    return tuple(-x for x in v) if lead < 0 else tuple(v)
-
-
 def is_admissible(r: RootSystem, action) -> tuple:
     """(True, preserved-camera interior witness) or (False, orthogonal root).
 
@@ -494,13 +493,13 @@ def is_admissible(r: RootSystem, action) -> tuple:
     fixed_rows = la.fixed_kernel(span_mats, r.span.rank)
     fixed_amb = tuple(r.span.to_ambient(row) for row in fixed_rows)
     if not fixed_amb:
-        return False, _canonical_sign(r.roots[0])
+        return False, la.primitive_vector(r.roots[0])
     gram = r.ambient.gram
     pair_bound = 0
     for root in r.roots:
         pairs = [la.dot(gram, f, root) for f in fixed_amb]
         if all(p == 0 for p in pairs):
-            return False, _canonical_sign(root)
+            return False, la.primitive_vector(root)
         pair_bound = max(pair_bound, max(abs(p) for p in pairs))
     base = pair_bound + 1
     witness = tuple(
@@ -561,7 +560,7 @@ def classify_admissible_b_transitive(max_rank: int) -> tuple:
     """
     from .lattice import standard_lattice
 
-    if not isinstance(max_rank, int) or max_rank < 1 or max_rank > 6:
+    if not isinstance(max_rank, int) or isinstance(max_rank, bool) or not 1 <= max_rank <= 6:
         raise InputError("max_rank must be an integer in 1..6")
     names = [f"A{n}" for n in range(1, max_rank + 1)]
     names += [f"D{n}" for n in range(4, max_rank + 1)]
@@ -638,9 +637,10 @@ def fold_reflection(n: Lattice, action, v) -> FoldResult:
     on n^G as the reflection against the orbit sum.
     """
     mats = _action_matrices(action, n)
-    v = tuple(v)
-    if len(v) != n.rank or not la.is_integer_vector(v) or n.sq(v) != -2:
+    rows = la.int_rows((v,))
+    if rows is None or len(rows[0]) != n.rank or n.sq(rows[0]) != -2:
         raise InputError("v must be a root of the lattice")
+    v = rows[0]
     try:
         closure, _ = la.group_closure(mats, n.rank)
     except ValueError as e:
@@ -662,7 +662,7 @@ def fold_reflection(n: Lattice, action, v) -> FoldResult:
     # branch 1: a root orthogonal to the fixed lattice
     comp_roots = roots_of(comp)
     if comp_roots.roots:
-        return FoldResult(witness_root=_canonical_sign(comp_roots.roots[0]), weyl=None)
+        return FoldResult(witness_root=la.primitive_vector(comp_roots.roots[0]), weyl=None)
     # branch 2: fold over the orbit span's components
     rsub = sublattice_from_rows(n, tuple(sorted(orbit)))
     rs = roots_of(rsub)

@@ -18,6 +18,7 @@ of a hyperbolic lattice.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import TYPE_CHECKING
 
 from . import linalg as la
@@ -128,7 +129,7 @@ def candidate_roots(e: EigenData, bound: int | None = None) -> CandidateReport:
     """
     if e.m_plus.rank != 2 or e.m_minus.rank != 2:
         raise InputError("candidate enumeration needs rank-2 eigenlattices")
-    if bound is not None and (not isinstance(bound, int) or bound < 0):
+    if bound is not None and (not isinstance(bound, int) or isinstance(bound, bool) or bound < 0):
         raise InputError("search bound must be a nonnegative integer")
     n = e.exponent
     block = e.rho.as_lattice()
@@ -162,9 +163,10 @@ def wall_in_H_plus(v, e: EigenData, j: DilatedComplexStructure) -> Wall | None:
     """
     if e.m_plus.rank != 2:
         raise InputError("wall computation needs a rank-2 plus eigenlattice")
-    if not la.is_integer_vector(v):
+    rows = la.int_rows((v,))
+    if rows is None:
         raise InputError("defining vector must be integral")
-    v = la.to_int_vec(v)
+    v = rows[0]
     block = e.rho.as_lattice()
     if len(v) != e.rho.rank or block.sq(v) != -2:
         raise InputError("defining vector must be a root of the rotation block")
@@ -181,7 +183,7 @@ def wall_in_H_plus(v, e: EigenData, j: DilatedComplexStructure) -> Wall | None:
         return None
     gamma = alpha if any(alpha) else beta
     ray = la.primitive_vector((gamma[1], -gamma[0]))
-    plus_gram = la.freeze_mat(e.m_plus.gram())
+    plus_gram = e.m_plus.gram()
     if la.sq(plus_gram, ray) <= 0:
         return None
     if sum(r * a for r, a in zip(ray, alpha)) != 0 or sum(r * b for r, b in zip(ray, beta)) != 0:
@@ -243,17 +245,21 @@ def segment_vectors(m: Lattice, u1, u2, a: int) -> tuple:
     with x in the orthogonal part and D the index of the orthogonal sum
     inside m, the product AB ranges over [a D^2 / (2 u1.u2), -1], and for
     each value the x-part has a fixed negative square, so the search is
-    finite and complete.
+    finite and complete. The rows S of u1, u2 and a basis of the
+    orthogonal part have S G S^T = [[0, b], [b, 0]] + Gram(perp), b = u1.u2,
+    so D = |det S| comes from the two cached Gram determinants:
+    D^2 = b^2 det(perp) / -det(m).
     """
-    if not la.is_integer_vector(u1) or not la.is_integer_vector(u2):
+    rows = la.int_rows((u1, u2))
+    if rows is None:
         raise InputError("segment endpoints must be integral")
+    u1, u2 = rows
     if len(u1) != m.rank or len(u2) != m.rank:
         raise InputError("segment endpoints must have the lattice's rank")
-    if not la.is_integer_vector((a,)):
+    rows = la.int_rows(((a,),))
+    if rows is None:
         raise InputError("vector square must be an integer")
-    u1 = la.to_int_vec(u1)
-    u2 = la.to_int_vec(u2)
-    a = int(a)
+    a = rows[0][0]
     sig = signature(m)
     if sig.plus != 1 or sig.null != 0:
         raise InputError("ambient lattice must be hyperbolic")
@@ -266,20 +272,17 @@ def segment_vectors(m: Lattice, u1, u2, a: int) -> tuple:
         raise InputError("endpoints must span a hyperbolic pair with positive pairing")
     plane = Sublattice(m, (u1, u2))
     perp = orthogonal_complement(m, plane)
+    perp_lat = perp.as_lattice()
     if perp.rank:
-        psig = signature(perp.as_lattice())
+        psig = signature(perp_lat)
         if psig.plus or psig.null:
             raise InputError("orthogonal part of the segment plane must be elliptic")
-    stack = (u1, u2) + perp.basis
-    if len(stack) != m.rank:
-        raise InputError("segment plane plus complement does not span the lattice")
     if a >= 0:
         # x^2 = a d^2 - 2 k b > 0 would be forced, impossible in the elliptic part
         return ()
-    d = abs(la.det(la.freeze_mat(stack)))
+    d = isqrt(b * b * perp_lat.det() // -m.det())
     out = set()
     k_min = -((-a * d * d) // (2 * b))  # ceil(a d^2 / (2 b))
-    perp_lat = perp.as_lattice()
     for k in range(k_min, 0):
         # k >= k_min makes t <= 0
         t = a * d * d - 2 * k * b

@@ -12,12 +12,13 @@ group closure per action, one Dynkin diagram per root system, and
 objects built without re-checks equal to what the public constructors
 build. The CLI's stdout is compared with every `cli_ref` file, and a
 hash of the repr of every round-0 result pins the bytes out. The
-`enumerate` round solves no coordinates root by root (`coords_in_rows`),
-and the positive and simple roots of both rounds' root systems match
+`enumerate` round solves no coordinates root by root (`coords_in_rows`)
+and takes no determinant in `segment_vectors`, and the positive and simple roots of both rounds' root systems match
 that root-by-root reference. The `degenerate` round runs a third fewer
 integer kernels than it did before it reused the action's fixed
 lattice, takes no determinant, solves no coordinates in
-`primitive_hull`, and eliminates each ambient Gram once. Where its sign
+`primitive_hull`, and eliminates each ambient Gram once; its saturation builds one root
+system per primitive hull. Where its sign
 kernel is trivial, no group element is restricted to the identity basis
 and no sum is taken with the full-rank rotation block. No `analyze` item
 eliminates an equal Gram of rank above two twice."""
@@ -84,6 +85,35 @@ def test_enumerate_round_matches_the_benchmark_references(monkeypatch, tmp_path)
             failures.append((item.get("spec", item["kind"]), problem))
     assert failures == []
     assert coords == []
+
+
+def test_enumerate_round_segments_take_no_determinant(monkeypatch, tmp_path):
+    """The frame index of segment_vectors comes from the two Gram
+    determinants its signatures already hold: no det and no adjugate."""
+    from lattact import linalg as la
+    from lattact import walls
+
+    from helpers import count_calls
+
+    _load("gen", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    workload = workloads.Enumerate(7, tmp_path)
+    items = [item for item in workload.round(0) if item["kind"] == "segment"]
+    dets = count_calls(monkeypatch, la, "det")
+    adjugates = count_calls(monkeypatch, la, "adjugate")
+    inside = []
+    original = walls.segment_vectors
+
+    def segment(*args):
+        before = len(dets) + len(adjugates)
+        out = original(*args)
+        inside.append(len(dets) + len(adjugates) - before)
+        return out
+
+    monkeypatch.setattr(walls, "segment_vectors", segment)
+    for item in items:
+        assert workload.check(item, workload.run(item)) is None
+    assert inside and not any(inside)
 
 
 def test_roots_of_positivity_matches_span_coordinates(monkeypatch, tmp_path):
@@ -187,6 +217,29 @@ def test_degenerate_round_reuses_what_the_action_holds(monkeypatch, tmp_path):
     assert dets == []
     assert hull_coords and not any(hull_coords)
 
+
+
+def test_degenerate_round_builds_one_root_system_per_hull(monkeypatch, tmp_path):
+    """tau_saturation keeps the root system of its last pass: one roots_of
+    per primitive_hull it takes, none built again for the result."""
+    from lattact import degeneration
+
+    _load("gen", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    workload = workloads.Degenerate(7, tmp_path)
+    calls = {"roots_of": 0, "primitive_hull": 0}
+    for name in calls:
+        original = getattr(degeneration, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(degeneration, name, counting)
+    for item in workload.round(0):
+        assert workload.check(item, workload.run(item)) is None
+    assert calls["primitive_hull"] > 0
+    assert calls["roots_of"] == calls["primitive_hull"]
 
 
 def _full_rank_rho_items(monkeypatch, tmp_path, module, name):

@@ -179,6 +179,10 @@ class TestClassifyOrder3:
         with pytest.raises(InputError):
             classify_order3_on_2U(1.5)
 
+    def test_a_bool_bound_is_rejected(self):
+        with pytest.raises(InputError):
+            classify_order3_on_2U(True)
+
     def test_note_states_the_bound(self):
         assert "[-2, 2]" in bound_two_report().note
 

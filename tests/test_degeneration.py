@@ -465,7 +465,7 @@ class TestConjugationProperty:
         base = helpers.klein_action(helpers.INV_A)
         for _ in range(3):
             b = helpers.random_unimodular(rng, 6, steps=5)
-            binv = la.to_int_mat(la.inverse_int(b))
+            binv = la.int_rows(la.inverse_int(b))
             gram = helpers.conjugate_gram(L6.gram, b)
             act = LatticeAction(
                 make_lattice(gram),

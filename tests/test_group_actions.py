@@ -509,7 +509,7 @@ class TestRhoLattice:
             g = enumerate_group(action)
             for m in g.elements:
                 r = la.restrict_to_span(m, rho.basis)
-                assert r is not None and la.is_integer_matrix(r)
+                assert r is not None and la.int_rows(r) is not None
 
 
 class TestDilatedComplexStructure:
@@ -613,8 +613,9 @@ class TestEigenLattices:
             cv = la.mat_vec(c, v)
             plus = tuple(Fraction(e.exponent * (x + y), 2) for x, y in zip(v, cv))
             minus = tuple(Fraction(e.exponent * (x - y), 2) for x, y in zip(v, cv))
-            assert e.m_plus.contains(la.to_int_vec(plus))
-            assert e.m_minus.contains(la.to_int_vec(minus))
+            rows = la.int_rows((plus, minus))
+            assert rows is not None
+            assert e.m_plus.contains(rows[0]) and e.m_minus.contains(rows[1])
 
     def test_eigenparts_invariant_when_real(self):
         for action in (sign_flip_pair(), antiflip()):
@@ -622,7 +623,7 @@ class TestEigenLattices:
             e = eigen_lattices(action, fd)
             g = enumerate_group(action)
             for m in g.elements:
-                r = la.to_int_mat(la.restrict_to_span(m, e.rho.basis))
+                r = la.int_rows(la.restrict_to_span(m, e.rho.basis))
                 for part in (e.m_plus, e.m_minus):
                     for row in part.basis:
                         assert part.contains(la.mat_vec(r, row))

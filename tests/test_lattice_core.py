@@ -983,15 +983,17 @@ def test_fixed_kernel_stacks_each_distinct_non_identity_matrix_once(monkeypatch)
 
 
 def test_integer_matrix_check_and_freeze_on_mixed_entries():
-    """The all-int fast path of is_integer_matrix leaves the other answers
-    as they were: a bool is refused, a Fraction with denominator 1 is
-    accepted; freeze_mat makes tuples of any row iterables."""
-    assert la.is_integer_matrix(((1, -2), (3, 10**30)))
-    assert la.is_integer_matrix(()) and la.is_integer_matrix(((), ()))
-    assert la.is_integer_matrix(((1, Fraction(4, 2)),))
-    assert la.is_integer_vector((Fraction(-3), 0))
+    """The all-int fast path of int_rows leaves the other answers as they
+    were: a bool is refused, a Fraction with denominator 1 is accepted and
+    converted to an int; all-int rows come back as they are; freeze_mat
+    makes tuples of any row iterables."""
+    rows = ((1, -2), (3, 10**30))
+    assert all(a is b for a, b in zip(la.int_rows(rows), rows))
+    assert la.int_rows(()) == () and la.int_rows([[], []]) == ((), ())
+    converted = la.int_rows([[1, Fraction(4, 2)], (Fraction(-3), 0)])
+    assert converted == ((1, 2), (-3, 0)) and {type(x) for r in converted for x in r} == {int}
     for bad in (((1, True),), ((False,),), ((1, Fraction(1, 2)),), ((1.0, 2),), (("1",),)):
-        assert not la.is_integer_matrix(bad), bad
+        assert la.int_rows(bad) is None, bad
     frozen = la.freeze_mat([[1, 2], (x for x in (3, 4)), range(5, 7)])
     assert frozen == ((1, 2), (3, 4), (5, 6)) and all(type(r) is tuple for r in frozen)
     with pytest.raises(InputError):
@@ -1011,8 +1013,13 @@ _FOREIGN = Sublattice(standard_lattice("U"), ((1, 0),))
         lambda: primitive_hull(_A2, _FOREIGN),
         lambda: sublattice_sum(_A2, full_sublattice(_A2), _FOREIGN),
         lambda: enumerate_vectors(_A2, -2.0),
+        lambda: full_sublattice(_A2).to_ambient((1,)),
+        lambda: full_sublattice(_A2).to_ambient((1, 2, 3)),
+        lambda: Sublattice(_A2, ()).to_ambient((1,)),
+        lambda: full_sublattice(_A2).contains_sublattice(_FOREIGN),
     ],
-    ids=["row-length", "contains-length", "complement", "hull", "sum", "float-square"],
+    ids=["row-length", "contains-length", "complement", "hull", "sum", "float-square",
+         "coords-short", "coords-long", "coords-rank-0", "contains-foreign"],
 )
 def test_wrong_shapes_and_foreign_sublattices_raise_input_error(call):
     with pytest.raises(InputError):
@@ -1027,6 +1034,13 @@ def test_sublattice_gram_derived_once(monkeypatch):
     assert s.as_lattice() is s.as_lattice()
     assert len(calls) == 2  # one B . G . B^T
     assert s == sublattice_from_rows(l, s.basis)
+
+
+def test_is_isometry_accepts_rows_of_any_sequence_type():
+    # list rows once made the product with G a tuple of lists, unequal to G
+    u = standard_lattice("U")
+    assert is_isometry(u, [[0, 1], [1, 0]]) and is_isometry(u, [(-1, 0), [0, Fraction(-1)]])
+    assert not is_isometry(u, [[1, 1], [0, 1]])
 
 
 def test_isometry_inverse_on_a_degenerate_lattice():

@@ -73,7 +73,7 @@ def test_walls_does_not_import_group_actions():
 # outputs (discriminant form values, wall eigenprojections). Every other
 # kernel works on integers only.
 FRACTION_USERS = {
-    "linalg.is_integer_matrix",
+    "linalg.int_rows",
     "linalg.to_frac_mat",
     "linalg.to_frac_vec",
     "linalg.rref",

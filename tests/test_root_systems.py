@@ -202,7 +202,7 @@ def test_reflection_in_a_multiple_is_the_same_reflection():
     # 2(Gv)/v^2 is not integral for v = (2, 2), yet the reflection is
     l = standard_lattice("diag(-2,-2)")
     expected = _reflection_by_fractions(l, (2, 2))
-    assert la.is_integer_matrix(expected)
+    assert la.int_rows(expected) is not None
     for v in ((2, 2), (1, 1), (-3, -3), (Fraction(1, 2), Fraction(1, 2))):
         assert reflection(l, v).matrix == expected
 
@@ -217,7 +217,7 @@ def test_reflection_nonintegral_in_a_random_basis():
     assert reflection(l, root).matrix == _reflection_by_fractions(l, root)
     # (1, 0, 1) in the standard basis has square -6 and 2(Gv) = (-4, 2, -8)
     bad = la.mat_vec(b_inv, (1, 0, 1))
-    assert not la.is_integer_matrix(_reflection_by_fractions(l, bad))
+    assert la.int_rows(_reflection_by_fractions(l, bad)) is None
     with pytest.raises(InputError):
         reflection(l, bad)
 
@@ -245,6 +245,15 @@ def test_camera_rejects_mirror_witness():
     r = roots_of(A2)
     with pytest.raises(InputError):
         Camera(r, r.simple_roots, (Fraction(1), Fraction(0)))
+
+
+def test_wrong_length_witness_and_target_raise_input_error():
+    r = roots_of(A2)
+    c = fundamental_camera(r)
+    with pytest.raises(InputError):
+        Camera(r, r.simple_roots, (1, 2, 3))
+    with pytest.raises(InputError):
+        to_fundamental_chamber(r, c, (1, 2, 3))
 
 
 def test_walk_a1():
@@ -371,7 +380,8 @@ def test_camera_decompose_verifies_only_raw_matrices(monkeypatch):
     r = roots_of(l)
     c = fundamental_camera(r)
     g = Isometry(l, la.mat_scale(-1, la.identity(3)))
-    calls = count_calls(monkeypatch, lattice, "is_isometry")
+    # the isometry check that Isometry and is_isometry share
+    calls = count_calls(monkeypatch, lattice, "_isometry_error")
     s, w = camera_decompose(r, c, g)
     assert calls == []
     assert la.mat_mul(s.matrix, w.isometry.matrix) == g.matrix
@@ -408,7 +418,7 @@ def test_camera_decompose_unique_on_small_systems():
                 tuple(1 if i == target[j] else 0 for j in range(k)) for i in range(k)
             )
             m = la.mat_mul(cols, la.mat_mul(perm, la.inverse(cols)))
-            outer.append(la.to_int_mat(m))
+            outer.append(la.int_rows(m))
         count = 0
         for base in outer:
             for m in wset:
@@ -491,6 +501,11 @@ def test_classify_rank_one():
 def test_classify_rank_six_unchanged():
     got = classify_admissible_b_transitive(6)
     assert got == (("A1", "trivial"), ("A2", "Z2-swap"))
+
+
+def test_classify_rejects_a_bool_rank():
+    with pytest.raises(InputError):
+        classify_admissible_b_transitive(True)
 
 
 def test_classify_rejects_bad_rank():

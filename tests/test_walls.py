@@ -74,7 +74,7 @@ def pell_fixture():
 
 
 def reflector_block(e):
-    return la.to_int_mat(la.restrict_to_span(e.reflector.matrix, e.rho.basis))
+    return la.int_rows(la.restrict_to_span(e.reflector.matrix, e.rho.basis))
 
 
 class TestProjectToEigenspaces:
@@ -207,7 +207,7 @@ class TestWallInHPlus:
             amb = e.m_plus.to_ambient(w.direction)
             assert la.dot(gram, la.to_frac_vec(amb), w.v_plus) == 0
             assert la.dot(gram, la.to_frac_vec(amb), la.mat_vec(jm, w.v_minus)) == 0
-            assert la.is_integer_vector(tuple(2 * x for x in w.v_plus))
+            assert la.int_rows((tuple(2 * x for x in w.v_plus),)) is not None
 
     def test_sign_invariance(self):
         _, _, j, e = rotation_fixture()
@@ -299,6 +299,13 @@ class TestWallReport:
         assert report.components == 1
         assert report.complete
 
+    def test_a_bool_bound_is_rejected(self):
+        _, _, j, e = rotation_fixture()
+        with pytest.raises(InputError):
+            candidate_roots(e, True)
+        with pytest.raises(InputError):
+            wall_report(e, j, True)
+
     def test_deterministic(self):
         _, _, j, e = rotation_fixture()
         assert wall_report(e, j) == wall_report(e, j)
@@ -308,7 +315,7 @@ class TestWallReport:
         base = helpers.klein_action(helpers.INV_A)
         for _ in range(5):
             b = helpers.random_unimodular(rng, 6, steps=6)
-            binv = la.to_int_mat(la.inverse_int(b))
+            binv = la.int_rows(la.inverse_int(b))
             gram = helpers.conjugate_gram(L6.gram, b)
             act = LatticeAction(
                 make_lattice(gram),
@@ -376,14 +383,17 @@ class TestSegmentVectors:
     def test_against_box_search(self):
         rng = random.Random(7)
         diags = ([-2], [-4], [-2, -2], [-2, -6], [-4, -2])
-        for _ in range(25):
+        # 25 frames of index 1 (a U summand), then 25 of index 2: a
+        # diag(2, -2) summand with u1 = (1, 1, ...) and u2 = (1, -1, ...)
+        frames = [(U.gram, (1, 0), (0, 1))] * 25 + [(((2, 0), (0, -2)), (1, 1), (1, -1))] * 25
+        for plane, e1, e2 in frames:
             neg = rng.choice(diags)
-            gram0 = helpers.block_diag(U.gram, *[((d,),) for d in neg])
+            gram0 = helpers.block_diag(plane, *[((d,),) for d in neg])
             b = helpers.random_unimodular(rng, 2 + len(neg), steps=3)
             gram = helpers.conjugate_gram(gram0, b)
-            binv = la.to_int_mat(la.inverse_int(b))
-            u1 = la.mat_vec(binv, (1, 0) + (0,) * len(neg))
-            uu2 = la.mat_vec(binv, (0, 1) + (0,) * len(neg))
+            binv = la.int_rows(la.inverse_int(b))
+            u1 = la.mat_vec(binv, e1 + (0,) * len(neg))
+            uu2 = la.mat_vec(binv, e2 + (0,) * len(neg))
             m = make_lattice(gram)
             a = rng.choice((-2, -4, -6))
             got = segment_vectors(m, u1, uu2, a)
