@@ -19,9 +19,9 @@ from .lattice import (
     Isometry,
     Lattice,
     Sublattice,
+    _isometry_error,
     _trusted,
     enumerate_vectors,
-    is_isometry,
     orthogonal_complement,
     signature,
     standard_lattice,
@@ -260,8 +260,9 @@ def _positive_directions(sub: Sublattice) -> list:
     """Pairwise orthogonal integer vectors of positive square spanning the
     positive part of the sublattice, in Jacobi pivot order."""
     columns = la.transpose(sub.basis)
+    steps = sub.as_lattice()._jacobi
     out = []
-    for piv, prow, brow, d in sub.as_lattice()._jacobi:
+    for (piv, prow, d, _), brow in zip(steps, la._jacobi_basis(steps)):
         if prow and prow[piv] * d > 0:
             # the diagonalizing row is brow / d, so its ambient vector is
             # (brow . basis) / d; clearing that of denominators divides
@@ -594,10 +595,10 @@ def extend_equivariantly(action: LatticeAction, data: FundamentalData, eigen: Ei
     """Extend an isometry of the plus eigenlattice to the rotation block
     by conjugating with the dilation on the minus side; returns the
     extension when it is integral on the block, None otherwise."""
-    a = m_plus_map.matrix if isinstance(m_plus_map, Isometry) else la.freeze_mat(m_plus_map)
+    a = la.int_rows(m_plus_map.matrix if isinstance(m_plus_map, Isometry) else m_plus_map)
     plus, minus = eigen.m_plus, eigen.m_minus
-    # is_isometry also refuses a non-integer or wrongly shaped matrix
-    if not is_isometry(plus.as_lattice(), a):
+    # a is None for a non-integer matrix, which _isometry_error refuses too
+    if _isometry_error(plus.as_lattice(), a) is not None:
         raise InputError("map is not an integer isometry of the plus eigenlattice")
     if plus.rank != minus.rank:
         raise VerificationError("eigenparts have different ranks; no dilation exchange")

@@ -326,7 +326,7 @@ def signature(l: Lattice) -> Signature:
     """(+, -, 0) inertia: the signs of the fraction-free Jacobi pivots. The
     diagonal value of a pivot is prow[piv] / d, so its sign is that of
     prow[piv] * d; a row left in a zero block counts as null."""
-    signs = [prow[piv] * d for piv, prow, _, d in l._jacobi if prow]
+    signs = [prow[piv] * d for piv, prow, d, _ in l._jacobi if prow]
     plus = sum(1 for v in signs if v > 0)
     minus = len(signs) - plus
     return Signature(plus, minus, l.rank - plus - minus)
@@ -485,7 +485,7 @@ def enumerate_vectors(l: Lattice, a: int, up_to_sign: bool = False) -> tuple:
     # d * pivot entry is minus G's.
     steps = l._jacobi
     rows = [prow for _, prow, _, _ in steps]  # definite: pivot l is row l
-    dens = [d * prow[piv] for piv, prow, _, d in steps]
+    dens = [d * prow[piv] for piv, prow, d, _ in steps]
     if negative:
         rows = [row if level % 2 else tuple(-x for x in row) for level, row in enumerate(rows)]
         dens = [-x for x in dens]

@@ -566,54 +566,79 @@ def _jacobi_elimination(m: list) -> list:
     and the active block is replaced by its Schur complement; a
     zero-diagonal block with a nonzero off-diagonal entry is broken by a
     row/column addition first. The elimination is Bareiss's: the active
-    block is kept as d times the Schur complement and the basis rows as d
-    times the true rows, d being the previous pivot entry (1 at the start),
-    and every division by d is exact.
+    block is kept as d times the Schur complement, d being the previous
+    pivot entry (1 at the start), and every division by d is exact. The
+    congruence's basis rows are not built here; _jacobi_basis replays them
+    from the steps.
 
-    Returns one (piv, prow, brow, d) per basis row, in pivot order: piv the
-    pivot index, prow the pivot row on the active columns (0 on columns
-    eliminated before), brow d times the basis row. Rows left in a zero
-    block come last with prow None. For a definite m the pivots are
-    0, 1, ..., n-1 and prow[k] (k >= piv) is the minor of m on rows
-    0..piv and columns 0..piv-1, k: prow[piv] is the leading minor of size
-    piv + 1, and d the one of size piv.
+    Returns one (piv, prow, d, partner) per row of m, in pivot order: piv
+    the pivot index, prow the pivot row on the active columns (0 on columns
+    eliminated before), partner the row added to row piv just before it
+    pivoted, or None. Rows left in a zero block come last with prow None.
+    For a definite m the pivots are 0, 1, ..., n-1 and prow[k] (k >= piv)
+    is the minor of m on rows 0..piv and columns 0..piv-1, k: prow[piv] is
+    the leading minor of size piv + 1, and d the one of size piv.
     """
     n = len(m)
-    basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     d = 1
     active = list(range(n))
     live = [True] * n
     steps = []
     while active:
         piv = next((i for i in active if m[i][i] != 0), None)
+        partner = None
         if piv is None:
             pair = next(((i, j) for i in active for j in active if i < j and m[i][j] != 0), None)
             if pair is None:
                 break
-            i, j = pair
+            piv, partner = pair
             # rows and columns of eliminated pivots are zero in the
             # active rows, so only active entries change
             for k in active:
-                m[i][k] += m[j][k]
+                m[piv][k] += m[partner][k]
             for k in active:
-                m[k][i] += m[k][j]
-            basis[i] = [x + y for x, y in zip(basis[i], basis[j])]
-            piv = i
+                m[k][piv] += m[k][partner]
         p = m[piv][piv]
         prow = m[piv]
-        steps.append((piv, tuple(x if a else 0 for x, a in zip(prow, live)), basis[piv], d))
+        steps.append((piv, tuple(x if a else 0 for x, a in zip(prow, live)), d, partner))
         active.remove(piv)
         live[piv] = False
-        bp = basis[piv]
         for i in active:
             row = m[i]
             f = row[piv]
             for k in active:
                 row[k] = (p * row[k] - f * prow[k]) // d
-            basis[i] = [(p * x - f * y) // d for x, y in zip(basis[i], bp)]
         d = p
-    steps.extend((i, None, basis[i], d) for i in active)
+    steps.extend((i, None, d, None) for i in active)
     return steps
+
+
+def _jacobi_basis(steps: Sequence) -> list:
+    """The basis rows of the congruence that _jacobi_elimination's steps
+    describe, one per step, each d times the true row: B G B^T is
+    diag(d . prow[piv]) over the pivot steps and 0 on the rows left.
+
+    The replay runs the elimination's row operations on the identity. The
+    factor of active row i at a pivot is prow[i], since the active block
+    stays symmetric; a step with a partner adds the partner's row first.
+    """
+    n = len(steps)
+    basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    active = list(range(n))
+    out = []
+    for piv, prow, d, partner in steps:
+        if partner is not None:
+            basis[piv] = [x + y for x, y in zip(basis[piv], basis[partner])]
+        bp = basis[piv]
+        out.append(bp)
+        if prow is None:
+            continue
+        active.remove(piv)
+        p = prow[piv]
+        for i in active:
+            f = prow[i]
+            basis[i] = [(p * x - f * y) // d for x, y in zip(basis[i], bp)]
+    return out
 
 
 def matrix_order(a: Mat, bound: int = 60) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import repeat
+from numbers import Rational
 from operator import floordiv, mod, mul, neg, sub
 
 from . import linalg as la
@@ -121,6 +122,7 @@ class Camera:
     witness: tuple  # rational interior vector
 
     def __post_init__(self):
+        _check_rational(self.witness, "camera witness")
         if len(self.witness) != self.root_system.ambient.rank:
             raise InputError("camera witness length does not match the lattice rank")
         gw = la.mat_vec(self.root_system.ambient.gram, self.witness)
@@ -376,6 +378,18 @@ def fundamental_camera(r: RootSystem) -> Camera:
     return Camera(r, simple, witness)
 
 
+def _check_rational(v, what: str) -> None:
+    # exact input only: ints that are not bools, or other rationals such
+    # as Fractions; a float, a string or no sequence at all is refused
+    try:
+        exact = set(map(type, v)) <= {int} or all(
+            isinstance(x, Rational) and not isinstance(x, bool) for x in v)
+    except TypeError:
+        exact = False
+    if not exact:
+        raise InputError(f"{what} must be a vector of integer or rational entries")
+
+
 def _on_a_mirror(r: RootSystem, gy) -> bool:
     """Whether y lies on a mirror, given gy = G . y."""
     return any(sum(map(mul, gy, root)) == 0 for root in r.roots)
@@ -390,7 +404,11 @@ def to_fundamental_chamber(r: RootSystem, c: Camera, target) -> WeylWord:
     entry (a positive multiple lies in the same chamber), so the walk runs
     in integers, and each step is a rank-1 update.
     """
-    y = la.clear_denominators(target.witness if isinstance(target, Camera) else target)
+    if isinstance(target, Camera):
+        target = target.witness
+    else:
+        _check_rational(target, "target vector")
+    y = la.clear_denominators(target)
     gram = r.ambient.gram
     if len(y) != len(gram):
         raise InputError("target vector length does not match the lattice rank")

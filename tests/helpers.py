@@ -184,3 +184,46 @@ def count_calls(monkeypatch, module, name):
         if mod_name.split(".")[0] == "lattact" and vars(mod).get(name) is original:
             monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+def jacobi_elimination_with_basis(m):
+    """Reference fraction-free Jacobi elimination that carries the basis
+    rows along, as the library's elimination once did: one
+    (piv, prow, brow, d) per row of m (a list of row lists, overwritten),
+    brow d times the congruence's basis row, rows left in a zero block
+    last with prow None. The library's replay of the basis rows from the
+    steps alone is checked against it."""
+    n = len(m)
+    basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    d = 1
+    active = list(range(n))
+    live = [True] * n
+    steps = []
+    while active:
+        piv = next((i for i in active if m[i][i] != 0), None)
+        if piv is None:
+            pair = next(((i, j) for i in active for j in active if i < j and m[i][j] != 0), None)
+            if pair is None:
+                break
+            i, j = pair
+            for k in active:
+                m[i][k] += m[j][k]
+            for k in active:
+                m[k][i] += m[k][j]
+            basis[i] = [x + y for x, y in zip(basis[i], basis[j])]
+            piv = i
+        p = m[piv][piv]
+        prow = m[piv]
+        steps.append((piv, tuple(x if a else 0 for x, a in zip(prow, live)), basis[piv], d))
+        active.remove(piv)
+        live[piv] = False
+        bp = basis[piv]
+        for i in active:
+            row = m[i]
+            f = row[piv]
+            for k in active:
+                row[k] = (p * row[k] - f * prow[k]) // d
+            basis[i] = [(p * x - f * y) // d for x, y in zip(basis[i], bp)]
+        d = p
+    steps.extend((i, None, basis[i], d) for i in active)
+    return steps

@@ -21,7 +21,9 @@ lattice, takes no determinant, solves no coordinates in
 system per primitive hull. Where its sign
 kernel is trivial, no group element is restricted to the identity basis
 and no sum is taken with the full-rank rotation block. No `analyze` item
-eliminates an equal Gram of rank above two twice."""
+eliminates an equal Gram of rank above two twice. On both rounds the
+Jacobi elimination's basis rows are replayed only for
+`_positive_directions`."""
 
 import importlib.util
 import sys
@@ -327,6 +329,35 @@ def test_analyze_round_eliminates_each_gram_once(monkeypatch, tmp_path):
         grams = [g for g in eliminated[start:] if len(g) > 2]
         repeats += [(item["kind"], len(g)) for i, g in enumerate(grams) if g in grams[:i]]
     assert repeats == []
+
+
+def test_basis_rows_are_replayed_only_for_positive_directions(monkeypatch, tmp_path):
+    """The elimination carries no basis rows: over round 0 of `analyze` and
+    of `degenerate` they are replayed once per _positive_directions call and
+    never otherwise, and signature, det and enumerate_vectors on a fresh
+    lattice never replay them."""
+    from lattact import group_actions
+    from lattact import linalg as la
+    from lattact.lattice import Lattice, enumerate_vectors, signature
+
+    from helpers import count_calls
+
+    _load("gen", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    replays = count_calls(monkeypatch, la, "_jacobi_basis")
+    directions = count_calls(monkeypatch, group_actions, "_positive_directions")
+    for name in ("Analyze", "Degenerate"):
+        workload = getattr(workloads, name)(7, tmp_path)
+        before = len(directions)
+        for item in workload.round(0):
+            assert workload.check(item, workload.run(item)) is None
+        assert len(directions) > before, name
+        assert len(replays) == len(directions), name
+    replays.clear()
+    e8 = Lattice(workloads.gen.spec_gram("E8"))
+    assert signature(e8).as_tuple() == (0, 8, 0) and e8.det() == 1
+    assert len(enumerate_vectors(e8, -2)) == 240
+    assert replays == []
 
 
 def _derived_once_guard(monkeypatch):

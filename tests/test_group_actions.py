@@ -10,6 +10,7 @@ same pipeline.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -606,7 +607,6 @@ class TestEigenLattices:
         a = dihedral3()
         e = eigen_lattices(a, fundamental_data(a))
         c = la.restrict_to_span(e.reflector.matrix, e.rho.basis)
-        from fractions import Fraction
 
         for i in range(e.rho.rank):
             v = tuple(1 if t == i else 0 for t in range(e.rho.rank))
@@ -756,6 +756,31 @@ class TestExtendEquivariantly:
         e = eigen_lattices(a, fd)
         with pytest.raises(InputError):
             extend_equivariantly(a, fd, e, ((1, 1), (0, 1)))
+        for m in (((Fraction(1, 2), 0), (0, 1)), ((1.0, 0), (0, 1)), ((True, 0), (0, 1))):
+            with pytest.raises(InputError, match="not an integer isometry"):
+                extend_equivariantly(a, fd, e, m)
+
+    def test_integral_fraction_map_extends_to_int_entries(self, monkeypatch):
+        a = dihedral3()
+        fd = fundamental_data(a)
+        e = eigen_lattices(a, fd)
+        for m in (la.identity(2), la.mat_scale(-1, la.identity(2))):
+            expected = extend_equivariantly(a, fd, e, m)
+            frac = la.to_frac_mat(m)
+            # the map is converted to ints once on entry: no Fraction
+            # arithmetic runs on the way to the extension
+            made = []
+            original = Fraction.__new__
+
+            def recording(cls, *args, **kwargs):
+                made.append(args)
+                return original(cls, *args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(Fraction, "__new__", staticmethod(recording))
+                ext = extend_equivariantly(a, fd, e, frac)
+            assert ext == expected and made == []
+            assert {type(x) for row in ext.matrix for x in row} == {int}
 
 
 class TestWedgeSquare:

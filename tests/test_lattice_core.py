@@ -30,6 +30,7 @@ from helpers import (
     conjugate_gram,
     count_calls,
     definite_enumeration_box_bound,
+    jacobi_elimination_with_basis,
     random_even_symmetric,
     random_symmetric,
     random_unimodular,
@@ -1087,10 +1088,90 @@ def test_signature_matches_descartes_rule_on_char_poly():
         minus = _sign_changes([c if k % 2 == 0 else -c for k, c in enumerate(cp)])
         assert plus + minus + null == n
         assert signature(make_lattice(g)).as_tuple() == (plus, minus, null)
-        # the elimination's rows diagonalize: B G B^T = diag(d . prow[piv])
+        # the replayed rows diagonalize: B G B^T = diag(d . prow[piv])
         steps = la._jacobi_elimination([list(r) for r in g])
-        b = tuple(tuple(brow) for _, _, brow, _ in steps)
-        diag = [d * prow[piv] if prow else 0 for piv, prow, _, d in steps]
+        b = tuple(map(tuple, la._jacobi_basis(steps)))
+        diag = [d * prow[piv] if prow else 0 for piv, prow, d, _ in steps]
         assert la.mat_mul(la.mat_mul(b, g), la.transpose(b)) == tuple(
             tuple(diag[i] if i == j else 0 for j in range(n)) for i in range(n)
         )
+
+
+# ---------------------------------------------------------------------------
+# the Jacobi elimination's basis rows, replayed from its steps
+
+
+def _check_replay(g):
+    """The replayed basis rows of g's elimination equal the rows the
+    reference elimination carries along, and they diagonalize g."""
+    n = len(g)
+    ref = jacobi_elimination_with_basis([list(r) for r in g])
+    steps = la._jacobi_elimination([list(r) for r in g])
+    assert [(piv, prow, d) for piv, prow, d, _ in steps] == [(piv, prow, d) for piv, prow, _, d in ref]
+    rows = la._jacobi_basis(steps)
+    assert [tuple(r) for r in rows] == [tuple(brow) for _, _, brow, _ in ref]
+    b = tuple(map(tuple, rows))
+    diag = [d * prow[piv] if prow else 0 for piv, prow, d, _ in steps]
+    assert la.mat_mul(la.mat_mul(b, g), la.transpose(b)) == tuple(
+        tuple(diag[i] if i == j else 0 for j in range(n)) for i in range(n)
+    )
+    return steps
+
+
+def test_jacobi_basis_replay_on_random_symmetric_grams():
+    rng = random.Random(2068)
+    for n in range(1, 9):
+        for _ in range(12):
+            _check_replay(random_symmetric(rng, n, span=3))
+
+
+def test_jacobi_basis_replay_through_zero_block_additions():
+    rng = random.Random(1968)
+    grams = [
+        U_GRAM,
+        direct_sum(make_lattice(U_GRAM), make_lattice(U_GRAM)).gram,
+        direct_sum(make_lattice(U_GRAM), make_lattice(((-2,),))).gram,
+    ]
+    for n in range(2, 9):
+        for _ in range(6):
+            g = [list(r) for r in random_symmetric(rng, n, span=3)]
+            for i in range(n):
+                g[i][i] = 0
+            if any(map(any, g)):
+                grams.append(la.freeze_mat(g))
+    for g in grams:
+        steps = _check_replay(g)
+        assert any(partner is not None for _, _, _, partner in steps), g
+
+
+def test_jacobi_basis_replay_on_degenerate_grams():
+    rng = random.Random(1896)
+    grams = [
+        ((0,),),
+        ((0, 0), (0, 0)),
+        direct_sum(make_lattice(U_GRAM), make_lattice(((0,),))).gram,
+        ((2, 2), (2, 2)),
+    ]
+    for n in range(2, 9):
+        for _ in range(6):
+            # B^T A B with B of rank below n: a singular Gram
+            k = rng.randrange(1, n)
+            a = random_symmetric(rng, k, span=3)
+            b = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(k))
+            grams.append(la.mat_mul(la.mat_mul(la.transpose(b), a), b))
+    for g in grams:
+        steps = _check_replay(g)
+        assert any(prow is None for _, prow, _, _ in steps), g
+
+
+def test_jacobi_basis_replay_on_rank22_fixtures_in_a_random_basis():
+    from lattact.catalog import fixture
+    from lattact.group_actions import fundamental_data
+
+    rng = random.Random(22)
+    for name in ("k3_lattice", "d3_S", "d3_Sprime", "e8_swap"):
+        act = fixture(name).action
+        assert act.ambient.rank == 22
+        f = fundamental_data(act)
+        for g in (act.ambient.gram, f.fixed.gram(), f.rho.gram()):
+            _check_replay(conjugate_gram(g, random_unimodular(rng, len(g), steps=10)))

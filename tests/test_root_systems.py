@@ -256,6 +256,25 @@ def test_wrong_length_witness_and_target_raise_input_error():
         to_fundamental_chamber(r, c, (1, 2, 3))
 
 
+
+def test_non_rational_witness_and_target_raise_input_error():
+    # the no-floats contract: a float, string or bool entry, or no vector
+    # at all, is refused with an InputError, never carried along or left
+    # to an AttributeError or TypeError
+    r = roots_of(A2)
+    c = fundamental_camera(r)
+    assert c.witness == (-3, -3)
+    for bad in ((-3.0, -3.0), ("a", "b"), (True, True), None, -3):
+        with pytest.raises(InputError, match="rational"):
+            Camera(r, c.walls, bad)
+    for bad in ((1.0, 2.0), ("a", "b"), (1.0, Fraction(2)), (True, False), None, 1):
+        with pytest.raises(InputError, match="rational"):
+            to_fundamental_chamber(r, c, bad)
+    # rational entries still walk
+    assert Camera(r, c.walls, (Fraction(-1, 2), Fraction(-1, 2))).witness == (Fraction(-1, 2),) * 2
+    w = to_fundamental_chamber(r, c, (Fraction(3, 2), Fraction(3, 2)))
+    assert w == to_fundamental_chamber(r, c, (3, 3))
+
 def test_walk_a1():
     l = standard_lattice("A1")
     r = roots_of(l)
