@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("classify", cmd_classify, "bounded classification searches")
     sp.add_argument("target", help="order3-2u")
-    sp.add_argument("--bound", type=int, default=2, help="entry bound for the matrix search")
+    sp.add_argument("--bound", type=int, default=2, help="entry bound for the matrix search, at most 6 (about 4 s)")
 
     sp = command("survey", cmd_survey, "reflection-group survey with E8 embeddings")
     sp.add_argument("target", help="torus")

@@ -48,12 +48,17 @@ class LatticeAction:
 
     def __post_init__(self):
         gens = []
-        for item in self.generators:
-            if len(item) != 3:
-                raise InputError("generator entries must be (name, isometry, sign)")
-            name, iso, kappa = item
-            if kappa not in (1, -1):
-                raise InputError("holomorphy sign must be +1 or -1")
+        try:
+            items = la.freeze_mat(self.generators)
+        except TypeError:  # generators or an entry of them is a scalar
+            items = None
+        if items is None or any(len(item) != 3 for item in items):
+            raise InputError("generator entries must be (name, isometry, sign)")
+        for name, iso, kappa in items:
+            sign = la.int_rows(((kappa,),))
+            if sign is None or sign[0][0] not in (1, -1):
+                raise InputError("holomorphy sign must be the integer +1 or -1")
+            kappa = sign[0][0]
             if not isinstance(iso, Isometry):
                 iso = Isometry(self.ambient, iso)
             elif iso.lattice.gram != self.ambient.gram:
@@ -113,14 +118,15 @@ class GroupElements:
     kappas: tuple
     table: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {m: i for i, m in enumerate(self.elements)})
+    @cached_property
+    def _index(self) -> dict:
+        return {m: i for i, m in enumerate(self.elements)}
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def index_of(self, matrix) -> int:
-        m = la.freeze_mat(matrix)
+        m = la.int_rows(matrix)
         if m not in self._index:
             raise InputError("matrix is not an element of the group")
         return self._index[m]

@@ -54,10 +54,8 @@ class Lattice:
 
     def __post_init__(self):
         g = la.int_rows(self.gram)
-        if g is None:
-            raise InputError("Gram matrix must have integer entries")
-        if not la.is_symmetric(g):
-            raise InputError("Gram matrix must be symmetric")
+        if g is None or not la.is_symmetric(g):
+            raise InputError("Gram matrix must be a symmetric integer matrix")
         object.__setattr__(self, "gram", g)
 
     @property
@@ -115,10 +113,8 @@ class Sublattice:
 
     def __post_init__(self):
         b = la.int_rows(self.basis)
-        if b is None:
-            raise InputError("sublattice basis must be integral")
-        if any(len(row) != self.ambient.rank for row in b):
-            raise InputError("sublattice basis rows must have the ambient rank")
+        if b is None or any(len(row) != self.ambient.rank for row in b):
+            raise InputError("sublattice basis rows must be integer vectors of the ambient rank")
         object.__setattr__(self, "basis", la.hnf(b))
 
     @property
@@ -142,8 +138,9 @@ class Sublattice:
         return _trusted(Lattice, la.mat_mul(la.mat_mul(b, self.ambient.gram), la.transpose(b)))
 
     def contains(self, v) -> bool:
-        if len(v) != self.ambient.rank:
-            raise InputError("vector length does not match the ambient rank")
+        v = la.rational_vec(v)
+        if v is None or len(v) != self.ambient.rank:
+            raise InputError("vector must be a rational vector of the ambient rank")
         rows = la.int_rows((v,))
         return rows is not None and la.in_row_lattice(rows[0], self.basis)
 
@@ -152,12 +149,13 @@ class Sublattice:
         return all(self.contains(row) for row in other.basis)
 
     def to_ambient(self, coords):
-        """Map basis coordinates to an ambient vector."""
-        if len(coords) != self.rank:
-            raise InputError("coordinate count does not match the sublattice rank")
+        """Map integer basis coordinates to an ambient vector."""
+        rows = la.int_rows((coords,))
+        if rows is None or len(rows[0]) != self.rank:
+            raise InputError("coordinates must be integers, one per basis row")
         if not self.basis:
             return la.zero_vec(self.ambient.rank)
-        return tuple(sum(map(mul, coords, col)) for col in zip(*self.basis))
+        return tuple(sum(map(mul, rows[0], col)) for col in zip(*self.basis))
 
     @property
     def primitive(self) -> bool:
@@ -224,7 +222,7 @@ class DiscriminantForm:
 
 
 def make_lattice(gram) -> Lattice:
-    return Lattice(la.freeze_mat(gram))
+    return Lattice(gram)
 
 
 def direct_sum(*lattices: Lattice) -> Lattice:
@@ -315,7 +313,7 @@ def full_sublattice(l: Lattice) -> Sublattice:
 
 
 def sublattice_from_rows(l: Lattice, rows) -> Sublattice:
-    return Sublattice(l, la.freeze_mat(rows))
+    return Sublattice(l, rows)
 
 
 # ---------------------------------------------------------------------------

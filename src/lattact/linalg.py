@@ -4,11 +4,12 @@ Everything here works on immutable tuples: a matrix is a tuple of row
 tuples, a vector is a tuple. The library's kernels (products, det,
 char_poly, normal forms, kernels, echelon coordinates) take and return
 Python ints; products and dot also carry fractions.Fraction entries through
-exactly. rref, solve, rank and inverse work over the rationals and serve as
-test oracles. int_rows is the one integer check-and-convert of matrix
-input: ints and integral Fractions pass, bools and everything else give
-None. No floats anywhere. All routines are deterministic (pivot
-choices are fixed), so downstream canonical forms and reports are
+exactly. rref, solve, rank and inverse serve as rational test oracles.
+The library's input boundary is here and nowhere else: int_rows (integer
+matrices, and vectors as int_rows((v,))), rational_vec (rational vectors)
+and is_bound (nonnegative int bounds) give None or False for any other
+value, bools, floats and strings included. All routines are deterministic
+(pivot choices are fixed), so downstream canonical forms and reports are
 byte-stable.
 
 Conventions:
@@ -54,12 +55,15 @@ def zero_vec(n: int) -> Vec:
     return tuple(0 for _ in range(n))
 
 
-def int_rows(a: Sequence[Sequence]) -> Mat | None:
-    """a as a tuple of int row tuples, or None unless every entry is an
-    integer: an int that is not a bool, or a Fraction of denominator 1.
-    The one integer check-and-convert of the library; all-int input comes
-    back frozen as it is, with no per-entry conversion."""
-    rows = freeze_mat(a)
+def int_rows(a) -> Mat | None:
+    """a as a tuple of int row tuples, or None unless a is a sequence of
+    sequences of integers: ints that are not bools, or Fractions of
+    denominator 1. The one integer check-and-convert of the library;
+    all-int input comes back frozen as it is, with no per-entry conversion."""
+    try:
+        rows = freeze_mat(a)
+    except TypeError:  # a scalar, or a row that is one
+        return None
     # the common case, every entry exactly an int, without a Python loop
     if set(map(type, chain.from_iterable(rows))) <= {int}:
         return rows
@@ -67,6 +71,20 @@ def int_rows(a: Sequence[Sequence]) -> Mat | None:
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)) or x.denominator != 1:
             return None
     return tuple(tuple(map(int, row)) for row in rows)
+
+
+def rational_vec(v) -> Vec | None:
+    """v as a tuple, or None unless it is a sequence of ints (not bools) and Fractions."""
+    try:
+        v = tuple(v)
+    except TypeError:
+        return None
+    return v if set(map(type, v)) <= {int, Fraction} else None
+
+
+def is_bound(x) -> bool:
+    """Whether x is a nonnegative int that is not a bool (a search bound)."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 def to_frac_mat(a: Sequence[Sequence]) -> Mat:
@@ -78,10 +96,8 @@ def to_frac_vec(v: Sequence) -> Vec:
 
 
 def is_symmetric(a: Mat) -> bool:
-    n = len(a)
-    return all(len(r) == n for r in a) and all(
-        a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n)
-    )
+    """Whether the tuple rows a form a square matrix equal to its transpose."""
+    return all(len(r) == len(a) for r in a) and a == transpose(a)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import repeat
-from numbers import Rational
 from operator import floordiv, mod, mul, neg, sub
 
 from . import linalg as la
@@ -122,11 +121,14 @@ class Camera:
     witness: tuple  # rational interior vector
 
     def __post_init__(self):
-        _check_rational(self.witness, "camera witness")
-        if len(self.witness) != self.root_system.ambient.rank:
-            raise InputError("camera witness length does not match the lattice rank")
-        gw = la.mat_vec(self.root_system.ambient.gram, self.witness)
-        if any(sum(map(mul, gw, w)) <= 0 for w in self.walls):
+        rank = self.root_system.ambient.rank
+        walls, witness = la.int_rows(self.walls), la.rational_vec(self.witness)
+        if walls is None or witness is None or any(len(w) != rank for w in (witness, *walls)):
+            raise InputError("camera walls must be integer vectors and its witness a rational one, all of the lattice rank")
+        object.__setattr__(self, "walls", walls)
+        object.__setattr__(self, "witness", witness)
+        gw = la.mat_vec(self.root_system.ambient.gram, witness)
+        if any(sum(map(mul, gw, w)) <= 0 for w in walls):
             raise InputError("camera witness must pair strictly positively with walls")
         if _on_a_mirror(self.root_system, gw):
             raise InputError("camera witness lies on a mirror")
@@ -139,6 +141,10 @@ class WeylWord:
     isometry: Isometry
 
     def __post_init__(self):
+        word = la.int_rows((self.word,))
+        if word is None or not all(0 <= i < len(self.root_system.roots) for i in word[0]):
+            raise InputError("Weyl word must be a sequence of root indices")
+        object.__setattr__(self, "word", word[0])
         m = _word_times(self.root_system, self.word, la.identity(self.root_system.ambient.rank))
         if m != self.isometry.matrix:
             raise VerificationError("Weyl word does not evaluate to its isometry")
@@ -343,9 +349,9 @@ def reflection(l: Lattice, v) -> Isometry:
     exactly when v^2 divides every entry of 2Gv, and it is an isometry
     by construction.
     """
-    v = tuple(v)
-    if len(v) != l.rank:
-        raise InputError("reflection vector length does not match the lattice rank")
+    v = la.rational_vec(v)
+    if v is None or len(v) != l.rank:
+        raise InputError("reflection vector must be a rational vector of the lattice rank")
     if l.sq(v) == 0:
         raise InputError("cannot reflect in an isotropic vector")
     v = la.primitive_vector(v)
@@ -378,18 +384,6 @@ def fundamental_camera(r: RootSystem) -> Camera:
     return Camera(r, simple, witness)
 
 
-def _check_rational(v, what: str) -> None:
-    # exact input only: ints that are not bools, or other rationals such
-    # as Fractions; a float, a string or no sequence at all is refused
-    try:
-        exact = set(map(type, v)) <= {int} or all(
-            isinstance(x, Rational) and not isinstance(x, bool) for x in v)
-    except TypeError:
-        exact = False
-    if not exact:
-        raise InputError(f"{what} must be a vector of integer or rational entries")
-
-
 def _on_a_mirror(r: RootSystem, gy) -> bool:
     """Whether y lies on a mirror, given gy = G . y."""
     return any(sum(map(mul, gy, root)) == 0 for root in r.roots)
@@ -404,14 +398,11 @@ def to_fundamental_chamber(r: RootSystem, c: Camera, target) -> WeylWord:
     entry (a positive multiple lies in the same chamber), so the walk runs
     in integers, and each step is a rank-1 update.
     """
-    if isinstance(target, Camera):
-        target = target.witness
-    else:
-        _check_rational(target, "target vector")
-    y = la.clear_denominators(target)
+    y = la.rational_vec(target.witness if isinstance(target, Camera) else target)
+    if y is None or len(y) != r.ambient.rank:
+        raise InputError("target vector must be a rational vector of the lattice rank")
+    y = la.clear_denominators(y)
     gram = r.ambient.gram
-    if len(y) != len(gram):
-        raise InputError("target vector length does not match the lattice rank")
     if _on_a_mirror(r, la.mat_vec(gram, y)):
         raise InputError("target vector lies on a mirror")
     gws = [la.mat_vec(gram, wall) for wall in c.walls]
@@ -485,6 +476,10 @@ def _action_matrices(action, l: Lattice) -> tuple:
     Isometry objects and raw matrices, each an isometry of l."""
     if hasattr(action, "generators"):
         action = [iso for _, iso, _ in action.generators]
+    try:
+        action = tuple(action)
+    except TypeError:
+        raise InputError("action must be a LatticeAction or a sequence of matrices") from None
     return tuple(_as_isometry(l, g).matrix for g in action)
 
 
@@ -578,7 +573,7 @@ def classify_admissible_b_transitive(max_rank: int) -> tuple:
     """
     from .lattice import standard_lattice
 
-    if not isinstance(max_rank, int) or isinstance(max_rank, bool) or not 1 <= max_rank <= 6:
+    if not la.is_bound(max_rank) or not 1 <= max_rank <= 6:
         raise InputError("max_rank must be an integer in 1..6")
     names = [f"A{n}" for n in range(1, max_rank + 1)]
     names += [f"D{n}" for n in range(4, max_rank + 1)]

@@ -89,8 +89,9 @@ def _halved(p) -> tuple:
 def project_to_eigenspaces(v, e: EigenData) -> tuple:
     """Eigenprojections v -> (v_plus, v_minus), rational vectors with
     v = v_plus + v_minus, in rotation-block coordinates."""
-    if len(v) != e.rho.rank:
-        raise InputError("vector length does not match the rotation block")
+    v = la.rational_vec(v)
+    if v is None or len(v) != e.rho.rank:
+        raise InputError("vector must be a rational vector of the rotation block's rank")
     p, m = _doubled_projections(v, e)
     return _halved(p), _halved(m)
 
@@ -129,7 +130,7 @@ def candidate_roots(e: EigenData, bound: int | None = None) -> CandidateReport:
     """
     if e.m_plus.rank != 2 or e.m_minus.rank != 2:
         raise InputError("candidate enumeration needs rank-2 eigenlattices")
-    if bound is not None and (not isinstance(bound, int) or isinstance(bound, bool) or bound < 0):
+    if bound is not None and not la.is_bound(bound):
         raise InputError("search bound must be a nonnegative integer")
     n = e.exponent
     block = e.rho.as_lattice()
@@ -164,12 +165,10 @@ def wall_in_H_plus(v, e: EigenData, j: DilatedComplexStructure) -> Wall | None:
     if e.m_plus.rank != 2:
         raise InputError("wall computation needs a rank-2 plus eigenlattice")
     rows = la.int_rows((v,))
-    if rows is None:
-        raise InputError("defining vector must be integral")
-    v = rows[0]
     block = e.rho.as_lattice()
-    if len(v) != e.rho.rank or block.sq(v) != -2:
-        raise InputError("defining vector must be a root of the rotation block")
+    if rows is None or len(rows[0]) != e.rho.rank or block.sq(rows[0]) != -2:
+        raise InputError("defining vector must be an integral root of the rotation block")
+    v = rows[0]
     # p = 2 v+ and m = 2 v-: the factor 2 changes no dependence, ray or sign
     p, m = _doubled_projections(v, e)
     gram = block.gram
@@ -251,11 +250,9 @@ def segment_vectors(m: Lattice, u1, u2, a: int) -> tuple:
     D^2 = b^2 det(perp) / -det(m).
     """
     rows = la.int_rows((u1, u2))
-    if rows is None:
-        raise InputError("segment endpoints must be integral")
+    if rows is None or any(len(u) != m.rank for u in rows):
+        raise InputError("segment endpoints must be integral vectors of the lattice's rank")
     u1, u2 = rows
-    if len(u1) != m.rank or len(u2) != m.rank:
-        raise InputError("segment endpoints must have the lattice's rank")
     rows = la.int_rows(((a,),))
     if rows is None:
         raise InputError("vector square must be an integer")

@@ -227,3 +227,67 @@ def jacobi_elimination_with_basis(m):
         d = p
     steps.extend((i, None, basis[i], d) for i in active)
     return steps
+
+
+def classify_order3_on_2U_by_filtering(entry_bound):
+    """The bounded order-3 search on U+U as the library once ran it: each
+    column's candidates are the first placed column's partner list, kept
+    in pool order and filtered by membership in every other placed
+    column's partner set. The library intersects the sets instead, and its
+    report is checked against this one."""
+    from operator import mul
+
+    from lattact import standard_lattice
+    from lattact.catalog import _CLASS_LABELS, ClassifyReport, Order3Hit
+    from lattact.lattice import Sublattice, _trusted, rank2_isomorphism_class
+
+    l = standard_lattice("2U")
+    g = l.gram
+    n = l.rank
+    ident = la.identity(n)
+    pool = tuple(
+        v
+        for v in itertools.product(range(-entry_bound, entry_bound + 1), repeat=n)
+        if la.sq(g, v) == 0
+    )
+    partners = []
+    for gv in (la.mat_vec(g, v) for v in pool):
+        by_pairing = {}
+        for b, w in enumerate(pool):
+            by_pairing.setdefault(sum(map(mul, gv, w)), []).append(b)
+        partners.append(by_pairing)
+    members = [{p: set(bs) for p, bs in by_pairing.items()} for by_pairing in partners]
+    hits = []
+
+    def place(cols, trace):
+        k = len(cols)
+        if k == n:
+            t = la.transpose(tuple(pool[b] for b in cols))
+            if t != ident and la.mat_pow(t, 3) == ident:
+                hits.append(t)
+            return
+        slack = (n - k - 1) * entry_bound
+        if k:
+            candidates = partners[cols[0]].get(g[0][k], ())
+            others = [members[cols[i]].get(g[i][k], ()) for i in range(1, k)]
+        else:
+            candidates, others = range(len(pool)), []
+        for b in candidates:
+            if all(b in other for other in others):
+                tr = trace + pool[b][k]
+                if min(abs(tr - 1), abs(tr + 2)) <= slack:
+                    place(cols + [b], tr)
+
+    if entry_bound:
+        place([], 0)
+    out = []
+    for t in sorted(hits):
+        sub = _trusted(Sublattice, l, la.kernel_int(la.mat_sub(t, ident)))
+        cls = rank2_isomorphism_class(sub.as_lattice())
+        out.append(Order3Hit(t, sub.basis, _CLASS_LABELS.get(cls, f"gram{cls}")))
+    classes = tuple(sorted({h.fixed_class for h in out}))
+    note = (
+        f"complete for entries within [{-entry_bound}, {entry_bound}]; "
+        "matrices with larger entries are not examined"
+    )
+    return ClassifyReport(entry_bound, tuple(out), classes, note)

@@ -5,6 +5,7 @@ from functools import lru_cache
 
 import pytest
 
+import helpers
 import lattact.linalg as la
 from lattact import (
     InputError,
@@ -25,6 +26,7 @@ from lattact import (
 from lattact.lattice import sublattice_from_rows
 from lattact.catalog import (
     FIXTURE_NAMES,
+    MAX_ENTRY_BOUND,
     Fixture,
     REFLECTION_MAIN,
     REFLECTION_SPLIT,
@@ -78,6 +80,14 @@ class TestFixtures:
             Fixture("x", act, {"a": 1}, {"a": "guessed"})
         with pytest.raises(InputError):
             Fixture("x", act, {"a": 1}, {})
+
+    @pytest.mark.parametrize("bad", [None, 7, (), [[1, 2], [3]]])
+    def test_records_that_are_not_dicts_are_refused(self, bad):
+        act = fixture("torus_lattice").action
+        with pytest.raises(InputError, match="dicts"):
+            Fixture("x", act, {"a": 1}, bad)
+        with pytest.raises(InputError):
+            Fixture("x", act, bad, {"a": "claimed"})
 
     def test_unimodular_records(self):
         for name in ("k3_lattice", "torus_lattice"):
@@ -172,6 +182,17 @@ class TestClassifyOrder3:
     def test_small_bounds(self):
         assert classify_order3_on_2U(0).hits == ()
         assert len(classify_order3_on_2U(1).hits) == 24
+
+    @pytest.mark.parametrize("bound", [0, 1, 2])
+    def test_report_equals_the_filtering_search(self, bound):
+        # the candidate-set intersection must find what filtering the
+        # first column's partners by every other column found
+        assert classify_order3_on_2U(bound) == helpers.classify_order3_on_2U_by_filtering(bound)
+
+    def test_a_bound_past_the_cap_is_out_of_scope(self):
+        for bound in (MAX_ENTRY_BOUND + 1, 10**20):
+            with pytest.raises(ScopeError, match=str(MAX_ENTRY_BOUND)):
+                classify_order3_on_2U(bound)
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(InputError):

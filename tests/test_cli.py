@@ -486,6 +486,23 @@ class TestClassifyCommand:
         code, _, _ = run(capsys, "classify", "order3-2u", "--bound", "-1")
         assert code == 2
 
+    def test_a_huge_bound_is_out_of_scope_in_one_line(self, capsys):
+        # range() inside the box product once ended this in an
+        # OverflowError traceback; the cap refuses it first
+        from lattact.catalog import MAX_ENTRY_BOUND
+
+        for bound in (str(MAX_ENTRY_BOUND + 1), "99999999999999999999"):
+            code, out, err = run(capsys, "classify", "order3-2u", "--bound", bound)
+            assert (code, out) == (3, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_the_bound_help_states_the_cap(self, capsys):
+        from lattact.catalog import MAX_ENTRY_BOUND
+
+        with pytest.raises(SystemExit):
+            main(["classify", "--help"])
+        assert f"at most {MAX_ENTRY_BOUND} " in " ".join(capsys.readouterr().out.split())
+
 
 class TestSurveyCommand:
     def test_orders_and_consistency(self, capsys):

@@ -171,6 +171,23 @@ class TestLatticeAction:
         with pytest.raises(InputError):
             LatticeAction(L6, ((la.identity(6), 1),))
 
+    @pytest.mark.parametrize("kappa", [True, 1.0, -1.0, "1", None])
+    def test_refuses_a_sign_that_is_no_integer(self, kappa):
+        # a bool or a float equals +-1 but is no exact sign
+        with pytest.raises(InputError):
+            LatticeAction(L6, (("t", helpers.block_diag(ROT3, I2), kappa),))
+
+    def test_stores_the_sign_as_an_int(self):
+        t = helpers.block_diag(ROT3, I2)
+        a = LatticeAction(L6, (("t", t, Fraction(1)),))
+        assert type(a.generators[0][2]) is int
+        assert a == LatticeAction(L6, (("t", t, 1),)) and repr(a) == repr(LatticeAction(L6, (("t", t, 1),)))
+
+    @pytest.mark.parametrize("generators", [1.5, 7, None, True, (1.5,), (7, 8)])
+    def test_refuses_generators_or_entries_that_are_scalars(self, generators):
+        with pytest.raises(InputError):
+            LatticeAction(L6, generators)
+
     def test_rejects_duplicate_names(self):
         t = helpers.block_diag(ROT3, I2)
         with pytest.raises(InputError, match="duplicate generator name 't'"):

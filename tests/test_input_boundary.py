@@ -1,0 +1,181 @@
+"""The library's input boundary: every exported entry point, fed a malformed
+value in any value-shaped argument (an int, a string, a vector, a matrix
+or a sequence of those), ends in a result or a LattactError, never another
+exception. The table is built from ``lattact.__all__``, as
+``tests/test_records.py`` builds its table of record classes.
+
+Out of scope: a non-lattact object where a Lattice, Sublattice,
+RootSystem, action or data object belongs (duck typing stays), and
+TypeErrors from a wrong argument count."""
+
+from fractions import Fraction
+from functools import cache
+
+import pytest
+
+import helpers
+import lattact
+from lattact import LattactError
+from lattact import linalg as la
+from lattact._record import fields
+
+BAD = (
+    1.5,
+    "a",
+    None,
+    True,
+    (),
+    (1.5, 2.0),
+    ("a", "b"),
+    [[1, 2], [3]],
+    [[True, 0], [0, 1]],
+    7,
+    Fraction(1, 2),
+    ((1.5, 0), (0, 1)),
+    (("a",),),
+)
+
+# exported callables whose every argument is a lattact object (or none)
+NO_VALUE_ARGS = {
+    "ade_decompose",
+    "camera_adjacent",
+    "degenerate",
+    "dilated_complex_structure",
+    "direct_sum",
+    "discriminant_form",
+    "eigen_lattices",
+    "enumerate_group",
+    "fundamental_camera",
+    "fundamental_data",
+    "is_geometric",
+    "leftover_lattice",
+    "orthogonal_complement",
+    "primitive_hull",
+    "rho_lattice",
+    "roots_of",
+    "signature",
+    "sublattice_sum",
+    "tau_saturation",
+    "torus_symplectic_survey",
+    "verify_degeneration",
+}
+
+EXPORTED = [name for name in lattact.__all__ if name != "__version__"]
+
+# exported classes without a check of their own: the result records, which
+# store what they are given, and the error classes, which take a message
+UNCHECKED = [
+    name for name in EXPORTED
+    if isinstance(getattr(lattact, name), type) and "__post_init__" not in vars(getattr(lattact, name))
+]
+
+
+@cache
+def _table() -> dict:
+    """name -> (callable, valid arguments, positions of the value-shaped
+    arguments). Methods that read a value are listed as Class.method."""
+    a2 = lattact.standard_lattice("A2")
+    r = lattact.roots_of(a2)
+    c = lattact.fundamental_camera(r)
+    act, f, j, e = helpers.klein_pipeline()
+    s = lattact.Sublattice(a2, ((1, 0),))
+    group = lattact.enumerate_group(act)
+    i2, i4 = la.identity(2), la.identity(4)
+    root = (1, 0, 1, -1)  # a root of the Klein rotation block
+    table = {
+        "Camera": (lattact.Camera, (r, c.walls, c.witness), (1, 2)),
+        "Fixture": (lattact.Fixture, ("x", act, {}, {}), (0, 2, 3)),
+        "Isometry": (lattact.Isometry, (a2, i2), (1,)),
+        "Lattice": (lattact.Lattice, (a2.gram,), (0,)),
+        "LatticeAction": (lattact.LatticeAction, (a2, (("g", i2, 1),)), (1,)),
+        "Sublattice": (lattact.Sublattice, (a2, ((1, 0),)), (1,)),
+        "WeylWord": (lattact.WeylWord, (r, (), lattact.Isometry(a2, i2)), (1,)),
+        "camera_decompose": (lattact.camera_decompose, (r, c, i2), (2,)),
+        "candidate_roots": (lattact.candidate_roots, (e, None), (1,)),
+        "classify_admissible_b_transitive": (lattact.classify_admissible_b_transitive, (1,), (0,)),
+        "classify_order3_on_2U": (lattact.classify_order3_on_2U, (0,), (0,)),
+        "component_count": (lattact.component_count, ((), e, True, None), (2, 3)),
+        "conjugation_obstruction": (lattact.conjugation_obstruction, (i4,), (0,)),
+        "d3_full_pipeline": (lattact.d3_full_pipeline, ("S",), (0,)),
+        "degenerate_at_wall": (lattact.degenerate_at_wall, (act, f, e, root), (3,)),
+        "enumerate_vectors": (lattact.enumerate_vectors, (a2, -2, False), (1, 2)),
+        "extend_equivariantly": (lattact.extend_equivariantly, (act, f, e, i2), (3,)),
+        "fixed_lattice": (lattact.fixed_lattice, (act, "all"), (1,)),
+        "fixture": (lattact.fixture, ("e8_swap",), (0,)),
+        "fold_reflection": (lattact.fold_reflection, (a2, (((0, 1), (1, 0)),), (1, 0)), (1, 2)),
+        "is_admissible": (lattact.is_admissible, (r, (i2,)), (1,)),
+        "is_isometry": (lattact.is_isometry, (a2, i2), (1,)),
+        "make_lattice": (lattact.make_lattice, (a2.gram,), (0,)),
+        "project_to_eigenspaces": (lattact.project_to_eigenspaces, (root, e), (0,)),
+        "rank2_isomorphism_class": (lattact.rank2_isomorphism_class, (a2.gram,), (0,)),
+        "reflection": (lattact.reflection, (a2, (1, 0)), (1,)),
+        "segment_vectors": (lattact.segment_vectors, (lattact.standard_lattice("U"), (1, 0), (0, 1), -2), (1, 2, 3)),
+        "standard_lattice": (lattact.standard_lattice, ("A2",), (0,)),
+        "to_fundamental_chamber": (lattact.to_fundamental_chamber, (r, c, c.witness), (2,)),
+        "wall_in_H_plus": (lattact.wall_in_H_plus, (root, e, j), (0,)),
+        "wall_report": (lattact.wall_report, (e, j, None), (2,)),
+        "wedge_square": (lattact.wedge_square, (i4,), (0,)),
+        "GroupElements.index_of": (group.index_of, (la.identity(6),), (0,)),
+        "GroupElements.kappa_of": (group.kappa_of, (la.identity(6),), (0,)),
+        "Sublattice.contains": (s.contains, ((1, 0),), (0,)),
+        "Sublattice.to_ambient": (s.to_ambient, ((1,),), (0,)),
+    }
+    for name in UNCHECKED:
+        cls = getattr(lattact, name)
+        n = len(fields(cls)) if "__match_args__" in vars(cls) else 1
+        table[name] = (cls, (None,) * n, tuple(range(n)))
+    return table
+
+
+def test_every_exported_callable_is_in_the_table_or_takes_no_value():
+    listed = {name for name in _table() if "." not in name}
+    assert not listed & NO_VALUE_ARGS
+    assert listed | NO_VALUE_ARGS == set(EXPORTED)
+
+
+@pytest.mark.parametrize("name", sorted(_table()))
+def test_a_malformed_value_ends_in_a_result_or_a_lattact_error(name):
+    fn, args, slots = _table()[name]
+    escaped = []
+    for slot in slots:
+        for bad in BAD:
+            call = list(args)
+            call[slot] = bad
+            try:
+                fn(*call)
+            except LattactError:
+                pass
+            except Exception as err:  # noqa: BLE001 - the outcome under test
+                escaped.append(f"argument {slot} = {bad!r}: {type(err).__name__}: {err}")
+    assert not escaped, "\n".join(escaped)
+
+
+def test_sublattice_reads_rational_vectors_and_integer_coordinates():
+    s = lattact.Sublattice(lattact.standard_lattice("A2"), ((2, 0),))
+    assert s.contains((Fraction(4), 0)) and not s.contains((Fraction(1, 2), 0))
+    ambient = s.to_ambient((Fraction(3),))
+    assert ambient == (6, 0) and all(type(x) is int for x in ambient)
+
+
+def test_weyl_word_indices_must_name_roots():
+    a2 = lattact.standard_lattice("A2")
+    r = lattact.roots_of(a2)
+    ident = lattact.Isometry(a2, la.identity(2))
+    for word in ((-1,), (len(r.roots),), (0.0,)):
+        with pytest.raises(lattact.InputError):
+            lattact.WeylWord(r, word, ident)
+    s0 = lattact.reflection(a2, r.roots[0])
+    assert lattact.WeylWord(r, [0], s0).word == (0,)
+
+
+def test_camera_keeps_its_walls_and_witness_as_exact_tuples():
+    r = lattact.roots_of(lattact.standard_lattice("A2"))
+    c = lattact.fundamental_camera(r)
+    listed = lattact.Camera(r, [list(w) for w in c.walls], list(c.witness))
+    assert listed == c and hash(listed) == hash(c)
+
+
+def test_group_index_reads_its_matrix_through_the_boundary():
+    group = lattact.enumerate_group(helpers.klein_action())
+    rows = [[Fraction(x) for x in row] for row in group.elements[1]]
+    assert group.index_of(rows) == 1

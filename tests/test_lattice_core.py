@@ -1018,9 +1018,15 @@ _FOREIGN = Sublattice(standard_lattice("U"), ((1, 0),))
         lambda: full_sublattice(_A2).to_ambient((1, 2, 3)),
         lambda: Sublattice(_A2, ()).to_ambient((1,)),
         lambda: full_sublattice(_A2).contains_sublattice(_FOREIGN),
+        lambda: full_sublattice(_A2).to_ambient((0.5, 0)),
+        lambda: full_sublattice(_A2).to_ambient((Fraction(1, 2), 0)),
+        lambda: full_sublattice(_A2).to_ambient(7),
+        lambda: full_sublattice(_A2).contains((0.5, 0)),
+        lambda: full_sublattice(_A2).contains(None),
     ],
     ids=["row-length", "contains-length", "complement", "hull", "sum", "float-square",
-         "coords-short", "coords-long", "coords-rank-0", "contains-foreign"],
+         "coords-short", "coords-long", "coords-rank-0", "contains-foreign",
+         "coords-float", "coords-fraction", "coords-scalar", "contains-float", "contains-scalar"],
 )
 def test_wrong_shapes_and_foreign_sublattices_raise_input_error(call):
     with pytest.raises(InputError):

@@ -74,6 +74,7 @@ def test_walls_does_not_import_group_actions():
 # kernel works on integers only.
 FRACTION_USERS = {
     "linalg.int_rows",
+    "linalg.rational_vec",
     "linalg.to_frac_mat",
     "linalg.to_frac_vec",
     "linalg.rref",
@@ -85,13 +86,15 @@ FRACTION_USERS = {
 }
 
 
-def _functions_naming(name):
+def _functions_where(matches):
+    """module.function (or module.Class.method) of every library function
+    with a node, nested functions included, for which matches is true."""
     found = set()
 
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(child)):
+                if any(matches(n) for n in ast.walk(child)):
                     found.add(prefix + child.name)
             elif isinstance(child, ast.ClassDef):
                 visit(child, f"{prefix}{child.name}.")
@@ -102,7 +105,25 @@ def _functions_naming(name):
 
 
 def test_only_the_allowed_functions_name_fraction():
-    assert _functions_naming("Fraction") == FRACTION_USERS
+    assert _functions_where(lambda n: isinstance(n, ast.Name) and n.id == "Fraction") == FRACTION_USERS
+
+
+# The functions that decide what an exact argument is, by calling
+# isinstance with one of these types: linalg's input boundary, and nothing
+# else. Every other module asks int_rows, rational_vec or is_bound.
+EXACT_TYPES = {"int", "bool", "Fraction", "Rational"}
+EXACTNESS_DECIDERS = {"linalg.int_rows", "linalg.is_bound"}
+
+
+def _tests_an_exact_type(node):
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
+        return False
+    kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+    return any(isinstance(k, ast.Name) and k.id in EXACT_TYPES for k in kinds)
+
+
+def test_only_the_input_boundary_decides_what_is_exact():
+    assert _functions_where(_tests_an_exact_type) == EXACTNESS_DECIDERS
 
 
 # The library functions that only tests call: linalg's rational oracles,

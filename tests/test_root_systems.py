@@ -179,6 +179,14 @@ def test_reflection_rejects_a_vector_of_the_wrong_length():
         reflection(standard_lattice("A2"), (1,))
 
 
+@pytest.mark.parametrize("v", [(1.0, 0.0), (1.5, 2.0), ("a", "b"), [[1, 2], [3]], (True, 0), 7, None])
+def test_reflection_refuses_a_vector_that_is_not_rational(v):
+    # floats, strings, bools, ragged rows and scalars end in InputError at
+    # the rational check, before any arithmetic reads them
+    with pytest.raises(InputError):
+        reflection(standard_lattice("A2"), v)
+
+
 def _reflection_by_fractions(l, v):
     """x -> x - (2(x.v)/v^2) v, column by column in rational arithmetic."""
     n = l.rank
