@@ -266,16 +266,15 @@ def _d3_fixture(name) -> Fixture:
 def _swap_fixture() -> Fixture:
     l = standard_lattice("3U+2E8")
     action = LatticeAction(l, (("w", _swap_matrix(), 1),))
-    expected = {
-        "group_order": 2,
-        "rotation_order": 1,
-        "real": True,
-        "geometric": True,
-        "ldot_rank": 8,
-        "ldot_gram": la.mat_scale(2, standard_lattice("E8").gram),
+    table = {
+        "group_order": (2, "recorded"),
+        "rotation_order": (1, "recorded"),
+        "real": (True, "recorded"),
+        "geometric": (True, "recorded"),
+        "ldot_rank": (8, "recorded"),
+        "ldot_gram": (la.mat_scale(2, standard_lattice("E8").gram), "recorded"),
     }
-    origins = {k: "recorded" for k in expected}
-    return Fixture("e8_swap", action, expected, origins)
+    return _fixture_from_table("e8_swap", action, table)
 
 
 def fixture(name: str) -> Fixture:
@@ -342,7 +341,7 @@ def classify_order3_on_2U(entry_bound: int = 2) -> ClassifyReport:
         k = len(cols)
         if k == n:
             t = la.transpose(tuple(pool[b] for b in cols))
-            if t != ident and la.mat_pow(t, 3) == ident:
+            if t != ident and la.mat_mul(la.mat_mul(t, t), t) == ident:
                 hits.append(t)
             return
         slack = (n - k - 1) * entry_bound

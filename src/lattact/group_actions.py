@@ -708,7 +708,7 @@ def conjugation_obstruction(phi) -> bool:
     if la.det(m) != 1:
         raise InputError("conjugation obstruction needs determinant +1")
     try:
-        order = la.matrix_order(m, bound=60)
+        order = len(la.group_closure([m], 4, 60)[0])
     except ValueError:
         raise ScopeError("matrix order exceeds the search bound") from None
     if order <= 2:

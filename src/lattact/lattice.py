@@ -12,7 +12,6 @@ equal sublattices compare equal and reports are reproducible byte for byte.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm, prod
 from operator import mul, neg
@@ -115,6 +114,8 @@ class Sublattice:
         b = la.int_rows(self.basis)
         if b is None or any(len(row) != self.ambient.rank for row in b):
             raise InputError("sublattice basis rows must be integer vectors of the ambient rank")
+        if self.index is not None and not (la.is_bound(self.index) and self.index > 0):
+            raise InputError("sublattice index must be a positive integer or None")
         object.__setattr__(self, "basis", la.hnf(b))
 
     @property
@@ -142,7 +143,7 @@ class Sublattice:
         if v is None or len(v) != self.ambient.rank:
             raise InputError("vector must be a rational vector of the ambient rank")
         rows = la.int_rows((v,))
-        return rows is not None and la.in_row_lattice(rows[0], self.basis)
+        return rows is not None and la.coords_in_rows(rows[0], self.basis) is not None
 
     def contains_sublattice(self, other: "Sublattice") -> bool:
         _check_ambient(self.ambient, other)
@@ -383,6 +384,8 @@ def discriminant_form(l: Lattice) -> DiscriminantForm:
     for i in range(l.rank):
         di = d[i][i]
         if di > 1:
+            from fractions import Fraction
+
             factors.append(di)
             gens.append(tuple(Fraction(row[i], di) for row in v))
     qs = []

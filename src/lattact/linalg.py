@@ -4,7 +4,9 @@ Everything here works on immutable tuples: a matrix is a tuple of row
 tuples, a vector is a tuple. The library's kernels (products, det,
 char_poly, normal forms, kernels, echelon coordinates) take and return
 Python ints; products and dot also carry fractions.Fraction entries through
-exactly. rref, solve, rank and inverse serve as rational test oracles.
+exactly. rref and solve, rational elimination with no caller in the
+library, serve as test oracles. Only the functions that build or test a
+Fraction import fractions.
 The library's input boundary is here and nowhere else: int_rows (integer
 matrices, and vectors as int_rows((v,))), rational_vec (rational vectors)
 and is_bound (nonnegative int bounds) give None or False for any other
@@ -22,7 +24,6 @@ Conventions:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import chain, repeat
 from math import gcd, isqrt, lcm
@@ -67,6 +68,8 @@ def int_rows(a) -> Mat | None:
     # the common case, every entry exactly an int, without a Python loop
     if set(map(type, chain.from_iterable(rows))) <= {int}:
         return rows
+    from fractions import Fraction
+
     for x in chain.from_iterable(rows):
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)) or x.denominator != 1:
             return None
@@ -79,20 +82,17 @@ def rational_vec(v) -> Vec | None:
         v = tuple(v)
     except TypeError:
         return None
-    return v if set(map(type, v)) <= {int, Fraction} else None
+    kinds = set(map(type, v))
+    if kinds <= {int}:
+        return v
+    from fractions import Fraction
+
+    return v if kinds <= {int, Fraction} else None
 
 
 def is_bound(x) -> bool:
     """Whether x is a nonnegative int that is not a bool (a search bound)."""
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
-
-
-def to_frac_mat(a: Sequence[Sequence]) -> Mat:
-    return tuple(tuple(Fraction(x) for x in row) for row in a)
-
-
-def to_frac_vec(v: Sequence) -> Vec:
-    return tuple(Fraction(x) for x in v)
 
 
 def is_symmetric(a: Mat) -> bool:
@@ -160,18 +160,6 @@ def mat_scale(c, a: Mat) -> Mat:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def mat_pow(a: Mat, k: int) -> Mat:
-    n = len(a)
-    result = identity(n)
-    base = a
-    while k > 0:
-        if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return result
-
-
 def dot(gram: Mat, u: Vec, v: Vec):
     """Bilinear pairing u.v with respect to a symmetric Gram matrix."""
     return sum(x * sum(map(mul, row, v)) for x, row in zip(u, gram) if x)
@@ -182,7 +170,7 @@ def sq(gram: Mat, v: Vec):
 
 
 # ---------------------------------------------------------------------------
-# determinants, rank, inverses
+# determinants, inverses
 
 
 def _int_rows(a: Mat) -> Mat:
@@ -201,6 +189,8 @@ def det(a: Mat) -> int:
 def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form over the rationals; returns (R, pivot columns).
     Like solve, it has no caller in the library and serves as a test oracle."""
+    from fractions import Fraction
+
     m = [list(map(Fraction, row)) for row in a]
     rows = len(m)
     cols = len(m[0]) if m else 0
@@ -222,23 +212,6 @@ def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
         pivots.append(c)
         r += 1
     return freeze_mat(m), tuple(pivots)
-
-
-def rank(a: Mat) -> int:
-    if not a or not a[0]:
-        return 0
-    return len(rref(a)[1])
-
-
-def inverse(a: Mat) -> Mat:
-    """Exact inverse over the rationals, s . adj(s . a) / det(s . a) for the
-    integer multiple s . a of a, s the lcm of the entries' denominators;
-    raises ValueError on singular input. A test oracle, like rref."""
-    s = lcm(*(x.denominator for row in a for x in row))
-    adj, d = adjugate([[int(x * s) for x in row] for row in a])
-    if adj is None:
-        raise ValueError("matrix is singular")
-    return tuple(tuple(Fraction(s * x, d) for x in row) for row in adj)
 
 
 def inverse_int(a: Mat) -> Mat:
@@ -281,6 +254,8 @@ def adjugate(a: Mat) -> tuple[Mat, int]:
 
 def solve(a: Mat, b: Vec) -> Vec | None:
     """One rational solution x of A x = b, or None if inconsistent."""
+    from fractions import Fraction
+
     rows = len(a)
     cols = len(a[0]) if a else 0
     aug = tuple(tuple(Fraction(x) for x in row) + (Fraction(b[i]),) for i, row in enumerate(a))
@@ -341,12 +316,6 @@ def hnf(a: Mat) -> Mat:
         if r == rows:
             break
     return freeze_mat(m[:r])
-
-
-def in_row_lattice(v: Vec, h: Mat) -> bool:
-    """Whether v lies in the row lattice of echelon rows h (an HNF basis):
-    it is an integer combination of them."""
-    return coords_in_rows(v, h) is not None
 
 
 def snf(a: Mat) -> tuple[Mat, Mat]:
@@ -421,16 +390,6 @@ def snf(a: Mat) -> tuple[Mat, Mat]:
             m[t] = [-x for x in m[t]]
         t += 1
     return freeze_mat(m), freeze_mat(v)
-
-
-def elementary_divisors(a: Mat) -> tuple[int, ...]:
-    """Nonzero diagonal entries of the Smith form, in divisibility order."""
-    d, _ = snf(a)
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i] != 0:
-            out.append(abs(d[i][i]))
-    return tuple(out)
 
 
 def kernel_int(a: Mat) -> tuple[Vec, ...]:
@@ -657,18 +616,6 @@ def _jacobi_basis(steps: Sequence) -> list:
     return out
 
 
-def matrix_order(a: Mat, bound: int = 60) -> int:
-    """Multiplicative order of an integer matrix, or raise if it exceeds bound."""
-    n = len(a)
-    ident = identity(n)
-    p = a
-    for k in range(1, bound + 1):
-        if p == ident:
-            return k
-        p = mat_mul(p, a)
-    raise ValueError(f"matrix order exceeds bound {bound}")
-
-
 def group_closure(generators: Sequence[Mat], n: int, bound: int = 1024) -> tuple[tuple, tuple]:
     """Closure of the n x n identity under right multiplication by the
     generators, which must generate a finite group.
@@ -764,14 +711,6 @@ def coords_in_rows(v: Vec, basis_rows: Mat) -> Vec | None:
 
 # ---------------------------------------------------------------------------
 # exact square roots and ranges (for vector enumeration)
-
-
-def isqrt_frac_floor(x: Fraction) -> int:
-    """floor(sqrt(x)) for a nonnegative Fraction."""
-    if x < 0:
-        raise ValueError("negative argument")
-    p, q = x.numerator, x.denominator
-    return isqrt(p * q) // q
 
 
 def is_perfect_square(n: int) -> bool:

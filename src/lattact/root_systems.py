@@ -15,7 +15,7 @@ acts first on vectors.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import repeat
+from itertools import permutations, repeat
 from operator import floordiv, mod, mul, neg, sub
 
 from . import linalg as la
@@ -30,6 +30,7 @@ from .lattice import (
     enumerate_vectors,
     orthogonal_complement,
     signature,
+    standard_lattice,
     sublattice_from_rows,
 )
 
@@ -534,11 +535,9 @@ def is_admissible(r: RootSystem, action) -> tuple:
 
 def _graph_automorphisms(adj) -> tuple:
     """All permutations of the simple nodes preserving adjacency."""
-    import itertools
-
     n = len(adj)
     out = []
-    for perm in itertools.permutations(range(n)):
+    for perm in permutations(range(n)):
         if all(adj[i][j] == adj[perm[i]][perm[j]] for i in range(n) for j in range(n)):
             out.append(perm)
     return tuple(out)
@@ -571,8 +570,6 @@ def classify_admissible_b_transitive(max_rank: int) -> tuple:
     Sweeps every irreducible ADE type of rank <= max_rank and every subgroup
     of its diagram symmetry group acting by simple-root permutation.
     """
-    from .lattice import standard_lattice
-
     if not la.is_bound(max_rank) or not 1 <= max_rank <= 6:
         raise InputError("max_rank must be an integer in 1..6")
     names = [f"A{n}" for n in range(1, max_rank + 1)]

@@ -17,7 +17,6 @@ of a hyperbolic lattice.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 from typing import TYPE_CHECKING
 
@@ -83,6 +82,8 @@ def _doubled_projections(v, e: EigenData) -> tuple:
 
 
 def _halved(p) -> tuple:
+    from fractions import Fraction
+
     return tuple(Fraction(x, 2) for x in p)
 
 
@@ -195,41 +196,32 @@ def wall_in_H_plus(v, e: EigenData, j: DilatedComplexStructure) -> Wall | None:
     return Wall(v, _halved(p), _halved(m), ray)
 
 
-def component_count(
-    walls, e: EigenData, complete: bool = True, candidate_count: int | None = None
-) -> WallReport:
-    """Components of the positive arc after removing the wall rays.
+def component_count(walls, e: EigenData) -> tuple:
+    """Components of the positive arc after removing the wall rays:
+    (walls kept, component count).
 
-    Walls are deduplicated by ray (each line meets the arc once); the
-    component number is rays + 1, meaningful when the candidate list
-    was certified complete. candidate_count records how many roots were
-    inspected; it defaults to the number of walls passed in.
+    Walls are deduplicated by ray (each line meets the arc once), the
+    first of each ray kept; the component number is rays + 1, meaningful
+    when the candidate list was certified complete.
     """
     if e.m_plus.rank != 2:
         raise InputError("component counting needs a rank-2 plus eigenlattice")
-    walls = tuple(walls)
-    seen = []
     kept = []
     for w in walls:
         if w.direction is None:
             raise InputError("component counting expects nonempty walls")
-        if w.direction not in seen:
-            seen.append(w.direction)
+        if all(w.direction != k.direction for k in kept):
             kept.append(w)
-    count = len(walls) if candidate_count is None else candidate_count
-    return WallReport(count, tuple(kept), len(seen) + 1, complete)
+    return tuple(kept), len(kept) + 1
 
 
 def wall_report(e: EigenData, j: DilatedComplexStructure, bound: int | None = None) -> WallReport:
     """Candidate roots -> walls -> deduplicated component report."""
     cand = candidate_roots(e, bound)
-    walls = []
-    for _, roots in cand.groups:
-        for v in roots:
-            w = wall_in_H_plus(v, e, j)
-            if w is not None:
-                walls.append(w)
-    return component_count(walls, e, cand.complete, candidate_count=len(cand.all_roots()))
+    roots = cand.all_roots()
+    walls = [w for w in (wall_in_H_plus(v, e, j) for v in roots) if w is not None]
+    kept, components = component_count(walls, e)
+    return WallReport(len(roots), kept, components, cand.complete)
 
 
 # ---------------------------------------------------------------------------

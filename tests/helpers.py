@@ -8,7 +8,9 @@ dumb exhaustion.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -34,6 +36,58 @@ def box_vectors_with_square(gram, target, bound):
     return sorted(out)
 
 
+# Rational and power-loop oracles, independent of the library's integer
+# kernels that are checked against them.
+
+
+def to_frac_mat(a):
+    return tuple(tuple(Fraction(x) for x in row) for row in a)
+
+
+def to_frac_vec(v):
+    return tuple(Fraction(x) for x in v)
+
+
+def rank(a):
+    return len(la.rref(a)[1]) if a and a[0] else 0
+
+
+def inverse(a):
+    """Exact rational inverse, s . adj(s . a) / det(s . a) for s the lcm of the denominators."""
+    s = math.lcm(*(x.denominator for row in a for x in row))
+    adj, d = la.adjugate([[int(x * s) for x in row] for row in a])
+    if adj is None:
+        raise ValueError("matrix is singular")
+    return tuple(tuple(Fraction(s * x, d) for x in row) for row in adj)
+
+
+def elementary_divisors(a):
+    """Nonzero diagonal entries of the Smith form, in divisibility order."""
+    d, _ = la.snf(a)
+    return tuple(abs(d[i][i]) for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i])
+
+
+def isqrt_frac_floor(x):
+    """floor(sqrt(x)) for a nonnegative Fraction."""
+    if x < 0:
+        raise ValueError("negative argument")
+    return math.isqrt(x.numerator * x.denominator) // x.denominator
+
+
+def mat_pow(a, k):
+    return functools.reduce(la.mat_mul, [a] * k, la.identity(len(a)))
+
+
+def matrix_order(a, bound=60):
+    """Multiplicative order of a by the power loop; ValueError past bound."""
+    p = a
+    for k in range(1, bound + 1):
+        if p == la.identity(len(a)):
+            return k
+        p = la.mat_mul(p, a)
+    raise ValueError(f"matrix order exceeds bound {bound}")
+
+
 def definite_enumeration_box_bound(gram, target):
     """Per-coordinate bound |x_i|^2 <= |target| * (G^-1)_ii for definite G."""
     n = len(gram)
@@ -41,11 +95,11 @@ def definite_enumeration_box_bound(gram, target):
     if any(gram[i][i] < 0 for i in range(n)):
         sign = -1
     q = la.mat_scale(sign, la.freeze_mat(gram))
-    qinv = la.inverse(q)
+    qinv = inverse(q)
     t = Fraction(abs(int(target)))
     bound = 0
     for i in range(n):
-        bound = max(bound, la.isqrt_frac_floor(t * qinv[i][i]))
+        bound = max(bound, isqrt_frac_floor(t * qinv[i][i]))
     return int(bound) + 1
 
 
@@ -263,7 +317,7 @@ def classify_order3_on_2U_by_filtering(entry_bound):
         k = len(cols)
         if k == n:
             t = la.transpose(tuple(pool[b] for b in cols))
-            if t != ident and la.mat_pow(t, 3) == ident:
+            if t != ident and mat_pow(t, 3) == ident:
                 hits.append(t)
             return
         slack = (n - k - 1) * entry_bound

@@ -111,9 +111,9 @@ class TestFixtures:
         for name in ("d3_S", "d3_Sprime"):
             t, s = (gen[1].matrix for gen in fixture(name).action.generators)
             ident = la.identity(22)
-            assert la.mat_pow(t, 3) == ident and t != ident
-            assert la.mat_pow(s, 2) == ident and s != ident
-            assert la.mat_mul(la.mat_mul(s, t), s) == la.mat_pow(t, 2)
+            assert helpers.mat_pow(t, 3) == ident and t != ident
+            assert helpers.mat_pow(s, 2) == ident and s != ident
+            assert la.mat_mul(la.mat_mul(s, t), s) == helpers.mat_pow(t, 2)
 
     def test_swap_fixture_record(self):
         fx = fixture("e8_swap")
@@ -141,7 +141,7 @@ class TestClassifyOrder3:
         for h in rep.hits:
             assert is_isometry(l, h.matrix)
             assert h.matrix != ident
-            assert la.mat_pow(h.matrix, 3) == ident
+            assert helpers.mat_pow(h.matrix, 3) == ident
             for row in h.fixed_basis:
                 assert la.mat_vec(h.matrix, row) == row
 
@@ -163,7 +163,7 @@ class TestClassifyOrder3:
         rep = bound_two_report()
         mats = {h.matrix for h in rep.hits}
         for m in mats:
-            assert la.mat_pow(m, 2) in mats
+            assert helpers.mat_pow(m, 2) in mats
 
     def test_closed_under_bounded_conjugation(self):
         rep = bound_two_report()
@@ -261,17 +261,15 @@ class TestPipeline:
         assert d3_full_pipeline("S").all_passed
         assert len(calls) == 1
 
-    def test_relations_read_off_the_group_table(self, monkeypatch):
-        from helpers import count_calls
-
-        calls = count_calls(monkeypatch, la, "mat_pow")
+    def test_relations_read_off_the_group_table(self):
+        # linalg has no matrix power to compute the relations with
+        assert not hasattr(la, "mat_pow")
         rep = d3_full_pipeline("S")
         assert rep.entries[0] == ("group", True, "order 6, relations hold")
         # with the generators swapped, s^3 = 1 and t^2 = 1 fail
         a = fixture("d3_S").action
         rep = d3_full_pipeline("S", action=LatticeAction(a.ambient, a.generators[::-1]))
         assert rep.entries == (("group", False, "order 6, relations fail"),)
-        assert calls == []
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(InputError):

@@ -583,8 +583,13 @@ class TestDeterminism:
 # stdlib modules no cold run loads: the records need neither
 _HEAVY = {"dataclasses", "inspect"}
 
+# stdlib modules loaded only by a run that builds a Fraction: walls on d3_S
+# builds the wall projections; discr on a unimodular lattice builds none
+_FRACTIONS = {"fractions", "decimal", "numbers"}
+_BUILDS_FRACTIONS = {"walls"}
+
 # Run one command in a fresh interpreter; print its exit code, the lattact
-# modules it loaded and those of _HEAVY it loaded.
+# modules it loaded and those of _HEAVY and _FRACTIONS it loaded.
 _MODULES_AFTER = f"""
 import contextlib, io, sys
 from lattact.cli import main
@@ -593,7 +598,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         code = main(sys.argv[1:])
     except SystemExit as stop:
         code = stop.code
-heavy = [m for m in {sorted(_HEAVY)!r} if m in sys.modules]
+heavy = [m for m in {sorted(_HEAVY | _FRACTIONS)!r} if m in sys.modules]
 print(code, *sorted(m[8:] for m in sys.modules if m.startswith("lattact.")), *heavy)
 """
 
@@ -622,7 +627,8 @@ def _fresh(*argv, code=_MODULES_AFTER):
 
 class TestColdStartModules:
     """Each subcommand, run in a fresh interpreter, loads only the library
-    modules it computes with, and neither dataclasses nor inspect."""
+    modules it computes with, neither dataclasses nor inspect, and
+    fractions only where it builds a Fraction."""
 
     @pytest.mark.parametrize("command", sorted(_COLD_RUNS))
     def test_subcommand_loads_only_its_modules(self, capsys, tmp_path, command):
@@ -634,6 +640,10 @@ class TestColdStartModules:
         assert {"cli", "errors"} < modules
         assert not modules & not_loaded, modules
         assert not modules & _HEAVY, modules
+        if command in _BUILDS_FRACTIONS:
+            assert _FRACTIONS <= modules, modules
+        else:
+            assert not modules & _FRACTIONS, modules
 
     @pytest.mark.parametrize("argv", [("--help",), ("bogus",), ("check",)])
     def test_help_and_usage_errors_load_only_cli_and_errors(self, argv):

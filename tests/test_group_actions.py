@@ -294,7 +294,7 @@ class TestEnumerateGroup:
                     product = la.mat_mul(product, gens[j])
                 assert product == m
                 assert g.elements[g.inverse(i)] == la.inverse_int(m)
-                assert g.order(i) == la.matrix_order(m, bound=len(g))
+                assert g.order(i) == helpers.matrix_order(m, bound=len(g))
 
 
 class TestFixedLattice:
@@ -480,10 +480,9 @@ class TestDerivedOnce:
         assert len(calls) == 1
 
     def test_no_ambient_rank_inverse_adjugate_or_order(self, monkeypatch):
-        counted = {
-            name: helpers.count_calls(monkeypatch, la, name)
-            for name in ("inverse_int", "adjugate", "matrix_order")
-        }
+        # the order comes from the group table: linalg has no power loop
+        assert not hasattr(la, "matrix_order")
+        counted = {name: helpers.count_calls(monkeypatch, la, name) for name in ("inverse_int", "adjugate")}
         for action in (helpers.klein_action(), fixture("d3_S").action):
             fd = fundamental_data(action)
             assert fd.order_n == 3
@@ -564,9 +563,9 @@ class TestDilatedComplexStructure:
             d = dilated_complex_structure(action, fd)
             e = eigen_lattices(action, fd)
             for row in e.m_plus.basis:
-                assert la.coords_in_rows(la.to_frac_vec(la.mat_vec(d.matrix, row)), e.m_minus.basis) is not None
+                assert la.coords_in_rows(helpers.to_frac_vec(la.mat_vec(d.matrix, row)), e.m_minus.basis) is not None
             for row in e.m_minus.basis:
-                assert la.coords_in_rows(la.to_frac_vec(la.mat_vec(d.matrix, row)), e.m_plus.basis) is not None
+                assert la.coords_in_rows(helpers.to_frac_vec(la.mat_vec(d.matrix, row)), e.m_plus.basis) is not None
 
 
 class TestEigenLattices:
@@ -605,7 +604,7 @@ class TestEigenLattices:
         assert sorted((abs(x) for x in w_plus), reverse=True) == [2, 1, 1, 0]
         j = dilated_complex_structure(a, fd).matrix
         jw = la.mat_vec(j, w_minus)
-        assert la.coords_in_rows(la.to_frac_vec(jw), (w_plus,)) is None
+        assert la.coords_in_rows(helpers.to_frac_vec(jw), (w_plus,)) is None
 
     def test_order_two_split(self):
         a = sign_flip_pair()
@@ -783,7 +782,7 @@ class TestExtendEquivariantly:
         e = eigen_lattices(a, fd)
         for m in (la.identity(2), la.mat_scale(-1, la.identity(2))):
             expected = extend_equivariantly(a, fd, e, m)
-            frac = la.to_frac_mat(m)
+            frac = helpers.to_frac_mat(m)
             # the map is converted to ints once on entry: no Fraction
             # arithmetic runs on the way to the extension
             made = []
@@ -829,14 +828,30 @@ class TestWedgeSquare:
             wedge_square(la.identity(3))
 
 
+# order -> a matrix of that order: the companion matrices of the quartic
+# cyclotomic polynomials, and for 6 a third-root block beside a sixth-root one
+OF_ORDER = {n: la.transpose(la.identity(4)[1:] + (tuple(-c for c in la.cyclotomic(n)[:4]),)) for n in (5, 8, 10, 12)}
+OF_ORDER[6] = helpers.block_diag(((0, -1), (1, -1)), ((0, -1), (1, 1)))
+
+
 class TestConjugationObstruction:
+    @pytest.mark.parametrize("n", sorted(OF_ORDER))
+    def test_order_from_the_closure_and_outcome(self, n):
+        m = OF_ORDER[n]
+        assert len(la.group_closure([m], 4, 60)[0]) == helpers.matrix_order(m) == n
+        if n in (5, 10):  # the wedge square has no eigenvalue -1
+            with pytest.raises(InputError, match="multiplicity at least two"):
+                conjugation_obstruction(m)
+        else:
+            assert conjugation_obstruction(m) is True
+
     def test_companion_of_eighth_cyclotomic(self):
         comp = ((0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
         assert conjugation_obstruction(comp) is True
 
     def test_third_plus_sixth_roots(self):
         m = helpers.block_diag(((0, -1), (1, -1)), ((0, -1), (1, 1)))
-        assert la.matrix_order(m) == 6
+        assert helpers.matrix_order(m) == 6
         assert conjugation_obstruction(m) is True
 
     def test_repeated_third_roots_lack_multiplicity(self):

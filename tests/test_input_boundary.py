@@ -39,6 +39,7 @@ BAD = (
 NO_VALUE_ARGS = {
     "ade_decompose",
     "camera_adjacent",
+    "component_count",
     "degenerate",
     "dilated_complex_structure",
     "direct_sum",
@@ -88,13 +89,12 @@ def _table() -> dict:
         "Isometry": (lattact.Isometry, (a2, i2), (1,)),
         "Lattice": (lattact.Lattice, (a2.gram,), (0,)),
         "LatticeAction": (lattact.LatticeAction, (a2, (("g", i2, 1),)), (1,)),
-        "Sublattice": (lattact.Sublattice, (a2, ((1, 0),)), (1,)),
+        "Sublattice": (lattact.Sublattice, (a2, ((1, 0),), None), (1, 2)),
         "WeylWord": (lattact.WeylWord, (r, (), lattact.Isometry(a2, i2)), (1,)),
         "camera_decompose": (lattact.camera_decompose, (r, c, i2), (2,)),
         "candidate_roots": (lattact.candidate_roots, (e, None), (1,)),
         "classify_admissible_b_transitive": (lattact.classify_admissible_b_transitive, (1,), (0,)),
         "classify_order3_on_2U": (lattact.classify_order3_on_2U, (0,), (0,)),
-        "component_count": (lattact.component_count, ((), e, True, None), (2, 3)),
         "conjugation_obstruction": (lattact.conjugation_obstruction, (i4,), (0,)),
         "d3_full_pipeline": (lattact.d3_full_pipeline, ("S",), (0,)),
         "degenerate_at_wall": (lattact.degenerate_at_wall, (act, f, e, root), (3,)),
@@ -155,6 +155,14 @@ def test_sublattice_reads_rational_vectors_and_integer_coordinates():
     assert s.contains((Fraction(4), 0)) and not s.contains((Fraction(1, 2), 0))
     ambient = s.to_ambient((Fraction(3),))
     assert ambient == (6, 0) and all(type(x) is int for x in ambient)
+
+
+def test_sublattice_index_is_a_positive_int_or_none():
+    a2 = lattact.standard_lattice("A2")
+    for index in (1.5, True, 0):
+        with pytest.raises(lattact.InputError):
+            lattact.Sublattice(a2, ((1, 0),), index)
+    assert lattact.Sublattice(a2, ((1, 0),), 2).index == 2
 
 
 def test_weyl_word_indices_must_name_roots():

@@ -25,6 +25,7 @@ from lattact.lattice import (
     sublattice_sum,
 )
 
+import helpers
 from helpers import (
     box_vectors_with_square,
     conjugate_gram,
@@ -224,7 +225,7 @@ def test_complement_is_primitive_and_contains_double_complement():
         rows = [
             tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)
         ]
-        if la.rank(la.freeze_mat(rows)) == 0:
+        if helpers.rank(la.freeze_mat(rows)) == 0:
             continue
         s = sublattice_from_rows(l, tuple(rows))
         c = orthogonal_complement(l, s)
@@ -286,7 +287,7 @@ def test_primitive_hull_index_matches_elementary_divisors():
             tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(k)
         ]
         m = la.freeze_mat(rows)
-        if la.rank(m) == 0:
+        if helpers.rank(m) == 0:
             continue
         s = sublattice_from_rows(l, tuple(rows))
         h = primitive_hull(l, s)
@@ -298,7 +299,7 @@ def test_primitive_hull_index_matches_elementary_divisors():
         # index 1 iff the input was already primitive
         assert (h.index == 1) == s.primitive
         # [hull : s] is the product of the elementary divisors of s's basis
-        assert h.index == prod(la.elementary_divisors(s.basis))
+        assert h.index == prod(helpers.elementary_divisors(s.basis))
         checked += 1
 
 
@@ -678,7 +679,7 @@ T_2U = (
 def test_is_isometry_order_three_on_2u():
     l = standard_lattice("2U")
     assert is_isometry(l, T_2U)
-    assert la.matrix_order(la.freeze_mat(T_2U)) == 3
+    assert helpers.matrix_order(la.freeze_mat(T_2U)) == 3
 
 
 def test_is_isometry_rejects_perturbed():
@@ -844,9 +845,8 @@ def test_restrict_to_span_matches_integral_solve():
 
 def test_coordinates_outside_the_row_lattice_are_none():
     # (0, 1) lies in the span of (1, 0), (0, 2) but not in their lattice
-    assert la.coords_in_rows((0, 1), ((1, 0), (0, 2))) is None
     assert la.coords_in_rows((0, 2), ((1, 0), (0, 2))) == (0, 1)
-    assert not la.in_row_lattice((0, 1), ((1, 0), (0, 2)))
+    assert la.coords_in_rows((0, 1), ((1, 0), (0, 2))) is None
     # the swap keeps the span of (1, 0), (0, 2) but not its lattice
     assert la.restrict_to_span(((0, 1), (1, 0)), ((1, 0), (0, 2))) is None
     assert la.restrict_to_span(((1, 0), (0, -1)), ((1, 0), (0, 2))) == ((1, 0), (0, -1))
@@ -903,7 +903,7 @@ def test_adjugate_matches_rational_inverse():
         if d:
             inv = tuple(tuple(Fraction(x, d) for x in row) for row in adj)
             assert la.mat_mul(a, inv) == la.identity(n)
-            assert la.inverse(a) == inv
+            assert helpers.inverse(a) == inv
         else:
             assert adj is None
     assert la.adjugate(((1, 2), (2, 4))) == (None, 0)
@@ -964,12 +964,12 @@ def test_kernel_int_is_a_saturated_hnf_basis_without_smith_forms(monkeypatch):
             a = a + (la.vec_scale(2, a[0]),)
         ker = la.kernel_int(a)
         assert calls == []
-        assert len(ker) == cols - la.rank(a)
+        assert len(ker) == cols - helpers.rank(a)
         assert all(la.mat_vec(a, k) == la.zero_vec(len(a)) for k in ker)
         if ker:
             assert la.hnf(ker) == ker
             # a basis of a direct summand: every elementary divisor is 1
-            assert la.elementary_divisors(ker) == (1,) * len(ker)
+            assert helpers.elementary_divisors(ker) == (1,) * len(ker)
             del calls[:]
 
 

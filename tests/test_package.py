@@ -68,19 +68,14 @@ def test_walls_does_not_import_group_actions():
     assert out.stdout.strip() == "False"
 
 
-# The functions that name Fraction: the rational oracles and test helpers
-# of linalg, integral-Fraction input acceptance, and the two rational
-# outputs (discriminant form values, wall eigenprojections). Every other
-# kernel works on integers only.
+# The functions that name Fraction: the input checks, the two rational
+# outputs (discriminant form values, wall eigenprojections), and rref and
+# solve. Every other kernel works on integers only.
 FRACTION_USERS = {
     "linalg.int_rows",
     "linalg.rational_vec",
-    "linalg.to_frac_mat",
-    "linalg.to_frac_vec",
     "linalg.rref",
-    "linalg.inverse",
     "linalg.solve",
-    "linalg.isqrt_frac_floor",
     "lattice.discriminant_form",
     "walls._halved",
 }
@@ -108,6 +103,16 @@ def test_only_the_allowed_functions_name_fraction():
     assert _functions_where(lambda n: isinstance(n, ast.Name) and n.id == "Fraction") == FRACTION_USERS
 
 
+def test_no_library_module_imports_fractions_at_module_level():
+    # fractions (with decimal and numbers) loads only where a Fraction is built
+    for path in Path(lattact.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                assert "fractions" not in [alias.name for alias in node.names], path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level or node.module != "fractions", path.name
+
+
 # The functions that decide what an exact argument is, by calling
 # isinstance with one of these types: linalg's input boundary, and nothing
 # else. Every other module asks int_rows, rational_vec or is_bound.
@@ -126,18 +131,11 @@ def test_only_the_input_boundary_decides_what_is_exact():
     assert _functions_where(_tests_an_exact_type) == EXACTNESS_DECIDERS
 
 
-# The library functions that only tests call: linalg's rational oracles,
-# casts and Smith-form divisors. Every other top-level function is named
-# by library code or exported; a new helper that serves tests alone has
-# to be listed here.
-TEST_ONLY = {
-    "linalg.elementary_divisors",
-    "linalg.inverse",
-    "linalg.isqrt_frac_floor",
-    "linalg.solve",
-    "linalg.to_frac_mat",
-    "linalg.to_frac_vec",
-}
+# The library functions that only tests call: solve, the rational solve
+# the benchmark's tracer names (rref is named by solve). Every other
+# top-level function is named by library code or exported; a new helper
+# that serves tests alone belongs in tests/helpers.py.
+TEST_ONLY = {"linalg.solve"}
 
 
 def test_only_the_listed_functions_serve_tests_alone():

@@ -30,6 +30,7 @@ from lattact.root_systems import (
     to_fundamental_chamber,
 )
 
+import helpers
 from helpers import GLUED_8A1, conjugate_gram, positive_and_simple_by_span_coords, random_unimodular
 
 
@@ -444,7 +445,7 @@ def test_camera_decompose_unique_on_small_systems():
             perm = tuple(
                 tuple(1 if i == target[j] else 0 for j in range(k)) for i in range(k)
             )
-            m = la.mat_mul(cols, la.mat_mul(perm, la.inverse(cols)))
+            m = la.mat_mul(cols, la.mat_mul(perm, helpers.inverse(cols)))
             outer.append(la.int_rows(m))
         count = 0
         for base in outer:

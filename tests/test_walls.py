@@ -5,6 +5,7 @@ import pytest
 
 import helpers
 from lattact import (
+    DilatedComplexStructure,
     EigenData,
     InputError,
     Isometry,
@@ -92,7 +93,7 @@ class TestProjectToEigenspaces:
 
     def test_projection_identities(self):
         _, _, _, e = rotation_fixture()
-        c = la.to_frac_mat(reflector_block(e))
+        c = helpers.to_frac_mat(reflector_block(e))
         for roots in ROTATION_CANDIDATES.values():
             for v in roots:
                 vp, vm = project_to_eigenspaces(v, e)
@@ -132,8 +133,8 @@ class TestCandidateRoots:
         for fixture in (rotation_fixture, split_fixture):
             _, _, _, e = fixture()
             block = e.rho.as_lattice()
-            c = la.to_frac_mat(reflector_block(e))
-            gram = la.to_frac_mat(block.gram)
+            c = helpers.to_frac_mat(reflector_block(e))
+            gram = helpers.to_frac_mat(block.gram)
             expected = set()
             for v in helpers.box_vectors_with_square(block.gram, -2, 6):
                 vp = tuple((Fraction(a) + b) / 2 for a, b in zip(v, la.mat_vec(c, v)))
@@ -194,8 +195,8 @@ class TestWallInHPlus:
 
     def test_wall_invariants(self):
         _, _, j, e = rotation_fixture()
-        gram = la.to_frac_mat(e.rho.as_lattice().gram)
-        jm = la.to_frac_mat(j.matrix)
+        gram = helpers.to_frac_mat(e.rho.as_lattice().gram)
+        jm = helpers.to_frac_mat(j.matrix)
         plus_gram = e.m_plus.gram()
         for v, ray in ROTATION_WALL_MAP.items():
             w = wall_in_H_plus(v, e, j)
@@ -205,8 +206,8 @@ class TestWallInHPlus:
             assert la.vec_gcd(w.direction) == 1
             # ambient form of the ray is orthogonal to v+ and to Jv-
             amb = e.m_plus.to_ambient(w.direction)
-            assert la.dot(gram, la.to_frac_vec(amb), w.v_plus) == 0
-            assert la.dot(gram, la.to_frac_vec(amb), la.mat_vec(jm, w.v_minus)) == 0
+            assert la.dot(gram, helpers.to_frac_vec(amb), w.v_plus) == 0
+            assert la.dot(gram, helpers.to_frac_vec(amb), la.mat_vec(jm, w.v_minus)) == 0
             assert la.int_rows((tuple(2 * x for x in w.v_plus),)) is not None
 
     def test_sign_invariance(self):
@@ -244,22 +245,13 @@ class TestComponentCount:
         _, _, j, e = rotation_fixture()
         walls = self.collect_walls(e, j)
         assert len(walls) == 6
-        report = component_count(walls, e)
-        assert report.components == 3
-        assert {w.direction for w in report.walls} == {(1, 1), (3, 2)}
-        assert report.candidate_count == 6
+        kept, components = component_count(walls, e)
+        assert components == 3
+        assert {w.direction for w in kept} == {(1, 1), (3, 2)}
 
     def test_empty_input(self):
         _, _, j, e = split_fixture()
-        report = component_count([], e)
-        assert report.components == 1 and report.walls == ()
-
-    def test_flag_and_count_passthrough(self):
-        _, _, j, e = rotation_fixture()
-        walls = self.collect_walls(e, j)
-        report = component_count(walls, e, complete=False, candidate_count=10)
-        assert not report.complete
-        assert report.candidate_count == 10
+        assert component_count([], e) == ((), 1)
 
     def test_rejects_empty_wall_objects(self):
         _, _, j, e = rotation_fixture()
@@ -277,6 +269,14 @@ class TestWallReport:
         assert report.components == 3
         assert report.complete
         assert tuple(w.direction for w in report.walls) == ((3, 2), (1, 1))
+
+    def test_a_bounded_report_counts_its_candidates_uncertified(self):
+        # the Pell plus form needs a box bound, so no report is certified
+        e = pell_fixture()
+        j = DilatedComplexStructure(e.rho, ((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0)), 1)
+        report = wall_report(e, j, bound=4)
+        assert report.candidate_count == len(candidate_roots(e, bound=4).all_roots()) == 2
+        assert not report.complete
 
     def test_wall_normals(self):
         # each wall ray, pushed to block coordinates, is orthogonal to a
