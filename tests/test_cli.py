@@ -583,10 +583,9 @@ class TestDeterminism:
 # stdlib modules no cold run loads: the records need neither
 _HEAVY = {"dataclasses", "inspect"}
 
-# stdlib modules loaded only by a run that builds a Fraction: walls on d3_S
-# builds the wall projections; discr on a unimodular lattice builds none
+# stdlib modules loaded only by a run that builds a Fraction: of the runs
+# below, walls on d3_S (its wall projections); discr's lattice is unimodular
 _FRACTIONS = {"fractions", "decimal", "numbers"}
-_BUILDS_FRACTIONS = {"walls"}
 
 # Run one command in a fresh interpreter; print its exit code, the lattact
 # modules it loaded and those of _HEAVY and _FRACTIONS it loaded.
@@ -640,7 +639,7 @@ class TestColdStartModules:
         assert {"cli", "errors"} < modules
         assert not modules & not_loaded, modules
         assert not modules & _HEAVY, modules
-        if command in _BUILDS_FRACTIONS:
+        if command == "walls":
             assert _FRACTIONS <= modules, modules
         else:
             assert not modules & _FRACTIONS, modules
