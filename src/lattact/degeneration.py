@@ -319,7 +319,7 @@ def camera_adjacent(s: SaturatedSystem, r_prime: Sublattice) -> Camera:
     gw = la.mat_vec(l.gram, witness)
     height = {v: sum(map(mul, gw, v)) for v in r_bar.roots}
     pos = [v for v in r_bar.roots if height[v] > 0]
-    cam = Camera(r_bar, _simple_roots(pos, [height[v] for v in pos]), witness)
+    cam = Camera(r_bar, _simple_roots(pos, [height[v] for v in pos])[0], witness)
     for wall in cam.walls:
         if la.dot(l.gram, face_point, wall) < 0:
             raise VerificationError("face point fell outside the camera closure")

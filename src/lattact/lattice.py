@@ -97,6 +97,12 @@ class Lattice:
         return prow[piv] if prow else 0
 
     @cached_property
+    def _vectors(self) -> dict:
+        """square -> every vector of that square, sorted: enumerate_vectors
+        searches a definite lattice once per square and keeps the result."""
+        return {}
+
+    @cached_property
     def adjugate(self) -> tuple:
         """(adj G, det G), derived once per lattice object."""
         return la.adjugate(self.gram)
@@ -442,13 +448,12 @@ def _binary_split_solutions(gram, t: int) -> tuple:
 def enumerate_vectors(l: Lattice, a: int, up_to_sign: bool = False) -> tuple:
     """All nonzero integer vectors of square a in a definite lattice.
 
-    Exact Fincke-Pohst, fraction-free: the search runs in integers on the
-    Bareiss pivot rows of the (sign-corrected) Gram matrix, with exact
-    bounds per coordinate, and solves for the first coordinate instead of
-    scanning it. The solutions are symmetric under v -> -v, so the search
-    walks only the half whose last nonzero coordinate is positive and
-    adds the negatives (Fincke-Pohst, Math. Comp. 44, 1985). The result
-    is sorted lexicographically; with up_to_sign=True only the
+    Exact Fincke-Pohst (Math. Comp. 44, 1985), fraction-free: see
+    _definite_search. A basis whose orthogonality defect
+    log2(prod |G_ii| / |det G|) exceeds 24 bits is LLL-reduced first, the
+    reduced Gram searched and the vectors mapped back. Each lattice
+    object searches once per square and keeps the sorted result. The
+    result is sorted lexicographically; with up_to_sign=True only the
     representative with positive first nonzero coordinate is kept.
     Rank-2 indefinite forms whose discriminant is a perfect square (products of two linear forms, e.g. U(k) or
     diag(2,-2)) are solved by divisor enumeration instead.
@@ -460,31 +465,52 @@ def enumerate_vectors(l: Lattice, a: int, up_to_sign: bool = False) -> tuple:
     n = l.rank
     if n == 0:
         return ()
-    sig = signature(l)
-    if sig.plus != 0 and sig.minus != 0 and sig.null == 0 and n == 2:
-        disc = l.gram[0][1] ** 2 - l.gram[0][0] * l.gram[1][1]
-        if la.is_perfect_square(disc):
-            if a == 0:
-                raise ScopeError("isotropic vectors of a split form are infinite in number")
-            found = _binary_split_solutions(l.gram, a)
-            return tuple(v for v in found if not up_to_sign or next(filter(None, v)) > 0)
-    if sig.null != 0 or (sig.plus != 0 and sig.minus != 0):
-        raise ScopeError("vector enumeration needs a definite lattice")
-    negative = sig.minus > 0
-    target = -a if negative else a
-    if target <= 0:
-        return ()
-    if l.even and target % 2 != 0:
-        return ()
-    # With a_l the Bareiss pivot rows of the positive form (a_ll = D_{l+1},
-    # D_l the leading minors, D_0 = 1), Q(x) = sum_l (a_l . x)^2 / (D_l D_{l+1}).
-    # Scaled by W = lcm(D_l D_{l+1}), level l spends w_l t_l^2 of the
-    # integer budget W * target, t_l = D_{l+1} x_l + sum_{j>l} a_lj x_j.
-    # The steps are the lattice's one elimination of G. For a negative
-    # definite G the positive form is -G, whose minors of size s are (-1)^s
-    # times those of G: its pivot row l is (-1)^(l+1) times G's, and its
-    # d * pivot entry is minus G's.
-    steps = l._jacobi
+    out = l._vectors.get(a)
+    if out is None:
+        sig = signature(l)
+        if sig.plus != 0 and sig.minus != 0 and sig.null == 0 and n == 2:
+            disc = l.gram[0][1] ** 2 - l.gram[0][0] * l.gram[1][1]
+            if la.is_perfect_square(disc):
+                if a == 0:
+                    raise ScopeError("isotropic vectors of a split form are infinite in number")
+                found = _binary_split_solutions(l.gram, a)
+                return tuple(v for v in found if not up_to_sign or next(filter(None, v)) > 0)
+        if sig.null != 0 or (sig.plus != 0 and sig.minus != 0):
+            raise ScopeError("vector enumeration needs a definite lattice")
+        negative = sig.minus > 0
+        target = -a if negative else a
+        if target <= 0 or (l.even and target % 2 != 0):
+            out = ()
+        elif prod(abs(l.gram[i][i]) for i in range(n)) <= abs(l._det) << 24:
+            out = _definite_search(l._jacobi, negative, target)
+        else:
+            h = _lll(la.mat_scale(-1, l.gram) if negative else l.gram)
+            reduced = la.mat_mul(la.mat_mul(h, l.gram), la.transpose(h))
+            steps = la._jacobi_elimination([list(r) for r in reduced])
+            out = tuple(sorted(la.mat_mul(_definite_search(steps, negative, target), h)))
+        l._vectors[a] = out
+    if up_to_sign:
+        return tuple(v for v in out if next(filter(None, v)) > 0)
+    return out
+
+
+def _definite_search(steps, negative: bool, target: int) -> tuple:
+    """Every vector x with Q(x) = target > 0, sorted, for the positive
+    definite form Q that the Jacobi steps of a definite Gram G eliminate:
+    Q = G, or -G when negative.
+
+    With a_l the Bareiss pivot rows of Q (a_ll = D_{l+1}, D_l the leading
+    minors, D_0 = 1), Q(x) = sum_l (a_l . x)^2 / (D_l D_{l+1}). Scaled by
+    W = lcm(D_l D_{l+1}), level l spends w_l t_l^2 of the integer budget
+    W * target, t_l = D_{l+1} x_l + cen_l, and the centre
+    cen_l = sum_{j>l} a_lj x_j is kept as a running sum: stepping x_j
+    adds a_lj to every cen_l below it, and leaving level j takes the sum
+    back (Schnorr-Euchner, Math. Programming 66, 1994). Each coordinate
+    is bounded exactly by isqrt, and level 1's loop solves for x_0
+    instead of descending to it. For a negative definite G the minors
+    of -G of size s are (-1)^s times those of G: its pivot row l is
+    (-1)^(l+1) times G's, and its d * pivot entry is minus G's.
+    """
     rows = [prow for _, prow, _, _ in steps]  # definite: pivot l is row l
     dens = [d * prow[piv] for piv, prow, d, _ in steps]
     if negative:
@@ -492,42 +518,124 @@ def enumerate_vectors(l: Lattice, a: int, up_to_sign: bool = False) -> tuple:
         dens = [-x for x in dens]
     scale = lcm(*dens)
     weights = [scale // x for x in dens]
-    found = []
+    n = len(rows)
+    lead0 = rows[0][0]
+    if n == 1:
+        # D_1 x_0^2 = target
+        q, r = divmod(target, lead0)
+        t = isqrt(q)
+        return ((-t,), (t,)) if not r and t * t == q else ()
+    w0, a01 = weights[0], rows[0][1]
+    # below[j]: (l, a_lj) for the nonzero a_lj with l < j
+    below = [[(l, rows[l][j]) for l in range(j) if rows[l][j]] for j in range(n)]
+    cen = [0] * n
     x = [0] * n
+    found = []
 
     def descend(level: int, budget: int, half: bool):
-        # half: every coordinate above this level is 0 (so s = 0) and the
-        # last nonzero one is still to come, so x_level >= 0 here and
-        # x_0 > 0 at level 0, where the budget is the whole target
-        row = rows[level]
-        lead = row[level]
+        # half: every coordinate above this level is 0 (so cen = 0) and
+        # the last nonzero one is still to come, so x_level >= 0 here
+        # and x_0 > 0 once every other coordinate is 0
+        lead = rows[level][level]
         w = weights[level]
-        s = sum(map(mul, row[level + 1:], x[level + 1:]))
-        if level == 0:
-            # x_0 must spend the whole budget: solve for it
-            q, r = divmod(budget, w)
-            t = isqrt(q)
-            if r or t * t != q:
-                return
-            for tt in (t,) if half else (t, -t) if t else (0,):
-                k, r = divmod(tt - s, lead)
-                if not r:
-                    x[0] = k
-                    found.append(tuple(x))
-            x[0] = 0
-            return
+        s = cen[level]
         bound = isqrt(budget // w)  # |t_l| <= bound
-        for k in range(0 if half else -((bound + s) // lead), (bound - s) // lead + 1):
+        lo = 0 if half else -((bound + s) // lead)
+        hi = (bound - s) // lead
+        if level == 1:
+            c = cen[0] + a01 * lo  # cen_0 at x_1 = lo
+            for k in range(lo, hi + 1):
+                t = lead * k + s
+                # x_0 must spend the rest of the budget: solve for it
+                q, r = divmod(budget - w * t * t, w0)
+                u = isqrt(q)
+                if not r and u * u == q:
+                    x[1] = k
+                    for uu in (u,) if half and not k else (u, -u) if u else (0,):
+                        x0, r = divmod(uu - c, lead0)
+                        if not r:
+                            x[0] = x0
+                            found.append(tuple(x))
+                c += a01
+            x[0] = x[1] = 0
+            return
+        col = below[level]
+        for j, alj in col:
+            cen[j] += alj * lo
+        for k in range(lo, hi + 1):
             t = lead * k + s
             x[level] = k
             descend(level - 1, budget - w * t * t, half and not k)
+            for j, alj in col:
+                cen[j] += alj
+        # hi + 1 >= lo: half sets lo = 0 with s = 0, and otherwise the
+        # interval of k is nonempty over the reals
+        for j, alj in col:
+            cen[j] -= alj * (hi + 1)
         x[level] = 0
 
     descend(n - 1, scale * target, True)
-    out = found + [tuple(map(neg, v)) for v in found]
-    if up_to_sign:
-        out = [v for v in out if next(c for c in v if c) > 0]
-    return tuple(sorted(out))
+    # the half ends in a positive coordinate; negation reverses the
+    # lexicographic order, so the sorted half and its negatives in reverse
+    # are two sorted runs, which the sort merges in one pass
+    found.sort()
+    out = found + [tuple(map(neg, v)) for v in reversed(found)]
+    out.sort()
+    return tuple(out)
+
+
+def _lll(g) -> tuple:
+    """Rows of a unimodular H with H.G.H^T LLL-reduced (delta = 3/4), for
+    a positive definite integer Gram G: Cohen's integral LLL (GTM 138,
+    Alg. 2.6.7) on the Gram matrix, in integers only. d[i] is the Gram
+    determinant of the first i basis vectors and lam[k][j] the scaled
+    Gram-Schmidt coefficient d[j + 1] mu_kj."""
+    n = len(g)
+    h = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = [1, g[0][0]] + [0] * (n - 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def reduce(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])  # the nearest integer
+            h[k] = [x - q * y for x, y in zip(h[k], h[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            # b_k is still the k-th unit vector: its products with the
+            # current b_j are row k of G against h[j]
+            kmax = k
+            for j in range(k + 1):
+                u = sum(map(mul, g[k], h[j]))
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k + 1] = u
+        reduce(k, k - 1)
+        lk = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lk * lk:
+            # swap b_k and b_(k-1), updating d[k] and the lam below them
+            h[k], h[k - 1] = h[k - 1], h[k]
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            b = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+                lam[i][k - 1] = (b * t + lk * lam[i][k]) // d[k + 1]
+            d[k] = b
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return la.freeze_mat(h)
 
 
 def rank2_isomorphism_class(l) -> tuple:

@@ -96,7 +96,8 @@ class RootSystem:
 
     @cached_property
     def _root_coords(self) -> tuple:
-        """simple_coords of every root, solved once per root system."""
+        """simple_coords of every root, solved once per root system;
+        roots_of presets it from its walk instead."""
         return self.simple_coords(self.roots)
 
     @cached_property
@@ -206,16 +207,33 @@ def roots_of(s) -> RootSystem:
         if f > 0:
             positive.append(r)
             height.append(coords[::-1])
-    simple = _simple_roots(positive, height)
+    simple, summands = _simple_roots(positive, height)
     diagram = _dynkin(ambient, simple)
     rs = RootSystem(ambient, span, roots, tuple(positive), simple, _classify_components(diagram))
-    rs.__dict__["_diagram"] = diagram  # the cached property, already known
+    # the cached properties, already known: the diagram, and each root's
+    # simple coordinates read off the walk, p = (p - s) + s with p - s
+    # lower, so earlier in the walk; a negative root is minus a positive
+    # one. With pairings in {0, 1} and an ADE diagram (checked above) the
+    # simple roots' Gram is minus a Cartan matrix of type ADE, which is
+    # positive definite: the simple roots are independent, and these are
+    # the coordinates that cartan's solve would give.
+    rs.__dict__["_diagram"] = diagram
+    index = {s: i for i, s in enumerate(simple)}
+    coords = dict(zip(simple, la.identity(len(simple))))
+    for p, (rest, s) in summands.items():
+        c = list(coords[rest])
+        c[index[s]] += 1
+        coords[p] = tuple(c)
+    rs.__dict__["_root_coords"] = tuple(
+        coords[r] if r in coords else tuple(map(neg, coords[tuple(map(neg, r))])) for r in roots)
     _verify_root_system(rs)
     return rs
 
 
 def _simple_roots(positive, height) -> tuple:
-    """The indecomposable roots among the positive ones, sorted.
+    """(the indecomposable roots among the positive ones, sorted; for each
+    other positive root p, in the walk's order, a pair (p - s, s) of a
+    positive root and a simple one).
 
     height[i] orders positive[i] like a linear functional defining the
     positivity (any key with that order). Walking the positive roots by
@@ -226,10 +244,16 @@ def _simple_roots(positive, height) -> tuple:
     """
     pos_set = set(positive)
     simple = []
+    summands = {}
     for _, p in sorted(zip(height, positive)):
-        if not any(tuple(map(sub, p, s)) in pos_set for s in simple):
+        for s in simple:
+            rest = tuple(map(sub, p, s))
+            if rest in pos_set:
+                summands[p] = (rest, s)
+                break
+        else:
             simple.append(p)
-    return tuple(sorted(simple))
+    return tuple(sorted(simple)), summands
 
 
 def _dynkin(ambient: Lattice, simple) -> tuple:

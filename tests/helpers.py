@@ -187,6 +187,21 @@ def positive_and_simple_by_span_coords(r):
     return tuple(positive), tuple(sorted(p for p in positive if p not in sums))
 
 
+def assert_walk_coords_match_the_solve(r):
+    """roots_of presets the simple coordinates of the roots of a system
+    with roots from the height walk; a copy of the system with nothing
+    cached solves them through cartan, and the coordinates, the component
+    split and the verification agree."""
+    from lattact.root_systems import RootSystem, _verify_root_system
+
+    assert "_root_coords" in vars(r)
+    solved = RootSystem(r.ambient, r.span, r.roots, r.positive_roots, r.simple_roots, r.components)
+    assert r._root_coords == solved.simple_coords(solved.roots)
+    assert "cartan" in vars(solved)
+    assert r.component_roots == solved.component_roots
+    assert _verify_root_system(r) is None and _verify_root_system(solved) is None
+
+
 # ---------------------------------------------------------------------------
 # shared rank-6 fixtures: an order-3 rotation with two choices of reflector
 # acting on 3U, trivial on the last hyperbolic block

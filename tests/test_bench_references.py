@@ -14,7 +14,11 @@ build. The CLI's stdout is compared with every `cli_ref` file, and a
 hash of the repr of every round-0 result pins the bytes out. The
 `enumerate` round solves no coordinates root by root (`coords_in_rows`)
 and takes no determinant in `segment_vectors`, and the positive and simple roots of both rounds' root systems match
-that root-by-root reference. The `degenerate` round runs a third fewer
+that root-by-root reference, their simple coordinates read off the height
+walk matching the Cartan solve. Each `enumerate` vectors item runs two
+searches, one per square (roots_of reads the kept one), builds no Cartan
+solve and LLL-reduces no basis; in a skewed basis the e8_swap items of
+`analyze` and `degenerate` finish within a time bound. The `degenerate` round runs a third fewer
 integer kernels than it did before it reused the action's fixed
 lattice, takes no determinant, solves no coordinates in
 `primitive_hull`, and eliminates each ambient Gram once; its saturation builds one root
@@ -89,6 +93,71 @@ def test_enumerate_round_matches_the_benchmark_references(monkeypatch, tmp_path)
     assert coords == []
 
 
+def test_enumerate_round_searches_once_per_square(monkeypatch, tmp_path):
+    """Each vectors item runs two searches, at -2 and -4: roots_of reads
+    the -2 one that the item's lattice already holds. Its root system
+    builds no Cartan solve, and no Gram of the round is skewed enough to
+    be LLL-reduced first."""
+    from lattact import lattice
+
+    from helpers import count_calls
+
+    _load("gen", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    workload = workloads.Enumerate(7, tmp_path)
+    items = [item for item in workload.round(0) if item["kind"] == "vectors"]
+    searches = count_calls(monkeypatch, lattice, "_definite_search")
+    reductions = count_calls(monkeypatch, lattice, "_lll")
+    for item in items:
+        before = len(searches)
+        result = workload.run(item)
+        assert workload.check(item, result) is None
+        assert len(searches) - before == 2, item["spec"]
+        assert "cartan" not in vars(result[2]), item["spec"]
+    assert reductions == []
+
+
+def _skewed(gen, item, rows=()):
+    """item in the basis of random_unimodular(Random(11), n, 120): row
+    additions compound into entries in the hundreds, a skewed basis."""
+    import random
+
+    b, b_inv = gen.random_unimodular(random.Random(11), len(item["gram"]), 120)
+    return dict(item, **gen.change_basis(item, b, b_inv, rows))
+
+
+def test_skewed_bases_finish_with_the_benchmark_records(monkeypatch, tmp_path):
+    """In a skewed basis the search runs on an LLL-reduced one: `analyze`
+    on e8_swap (is_geometric searches its rank-8 leftover) and the two
+    e8_swap items of `degenerate` round 0 each finish within 5 s, where
+    the search in the given basis took over 40 s, with the benchmark's
+    expected records."""
+    import time
+
+    from lattact import lattice
+
+    from helpers import count_calls
+
+    gen = _load("gen", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    reductions = count_calls(monkeypatch, lattice, "_lll")
+    analyze = workloads.Analyze(7, tmp_path)
+    item = _skewed(gen, dict(gen.base_action("e8_swap"), kind="e8_swap"))
+    start = time.perf_counter()
+    result = analyze.run(item)
+    assert time.perf_counter() - start < 5.0
+    assert analyze.check(item, result) is None and result[3][0] is True
+    degenerate = workloads.Degenerate(7, tmp_path)
+    for item in gen.degenerate_round(7, 0)[5:7]:
+        assert item["kind"] == "e8_swap"
+        item = _skewed(gen, item, item["rows"])
+        start = time.perf_counter()
+        result = degenerate.run(item)
+        assert time.perf_counter() - start < 5.0
+        assert degenerate.check(item, result) is None
+    assert reductions
+
+
 def test_enumerate_round_segments_take_no_determinant(monkeypatch, tmp_path):
     """The frame index of segment_vectors comes from the two Gram
     determinants its signatures already hold: no det and no adjugate."""
@@ -119,13 +188,14 @@ def test_enumerate_round_segments_take_no_determinant(monkeypatch, tmp_path):
 
 
 def test_roots_of_positivity_matches_span_coordinates(monkeypatch, tmp_path):
-    """Positive and simple roots equal the reference solved root by root
-    on the 21 random-basis root lattices of the enumerate round and on
-    every Sublattice the degenerate round asks roots_of about."""
+    """Positive and simple roots equal the reference solved root by root,
+    and the simple coordinates read off the height walk equal the Cartan
+    solve's, on the 21 random-basis root lattices of the enumerate round
+    and on every Sublattice the degenerate round asks roots_of about."""
     from lattact import degeneration, root_systems
     from lattact.lattice import Lattice, Sublattice
 
-    from helpers import positive_and_simple_by_span_coords
+    from helpers import assert_walk_coords_match_the_solve, positive_and_simple_by_span_coords
 
     _load("gen", monkeypatch)
     workloads = _load("workloads", monkeypatch)
@@ -147,6 +217,8 @@ def test_roots_of_positivity_matches_span_coordinates(monkeypatch, tmp_path):
     assert len(systems) > 21
     for r in systems:
         assert (r.positive_roots, r.simple_roots) == positive_and_simple_by_span_coords(r)
+        if r.roots:
+            assert_walk_coords_match_the_solve(r)
 
 
 def test_degenerate_round_matches_the_benchmark_references(monkeypatch, tmp_path):

@@ -526,6 +526,8 @@ def test_enumerate_definite_against_box_search():
         bound = definite_enumeration_box_bound(g, t)
         want = box_vectors_with_square(g, t, bound)
         assert list(got) == want
+        # a second call on the same object reads the kept search
+        assert enumerate_vectors(l, t) is got
         checked += 1
     # either sign, odd and even Grams and targets, rank up to 5: B^T D B
     # for a positive diagonal D and a random unimodular B
@@ -536,9 +538,12 @@ def test_enumerate_definite_against_box_search():
         g = la.mat_scale(sign, conjugate_gram(d, random_unimodular(rng, n, steps=n + 1)))
         t = sign * rng.randint(1, 6)
         want = box_vectors_with_square(g, t, definite_enumeration_box_bound(g, t))
-        assert list(enumerate_vectors(make_lattice(g), t)) == want
-        ups = enumerate_vectors(make_lattice(g), t, up_to_sign=True)
-        assert list(ups) == [v for v in want if next(x for x in v if x) > 0]
+        l = make_lattice(g)
+        assert list(enumerate_vectors(l, t)) == want
+        for lat in (l, make_lattice(g)):
+            ups = enumerate_vectors(lat, t, up_to_sign=True)
+            assert list(ups) == [v for v in want if next(x for x in v if x) > 0]
+        assert list(enumerate_vectors(l, t)) == want
     # D4 in a basis with entries 1000: leading minors near 4 * 10^6 and a
     # large common scale W, past any box search; counts from the closed
     # forms 2n(n-1) and 2n + 16 C(n, 4)
@@ -548,6 +553,79 @@ def test_enumerate_definite_against_box_search():
         got = enumerate_vectors(make_lattice(g), t)
         assert len(set(got)) == count
         assert all(la.sq(g, v) == t for v in got)
+
+
+def test_enumerate_vectors_searches_once_per_square(monkeypatch):
+    from lattact import lattice
+
+    searches = count_calls(monkeypatch, lattice, "_definite_search")
+    g = conjugate_gram(standard_lattice("D5").gram, random_unimodular(random.Random(5), 5, steps=8))
+    l = make_lattice(g)
+    fresh = make_lattice(g)
+    roots = enumerate_vectors(l, -2)
+    assert len(roots) == 40 and enumerate_vectors(l, -2) is roots
+    assert enumerate_vectors(l, -2, up_to_sign=True) == tuple(v for v in roots if next(filter(None, v)) > 0)
+    assert len(searches) == 1
+    assert len(enumerate_vectors(l, -4)) == len(enumerate_vectors(l, -4, up_to_sign=True)) * 2
+    assert len(searches) == 2
+    # the kept searches live in the instance dict, outside the fields
+    assert set(vars(l)["_vectors"]) == {-2, -4}
+    assert l == fresh and hash(l) == hash(fresh) and repr(l) == repr(fresh)
+    # another object searches again; an empty result is kept too
+    assert enumerate_vectors(fresh, -2) == roots and enumerate_vectors(l, -3) == ()
+    assert len(searches) == 3 and -3 in vars(l)["_vectors"]
+
+
+# the D4 chain: rows (1,1000,0,0), (0,1,1001,0), (0,0,1,1002), (0,0,0,1) in
+# the simple roots, an orthogonality defect of 62 bits
+D4_CHAIN = ((1, 1000, 0, 0), (0, 1, 1001, 0), (0, 0, 1, 1002), (0, 0, 0, 1))
+
+
+def test_enumerate_reduces_a_skewed_basis_first(monkeypatch):
+    import time
+
+    from lattact import lattice
+
+    reductions = count_calls(monkeypatch, lattice, "_lll")
+    g = la.mat_mul(la.mat_mul(D4_CHAIN, standard_lattice("D4").gram), la.transpose(D4_CHAIN))
+    l = make_lattice(g)
+    start = time.perf_counter()
+    found = {t: enumerate_vectors(l, t) for t in (-2, -4)}
+    assert time.perf_counter() - start < 1.0
+    # closed forms 2n(n-1) and 2n + 16 C(n, 4) at n = 4
+    assert [len(set(found[t])) for t in (-2, -4)] == [24, 24]
+    assert all(la.sq(g, v) == t for t in found for v in found[t])
+    assert all(list(vs) == sorted(vs) for vs in found.values())
+    assert len(reductions) == 2
+
+
+def test_reduced_search_matches_the_search_in_the_given_basis(monkeypatch):
+    # bases past the 24-bit gate but small enough to search unreduced:
+    # the reduced search mapped back equals the plain one, either sign
+    from lattact import lattice
+
+    reductions = count_calls(monkeypatch, lattice, "_lll")
+    rng = random.Random(404)
+    gated = searched = 0
+    while gated < 40:
+        n = rng.randint(2, 6)
+        d = [[rng.randint(1, 4) if i == j else 0 for j in range(n)] for i in range(n)]
+        b = [list(row) for row in la.identity(n)]
+        for _ in range(rng.randint(2, 4)):
+            i, j = rng.sample(range(n), 2)
+            b[i] = [x + rng.choice((-1, 1)) * rng.randint(5, 24) * y for x, y in zip(b[i], b[j])]
+        sign = rng.choice((1, -1))
+        g = la.mat_scale(sign, conjugate_gram(d, la.transpose(b)))
+        l = make_lattice(g)
+        if prod(abs(g[i][i]) for i in range(n)) <= abs(l.det()) << 24:
+            continue
+        gated += 1
+        # an even lattice has no vector of odd square, and is not searched for one
+        searched += 4 - l.even
+        for t in (1, 2, 4, 6):
+            plain = lattice._definite_search(l._jacobi, sign < 0, t)
+            assert enumerate_vectors(l, sign * t) == plain
+    assert len(reductions) == searched
 
 
 def test_enumerate_rank_four_against_box_search():

@@ -610,8 +610,24 @@ def test_positivity_matches_span_coordinates_on_a_proper_root_span():
         pivots = [next(x for x in row if x) for row in r.span.basis]
         assert len(r.roots) == (16 if l.rank == 8 else 12) and prod(pivots) == 2
         assert (r.positive_roots, r.simple_roots) == positive_and_simple_by_span_coords(r)
+        helpers.assert_walk_coords_match_the_solve(r)
     assert roots_of(z3).span.basis == ((1, 0, 1), (0, 1, 1), (0, 0, 2))
     assert (-1, -1, 0) in roots_of(z3).positive_roots
+
+
+@pytest.mark.parametrize("spec", [
+    *(f"A{n}" for n in range(1, 9)), *(f"D{n}" for n in range(4, 9)), "E6", "E7", "E8",
+    "A2+A1", "A3+A3", "D4+A2", "A2+A2+A2", "E6+A2", "D4+D4",
+])
+def test_walk_coords_match_the_cartan_solve(spec):
+    # the standard ADE lattices up to rank 8 and the sums of the benchmark's
+    # vector items, each in three random bases
+    g = standard_lattice(spec).gram
+    rng = random.Random(spec)
+    for _ in range(3):
+        r = roots_of(make_lattice(conjugate_gram(g, random_unimodular(rng, len(g), steps=8))))
+        assert "cartan" not in vars(r)
+        helpers.assert_walk_coords_match_the_solve(r)
 
 
 def test_simple_coords_none_outside_the_root_span():
