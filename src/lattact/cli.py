@@ -404,5 +404,5 @@ def main(argv=None) -> int:
         return next((code for cls, code in _EXIT_CODES if isinstance(err, cls)), 1)
 
 
-if __name__ == "__main__":
+if __name__ == "__main__":  # python -m lattact.cli; the tests run it in a child process
     raise SystemExit(main())

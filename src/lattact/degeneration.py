@@ -299,13 +299,11 @@ def camera_adjacent(s: SaturatedSystem, r_prime: Sublattice) -> Camera:
         space = la.identity(n)
     # every |pairing| of a face row with a root is below base, so the
     # pairing of sum base^i row_i with a root is a signed base-`base`
-    # numeral and vanishes only when every digit does
+    # numeral and vanishes only when every digit does: the face point is
+    # generic in the face
     pairings = [[la.dot(l.gram, row, root) for row in space] for root in r_bar.roots]
     base = max([10] + [abs(p) + 1 for pairs in pairings for p in pairs])
     face_point = tuple(sum(base ** i * row[k] for i, row in enumerate(space)) for k in range(n))
-    for root, pairs in zip(r_bar.roots, pairings):
-        if la.dot(l.gram, face_point, root) == 0 and any(pairs):
-            raise VerificationError("no generic point of the face was found")
     if not r_bar.roots:
         return Camera(r_bar, (), face_point)
     z = fundamental_camera(r_bar).witness
@@ -319,11 +317,10 @@ def camera_adjacent(s: SaturatedSystem, r_prime: Sublattice) -> Camera:
     gw = la.mat_vec(l.gram, witness)
     height = {v: sum(map(mul, gw, v)) for v in r_bar.roots}
     pos = [v for v in r_bar.roots if height[v] > 0]
-    cam = Camera(r_bar, _simple_roots(pos, [height[v] for v in pos])[0], witness)
-    for wall in cam.walls:
-        if la.dot(l.gram, face_point, wall) < 0:
-            raise VerificationError("face point fell outside the camera closure")
-    return cam
+    # scale makes the witness's pairing with a root take the sign of the
+    # face point's wherever that is nonzero: each wall, positive on the
+    # witness, pairs with the face point to >= 0, so it is in the closure
+    return Camera(r_bar, _simple_roots(pos, [height[v] for v in pos])[0], witness)
 
 
 def degenerate_at_wall(a: LatticeAction, f: FundamentalData, e: EigenData, v) -> DegenerationResult:

@@ -90,8 +90,6 @@ class LatticeAction:
                     kappas[t] = kappas[i] * k
                 elif kappas[t] != kappas[i] * k:
                     raise VerificationError("declared signs are not a homomorphism")
-        if any(len(set(column)) != len(elements) for column in zip(*table)):
-            raise VerificationError("group closure is not inverse-closed")
         return GroupElements(self, elements, tuple(kappas), table)
 
     @cached_property
@@ -147,6 +145,17 @@ class GroupElements:
                 if words[t] is None:
                     words[t] = words[i] + (j,)
         return tuple(words)
+
+    def _represent(self, blocks) -> tuple:
+        """Each element's image under the homomorphism that sends generator
+        j to the square matrix blocks[j]: the product of the blocks along
+        its word, one product per element along its first table edge."""
+        out = [la.identity(len(blocks[0]))] + [None] * (len(self.elements) - 1)
+        for i, row in enumerate(self.table):
+            for j, t in enumerate(row):
+                if out[t] is None:
+                    out[t] = la.mat_mul(out[i], blocks[j])
+        return tuple(out)
 
     def _powers(self, i) -> list:
         """Indices of x^0, ..., x^(o-1) for x = elements[i] of order o:
@@ -290,9 +299,11 @@ def enumerate_group(action: LatticeAction) -> GroupElements:
     The closure is la.group_closure over right multiplication by the
     generators; the declared signs are propagated multiplicatively along
     its table and checked on every generator edge, so a sign assignment
-    that is not a homomorphism is always detected. Every table column must
-    permute the indices: then the finite set is closed under each
-    generator's inverse too, so it is the generated group.
+    that is not a homomorphism is always detected. Each generator is
+    unimodular (Isometry checks it), so right multiplication by it is
+    injective and its table column permutes the finite closed set: the
+    set is closed under each generator's inverse too, so it is the
+    generated group.
     """
     return action._group
 
@@ -327,24 +338,23 @@ def _real_branch(action, group, fixed0) -> FundamentalData:
     ident = la.identity(l.rank)
     fid = la.identity(fixed0.rank)
     if -1 not in group.kappas:
-        # the kernel is the whole group, so fixed0 is action._fixed
+        # the kernel is the whole group, so fixed0 is action._fixed; its
+        # positive index is three, one direction per positive pivot
         vecs = _positive_directions(fixed0)
-        if len(vecs) < 3:
-            raise VerificationError("not almost geometric: fixed part lost a positive direction")
         plane = _flag_plane(action, vecs[1], vecs[2])
         return FundamentalData(1, True, ident, vecs[0], plane, group, action._fixed, fixed0, (fid,) * len(group))
-    if fixed0.basis == ident:
-        # fixed0 is the whole lattice (the sign kernel is trivial): each
-        # element is its own restriction
-        rho_action = group.elements
-    else:
-        rho_action = tuple(_restrict(m, fixed0.basis) for m in group.elements)
-    cf = rho_action[group.kappas.index(-1)]
-    # on the kernel-fixed part every -1 element acts the same way and
-    # every +1 element acts trivially; anything else is a sign conflict
-    for r, k in zip(rho_action, group.kappas):
-        if r != (fid if k == 1 else cf):
-            raise VerificationError("declared signs disagree with the action on the fixed part")
+    # a block the generators keep, the group keeps; where the sign kernel
+    # is trivial fixed0 is the whole lattice and each block its generator
+    signs = [k for _, _, k in action.generators]
+    blocks = [iso.matrix if fixed0.basis == ident else _restrict(iso.matrix, fixed0.basis)
+              for _, iso, _ in action.generators]
+    cf = blocks[signs.index(-1)]
+    # on the kernel-fixed part every +1 generator acts trivially and every
+    # -1 generator as one involution cf; the sign is a homomorphism, so
+    # then every +1 element acts as fid and every -1 element as cf
+    if la.mat_mul(cf, cf) != fid or any(b != (fid if k == 1 else cf) for b, k in zip(blocks, signs)):
+        raise VerificationError("declared signs disagree with the action on the fixed part")
+    rho_action = tuple(fid if k == 1 else cf for k in group.kappas)
     # a vector of fixed0 that cf fixes is fixed by every element, and a
     # vector every element fixes lies in fixed0: the plus part is the
     # whole group's fixed lattice, both primitive and in HNF
@@ -359,17 +369,13 @@ def _real_branch(action, group, fixed0) -> FundamentalData:
 
 
 def _flag_plane(action, u, v) -> Sublattice:
-    """The saturated span of u and v, checked to be invariant under every
-    generator and of positive index two. The order >= 2 branch needs no
-    such check: its plane is rho, which _rotation_branch restricts every
-    element to and whose positive index it checks."""
-    plane = _trusted(Sublattice, action.ambient, la.saturate_rows((u, v)))
-    for _, iso, _ in action.generators:
-        if la.restrict_to_span(iso.matrix, plane.basis) is None:
-            raise VerificationError("flag plane is not invariant")
-    if signature(plane.as_lattice()).plus != 2:
-        raise VerificationError("flag plane has the wrong positive index")
-    return plane
+    """The saturated span of u and v. Both callers pass orthogonal
+    positive vectors that every generator fixes or negates (a fixed
+    vector and one of cf's -1 part, orthogonal because cf is an isometry,
+    or two Jacobi directions of the fixed lattice), so the plane is
+    invariant and of positive index two by construction. The order >= 2
+    branch builds no such plane: its plane is rho."""
+    return _trusted(Sublattice, action.ambient, la.saturate_rows((u, v)))
 
 
 def _rotation_branch(action, group) -> FundamentalData:
@@ -390,43 +396,42 @@ def _rotation_branch(action, group) -> FundamentalData:
     if best is None:
         raise VerificationError("not almost geometric: no element carries a positive rotation plane")
     nn, w, rho = best
-    witness = group.elements[w]
-    c = _restrict(witness, rho.basis)
+    # restricting each generator integrally is the block's invariance
+    # check: a block every generator keeps, the group keeps
+    blocks = [_restrict(iso.matrix, rho.basis) for _, iso, _ in action.generators]
+    rho_action = group._represent(blocks)
+    # Phi_nn(c) = 0 on the cyclotomic kernel and Phi_nn is irreducible, so
+    # c's order is exactly nn and its powers are nn distinct matrices
+    c = rho_action[w]
     powers = [la.identity(len(c))]
     for _ in range(nn - 1):
         powers.append(la.mat_mul(powers[-1], c))
     kid, c_inv = powers[0], powers[-1]
-    # c's order is exactly nn: c^nn = I and no earlier power is I
-    if la.mat_mul(c_inv, c) != kid or kid in powers[1:]:
-        raise VerificationError("rotation block order disagrees with its cyclotomic kernel")
+    # being a power of c is no multiplicative condition: check each element
+    if any(k == 1 and r not in powers for r, k in zip(rho_action, group.kappas)):
+        raise ScopeError("unsupported action shape: kernel subgroup is not cyclic on the rotation block")
+    # with the kernel on the powers of c, each -1 element is c^a s for any
+    # -1 generator s, and c^a s reverses the orientation when s does (for
+    # nn = 2, c = -I, so it is +-s): checking the -1 generators suffices
     block = rho.as_lattice()
-    # restricting every element integrally is also the rotation block's
-    # invariance check: _restrict raises ScopeError otherwise
-    rho_action = []
-    for i, (m, k) in enumerate(zip(group.elements, group.kappas)):
-        r = c if i == w else _restrict(m, rho.basis)
-        rho_action.append(r)
+    for s, (_, _, k) in zip(blocks, action.generators):
         if k == 1:
-            if r not in powers:
-                raise ScopeError("unsupported action shape: kernel subgroup is not cyclic on the rotation block")
             continue
         if nn >= 3:
-            # r c r^-1 = c^-1, multiplied through by r
-            if la.mat_mul(r, c) != la.mat_mul(c_inv, r):
-                raise VerificationError("declared signs disagree with the rotation orientation")
+            # s c s^-1 = c^-1, multiplied through by s
+            reversed_ = la.mat_mul(s, c) == la.mat_mul(c_inv, s)
         else:
-            if la.mat_mul(r, r) != kid:
-                raise VerificationError("declared signs disagree with the rotation orientation")
-            for sgn in (1, -1):
-                part = _trusted(Sublattice, block, la.kernel_int(la.mat_sub(r, la.mat_scale(sgn, kid))))
-                if signature(part.as_lattice()).plus != 1:
-                    raise VerificationError("declared signs disagree with the rotation orientation")
+            reversed_ = la.mat_mul(s, s) == kid and all(
+                signature(_trusted(Sublattice, block, la.kernel_int(la.mat_sub(s, la.mat_scale(sgn, kid))))
+                          .as_lattice()).plus == 1 for sgn in (1, -1))
+        if not reversed_:
+            raise VerificationError("declared signs disagree with the rotation orientation")
     if signature(block).plus != 2:
         raise VerificationError("rotation block has the wrong positive index")
     positive = _positive_directions(action._fixed)
     if not positive:
         raise VerificationError("not almost geometric: no invariant positive direction")
-    return FundamentalData(nn, nn <= 2, witness, positive[0], rho, group, action._fixed, rho, tuple(rho_action))
+    return FundamentalData(nn, nn <= 2, group.elements[w], positive[0], rho, group, action._fixed, rho, rho_action)
 
 
 def fundamental_data(action: LatticeAction) -> FundamentalData:
@@ -446,28 +451,15 @@ def fundamental_data(action: LatticeAction) -> FundamentalData:
         raise ScopeError("ambient lattice must have positive index three")
     group = enumerate_group(action)
     fixed0 = fixed_lattice(action, "kernel")
+    # The flag holds by construction. ell is a positive direction of the
+    # group's fixed lattice, so positive and invariant, and orthogonal to
+    # the plane: in the real branches the plane is spanned by another such
+    # direction and a vector of cf's -1 part, and for order >= 2 it is
+    # rho, where w - 1 is invertible for the witness w, which fixes ell.
+    # The witness's order is a multiple of nn, one of its divisors.
     if signature(fixed0.as_lattice()).plus == 3:
-        data = _real_branch(action, group, fixed0)
-    else:
-        data = _rotation_branch(action, group)
-    _verify_flag(action, data)
-    return data
-
-
-def _verify_flag(action: LatticeAction, data: FundamentalData) -> None:
-    l = action.ambient
-    if l.sq(data.ell) <= 0:
-        raise VerificationError("flag line is not positive")
-    # the plane was checked where it was built (_flag_plane, _rotation_branch)
-    for _, iso, _ in action.generators:
-        if iso(data.ell) != tuple(data.ell):
-            raise VerificationError("flag line is not invariant")
-    for row in data.plane.basis:
-        if l.dot(data.ell, row) != 0:
-            raise VerificationError("flag line is not orthogonal to the plane")
-    group = data.group
-    if data.order_n > 1 and group.order(group.index_of(data.witness)) % data.order_n:
-        raise VerificationError("witness order is not a multiple of the rotation order")
+        return _real_branch(action, group, fixed0)
+    return _rotation_branch(action, group)
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +485,9 @@ def dilated_complex_structure(action: LatticeAction, data: FundamentalData) -> D
 
     Defined for rotation orders 3, 4 and 6 (t = -1, 0, 1), the orders
     whose primitive roots of unity have degree two. J is checked to be
-    anti-selfadjoint, to commute with every +1 element and to anticommute
-    with every -1 element on the block.
+    anti-selfadjoint, to commute with every +1 generator and to
+    anticommute with every -1 generator on the block, hence with every
+    element of the same sign.
     """
     if data.order_n not in _T_FOR_ORDER:
         raise ScopeError("no integral dilation for this rotation order")
@@ -510,7 +503,10 @@ def dilated_complex_structure(action: LatticeAction, data: FundamentalData) -> D
     g = rho.gram()
     if la.mat_mul(la.transpose(j), g) != la.mat_scale(-1, la.mat_mul(g, j)):
         raise VerificationError("dilation is not anti-selfadjoint")
-    for r, kap in zip(data.rho_action, data.group.kappas):
+    # r J = kappa(r) J r is multiplicative in r, so it holds on the group
+    # when it holds on the generators' blocks
+    for j_gen, (_, _, kap) in enumerate(action.generators):
+        r = data.rho_action[data.group.table[0][j_gen]]
         left = la.mat_mul(r, j)
         right = la.mat_mul(j, r)
         if kap == 1 and left != right:
@@ -541,26 +537,18 @@ def eigen_lattices(action: LatticeAction, data: FundamentalData) -> EigenData:
     kid = la.identity(k)
     if la.mat_mul(c, c) != kid:
         raise ScopeError("antiholomorphic generator is not an involution on the rotation block")
+    # c^2 = I: x^2 - 1 is squarefree, so c diagonalizes over Q and the two
+    # kernels below have ranks adding up to k; c is an isometry of the
+    # block, so u.v = cu.cv = -u.v for u in plus and v in minus
     block = rho.as_lattice()
     plus = _trusted(Sublattice, block, la.kernel_int(la.mat_sub(c, kid)))
     minus = _trusted(Sublattice, block, la.kernel_int(la.mat_add(c, kid)))
-    if plus.rank + minus.rank != k:
-        raise VerificationError("eigenparts do not span the rotation block")
-    for u in plus.basis:
-        for v in minus.basis:
-            if block.dot(u, v) != 0:
-                raise VerificationError("eigenparts are not orthogonal")
     # the largest elementary divisor of B = (plus; minus): |det B| over the
-    # gcd of its (k-1)-minors, which are the entries of adj B
+    # gcd of its (k-1)-minors, which are the entries of adj B. It clears the
+    # averaging: exponent . v = p + m with p, m in the parts, so
+    # exponent (v +- cv) / 2 is p or m
     adj, d = la.adjugate(plus.basis + minus.basis)
     exponent = abs(d) // gcd(d, *(x for row in adj for x in row))
-    for i in range(k):
-        e = tuple(1 if t == i else 0 for t in range(k))
-        ce = la.mat_vec(c, e)
-        for sgn, part in ((1, plus), (-1, minus)):
-            w = tuple(exponent * (a + sgn * b) for a, b in zip(e, ce))
-            if any(x % 2 for x in w) or not part.contains(tuple(x // 2 for x in w)):
-                raise VerificationError("exponent fails to clear the averaging denominators")
     eigen = EigenData(name, iso, rho, plus, minus, exponent)
     eigen.__dict__["reflector_block"] = c  # the cached property, already known
     return eigen
@@ -656,17 +644,6 @@ def _wedge_matrix(phi) -> tuple:
     )
 
 
-def _perm_sign(p) -> int:
-    return (-1) ** sum(a > b for i, a in enumerate(p) for b in p[i + 1:])
-
-
-def _wedge_pairing() -> tuple:
-    return tuple(
-        tuple(_perm_sign(a + b) if len(set(a + b)) == 4 else 0 for b in _WEDGE_PAIRS)
-        for a in _WEDGE_PAIRS
-    )
-
-
 def _as_int_square(phi, size: int) -> tuple:
     m = phi.matrix if isinstance(phi, Isometry) else la.int_rows(phi)
     if m is None:
@@ -680,20 +657,16 @@ def wedge_square(phi) -> Isometry:
     """Induced isometry of the rank-6 wedge pairing of a determinant +1
     integer 4 x 4 matrix, on a basis presenting the pairing as 3U.
 
-    Multiplicative, and it identifies phi with -phi; the pairing basis is
-    re-derived and checked against 3U on every call.
+    Multiplicative, and it identifies phi with -phi. The basis change
+    _WEDGE_TO_U is a constant (the tests check that it presents the
+    pairing as 3U), and the result is checked to be an isometry of 3U.
     """
     m = _as_int_square(phi, 4)
     if la.det(m) != 1:
         raise InputError("wedge square needs determinant +1")
-    target = standard_lattice("3U")
-    p = la.freeze_mat(_WEDGE_TO_U)
-    p_inv = la.transpose(p)  # p is a signed permutation
-    base_gram = la.mat_mul(la.mat_mul(p_inv, _wedge_pairing()), p)
-    if base_gram != target.gram:
-        raise VerificationError("wedge basis fails to present the pairing as 3U")
-    w = la.mat_mul(la.mat_mul(p_inv, _wedge_matrix(m)), p)
-    return Isometry(target, w)
+    p = _WEDGE_TO_U
+    w = la.mat_mul(la.mat_mul(la.transpose(p), _wedge_matrix(m)), p)  # p^-1 = p^T
+    return Isometry(standard_lattice("3U"), w)
 
 
 def conjugation_obstruction(phi) -> bool:
@@ -718,6 +691,4 @@ def conjugation_obstruction(phi) -> bool:
     if nullity < 2:
         raise InputError("wedge square needs eigenvalue -1 of multiplicity at least two")
     cp = la.char_poly(m)
-    if cp[1] != 0 or cp[3] != 0:
-        return False
-    return la.poly_eval(cp, 1) != 0 and la.poly_eval(cp, -1) != 0
+    return cp[1] == cp[3] == 0 and la.poly_eval(cp, 1) != 0 and la.poly_eval(cp, -1) != 0

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul, neg
 
 from . import linalg as la
 from ._record import fields, record
-from .errors import InputError, ScopeError, VerificationError
+from .errors import InputError, ScopeError
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +254,10 @@ def _ade_gram(letter: str, n: int) -> tuple:
         if n < 4:
             raise InputError("D_n needs n >= 4")
         edges = [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
-    elif letter == "E":
-        if n not in (6, 7, 8):
-            raise InputError("E_n needs n in {6,7,8}")
-        # chain 0..n-2 with node n-1 attached to node 2 (arms 1, 2, n-4)
-        edges = [(i, i + 1) for i in range(n - 2)] + [(2, n - 1)]
     else:
-        raise InputError(f"unknown series {letter!r}")
+        # E6, E7 or E8, the only other names _TERM_RE admits: the chain
+        # 0..n-2 with node n-1 attached to node 2 (arms 1, 2, n-4)
+        edges = [(i, i + 1) for i in range(n - 2)] + [(2, n - 1)]
     g = [[0] * n for _ in range(n)]
     for i in range(n):
         g[i][i] = -2
@@ -402,47 +399,38 @@ def discriminant_form(l: Lattice) -> DiscriminantForm:
     bs = tuple(
         tuple(Fraction(la.dot(l.gram, gi, gj)) % 1 for gj in gens) for gi in gens
     )
-    if prod(factors) != abs(l.det()):
-        raise VerificationError("discriminant order does not match |det|")
-    # q refines b: q(x+y) - q(x) - q(y) = 2 b(x,y) mod 2Z on generator pairs
-    for i, gi in enumerate(gens):
-        for j, gj in enumerate(gens):
-            lhs = (Fraction(la.sq(l.gram, la.vec_add(gi, gj))) - qs[i] - qs[j]) % 2
-            if lhs != (2 * bs[i][j]) % 2:
-                raise VerificationError("discriminant q does not refine b")
+    # the order is prod d_i = |det G| (U and V are unimodular), and q
+    # refines b because q and b are read off one bilinear form
     return DiscriminantForm(tuple(factors), tuple(gens), tuple(qs), bs)
 
 
 def _binary_split_solutions(gram, t: int) -> tuple:
     """Integer solutions of a rank-2 form that factors into linear forms.
 
-    Needs disc = B^2 - AC a positive perfect square, t != 0; then
-    A*Q = (Ax + (B-s)y)(Ax + (B+s)y) and solutions come from the signed
-    divisor pairs of A*t (or of t directly when A = 0).
+    Needs disc = B^2 - AC a positive perfect square s^2, t != 0. When
+    A = 0, Q = y (2Bx + Cy), so y runs over the signed divisors of t and
+    2Bx = t/y - Cy; every such (x, y) has Q = t. When A != 0 the form
+    is first brought to that shape: v = (s - B, A)/g is a primitive
+    isotropic vector, an extended gcd completes it to a unimodular
+    H = (v; w), and H G H^T = [[0, B'], [B', C']] with B'^2 = s^2. The
+    work depends on t only, not on the size of the Gram entries.
     """
-    a_, b_, c_ = gram[0][0], gram[0][1], gram[1][1]
-    s = isqrt(b_ * b_ - a_ * c_)
-    sols = set()
+    a_ = gram[0][0]
+    h = None
     if a_ != 0:
-        n = a_ * t
-        for d1 in la.divisors_signed(n):
-            d2 = n // d1
-            if (d2 - d1) % (2 * s):
-                continue
-            y = (d2 - d1) // (2 * s)
-            num = d1 - (b_ - s) * y
-            if num % a_:
-                continue
-            sols.add((num // a_, y))
-    else:
-        # Q = y * (2Bx + Cy), so y runs over signed divisors of t
-        for y in la.divisors_signed(t):
-            rem = t // y - c_ * y
-            if rem % (2 * b_):
-                continue
-            sols.add((rem // (2 * b_), y))
-    out = tuple(sorted(v for v in sols if any(v) and la.sq(gram, v) == t))
-    return out
+        s = isqrt(gram[0][1] ** 2 - a_ * gram[1][1])
+        g = gcd(s - gram[0][1], a_)
+        p, q = (s - gram[0][1]) // g, a_ // g
+        x = pow(p, -1, abs(q))  # p x + q y = 1, so det H = 1
+        h = ((p, q), ((p * x - 1) // q, x))
+        gram = la.mat_mul(la.mat_mul(h, gram), la.transpose(h))
+    b_, c_ = gram[0][1], gram[1][1]
+    sols = []
+    for y in la.divisors_signed(t):
+        rem = t // y - c_ * y
+        if rem % (2 * b_) == 0:
+            sols.append((rem // (2 * b_), y))
+    return tuple(sorted(la.mat_mul(sols, h) if h and sols else sols))
 
 
 def enumerate_vectors(l: Lattice, a: int, up_to_sign: bool = False) -> tuple:
@@ -455,8 +443,12 @@ def enumerate_vectors(l: Lattice, a: int, up_to_sign: bool = False) -> tuple:
     object searches once per square and keeps the sorted result. The
     result is sorted lexicographically; with up_to_sign=True only the
     representative with positive first nonzero coordinate is kept.
-    Rank-2 indefinite forms whose discriminant is a perfect square (products of two linear forms, e.g. U(k) or
-    diag(2,-2)) are solved by divisor enumeration instead.
+    Rank-2 indefinite forms whose discriminant is a perfect square
+    (products of two linear forms, e.g. U(k) or diag(2,-2)) are solved
+    instead in a basis that starts with a primitive isotropic vector,
+    where the solutions come from the signed divisors of a alone: see
+    _binary_split_solutions. Their work depends on a, not on the size of
+    the Gram entries.
     """
     rows = la.int_rows(((a,),))
     if rows is None:

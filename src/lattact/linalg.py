@@ -471,7 +471,7 @@ def clear_denominators(v: Vec) -> Vec:
 def char_poly(a: Mat) -> tuple:
     """Characteristic polynomial coefficients (c_0, ..., c_n) of an integer
     matrix, p(x) = sum c_k x^k and c_n = 1, computed by Faddeev-LeVerrier;
-    its division by k is exact on integers (checked).
+    its division by k is exact on integers.
     """
     n = len(a)
     m = _int_rows(a)
@@ -482,9 +482,9 @@ def char_poly(a: Mat) -> tuple:
     for k in range(1, n + 1):
         if k > 1:
             mk = mat_mul(m, mat_add(mk, mat_scale(c, ident)))
-        c, r = divmod(-sum(mk[i][i] for i in range(n)), k)
-        if r:
-            raise ValueError("inexact Faddeev-LeVerrier division")
+        # c is a coefficient of the characteristic polynomial of an integer
+        # matrix, an integer, so the division is exact
+        c = -sum(mk[i][i] for i in range(n)) // k
         coeffs[n - k] = c
     return tuple(coeffs)
 
@@ -498,27 +498,22 @@ def poly_eval(coeffs: Sequence, x):
 
 def poly_mat(coeffs: Sequence, a: Mat) -> Mat:
     """Evaluate a polynomial (coefficients c_0, ..., c_n) at a square matrix."""
-    n = len(a)
-    acc = zero_mat(n, n)
+    acc = zero_mat(len(a), len(a))
     for c in reversed(coeffs):
-        acc = mat_add(mat_mul(acc, a), mat_scale(c, identity(n)))
+        # Horner step acc . a + c I: c goes onto the diagonal
+        acc = tuple(row[:i] + (row[i] + c,) + row[i + 1:] for i, row in enumerate(mat_mul(acc, a)))
     return acc
 
 
 def _poly_divexact(p: Sequence, q: Sequence) -> tuple:
-    # long division, exact by construction for cyclotomic factors
+    # long division by a monic q that divides p (cyclotomic factors of
+    # x^n - 1), so every quotient coefficient is exact and no remainder is left
     rem = list(p)
     out = [0] * (len(p) - len(q) + 1)
     for k in range(len(out) - 1, -1, -1):
-        c = rem[k + len(q) - 1]
-        if c % q[-1]:
-            raise ValueError("inexact polynomial division")
-        c //= q[-1]
-        out[k] = c
+        c = out[k] = rem[k + len(q) - 1]
         for j, qj in enumerate(q):
             rem[k + j] -= c * qj
-    if any(rem):
-        raise ValueError("inexact polynomial division")
     return tuple(out)
 
 

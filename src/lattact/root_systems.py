@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import permutations, repeat
-from operator import floordiv, mod, mul, neg, sub
+from operator import add, floordiv, mod, mul, neg, sub
 
 from . import linalg as la
 from ._record import record
@@ -159,15 +159,6 @@ class WeylWord:
 # construction
 
 
-def _positivity_functional(coords) -> int:
-    # sign of the last nonzero coordinate: a lexicographic order, so it
-    # splits the roots into positive and negative at any coordinate size
-    for c in reversed(coords):
-        if c:
-            return 1 if c > 0 else -1
-    return 0
-
-
 def roots_of(s) -> RootSystem:
     """Complete root system of a negative definite sublattice (or lattice)."""
     if isinstance(s, Lattice):
@@ -185,28 +176,31 @@ def roots_of(s) -> RootSystem:
     if not local:
         return RootSystem(ambient, sublattice_from_rows(ambient, ()), (), (), (), ())
     roots = local if sl is s else tuple(sorted(la.mat_mul(local, s.basis)))
-    # Sorted and closed under negation (checked below), the roots hold one
-    # of each pair +-r in their upper half, which spans the same lattice.
-    basis = la.hnf(roots[len(roots) // 2:])
+    # enumerate_vectors returns each vector with its negative, so the
+    # sorted roots hold in their upper half the positive system of the
+    # lexicographic order on ambient coordinates, total and compatible
+    # with addition. Walking it by that order gives a base of r roots,
+    # which spans the root lattice: its HNF is the span basis.
+    upper = roots[len(roots) // 2:]
+    lex_base, lex_summands = _simple_roots(upper, upper)
+    basis = la.hnf(lex_base)
     span = _trusted(Sublattice, ambient, basis)
     # A root is positive when the last nonzero entry of its span
-    # coordinates c is. On the pivot columns of the HNF basis a root reads
-    # c T, T upper triangular with a positive diagonal, so one product
-    # gives (c T) adj T = det(T) c for every root: det T > 0 keeps each
-    # sign and the lexicographic order of the reversed coordinates, which
-    # orders the positive roots by height.
+    # coordinates is (a root is nonzero, so some entry is). The base
+    # roots' coordinates come by substitution on the pivots, each other
+    # upper root's along the walk, c(p) = c(p - s) + c(s), and a lower
+    # root's as minus its negative's. The reversed coordinates order the
+    # positive roots by height.
     pivots = la._echelon_pivots(basis)
-    adj_t, _ = la.adjugate(tuple(tuple(row[p] for p in pivots) for row in basis))
-    columns = tuple(zip(*roots))
-    scaled = zip(*la.mat_mul(la.transpose(adj_t), tuple(columns[p] for p in pivots)))
+    coords = {b: la._echelon_coords(b, basis, pivots) for b in lex_base}
+    for p, (rest, b) in lex_summands.items():
+        coords[p] = tuple(map(add, coords[rest], coords[b]))
     positive, height = [], []
-    for r, coords in zip(roots, scaled):
-        f = _positivity_functional(coords)
-        if f == 0:
-            raise VerificationError("generic functional vanished on a root")
-        if f > 0:
+    for r in roots:
+        c = coords[r] if r in coords else tuple(map(neg, coords[tuple(map(neg, r))]))
+        if next(filter(None, reversed(c))) > 0:
             positive.append(r)
-            height.append(coords[::-1])
+            height.append(c[::-1])
     simple, summands = _simple_roots(positive, height)
     diagram = _dynkin(ambient, simple)
     rs = RootSystem(ambient, span, roots, tuple(positive), simple, _classify_components(diagram))
@@ -322,12 +316,12 @@ def _classify_components(diagram) -> tuple:
 
 
 def _verify_root_system(rs: RootSystem):
+    """Checks a system with at least one root (roots_of returns the empty
+    system before calling this)."""
     root_set = set(rs.roots)
     for r in rs.roots:
         if tuple(map(neg, r)) not in root_set:
             raise VerificationError("root set not closed under negation")
-    if not rs.simple_roots:
-        return
     # every root is an all-nonnegative or all-nonpositive integer
     # combination of the simple roots
     for c in rs._root_coords:
@@ -524,6 +518,8 @@ def is_admissible(r: RootSystem, action) -> tuple:
     n = r.ambient.rank
     span_mats = []
     for m in mats:
+        # each m keeps the roots (checked above), so it keeps the span that
+        # roots_of gives; a RootSystem built by hand may carry another
         c = la.restrict_to_span(m, r.span.basis)
         if c is None:
             raise VerificationError("root span is not invariant")
@@ -539,17 +535,14 @@ def is_admissible(r: RootSystem, action) -> tuple:
         if all(p == 0 for p in pairs):
             return False, la.primitive_vector(root)
         pair_bound = max(pair_bound, max(abs(p) for p in pairs))
+    # the witness is a sum of fixed vectors, so invariant, and its pairing
+    # with a root is a signed base-`base` numeral whose digits, the root's
+    # pairings with the fixed rows, are below base and not all 0: nonzero
     base = pair_bound + 1
     witness = tuple(
         sum(base ** i * f[k] for i, f in enumerate(fixed_amb))
         for k in range(n)
     )
-    for m in mats:
-        if la.mat_vec(m, witness) != witness:
-            raise VerificationError("camera witness is not action-invariant")
-    for root in r.roots:
-        if la.dot(gram, witness, root) == 0:
-            raise VerificationError("camera witness landed on a mirror")
     return True, witness
 
 
@@ -606,27 +599,15 @@ def classify_admissible_b_transitive(max_rank: int) -> tuple:
         rs = roots_of(lat)
         simple = rs.simple_roots
         autos = _graph_automorphisms(rs._diagram[0])
+        # the simple roots are a basis of the root lattice, which is lat:
+        # cols is unimodular, and each conjugate below maps simple root i to
+        # simple root pm(i). A nontrivial pm moves a simple root, so the
+        # action is faithful; it permutes the simple roots, so it keeps the
+        # fundamental camera and is admissible.
         cols = la.transpose(la.freeze_mat(simple))  # columns are simple roots
-        cols_adj, cols_det = la.adjugate(cols)  # cols^-1 = cols_adj / cols_det
-        perm_ident = la.identity(len(simple))
+        cols_inv = la.inverse_int(cols)
         for sub in _subgroups(autos):
-            mats = []
-            faithful = True
-            for pm in sub:
-                raw = la.mat_mul(cols, la.mat_mul(pm, cols_adj))
-                if any(x % cols_det for row in raw for x in row):
-                    raise VerificationError("diagram symmetry is not integral")
-                m = tuple(tuple(x // cols_det for x in row) for row in raw)
-                if pm != perm_ident and m == la.identity(lat.rank):
-                    faithful = False
-                mats.append(m)
-            if not faithful:
-                continue
-            # isometries of lat by construction: conjugates of simple-root permutations
-            nontrivial = tuple(_trusted(Isometry, lat, m) for m in mats if m != la.identity(lat.rank))
-            ok, _ = is_admissible(rs, nontrivial)
-            if not ok:
-                continue
+            mats = [la.mat_mul(cols, la.mat_mul(pm, cols_inv)) for pm in sub]
             # conjugating the closed subgroup by the simple-root basis
             # keeps it closed, so mats is already the whole group
             spanning = False
@@ -700,23 +681,20 @@ def fold_reflection(n: Lattice, action, v) -> FoldResult:
     # branch 2: fold over the orbit span's components
     rsub = sublattice_from_rows(n, tuple(sorted(orbit)))
     rs = roots_of(rsub)
-    # vbar is a sum of roots of rsub, so its coordinates are integers
+    # vbar is a sum of roots of rsub, so its coordinates are integers. Every
+    # component of rs holds orbit roots (they span rsub) and the group
+    # permutes the components transitively, mapping part to part: as
+    # vbar != 0, no part vanishes.
     coords = rs.simple_coords((vbar,))[0]
-    if coords is None:
-        raise VerificationError("orbit sum fell outside the orbit root span")
     pieces = []
     for group in rs._diagram[1]:
         part = la.zero_vec(n.rank)
         for i in group:
             part = la.vec_add(part, la.vec_scale(coords[i], rs.simple_roots[i]))
-        if all(x == 0 for x in part):
-            continue
         a = la.primitive_vector(part)
         if n.sq(a) != -2:
             raise VerificationError("component part of the orbit sum is not a root line")
         pieces.append(a)
-    if not pieces:
-        raise VerificationError("orbit sum has no component parts")
     w = la.identity(n.rank)
     for a in sorted(pieces):
         w = la.mat_mul(w, reflection(n, a).matrix)

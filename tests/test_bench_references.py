@@ -18,7 +18,9 @@ that root-by-root reference, their simple coordinates read off the height
 walk matching the Cartan solve. Each `enumerate` vectors item runs two
 searches, one per square (roots_of reads the kept one), builds no Cartan
 solve and LLL-reduces no basis; in a skewed basis the e8_swap items of
-`analyze` and `degenerate` finish within a time bound. The `degenerate` round runs a third fewer
+`analyze` and `degenerate` finish within a time bound, and so do the
+walls of the d3_S, d3_Sprime and Klein actions, in the library and
+through `lattact walls`. The `degenerate` round runs a third fewer
 integer kernels than it did before it reused the action's fixed
 lattice, takes no determinant, solves no coordinates in
 `primitive_hull`, and eliminates each ambient Gram once; its saturation builds one root
@@ -156,6 +158,46 @@ def test_skewed_bases_finish_with_the_benchmark_records(monkeypatch, tmp_path):
         assert time.perf_counter() - start < 5.0
         assert degenerate.check(item, result) is None
     assert reductions
+
+
+def test_walls_finish_in_a_heavily_skewed_basis(monkeypatch, tmp_path):
+    """In the basis of random_unimodular(Random(11), n, 1000) the Gram
+    entries of the eigenlattices run to dozens of digits. The split-form
+    solver walks the divisors of the target only, so wall_report on
+    d3_S, d3_Sprime and the Klein action finishes within 2 s with the
+    benchmark's records (the divisor search over A t ran past 60 s), and
+    `lattact walls` on the Klein file exits 0 within 10 s."""
+    import os
+    import random
+    import subprocess
+    import time
+
+    import lattact
+
+    gen = _load("gen", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    analyze = workloads.Analyze(7, tmp_path)
+    for kind in ("d3_S", "d3_Sprime", "klein"):
+        item = dict(gen.base_action(kind), kind=kind)
+        b, b_inv = gen.random_unimodular(random.Random(11), len(item["gram"]), 1000)
+        item.update(gen.change_basis(item, b, b_inv))
+        a = lattact.LatticeAction(lattact.Lattice(item["gram"]), item["gens"])
+        fd = lattact.fundamental_data(a)
+        e = lattact.eigen_lattices(a, fd)
+        j = lattact.dilated_complex_structure(a, fd)
+        start = time.perf_counter()
+        lattact.wall_report(e, j)
+        assert time.perf_counter() - start < 2.0, kind
+        assert analyze.check(item, analyze.run(item)) is None, kind
+    path = tmp_path / "klein_skewed.json"
+    path.write_text(gen.fixture_file_text(item, "Klein action, skewed basis"), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(lattact.__file__).resolve().parents[1]))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "lattact.cli", "walls", str(path)],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert time.perf_counter() - start < 10.0
+    assert "walls.count = 2" in done.stdout
 
 
 def test_enumerate_round_segments_take_no_determinant(monkeypatch, tmp_path):

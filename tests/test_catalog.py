@@ -1,16 +1,19 @@
 """Catalog checks: fixtures, the bounded order-3 search on U+U, the
 symplectic survey, and the staged pipeline over the order-6 actions."""
 
+import re
 from functools import lru_cache
 
 import pytest
 
 import helpers
+import lattact
 import lattact.linalg as la
 from lattact import (
     InputError,
     LatticeAction,
     ScopeError,
+    VerificationError,
     classify_order3_on_2U,
     d3_full_pipeline,
     enumerate_group,
@@ -232,8 +235,43 @@ class TestSurvey:
     def test_deterministic(self):
         assert torus_symplectic_survey() == torus_symplectic_survey()
 
+    def test_a_gram_no_e8_roots_realize_is_refused(self, monkeypatch):
+        # two roots pair to at most 2 in absolute value: the search backtracks
+        # through every first root and fails
+        from lattact import catalog
+
+        e8 = standard_lattice("E8")
+        with pytest.raises(VerificationError, match="no embedding into E8 found"):
+            catalog._embed_into_e8(((-2, 3), (3, -2)), e8, lattact.roots_of(e8).roots)
+        # an embedding that pairs wrongly makes the survey inconsistent
+        monkeypatch.setattr(catalog, "_embed_into_e8", lambda gram, e8, roots: roots[:len(gram)])
+        assert not torus_symplectic_survey().all_consistent
+
 
 class TestPipeline:
+    def test_an_action_without_two_generators_fails_the_group_stage(self):
+        act = fixture("d3_S").action
+        rep = d3_full_pipeline("S", LatticeAction(act.ambient, act.generators[:1]))
+        assert rep.entries == (("group", False, "expected two generators, got 1"),)
+
+    @pytest.mark.parametrize("gram, name", [
+        (((0, 1), (1, 0)), "U"),
+        (((2, 0), (0, -2)), "diag(2,-2)"),
+        (((0, 2), (2, 0)), "U(2)"),
+        (((0, 1, 0), (1, 0, 0), (0, 0, -2)), "split-form naming needs rank 2"),
+        (((-2, 0), (0, -2)), "split-form naming needs signature (1,1)"),
+        (((0, 3), (3, 0)), "split-form naming covers determinants -1 and -4 only"),
+    ])
+    def test_split_rank2_classes(self, gram, name):
+        from lattact.catalog import _split_rank2_class
+
+        l = lattact.make_lattice(gram)
+        if name.startswith("split-form"):
+            with pytest.raises(ScopeError, match=re.escape(name)):
+                _split_rank2_class(l)
+        else:
+            assert _split_rank2_class(l) == name
+
     def test_variant_s_passes_every_stage(self):
         rep = d3_full_pipeline("S")
         assert tuple(label for label, _, _ in rep.entries) == PIPELINE_LABELS

@@ -232,6 +232,15 @@ class TestWalls:
         assert code == 3
 
 
+    def test_eigenlattices_of_rank_other_than_two_are_out_of_scope(self, capsys, tmp_path):
+        # -1 on the first U summand only: the plus part has rank 4
+        act = LatticeAction(standard_lattice("3U"), (("c", block_diag(((-1, 0), (0, -1)), la.identity(4)), -1),))
+        path = write_action(tmp_path, "antiflip.json", act)
+        code, out, err = run(capsys, "walls", path)
+        assert (code, out) == (3, "")
+        assert err == "error: wall analysis needs rank-2 eigenlattices\n"
+
+
 class TestDegenerate:
     def test_swap_fixture_keeps_the_action(self, capsys, tmp_path):
         path = catalog_file(capsys, tmp_path, "e8_swap")
@@ -369,6 +378,21 @@ class TestMalformedInput:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err.count("\n") == 1 and "too many digits" in err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("gram", "0", "gram: expected a list of rows"),
+        ("comment", 7, "comment must be a string"),
+        ("generators", {}, "generators must be a list"),
+        ("generators", [{"name": "t"}], "generators[0]: expected exactly name/matrix/kappa"),
+        ("generators", [{"name": "", "matrix": [], "kappa": "+1"}], "generators[0]: name must be a nonempty string"),
+    ])
+    def test_misshapen_fields_exit_2(self, capsys, tmp_path, field, value, message):
+        obj = json.loads(run(capsys, "catalog", "d3_S")[1])
+        obj[field] = value
+        path = tmp_path / "misshapen.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_deeply_nested_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "nested.json"

@@ -79,11 +79,31 @@ def rotation_wall_degeneration(block_root=(1, 0, 1, -1)):
     return act, f, e, degenerate_at_wall(act, f, e, block_root)
 
 
+def replace_factor(act, d, name, sigma):
+    """d with the camera factor of generator `name` replaced by sigma."""
+    iso = Isometry(act.ambient, sigma)
+    factors = tuple((n, iso if n == name else s_g, w_g) for n, s_g, w_g in d.factors)
+    gens = tuple((n, s_g, kappa) for (n, s_g, _), (_, _, kappa) in zip(factors, act.generators))
+    return DegenerationResult(d.system, factors, LatticeAction(act.ambient, gens))
+
+
 def check_results(report):
     return {label: ok for label, ok, _ in report.entries}
 
 
+def null_leftover_action():
+    """3U plus a null line the generator negates: the leftover part is
+    that line, so it is not negative definite."""
+    l = make_lattice(helpers.block_diag(L6.gram, ((0,),)))
+    return LatticeAction(l, (("n", helpers.block_diag(la.identity(6), ((-1,),)), 1),))
+
+
 class TestTauSaturation:
+    def test_a_null_leftover_part_is_refused(self):
+        a = null_leftover_action()
+        with pytest.raises(InputError, match="hull of system and leftover part is not negative definite"):
+            tau_saturation(a, fundamental_data(a), sublattice_from_rows(a.ambient, ()))
+
     def test_already_saturated(self):
         a = e8_swap_22()
         r = span22((1, -1))
@@ -337,6 +357,37 @@ class TestVerifyDegeneration:
         assert report.all_passed
         assert check_results(report) == {label: True for label in CHECK_LABELS}
 
+    def test_a_system_the_action_moves_cannot_be_factored_through(self):
+        # saturated systems come from tau_saturation, which checks that the
+        # action keeps the roots; one built by hand around a single root of
+        # the Klein action's block is moved by t
+        act, f, _, _ = helpers.klein_pipeline()
+        r = roots_of(sublattice_from_rows(L6, ((1, -1, 0, 0, 0, 0),)))
+        s = SaturatedSystem(r.span, r, fundamental_camera(r), f)
+        with pytest.raises(InputError, match="cannot factor through the saturated system"):
+            degenerate(act, s)
+
+    def test_factors_that_break_the_root_system_are_reported(self):
+        # each entry reports what a wrong factor for t breaks
+        act, f, e, d = rotation_wall_degeneration()
+        swap_u2 = helpers.block_diag(la.identity(2), ((0, 1), (1, 0)), la.identity(2))
+        minus = la.mat_scale(-1, la.identity(6))
+        for sigma, label, note in (
+            (swap_u2, "components", "image of a component is not a component"),
+            (swap_u2, "discriminant", "generator t does not preserve the root span"),
+            (minus, "discriminant", "generator t acts differently on the discriminant group"),
+        ):
+            report = verify_degeneration(act, d.system, replace_factor(act, d, "t", sigma))
+            assert (label, False, note) in report.entries
+        # on two components, a factor that swaps them
+        a = sign_flip_22()
+        s = tau_saturation(a, fundamental_data(a), span22((1, -1), (0, 0, 1, -1)))
+        d = degenerate(a, s)
+        swap = tuple(tuple(1 if j == (i + 2 if i < 2 else i - 2 if i < 4 else i) else 0 for j in range(22))
+                     for i in range(22))
+        report = verify_degeneration(a, s, replace_factor(a, d, "c", swap))
+        assert ("components", False, "generator c permutes components differently") in report.entries
+
     def test_two_component_fixture_all_pass(self):
         a = sign_flip_22()
         f = fundamental_data(a)
@@ -347,6 +398,12 @@ class TestVerifyDegeneration:
 
 
 class TestCameraAdjacent:
+    def test_a_rootless_system_gives_a_wallless_camera(self):
+        act, f, _, _ = helpers.klein_pipeline()
+        s = tau_saturation(act, f, sublattice_from_rows(L6, ()))
+        cam = camera_adjacent(s, sublattice_from_rows(L6, ()))
+        assert cam.walls == () and len(cam.witness) == 6
+
     def test_full_face_keeps_the_fundamental_camera(self):
         act, f, e, d = rotation_wall_degeneration()
         s = d.system

@@ -20,7 +20,10 @@ from lattact import linalg as la
 from lattact.catalog import FIXTURE_NAMES, _swap_matrix, fixture
 from lattact.cli import action_to_text, main
 from lattact.errors import InputError, ScopeError, VerificationError
+from lattact._record import fields
 from lattact.group_actions import (
+    EigenData,
+    FundamentalData,
     LatticeAction,
     conjugation_obstruction,
     dilated_complex_structure,
@@ -187,6 +190,11 @@ class TestLatticeAction:
     def test_refuses_generators_or_entries_that_are_scalars(self, generators):
         with pytest.raises(InputError):
             LatticeAction(L6, generators)
+
+    def test_rejects_an_isometry_of_another_lattice(self):
+        other = Isometry(standard_lattice("3U(2)"), la.identity(6))
+        with pytest.raises(InputError, match="generator acts on a different lattice"):
+            LatticeAction(L6, (("x", other, 1),))
 
     def test_rejects_duplicate_names(self):
         t = helpers.block_diag(ROT3, I2)
@@ -417,7 +425,13 @@ class TestFundamentalData:
         assert fd.plane.basis == ((0, 0, 1, 0), (0, 0, 0, 1))
 
     def test_rho_action_is_each_element_on_the_block(self):
-        for action in (dihedral3(), dihedral4(), sign_flip_pair(), antiflip(), LatticeAction(L6, ())):
+        # rho_action comes from the generators' blocks: it must equal each
+        # element's own restriction, on every fixture in three random bases
+        rng = random.Random(20261019)
+        fixtures = [fixture(name).action for name in FIXTURE_NAMES]
+        actions = [dihedral3(), dihedral4(), sign_flip_pair(), antiflip(), LatticeAction(L6, ())]
+        actions += [in_basis(a, helpers.random_unimodular(rng, a.ambient.rank)) for a in fixtures for _ in range(3)]
+        for action in actions:
             fd = fundamental_data(action)
             assert len(fd.rho_action) == len(fd.group)
             for m, r in zip(fd.group.elements, fd.rho_action):
@@ -438,6 +452,42 @@ class TestFundamentalData:
         )
         with pytest.raises(ScopeError):
             fundamental_data(a)
+
+    def test_refusals_keep_their_exception_and_message(self):
+        # each action breaks one condition; the checks on generators refuse
+        # it as the checks on every element did
+        for rotation in (ROT3, helpers.block_diag(NEG2, NEG2)):  # nn = 3 and nn = 2
+            a = LatticeAction(L6, (("r", helpers.block_diag(rotation, I2), 1),
+                                   ("s", helpers.block_diag(la.identity(4), NSWAP2), -1)))
+            with pytest.raises(VerificationError, match="^declared signs disagree with the rotation orientation$"):
+                fundamental_data(a)
+        # g does not keep the rotation block
+        swap23 = tuple(tuple(1 if j == (i + 2 if 2 <= i < 4 else i - 2 if i >= 4 else i) else 0
+                             for j in range(6)) for i in range(6))
+        a = LatticeAction(L6, (("s", helpers.block_diag(INV_B, I2), -1),
+                               ("g", la.mat_mul(helpers.block_diag(NEG2, I2, I2), swap23), 1)))
+        with pytest.raises(ScopeError, match="^unsupported action shape: a required block is not invariant$"):
+            fundamental_data(a)
+        # no kernel element moves two positive directions
+        a = LatticeAction(L6, (("n", helpers.block_diag(NSWAP2, I2, I2), 1),))
+        with pytest.raises(VerificationError, match="no element carries a positive rotation plane$"):
+            fundamental_data(a)
+        # s negates the one positive direction the rotation leaves
+        a = LatticeAction(L6, (("t", helpers.block_diag(ROT3, I2), 1),
+                               ("s", helpers.block_diag(INV_A, NSWAP2), -1)))
+        with pytest.raises(VerificationError, match="no invariant positive direction$"):
+            fundamental_data(a)
+
+    def test_two_reflections_on_a_broken_kernel_fixed_part_are_refused(self):
+        # The kernel fixes its fixed part by construction and every -1
+        # element acts there as one involution, so only a broken fixed part
+        # reaches the check: here the whole lattice, on which the two -1
+        # generators act differently.
+        a = LatticeAction(L6, (("s1", helpers.block_diag(NEG2, I2, I2), -1),
+                               ("s2", helpers.block_diag(I2, NEG2, I2), -1)))
+        whole = Sublattice(L6, la.identity(6))
+        with pytest.raises(VerificationError, match="^declared signs disagree with the action on the fixed part$"):
+            group_actions._real_branch(a, enumerate_group(a), whole)
 
     def test_wrong_positive_index_rejected(self):
         with pytest.raises(ScopeError):
@@ -491,13 +541,17 @@ class TestDerivedOnce:
                 assert [args for args in calls if len(args[0]) == n] == [], name
                 calls.clear()
 
-    def test_rotation_plane_restricted_once_per_element(self, monkeypatch):
+    def test_rotation_plane_restricted_once_per_generator(self, monkeypatch):
         # for order >= 2 the flag plane is rho: _rotation_branch restricts
-        # each element to it once, and the flag check adds no restriction
+        # each generator to it once, builds every element's block as the
+        # product along its word, and the flag adds no restriction
         calls = helpers.count_calls(monkeypatch, la, "restrict_to_span")
-        fd = fundamental_data(helpers.klein_action())
+        a = helpers.klein_action()
+        fd = fundamental_data(a)
         assert fd.order_n == 3 and fd.plane == fd.rho
-        assert len(calls) == len(fd.group) == 6
+        assert len(calls) == len(a.generators) == 2 and len(fd.group) == 6
+        for m, r in zip(fd.group.elements, fd.rho_action):
+            assert r == la.restrict_to_span(m, fd.rho.basis)
 
     def test_data_of_another_action_rejected(self):
         fd = fundamental_data(dihedral3())
@@ -551,6 +605,33 @@ class TestDilatedComplexStructure:
         d = dilated_complex_structure(a, fundamental_data(a))
         g = la.freeze_mat(d.rho.gram())
         assert la.mat_mul(la.transpose(d.matrix), g) == la.mat_scale(-1, la.mat_mul(g, d.matrix))
+
+    def test_broken_data_is_refused(self):
+        # Honest data satisfies every dilation check: c is an isometry with
+        # Phi_n(c) = 0, the kernel acts by powers of c and each -1 element
+        # inverts it. Data whose blocks break one relation is refused, the
+        # relations with the signs on the generators' blocks.
+        t2 = la.mat_mul(helpers.block_diag(ROT3, I2), helpers.block_diag(ROT3, I2))
+        a = LatticeAction(L6, dihedral3().generators + (("t2", t2, 1),))
+        fd = fundamental_data(a)
+        at = fd.group.table[0]
+        w = fd.group.index_of(fd.witness)
+        other = next(at[j] for j in (0, 2) if at[j] != w)  # a +1 generator that is not the witness
+        assert w in (at[0], at[2]) and len(set(at)) == 3
+        blocks = fd.rho_action
+        shear = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        moved = la.mat_mul(la.mat_mul(shear, blocks[w]), la.inverse_int(shear))
+        broken = (
+            (w, la.identity(4), "dilation square is not the expected scalar"),
+            (w, moved, "dilation is not anti-selfadjoint"),
+            (other, blocks[at[1]], "dilation fails to commute with a holomorphic element"),
+            (at[1], la.identity(4), "dilation fails to anticommute with an antiholomorphic element"),
+        )
+        for index, block, message in broken:
+            rho_action = blocks[:index] + (block,) + blocks[index + 1:]
+            data = FundamentalData(*(rho_action if f == "rho_action" else getattr(fd, f) for f in fields(FundamentalData)))
+            with pytest.raises(VerificationError, match=f"^{message}$"):
+                dilated_complex_structure(a, data)
 
     def test_real_orders_rejected(self):
         for action in (antiflip(), sign_flip_pair()):
@@ -649,6 +730,27 @@ class TestEigenLattices:
         with pytest.raises(InputError):
             eigen_lattices(a, fundamental_data(a))
 
+    def test_reflector_that_is_no_involution_on_the_block_is_refused(self):
+        # fundamental_data leaves every -1 generator an involution on the
+        # block; data that puts the rotation in its place is refused
+        a = dihedral3()
+        fd = fundamental_data(a)
+        s = fd.group.table[0][1]
+        rho_action = tuple(fd.rho_action[0 if i == s else i] if i != s else fd.rho_action[fd.group.table[0][0]]
+                           for i in range(len(fd.group)))
+        data = FundamentalData(*(rho_action if f == "rho_action" else getattr(fd, f) for f in fields(FundamentalData)))
+        with pytest.raises(ScopeError, match="^antiholomorphic generator is not an involution on the rotation block$"):
+            eigen_lattices(a, data)
+
+    def test_reflector_block_of_a_reflector_that_moves_the_block_is_refused(self):
+        a = dihedral3()
+        e = eigen_lattices(a, fundamental_data(a))
+        swap = Isometry(L6, SOME_ISOMETRIES_3U[5])  # moves the first U summand to the second
+        rho = Sublattice(L6, la.identity(6)[:2])
+        moved = EigenData(e.reflector_name, swap, rho, e.m_plus, e.m_minus, e.exponent)
+        with pytest.raises(VerificationError, match="^reflector does not act on the rotation block$"):
+            moved.reflector_block
+
 
 class TestIsGeometric:
     def test_dihedral_fixtures_geometric(self):
@@ -667,6 +769,16 @@ class TestIsGeometric:
         geo, report = is_geometric(a, fd)
         assert geo is False
         assert report == ((0, 0, 0, 0, 0, 0, 1),)
+
+    def test_a_null_leftover_part_is_refused(self):
+        # 3U plus a null line the generator negates: the leftover part is
+        # that line
+        l = make_lattice(helpers.block_diag(L6.gram, ((0,),)))
+        a = LatticeAction(l, (("n", helpers.block_diag(la.identity(6), ((-1,),)), 1),))
+        fd = fundamental_data(a)
+        assert leftover_lattice(a, fd).basis == ((0,) * 6 + (1,),)
+        with pytest.raises(VerificationError, match="^leftover part is not negative definite$"):
+            is_geometric(a, fd)
 
     def test_antiflip_geometric(self):
         a = antiflip()
@@ -705,7 +817,7 @@ class TestRank22Fixtures:
 
     def test_e8_swap_with_a_sign_reversing_flip(self, monkeypatch):
         # the sign kernel is nontrivial, so its fixed lattice is a proper
-        # block and every element is restricted to it
+        # block and each generator is restricted to it
         l22 = standard_lattice("3U+2E8")
         flip = tuple(
             tuple((-1 if i in (4, 5) else 1) if i == j else 0 for j in range(22)) for i in range(22)
@@ -714,7 +826,7 @@ class TestRank22Fixtures:
         calls = helpers.count_calls(monkeypatch, group_actions, "_restrict")
         fd = fundamental_data(a)
         assert (len(fd.group), fd.order_n, fd.real) == (4, 1, True)
-        assert fd.rho.rank == 14 and len(calls) == 4
+        assert fd.rho.rank == 14 and len(calls) == len(a.generators) == 2
         ident = la.identity(14)
         for m, k, r in zip(fd.group.elements, fd.group.kappas, fd.rho_action):
             assert r == la.restrict_to_span(m, fd.rho.basis)
@@ -766,6 +878,22 @@ class TestExtendEquivariantly:
                 )
                 assert image == expected
 
+    def test_hand_built_eigenparts_the_dilation_does_not_exchange_are_refused(self):
+        a = dihedral3()
+        fd = fundamental_data(a)
+        e = eigen_lattices(a, fd)
+        twice = EigenData(e.reflector_name, e.reflector, e.rho, e.m_plus, e.m_plus, e.exponent)
+        with pytest.raises(VerificationError, match="does not carry the minus part into the plus part"):
+            extend_equivariantly(a, fd, twice, la.identity(2))
+
+    def test_eigenparts_of_different_ranks_are_refused(self):
+        # the antiflip's plus part has rank 4, its minus part rank 2
+        a = antiflip()
+        fd = fundamental_data(a)
+        e = eigen_lattices(a, fd)
+        with pytest.raises(VerificationError, match="different ranks"):
+            extend_equivariantly(a, fd, e, la.identity(4))
+
     def test_non_isometry_rejected(self):
         a = dihedral3()
         fd = fundamental_data(a)
@@ -800,6 +928,16 @@ class TestExtendEquivariantly:
 
 
 class TestWedgeSquare:
+    def test_basis_presents_the_pairing_as_3u(self):
+        # e_i ^ e_j . e_k ^ e_l is the sign of the permutation (i, j, k, l),
+        # 0 when an index repeats; wedge_square changes to this basis once
+        pairs = group_actions._WEDGE_PAIRS
+        pairing = tuple(tuple(helpers.perm_sign(a + b) if len(set(a + b)) == 4 else 0 for b in pairs)
+                        for a in pairs)
+        p = group_actions._WEDGE_TO_U
+        assert la.mat_mul(la.mat_mul(la.transpose(p), pairing), p) == L6.gram
+        assert la.mat_mul(la.transpose(p), p) == la.identity(6)
+
     def test_identity_and_negation(self):
         assert wedge_square(la.identity(4)).matrix == la.identity(6)
         assert wedge_square(la.mat_scale(-1, la.identity(4))).matrix == la.identity(6)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import prod
@@ -7,6 +8,7 @@ import pytest
 from lattact import linalg as la
 from lattact.errors import InputError, ScopeError, VerificationError
 from lattact.lattice import (
+    DiscriminantForm,
     Isometry,
     Lattice,
     Sublattice,
@@ -659,6 +661,28 @@ def test_enumerate_split_form_against_window_search():
         checked += 1
 
 
+def test_split_form_solver_matches_the_divisor_search_over_a_t():
+    """The solver changes basis to a primitive isotropic vector and walks
+    the divisors of t only; on every form k (a1 x + b1 y)(a2 x + b2 y)
+    with coefficients in [-4, 4], k in {1, 2, 3} and an even cross term,
+    it finds what the divisor search over A t finds."""
+    from lattact.lattice import _binary_split_solutions
+
+    from helpers import split_form_solutions_by_divisors_of_at
+
+    span = range(-4, 5)
+    grams = set()
+    for k in (1, 2, 3):
+        for a1, b1, a2, b2 in itertools.product(span, repeat=4):
+            cross = k * (a1 * b2 + a2 * b1)
+            if a1 * b2 != a2 * b1 and cross % 2 == 0:
+                grams.add(((k * a1 * a2, cross // 2), (cross // 2, k * b1 * b2)))
+    assert len(grams) == 2112
+    for gram in sorted(grams):
+        for t in (2, -2, 4, -4, 6, -6, -8, 12, -18):
+            assert _binary_split_solutions(gram, t) == split_form_solutions_by_divisors_of_at(gram, t), (gram, t)
+
+
 def test_enumerate_sign_symmetry_and_squares():
     rng = random.Random(27182)
     checked = 0
@@ -1259,3 +1283,56 @@ def test_jacobi_basis_replay_on_rank22_fixtures_in_a_random_basis():
         f = fundamental_data(act)
         for g in (act.ambient.gram, f.fixed.gram(), f.rho.gram()):
             _check_replay(conjugate_gram(g, random_unimodular(rng, len(g), steps=10)))
+
+
+# ---------------------------------------------------------------------------
+# edge inputs of the lattice layer and the linalg guards
+
+
+@pytest.mark.parametrize("spec", ["A0", "0U", "U(0)"])
+def test_lattice_expressions_with_an_empty_or_zero_term_are_refused(spec):
+    with pytest.raises(InputError):
+        standard_lattice(spec)
+
+
+def test_rank_zero_and_foreign_arguments():
+    u = standard_lattice("U")
+    zero = make_lattice(())
+    assert str(signature(u)) == "(1,1,0)"
+    empty = Sublattice(u, ())
+    assert empty.to_ambient(()) == (0, 0) and empty.primitive
+    assert discriminant_form(zero) == discriminant_form(standard_lattice("E8")) == DiscriminantForm((), (), (), ())
+    assert enumerate_vectors(zero, -2) == ()
+    with pytest.raises(InputError, match="expected a Sublattice"):
+        orthogonal_complement(u, u)
+    # a product of isometries of two lattices is checked on the first
+    swap = Isometry(u, ((0, 1), (1, 0)))
+    assert swap.compose(Isometry(standard_lattice("U(2)"), ((0, 1), (1, 0)))).matrix == la.identity(2)
+    with pytest.raises(InputError):
+        Isometry(u, ((1, 0), (0, 1))).compose(Isometry(standard_lattice("A1+A1"), ((-1, 0), (0, 1))))
+    assert rank2_isomorphism_class(((-4,),)) == ((-4,),)
+    with pytest.raises(ScopeError, match="rank must be <= 2"):
+        rank2_isomorphism_class(standard_lattice("A3"))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: la.mat_vec(((1, 2),), (1,)),
+    lambda: la.inverse_int(((2,),)),
+    lambda: la.primitive_vector((0, 0)),
+    lambda: la.cyclotomic(0),
+    lambda: la.matrix_group_closure([]),
+    lambda: la.divisors_signed(0),
+], ids=["mat_vec-shape", "inverse_int-singular", "primitive_vector-zero", "cyclotomic-0",
+        "closure-no-generators", "divisors-of-0"])
+def test_linalg_guards_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_linalg_on_empty_and_degenerate_arguments():
+    assert la.kernel_int(()) == () and la.saturate_rows(()) == ()
+    assert la.restrict_to_span(la.identity(2), ()) == ()
+    assert not la.is_perfect_square(-4) and la.is_perfect_square(9)
+    # the Smith form stops at the zero block of a singular matrix
+    d, v = la.snf(((2, 4), (1, 2)))
+    assert d == ((1, 0), (0, 0)) and la.mat_mul(((2, 4), (1, 2)), v)[0][1] == 0

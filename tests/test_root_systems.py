@@ -8,6 +8,7 @@ from lattact import linalg as la
 from lattact.errors import InputError, VerificationError
 from lattact.lattice import (
     Isometry,
+    Sublattice,
     full_sublattice,
     make_lattice,
     standard_lattice,
@@ -135,6 +136,8 @@ def _corrupted_system(gram, roots, simple):
         ([[-2, 0], [0, -2]], [(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)],
          ((0, 1), (1, 0)), "mixed-sign"),
         ([[-2, 1], [1, -2]], [(1, 0), (-1, 0)], ((1, 0), (2, 0)), "linearly dependent"),
+        # -e2 is missing
+        ([[-2, 0], [0, -2]], [(1, 0), (-1, 0), (0, 1)], ((0, 1), (1, 0)), "not closed under negation"),
     ],
 )
 def test_verify_root_system_rejects_corrupted_systems(gram, roots, simple, message):
@@ -816,3 +819,113 @@ def test_isometries_that_move_a_root_off_the_system_are_refused():
     s1 = ((-1, 1), (0, 1))
     s, w = camera_decompose(a2, fundamental_camera(a2), s1)
     assert la.mat_mul(s.matrix, w.isometry.matrix) == s1
+
+
+# ---------------------------------------------------------------------------
+# checks that only malformed input or a broken internal step reaches
+
+
+def test_malformed_root_system_inputs_are_refused():
+    rs = roots_of(A2)
+    with pytest.raises(InputError, match="is not a root of this system"):
+        rs.root_index((1, -1))
+    with pytest.raises(InputError, match="expected a Sublattice or Lattice"):
+        roots_of("A2")
+    l = make_lattice(((-2, 0), (0, -2)))
+    # pairs positively with the wall (1, 0) but lies on the mirror of (0, 1)
+    with pytest.raises(InputError, match="camera witness lies on a mirror"):
+        Camera(roots_of(l), ((1, 0),), (-1, 0))
+    word = to_fundamental_chamber(rs, fundamental_camera(rs), (1, -3))
+    assert len(word) == len(word.word) > 0
+
+
+def test_corrupted_diagrams_are_refused():
+    # two "simple" roots pairing to 2 are a root and its negative
+    bad = _corrupted_system(((-2, 0), (0, -2)), [(1, 0), (-1, 0)], ((-1, 0), (1, 0)))
+    with pytest.raises(VerificationError, match="pairing outside"):
+        ade_decompose(bad)
+
+    def graph(n, edges):
+        adj = [[False] * n for _ in range(n)]
+        for i, j in edges:
+            adj[i][j] = adj[j][i] = True
+        return adj, [list(range(n))]
+
+    from lattact.root_systems import _classify_components
+
+    for diagram, message in (
+        (graph(3, [(0, 1), (1, 2), (2, 0)]), "not a tree"),  # a triangle
+        (graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), "not an ADE diagram"),  # a node of degree 4
+        (graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]), "not an ADE diagram"),  # arms 2, 2, 2
+    ):
+        with pytest.raises(VerificationError, match=message):
+            _classify_components(diagram)
+
+
+def test_cameras_whose_walls_bound_no_chamber_are_refused():
+    # (1, 1) is no root: the walk lands on its hyperplane, not inside
+    l = make_lattice(((-2, 0), (0, -2)))
+    odd = Camera(roots_of(l), ((1, 1),), (-1, -1))
+    with pytest.raises(VerificationError, match="did not land inside the camera"):
+        to_fundamental_chamber(roots_of(l), odd, (-1, 1))
+    # two roots at 60 degrees bound two chambers of A2, which -1 does not keep
+    rs = roots_of(A2)
+    wide = Camera(rs, ((-1, -1), (-1, 0)), (5, 6))
+    with pytest.raises(VerificationError, match="camera factor does not permute the walls"):
+        camera_decompose(rs, wide, la.mat_scale(-1, la.identity(2)))
+
+
+def test_a_walk_past_the_positive_root_count_is_refused():
+    # a system built by hand whose positive roots are missing: the walk
+    # to the fundamental camera needs a step the count does not allow
+    rs = roots_of(A2)
+    broken = RootSystem(rs.ambient, rs.span, rs.roots, (), rs.simple_roots, rs.components)
+    cam = fundamental_camera(rs)
+    with pytest.raises(VerificationError, match="exceeded the positive-root bound"):
+        to_fundamental_chamber(broken, cam, tuple(-x for x in cam.witness))
+
+
+def test_hand_built_systems_with_a_wrong_span_or_a_broken_word_are_refused(monkeypatch):
+    # a RootSystem built by hand may carry a span its roots do not give
+    l = standard_lattice("A2+A1")
+    rs = roots_of(l)
+    narrow = RootSystem(l, Sublattice(l, ((1, 0, 0),)), rs.roots, rs.positive_roots, rs.simple_roots, rs.components)
+    swap = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    with pytest.raises(VerificationError, match="root span is not invariant"):
+        is_admissible(narrow, (swap,))
+    # s . w = g holds when w's word is built right; a broken product is refused
+    from lattact import root_systems
+
+    a2 = roots_of(A2)
+    words = root_systems._word_times
+    monkeypatch.setattr(root_systems, "_word_times",
+                        lambda r, word, m: m if m == la.identity(r.ambient.rank) else words(r, word, m))
+    with pytest.raises(VerificationError, match="failed to recompose"):
+        camera_decompose(a2, fundamental_camera(a2), la.mat_scale(-1, la.identity(2)))
+
+
+def test_fold_refuses_an_infinite_action():
+    # the Eichler transvection of U + U(-1) + U has infinite order
+    transvection = ((1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0),
+                    (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
+    with pytest.raises(InputError, match="bound"):
+        fold_reflection(standard_lattice("U+U(-1)+U"), (transvection,), (1, -1, 0, 0, 0, 0))
+
+
+def test_fold_refuses_a_broken_folding_step(monkeypatch):
+    # each part of the orbit sum is a root line and the product of their
+    # reflections commutes with the action and reflects the fixed part;
+    # a folding step broken in turn at each of these is refused
+    from lattact import root_systems
+
+    primitive = la.primitive_vector
+    with monkeypatch.context() as patch:
+        patch.setattr(la, "primitive_vector", lambda v: tuple(2 * x for x in primitive(v)))
+        with pytest.raises(VerificationError, match="not a root line"):
+            fold_reflection(A2, (SWAP2,), (1, 0))
+    for fake, message in ((lambda n, a: reflection(n, (1, 0)), "does not commute with the action"),
+                          (lambda n, a: Isometry(n, la.identity(n.rank)), "not the fixed-part reflection")):
+        with monkeypatch.context() as patch:
+            patch.setattr(root_systems, "reflection", fake)
+            with pytest.raises(VerificationError, match=message):
+                fold_reflection(A2, (SWAP2,), (1, 0))

@@ -12,6 +12,7 @@ from lattact import (
     LatticeAction,
     ScopeError,
     Sublattice,
+    VerificationError,
     eigen_lattices,
     fundamental_data,
     linalg as la,
@@ -230,6 +231,36 @@ class TestWallInHPlus:
             wall_in_H_plus((Fraction(1, 2), 0, 0, 0), e, j)
         with pytest.raises(InputError):
             wall_in_H_plus((1, 0, 1, -1, 0, 0), e, j)
+
+    def test_hand_built_data_that_breaks_the_eigen_relations_is_refused(self):
+        # eigen_lattices and dilated_complex_structure give parts that are
+        # orthogonal, an exponent that clears the averaging and a J that
+        # exchanges the parts; EigenData and J built by hand need not
+        _, _, j, e = rotation_fixture()
+        one = EigenData(e.reflector_name, e.reflector, e.rho, e.m_plus, e.m_minus, 1)
+        with pytest.raises(VerificationError, match="projections are not cleared by the exponent"):
+            wall_in_H_plus((-2, 0, -1, 1), one, j)
+        plain = DilatedComplexStructure(j.rho, la.identity(4), 3)
+        with pytest.raises(VerificationError, match="nonpositive projection squares"):
+            wall_in_H_plus((-1, -1, 2, -1), e, plain)
+        # a "minus part" that is not orthogonal to the plus part
+        skew = Sublattice(e.rho.as_lattice(), ((1, 2, 3, 1), (0, 5, 4, 3)))
+        with pytest.raises(VerificationError, match="produced a non-root"):
+            candidate_roots(EigenData(e.reflector_name, e.reflector, e.rho, e.m_plus, skew, e.exponent), bound=4)
+
+    def test_independent_conditions_cut_no_wall(self):
+        # x.v+ = 0 and x.Jv- = 0 are independent on M+ for this root
+        _, _, j, e = rotation_fixture()
+        assert wall_in_H_plus((-2, 0, 1, -1), e, j) is None
+
+    def test_plus_part_of_rank_other_than_two_is_refused(self):
+        a = LatticeAction(standard_lattice("3U"), (("c", helpers.block_diag(((-1, 0), (0, -1)), la.identity(4)), -1),))
+        e = eigen_lattices(a, fundamental_data(a))
+        assert e.m_plus.rank == 4
+        with pytest.raises(InputError, match="rank-2 plus eigenlattice"):
+            wall_in_H_plus((1, -1, 0, 0, 0, 0), e, None)
+        with pytest.raises(InputError, match="rank-2 plus eigenlattice"):
+            component_count((), e)
 
 
 class TestComponentCount:
