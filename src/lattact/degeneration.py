@@ -19,15 +19,14 @@ from .group_actions import (
     EigenData,
     FundamentalData,
     LatticeAction,
+    _along_table,
     dilated_complex_structure,
     fundamental_data,
     is_geometric,
     leftover_lattice,
 )
 from .lattice import (
-    Isometry,
     Sublattice,
-    _trusted,
     orthogonal_complement,
     primitive_hull,
     signature,
@@ -136,10 +135,11 @@ def degenerate(a: LatticeAction, s: SaturatedSystem) -> DegenerationResult:
     decomposition g = s_g . w_g on the saturated system.
 
     The Weyl factors are products of ambient reflections, so they act
-    identically on the orthogonal complement; signs are inherited. Every
-    element of the closed group, which s carries in its fundamental data,
-    is decomposed once; the generators' factors are read from those, and
-    the result is verified to be a homomorphism on the whole group.
+    identically on the orthogonal complement; signs are inherited. Each
+    generator is decomposed once. The factors are then multiplied along
+    the table of the closed group, which s carries in its fundamental
+    data, and checked on every (element, generator) edge: the result is
+    a homomorphism on the whole group.
     """
     group = s.data.group
     if group.action != a:
@@ -147,31 +147,18 @@ def degenerate(a: LatticeAction, s: SaturatedSystem) -> DegenerationResult:
     geo, _ = is_geometric(a, s.data)
     if not geo:
         raise InputError("only geometric actions degenerate")
-    # the elements are products of the action's verified generators
-    decomposed = [_decompose(s, _trusted(Isometry, a.ambient, m)) for m in group.elements]
-    _verify_homomorphism(group, [s_g.matrix for s_g, _ in decomposed])
-    factors = []
-    gens = []
-    # elements[0] is the identity, so table[0][j] is the index of generator j
-    for (name, _, kappa), t in zip(a.generators, group.table[0]):
-        s_g, w_g = decomposed[t]
-        factors.append((name, s_g, w_g))
-        gens.append((name, s_g, kappa))
-    return DegenerationResult(s, tuple(factors), LatticeAction(a.ambient, tuple(gens)))
-
-
-def _verify_homomorphism(group, images):
-    """The camera factor of g.t must be the product of the camera factors
-    of g and t, for every element g and generator t. Induction on word
-    length gives the same for every pair of elements. images[i] is the
-    camera factor of group.elements[i], each decomposed on its own, so no
-    factor is built from the generators'. The group's table gives the
-    index of g.t."""
-    for j, t in enumerate(group.table[0]):
-        t_image = images[t]
-        for row, g_image in zip(group.table, images):
-            if images[row[j]] != la.mat_mul(g_image, t_image):
-                raise VerificationError("degeneration is not a homomorphism")
+    decomposed = [_decompose(s, g) for _, g, _ in a.generators]
+    # With g = s_g w_g and h = s_h w_h, gh = s_g s_h (s_h^-1 w_g s_h) w_h,
+    # and the middle factor lies in the Weyl group, which every isometry
+    # keeping the roots normalizes. The split into a camera-keeping factor
+    # and a Weyl factor is unique, so the camera factor of gh is s_g s_h:
+    # every element's factor is the product of its generators' factors.
+    _along_table(group.table, la.identity(a.ambient.rank),
+                 lambda m, j: la.mat_mul(m, decomposed[j][0].matrix),
+                 "degeneration is not a homomorphism")
+    factors = tuple((name, s_g, w_g) for (name, _, _), (s_g, w_g) in zip(a.generators, decomposed))
+    gens = tuple((name, s_g, kappa) for (name, _, kappa), (s_g, _) in zip(a.generators, decomposed))
+    return DegenerationResult(s, factors, LatticeAction(a.ambient, gens))
 
 
 # ---------------------------------------------------------------------------

@@ -74,23 +74,12 @@ class LatticeAction:
         """The closed group (see enumerate_group), derived once per action."""
         gens = [iso.matrix for _, iso, _ in self.generators]
         signs = [k for _, _, k in self.generators]
-        ident = la.identity(self.ambient.rank)
-        if any(m == ident and k != 1 for m, k in zip(gens, signs)):
-            raise VerificationError("declared signs are not a homomorphism: identity marked -1")
         try:
             elements, table = la.group_closure(gens, self.ambient.rank, _ORDER_BOUND)
         except ValueError as err:
             raise ScopeError(str(err)) from None
-        # breadth-first order: each element's first edge comes from an earlier
-        # element, so one pass in index order assigns every sign before use
-        kappas = [1] + [None] * (len(elements) - 1)
-        for i, row in enumerate(table):
-            for t, k in zip(row, signs):
-                if kappas[t] is None:
-                    kappas[t] = kappas[i] * k
-                elif kappas[t] != kappas[i] * k:
-                    raise VerificationError("declared signs are not a homomorphism")
-        return GroupElements(self, elements, tuple(kappas), table)
+        kappas = _along_table(table, 1, lambda k, j: k * signs[j], "declared signs are not a homomorphism")
+        return GroupElements(self, elements, kappas, table)
 
     @cached_property
     def _fixed(self) -> Sublattice:
@@ -108,7 +97,9 @@ class GroupElements:
     is reproducible across runs. table[i][j] is the index of
     elements[i] . (matrix of generator j), the edges of the closure; its
     columns permute the indices, so orders and inverses are read off the
-    table instead of from matrix products.
+    table instead of from matrix products. Each element's first incoming
+    edge comes from its breadth-first parent: signs, words and images of
+    generator blocks are carried along those edges by _along_table.
     """
 
     action: LatticeAction
@@ -137,25 +128,9 @@ class GroupElements:
 
     @cached_property
     def words(self) -> tuple:
-        """Generator indices whose product is each element, read off its
-        first incoming table edge (its breadth-first parent)."""
-        words = [()] + [None] * (len(self.elements) - 1)
-        for i, row in enumerate(self.table):
-            for j, t in enumerate(row):
-                if words[t] is None:
-                    words[t] = words[i] + (j,)
-        return tuple(words)
-
-    def _represent(self, blocks) -> tuple:
-        """Each element's image under the homomorphism that sends generator
-        j to the square matrix blocks[j]: the product of the blocks along
-        its word, one product per element along its first table edge."""
-        out = [la.identity(len(blocks[0]))] + [None] * (len(self.elements) - 1)
-        for i, row in enumerate(self.table):
-            for j, t in enumerate(row):
-                if out[t] is None:
-                    out[t] = la.mat_mul(out[i], blocks[j])
-        return tuple(out)
+        """Generator indices whose product is each element: its parent's
+        word and the generator of the edge between them (_along_table)."""
+        return _along_table(self.table, (), lambda word, j: word + (j,))
 
     def _powers(self, i) -> list:
         """Indices of x^0, ..., x^(o-1) for x = elements[i] of order o:
@@ -256,6 +231,26 @@ class DilatedComplexStructure:
 
 # ---------------------------------------------------------------------------
 # small exact helpers
+
+
+def _along_table(table, first, step, relation=None) -> tuple:
+    """Each group element's value under a map given on the generators:
+    first at the identity, step(value of x, j) at x . g_j.
+
+    The value is set along each element's first incoming table edge, its
+    breadth-first parent, which always comes from an earlier element, so
+    one pass in index order sets every value before it is read. With a
+    relation message, every other edge is checked against it, so a map
+    that is not a homomorphism raises VerificationError(relation).
+    """
+    values = [first] + [None] * (len(table) - 1)
+    for i, row in enumerate(table):
+        for j, t in enumerate(row):
+            if values[t] is None:
+                values[t] = step(values[i], j)
+            elif relation is not None and values[t] != step(values[i], j):
+                raise VerificationError(relation)
+    return tuple(values)
 
 
 def _check_owner(action: LatticeAction, data: FundamentalData) -> None:
@@ -399,7 +394,7 @@ def _rotation_branch(action, group) -> FundamentalData:
     # restricting each generator integrally is the block's invariance
     # check: a block every generator keeps, the group keeps
     blocks = [_restrict(iso.matrix, rho.basis) for _, iso, _ in action.generators]
-    rho_action = group._represent(blocks)
+    rho_action = _along_table(group.table, la.identity(rho.rank), lambda m, j: la.mat_mul(m, blocks[j]))
     # Phi_nn(c) = 0 on the cyclotomic kernel and Phi_nn is irreducible, so
     # c's order is exactly nn and its powers are nn distinct matrices
     c = rho_action[w]
@@ -537,6 +532,11 @@ def eigen_lattices(action: LatticeAction, data: FundamentalData) -> EigenData:
     kid = la.identity(k)
     if la.mat_mul(c, c) != kid:
         raise ScopeError("antiholomorphic generator is not an involution on the rotation block")
+    # FundamentalData is a public record: a hand-built one may carry a
+    # block that is no isometry, whose eigenparts need not be orthogonal
+    g = rho.gram()
+    if la.mat_mul(la.mat_mul(la.transpose(c), g), c) != g:
+        raise VerificationError("reflector is not an isometry of the rotation block")
     # c^2 = I: x^2 - 1 is squarefree, so c diagonalizes over Q and the two
     # kernels below have ranks adding up to k; c is an isometry of the
     # block, so u.v = cu.cv = -u.v for u in plus and v in minus

@@ -24,7 +24,9 @@ through `lattact walls`. The `degenerate` round runs a third fewer
 integer kernels than it did before it reused the action's fixed
 lattice, takes no determinant, solves no coordinates in
 `primitive_hull`, and eliminates each ambient Gram once; its saturation builds one root
-system per primitive hull. Where its sign
+system per primitive hull. On rounds 0-2 `degenerate` decomposes each
+generator once, and every element decomposed on its own has the product
+of its generators' factors as its camera factor. Where its sign
 kernel is trivial, no group element is restricted to the identity basis
 and no sum is taken with the full-rank rotation block. No `analyze` item
 eliminates an equal Gram of rank above two twice. On both rounds the
@@ -356,6 +358,39 @@ def test_degenerate_round_builds_one_root_system_per_hull(monkeypatch, tmp_path)
         assert workload.check(item, workload.run(item)) is None
     assert calls["primitive_hull"] > 0
     assert calls["roots_of"] == calls["primitive_hull"]
+
+
+def test_degenerate_factors_multiply_along_the_group_words(monkeypatch, tmp_path):
+    """degenerate decomposes each generator once and multiplies the factors
+    along the group table. The oracle decomposes every element on its own:
+    its camera factor is the product of its generators' factors along its
+    word, on rounds 0-2 of `degenerate` and at both walls of the Klein
+    fixture."""
+    import helpers
+    from lattact import degenerate_at_wall, root_systems
+    from lattact import linalg as la
+
+    _load("gen", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    workload = workloads.Degenerate(7, tmp_path)
+    calls = helpers.count_calls(monkeypatch, root_systems, "camera_decompose")
+    results = [workload.run(item)[1] for k in range(3) for item in workload.round(k)]
+    act, f, _, e = helpers.klein_pipeline(helpers.INV_A)
+    results += [degenerate_at_wall(act, f, e, root) for root in ((1, 0, 1, -1), (1, -1, -1, 0))]
+    # one decomposition per generator, of the isometry the action holds
+    assert [g for _, _, g in calls] == [g for d in results for _, g, _ in d.system.data.group.action.generators]
+    elements = 0
+    for d in results:
+        s = d.system
+        group = s.data.group
+        factors = [s_g.matrix for _, s_g, _ in d.factors]
+        for m, word in zip(group.elements, group.words):
+            product = la.identity(len(m))
+            for j in word:
+                product = la.mat_mul(product, factors[j])
+            assert root_systems.camera_decompose(s.r_bar, s.camera, m)[0].matrix == product
+        elements += len(group)
+    assert (len(results), elements) == (23, 102)
 
 
 def _full_rank_rho_items(monkeypatch, tmp_path, module, name):

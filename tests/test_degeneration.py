@@ -272,22 +272,22 @@ class TestDegenerate:
         with pytest.raises(InputError, match="different action"):
             degenerate(helpers.klein_action(helpers.INV_B), s)
 
-    def test_corrupted_factor_of_a_non_generator_is_caught(self, monkeypatch):
-        # every element is decomposed on its own, so a wrong camera factor
-        # on a product of generators breaks the (element, generator) check
+    def test_corrupted_factor_of_a_generator_is_caught(self, monkeypatch):
+        # the factors are multiplied along the group table and checked on
+        # every edge: -s_t cubes to -I, which breaks the relation t^3 = 1
         act, f, e, d = rotation_wall_degeneration()
-        gens = {g.matrix for _, g, _ in act.generators}
-        target = next(m for m in f.group.elements[1:] if m not in gens)
+        rotation = {name: g.matrix for name, g, _ in act.generators}["t"]
+        assert helpers.matrix_order(rotation) == 3
         original = degeneration.camera_decompose
 
         def corrupted(r, c, g):
             s_g, w_g = original(r, c, g)
-            if g.matrix == target:
+            if g.matrix == rotation:
                 s_g = Isometry(act.ambient, la.mat_scale(-1, s_g.matrix))
             return s_g, w_g
 
         monkeypatch.setattr(degeneration, "camera_decompose", corrupted)
-        with pytest.raises(VerificationError, match="not a homomorphism"):
+        with pytest.raises(VerificationError, match="^degeneration is not a homomorphism$"):
             degenerate(act, d.system)
 
     def test_degenerating_twice_is_idempotent(self):

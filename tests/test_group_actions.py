@@ -742,6 +742,18 @@ class TestEigenLattices:
         with pytest.raises(ScopeError, match="^antiholomorphic generator is not an involution on the rotation block$"):
             eigen_lattices(a, data)
 
+    def test_reflector_block_that_is_no_isometry_is_refused(self):
+        # diag(1, 1, 1, -1) is an involution of the block but no isometry
+        # of it: its eigenparts, of ranks 3 and 1, would not be orthogonal
+        a = dihedral3()
+        fd = fundamental_data(a)
+        s = fd.group.table[0][1]
+        bad = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1))
+        rho_action = fd.rho_action[:s] + (bad,) + fd.rho_action[s + 1:]
+        data = FundamentalData(*(rho_action if f == "rho_action" else getattr(fd, f) for f in fields(FundamentalData)))
+        with pytest.raises(VerificationError, match="^reflector is not an isometry of the rotation block$"):
+            eigen_lattices(a, data)
+
     def test_reflector_block_of_a_reflector_that_moves_the_block_is_refused(self):
         a = dihedral3()
         e = eigen_lattices(a, fundamental_data(a))

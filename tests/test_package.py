@@ -158,3 +158,27 @@ def test_only_the_listed_functions_serve_tests_alone():
         and node.name not in lattact.__all__
     }
     assert unnamed == TEST_ONLY
+
+
+def _unread_imports(tree):
+    """Names a module's import statements bind, anywhere in it, that no
+    expression of the module reads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - read
+
+
+def test_no_library_module_imports_a_name_it_never_reads():
+    unread = {
+        path.name: sorted(_unread_imports(ast.parse(path.read_text())))
+        for path in Path(lattact.__file__).parent.glob("*.py")
+    }
+    assert {name: names for name, names in unread.items() if names} == {}
+    # the scan sees an orphaned import, in a function body too
+    orphan = "from .lattice import Isometry, _trusted\n\ndef f():\n    import math\n    return _trusted\n"
+    assert _unread_imports(ast.parse(orphan)) == {"Isometry", "math"}
