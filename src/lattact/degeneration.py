@@ -10,8 +10,6 @@ set, and is again geometric. All of that is checked, not assumed: the
 verification report carries exactly those five checks.
 """
 
-from operator import mul
-
 from . import linalg as la
 from ._record import record
 from .errors import InputError, LattactError, VerificationError
@@ -40,7 +38,8 @@ from .root_systems import (
     fundamental_camera,
     is_admissible,
     roots_of,
-    _simple_roots,
+    _chamber_walls,
+    _numeral_point,
 )
 
 
@@ -259,55 +258,22 @@ def camera_adjacent(s: SaturatedSystem, r_prime: Sublattice) -> Camera:
     """
     r_bar = s.r_bar
     l = r_bar.ambient
-    n = l.rank
     if not r_bar.span.contains_sublattice(r_prime):
         raise InputError("face system must sit inside the saturated system")
-    if r_prime.rank:
-        rp = roots_of(r_prime)
-        if rp.span != r_prime:
-            raise InputError("face system must be generated by its roots")
-        face_roots = rp.roots
-    else:
-        face_roots = ()
-    if face_roots:
-        conditions = la.freeze_mat([la.mat_vec(l.gram, v) for v in face_roots])
-        ker = la.kernel_int(conditions)
-        # face rows v_f, one per free (non-pivot) column f of the
-        # conditions: the kernel vector that is 0 at the other free columns,
-        # primitive and positive at f; adj(K_F) . K has d = det K_F at f
-        pivots = {next(j for j, x in enumerate(row) if x) for row in la.hnf(conditions)}
-        adj, d = la.adjugate(tuple(
-            tuple(x for j, x in enumerate(row) if j not in pivots) for row in ker))
-        space = []
-        for row in la.mat_mul(adj, ker):
-            g = la.vec_gcd(row) if d > 0 else -la.vec_gcd(row)
-            space.append(tuple(x // g for x in row))
-    else:
-        space = la.identity(n)
-    # every |pairing| of a face row with a root is below base, so the
-    # pairing of sum base^i row_i with a root is a signed base-`base`
-    # numeral and vanishes only when every digit does: the face point is
-    # generic in the face
-    pairings = [[la.dot(l.gram, row, root) for row in space] for root in r_bar.roots]
-    base = max([10] + [abs(p) + 1 for pairs in pairings for p in pairs])
-    face_point = tuple(sum(base ** i * row[k] for i, row in enumerate(space)) for k in range(n))
-    if not r_bar.roots:
-        return Camera(r_bar, (), face_point)
+    rp = roots_of(r_prime)
+    if rp.span != r_prime:
+        raise InputError("face system must be generated by its roots")
+    # the face rows span the common mirror of the face roots (none when
+    # there are no face roots: the fundamental camera meets the face).
+    # Below them in the numeral sits the fundamental witness z: on a face
+    # root the witness pairs as z, off every mirror, and on any other root
+    # with the sign of the face rows' digits wherever one is nonzero. So
+    # each wall, positive on the witness, is >= 0 on the generic face
+    # point those digits make, which lies in the camera's closure.
+    face_rows = la.kernel_int(la.freeze_mat([la.mat_vec(l.gram, v) for v in rp.roots]))
     z = fundamental_camera(r_bar).witness
-    scale = 1
-    for root in r_bar.roots:
-        p = la.dot(l.gram, face_point, root)
-        if p != 0:
-            q = abs(la.dot(l.gram, z, root))
-            scale = max(scale, q // abs(p) + 1)
-    witness = tuple(scale * a + b for a, b in zip(face_point, z))
-    gw = la.mat_vec(l.gram, witness)
-    height = {v: sum(map(mul, gw, v)) for v in r_bar.roots}
-    pos = [v for v in r_bar.roots if height[v] > 0]
-    # scale makes the witness's pairing with a root take the sign of the
-    # face point's wherever that is nonzero: each wall, positive on the
-    # witness, pairs with the face point to >= 0, so it is in the closure
-    return Camera(r_bar, _simple_roots(pos, [height[v] for v in pos])[0], witness)
+    witness, _ = _numeral_point(l.gram, (z, *face_rows), r_bar.roots)
+    return Camera(r_bar, _chamber_walls(r_bar, la.mat_vec(l.gram, witness)), witness)
 
 
 def degenerate_at_wall(a: LatticeAction, f: FundamentalData, e: EigenData, v) -> DegenerationResult:
@@ -336,6 +302,6 @@ def degenerate_at_wall(a: LatticeAction, f: FundamentalData, e: EigenData, v) ->
         [[l.dot(b, ray) for b in perp.basis], [l.dot(b, jray) for b in perp.basis]]
     )
     coords = la.kernel_int(conditions)
-    face = sublattice_from_rows(l, tuple(perp.to_ambient(c) for c in coords))
+    face = sublattice_from_rows(l, la.mat_mul(coords, perp.basis))
     r = roots_of(face).span
     return degenerate(a, tau_saturation(a, f, r))

@@ -354,7 +354,7 @@ def _real_branch(action, group, fixed0) -> FundamentalData:
     # vector every element fixes lies in fixed0: the plus part is the
     # whole group's fixed lattice, both primitive and in HNF
     f_plus = action._fixed
-    f_minus = Sublattice(l, tuple(fixed0.to_ambient(r) for r in la.kernel_int(la.mat_add(cf, fid))))
+    f_minus = Sublattice(l, la.mat_mul(la.kernel_int(la.mat_add(cf, fid)), fixed0.basis))
     pos_plus = _positive_directions(f_plus)
     pos_minus = _positive_directions(f_minus)
     if len(pos_plus) < 2 or len(pos_minus) < 1:
@@ -581,7 +581,7 @@ def is_geometric(action: LatticeAction, data: FundamentalData) -> tuple:
     if sig.plus or sig.null:
         raise VerificationError("leftover part is not negative definite")
     roots = enumerate_vectors(leftover.as_lattice(), -2, up_to_sign=True)
-    witnesses = tuple(leftover.to_ambient(r) for r in roots)
+    witnesses = la.mat_mul(roots, leftover.basis)
     return (not witnesses), witnesses
 
 

@@ -4,8 +4,9 @@ Roots are square-(-2) vectors of a negative definite (sub)lattice, kept in
 ambient coordinates. A root is positive when the last nonzero coordinate
 of its expansion in the span basis is positive: a lexicographic order, so
 a linear order compatible with addition. Cameras are chambers of the
-mirror arrangement; the fundamental one pairs strictly positively with
-every simple root.
+mirror arrangement, each fixed by its witness: its walls are the simple
+roots of the roots positive on the witness. The fundamental one pairs
+strictly positively with every simple root.
 
 Composition convention for words: word (i1, ..., ik) denotes the product
 s_{r[i1]} . s_{r[i2]} ... s_{r[ik]} as matrices, so the rightmost reflection
@@ -110,6 +111,8 @@ class RootSystem:
         group_of = {i: k for k, group in enumerate(groups) for i in group}
         parts = [set() for _ in groups]
         for r, c in zip(self.roots, self._root_coords):
+            if c is None:
+                raise VerificationError("root outside the simple-root lattice")
             parts[group_of[next(i for i, x in enumerate(c) if x)]].add(r)
         return tuple(sorted((frozenset(p) for p in parts), key=sorted))
 
@@ -130,10 +133,12 @@ class Camera:
         object.__setattr__(self, "walls", walls)
         object.__setattr__(self, "witness", witness)
         gw = la.mat_vec(self.root_system.ambient.gram, witness)
-        if any(sum(map(mul, gw, w)) <= 0 for w in walls):
-            raise InputError("camera witness must pair strictly positively with walls")
         if _on_a_mirror(self.root_system, gw):
             raise InputError("camera witness lies on a mirror")
+        # a chamber is fixed by any interior point (Bourbaki, Lie Groups
+        # VI, 1.5): its walls are the simple roots the witness defines
+        if tuple(sorted(walls)) != _chamber_walls(self.root_system, gw):
+            raise InputError("camera walls must be the simple roots of the witness's chamber")
 
 
 @record
@@ -408,6 +413,32 @@ def _on_a_mirror(r: RootSystem, gy) -> bool:
     return any(sum(map(mul, gy, root)) == 0 for root in r.roots)
 
 
+def _chamber_walls(r: RootSystem, gy) -> tuple:
+    """The simple roots of the chamber of y, sorted, given gy = G . y off
+    every mirror: the roots positive on y are a positive system, and
+    their pairing with y is a height for it."""
+    height = [sum(map(mul, gy, root)) for root in r.roots]
+    positive = [root for h, root in zip(height, r.roots) if h > 0]
+    return _simple_roots(positive, [h for h in height if h > 0])[0]
+
+
+def _numeral_point(gram, rows, roots) -> tuple:
+    """(sum_i base^i rows[i], the first root orthogonal to every row or
+    None), with base = 1 + max |row . root|.
+
+    The point's pairing with a root is a signed base-`base` numeral whose
+    digits are the root's pairings with the rows, all below base: it is 0
+    only for a root orthogonal to every row, and otherwise takes the sign
+    of the highest nonzero digit.
+    """
+    grows = la.mat_mul(rows, gram)
+    digits = [[sum(map(mul, g, root)) for g in grows] for root in roots]
+    orthogonal = next((root for root, d in zip(roots, digits) if not any(d)), None)
+    base = 1 + max((abs(x) for d in digits for x in d), default=0)
+    point = tuple(sum(base ** i * row[k] for i, row in enumerate(rows)) for k in range(len(gram)))
+    return point, orthogonal
+
+
 def to_fundamental_chamber(r: RootSystem, c: Camera, target) -> WeylWord:
     """Weyl word w with w(chamber of target) = c, via simple-wall reflections.
 
@@ -515,7 +546,6 @@ def is_admissible(r: RootSystem, action) -> tuple:
             raise InputError("action element does not preserve the root system")
     if not r.roots:
         return True, la.zero_vec(r.ambient.rank)
-    n = r.ambient.rank
     span_mats = []
     for m in mats:
         # each m keeps the roots (checked above), so it keeps the span that
@@ -525,24 +555,11 @@ def is_admissible(r: RootSystem, action) -> tuple:
             raise VerificationError("root span is not invariant")
         span_mats.append(c)
     fixed_rows = la.fixed_kernel(span_mats, r.span.rank)
-    fixed_amb = tuple(r.span.to_ambient(row) for row in fixed_rows)
-    if not fixed_amb:
-        return False, la.primitive_vector(r.roots[0])
-    gram = r.ambient.gram
-    pair_bound = 0
-    for root in r.roots:
-        pairs = [la.dot(gram, f, root) for f in fixed_amb]
-        if all(p == 0 for p in pairs):
-            return False, la.primitive_vector(root)
-        pair_bound = max(pair_bound, max(abs(p) for p in pairs))
-    # the witness is a sum of fixed vectors, so invariant, and its pairing
-    # with a root is a signed base-`base` numeral whose digits, the root's
-    # pairings with the fixed rows, are below base and not all 0: nonzero
-    base = pair_bound + 1
-    witness = tuple(
-        sum(base ** i * f[k] for i, f in enumerate(fixed_amb))
-        for k in range(n)
-    )
+    # the witness is a sum of fixed vectors, so invariant, and generic
+    # unless some root is orthogonal to every fixed vector
+    witness, orthogonal = _numeral_point(r.ambient.gram, la.mat_mul(fixed_rows, r.span.basis), r.roots)
+    if orthogonal is not None:
+        return False, la.primitive_vector(orthogonal)
     return True, witness
 
 

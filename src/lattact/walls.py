@@ -105,7 +105,7 @@ def _vectors_of_square(sub: Sublattice, s: int, bound) -> tuple:
     lat = sub.as_lattice()
     try:
         coords = enumerate_vectors(lat, s)
-        return (tuple(sub.to_ambient(x) for x in coords), True)
+        return (la.mat_mul(coords, sub.basis), True)
     except ScopeError:
         if bound is None:
             raise ScopeError(
@@ -117,8 +117,8 @@ def _vectors_of_square(sub: Sublattice, s: int, bound) -> tuple:
     for x in rng:
         for y in rng:
             if (x or y) and la.sq(gram, (x, y)) == s:
-                hits.append(sub.to_ambient((x, y)))
-    return (tuple(hits), False)
+                hits.append((x, y))
+    return (la.mat_mul(hits, sub.basis), False)
 
 
 def candidate_roots(e: EigenData, bound: int | None = None) -> CandidateReport:
@@ -279,7 +279,7 @@ def segment_vectors(m: Lattice, u1, u2, a: int) -> tuple:
         if t == 0:
             xs = [la.zero_vec(m.rank)]
         else:
-            xs = [perp.to_ambient(c) for c in enumerate_vectors(perp_lat, t)] if perp.rank else []
+            xs = la.mat_mul(enumerate_vectors(perp_lat, t), perp.basis) if perp.rank else []
         for aa in la.divisors_signed(k):
             bb = k // aa
             for x in xs:

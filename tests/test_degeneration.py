@@ -30,7 +30,7 @@ from lattact import (
     verify_degeneration,
 )
 from lattact.lattice import sublattice_from_rows
-from lattact.root_systems import RootSystem, camera_decompose
+from lattact.root_systems import RootSystem, _chamber_walls, camera_decompose
 from lattact.walls import candidate_roots, wall_in_H_plus
 
 L6 = standard_lattice("3U")
@@ -388,6 +388,19 @@ class TestVerifyDegeneration:
         report = verify_degeneration(a, s, replace_factor(a, d, "c", swap))
         assert ("components", False, "generator c permutes components differently") in report.entries
 
+    def test_a_root_outside_the_simple_root_lattice_is_an_entry(self):
+        # a system built by hand on 3U + A1 + A1 whose only simple root is
+        # e7: e8 has no simple coordinates, and the components check says
+        # so in its entry instead of raising
+        l = standard_lattice("3U+A1+A1")
+        e7, e8 = la.identity(8)[6:]
+        roots = tuple(sorted((e7, e8, la.vec_scale(-1, e7), la.vec_scale(-1, e8))))
+        r = RootSystem(l, sublattice_from_rows(l, roots), roots, (e7,), (e7,), ())
+        a = LatticeAction(l, (("e", la.identity(8), 1),))
+        s = SaturatedSystem(r.span, r, None, fundamental_data(a))
+        report = verify_degeneration(a, s, DegenerationResult(s, (), a))
+        assert ("components", False, "root outside the simple-root lattice") in report.entries
+
     def test_two_component_fixture_all_pass(self):
         a = sign_flip_22()
         f = fundamental_data(a)
@@ -461,6 +474,24 @@ class TestCameraAdjacent:
         cam = camera_adjacent(s, sublattice_from_rows(l, ()))
         assert len(cam.walls) == 5
         assert all(la.dot(l.gram, cam.witness, v) != 0 for v in r.roots)
+
+    @pytest.mark.parametrize("name", ["A3", "D4", "A2+A2", "D5", "A4+A1", "E6"])
+    def test_the_face_simple_roots_are_walls(self, name):
+        # faces spanned by any set of simple roots or any two positive
+        # roots, in a random basis: the face system's simple roots on the
+        # witness are walls of the camera, so its closure meets the face
+        rng = random.Random(name)
+        g = standard_lattice(name).gram
+        l = make_lattice(helpers.conjugate_gram(g, helpers.random_unimodular(rng, len(g), steps=8)))
+        r = roots_of(l)
+        s = SaturatedSystem(r.span, r, fundamental_camera(r), None)
+        simple, positive = r.simple_roots, r.positive_roots
+        faces = [[v for i, v in enumerate(simple) if bits >> i & 1] for bits in range(1 << len(simple))]
+        faces += [[p, q] for i, p in enumerate(positive) for q in positive[i + 1:]]
+        for face in faces:
+            cam = camera_adjacent(s, sublattice_from_rows(l, tuple(face)))
+            rp = roots_of(sublattice_from_rows(l, tuple(face)))
+            assert set(_chamber_walls(rp, la.mat_vec(l.gram, cam.witness))) <= set(cam.walls)
 
     def test_flip_decomposes_inside_the_face_group(self):
         # with the camera adjacent to one summand of an A1 + A1 system,

@@ -863,16 +863,49 @@ def test_corrupted_diagrams_are_refused():
 
 
 def test_cameras_whose_walls_bound_no_chamber_are_refused():
-    # (1, 1) is no root: the walk lands on its hyperplane, not inside
+    # (1, 1) is no root, and two roots at 60 degrees bound no chamber of
+    # A2: neither set is the simple roots of its witness's chamber
     l = make_lattice(((-2, 0), (0, -2)))
-    odd = Camera(roots_of(l), ((1, 1),), (-1, -1))
+    with pytest.raises(InputError, match="simple roots of the witness's chamber"):
+        Camera(roots_of(l), ((1, 1),), (-1, -1))
+    with pytest.raises(InputError, match="simple roots of the witness's chamber"):
+        Camera(roots_of(A2), ((-1, -1), (-1, 0)), (5, 6))
+
+
+def test_a_system_not_closed_under_reflection_fails_the_walk():
+    # A2's form with the roots +-e1, +-e2 only, built by hand: s_e1 e2 =
+    # e1 + e2 is missing, so a walk toward a valid camera of these roots
+    # can end outside it, and -I need not permute a camera's walls
+    l = make_lattice(((-2, 1), (1, -2)))
+    roots = ((-1, 0), (0, -1), (0, 1), (1, 0))
+    simple = ((0, 1), (1, 0))
+    r = RootSystem(l, sublattice_from_rows(l, roots), roots, simple, simple, (("A", 1),) * 2)
     with pytest.raises(VerificationError, match="did not land inside the camera"):
-        to_fundamental_chamber(roots_of(l), odd, (-1, 1))
-    # two roots at 60 degrees bound two chambers of A2, which -1 does not keep
-    rs = roots_of(A2)
-    wide = Camera(rs, ((-1, -1), (-1, 0)), (5, 6))
+        to_fundamental_chamber(r, Camera(r, simple, (-4, -4)), (-4, 4))
     with pytest.raises(VerificationError, match="camera factor does not permute the walls"):
-        camera_decompose(rs, wide, la.mat_scale(-1, la.identity(2)))
+        camera_decompose(r, Camera(r, ((0, -1), (1, 0)), (-4, -1)), la.mat_scale(-1, la.identity(2)))
+
+
+@pytest.mark.parametrize("name", [*(f"A{n}" for n in range(1, 7)), "D4", "D5", "D6", "E6"])
+def test_cameras_are_the_chambers_of_their_witnesses(name):
+    # in random bases, each reflection image of the fundamental camera is
+    # a camera, with its walls in any order, and swapping one of its walls
+    # for another root is refused
+    rng = random.Random(name)
+    g = standard_lattice(name).gram
+    for _ in range(2):
+        l = make_lattice(conjugate_gram(g, random_unimodular(rng, len(g), steps=8)))
+        r = roots_of(l)
+        c = fundamental_camera(r)
+        for p in r.positive_roots:
+            m = reflection(l, p).matrix
+            walls = [tuple(la.mat_vec(m, w)) for w in c.walls]
+            rng.shuffle(walls)
+            witness = tuple(la.mat_vec(m, c.witness))
+            assert Camera(r, walls, witness).walls == tuple(walls)
+            walls[rng.randrange(len(walls))] = rng.choice([v for v in r.roots if v not in walls])
+            with pytest.raises(InputError, match="simple roots of the witness's chamber"):
+                Camera(r, walls, witness)
 
 
 def test_a_walk_past_the_positive_root_count_is_refused():
