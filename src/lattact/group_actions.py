@@ -173,6 +173,11 @@ class FundamentalData:
     rho_action: integer matrix of each group element on rho (column
     action in rho's basis coordinates), index-aligned with group.elements.
     leftover: orthogonal complement of (fixed + rho), derived on first use.
+
+    fundamental_data leaves ell and plane out: no consumer of the data
+    reads them, so the first read of either derives both (__getattr__,
+    which runs only for a name the instance lacks). A record built by hand
+    takes all nine fields.
     """
 
     order_n: int
@@ -184,6 +189,13 @@ class FundamentalData:
     fixed: Sublattice
     rho: Sublattice
     rho_action: tuple
+
+    def __getattr__(self, name):
+        if name not in ("ell", "plane"):
+            raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}")
+        ell, plane = _flag(self)
+        vars(self).update(ell=ell, plane=plane)
+        return vars(self)[name]
 
     @cached_property
     def leftover(self) -> Sublattice:
@@ -310,18 +322,16 @@ def fixed_lattice(action: LatticeAction, subgroup: str = "all") -> Sublattice:
         return action._fixed
     if subgroup != "kernel":
         raise InputError('subgroup must be "all" or "kernel"')
-    group = action._group
-    if -1 not in group.kappas:
-        # the kernel is the whole group, which fixes what its generators fix
-        return action._fixed
-    l = action.ambient
-    kernel = la.fixed_kernel(group.kernel_matrices(), l.rank)
+    kernel = action._group.kernel_matrices()
+    n = action.ambient.rank
     # both are primitive and the group's fixed lattice lies in the kernel's,
     # so equal ranks mean equal lattices: hand out the object already held
-    # (and whatever it has derived, its Gram elimination)
-    if len(kernel) == action._fixed.rank:
+    # (and whatever it has derived, its Gram elimination). The kernel is a
+    # finite group, so its fixed rank is its average trace, and the stacked
+    # kernel elements are eliminated only when the ranks differ.
+    if la.fixed_rank(kernel, n) == action._fixed.rank:
         return action._fixed
-    return _trusted(Sublattice, l, kernel)
+    return _trusted(Sublattice, action.ambient, la.fixed_kernel(kernel, n))
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +343,9 @@ def _real_branch(action, group, fixed0) -> FundamentalData:
     ident = la.identity(l.rank)
     fid = la.identity(fixed0.rank)
     if -1 not in group.kappas:
-        # the kernel is the whole group, so fixed0 is action._fixed; its
-        # positive index is three, one direction per positive pivot
-        vecs = _positive_directions(fixed0)
-        plane = _flag_plane(action, vecs[1], vecs[2])
-        return FundamentalData(1, True, ident, vecs[0], plane, group, action._fixed, fixed0, (fid,) * len(group))
+        # the kernel is the whole group, so fixed0 is action._fixed, of
+        # positive index three: the flag needs no further check
+        return _data(1, ident, group, action._fixed, fixed0, (fid,) * len(group))
     # a block the generators keep, the group keeps; where the sign kernel
     # is trivial fixed0 is the whole lattice and each block its generator
     signs = [k for _, _, k in action.generators]
@@ -350,27 +358,52 @@ def _real_branch(action, group, fixed0) -> FundamentalData:
     if la.mat_mul(cf, cf) != fid or any(b != (fid if k == 1 else cf) for b, k in zip(blocks, signs)):
         raise VerificationError("declared signs disagree with the action on the fixed part")
     rho_action = tuple(fid if k == 1 else cf for k in group.kappas)
-    # a vector of fixed0 that cf fixes is fixed by every element, and a
-    # vector every element fixes lies in fixed0: the plus part is the
-    # whole group's fixed lattice, both primitive and in HNF
-    f_plus = action._fixed
-    f_minus = Sublattice(l, la.mat_mul(la.kernel_int(la.mat_add(cf, fid)), fixed0.basis))
-    pos_plus = _positive_directions(f_plus)
-    pos_minus = _positive_directions(f_minus)
-    if len(pos_plus) < 2 or len(pos_minus) < 1:
+    # The flag needs two positive directions in the plus part f_plus of
+    # fixed0 under cf and one in the minus part f_minus. cf is an
+    # involutive isometry of fixed0, so the Q-spans of f_plus and f_minus
+    # are orthogonal and together make up fixed0: their positive indices
+    # add up to fixed0's 3, and both needs hold exactly when f_plus has
+    # positive index 2. A vector of fixed0 that cf fixes is fixed by every
+    # element, and a vector every element fixes lies in fixed0: f_plus is
+    # the whole group's fixed lattice, whose elimination is kept.
+    if signature(action._fixed.as_lattice()).plus != 2:
         raise VerificationError("not almost geometric: no flag compatible with the declared signs")
-    plane = _flag_plane(action, pos_plus[1], pos_minus[0])
-    return FundamentalData(1, True, ident, pos_plus[0], plane, group, action._fixed, fixed0, rho_action)
+    return _data(1, ident, group, action._fixed, fixed0, rho_action)
 
 
-def _flag_plane(action, u, v) -> Sublattice:
-    """The saturated span of u and v. Both callers pass orthogonal
-    positive vectors that every generator fixes or negates (a fixed
-    vector and one of cf's -1 part, orthogonal because cf is an isometry,
-    or two Jacobi directions of the fixed lattice), so the plane is
-    invariant and of positive index two by construction. The order >= 2
-    branch builds no such plane: its plane is rho."""
-    return _trusted(Sublattice, action.ambient, la.saturate_rows((u, v)))
+def _data(order_n, witness, group, fixed, rho, rho_action) -> FundamentalData:
+    """FundamentalData without its flag, which _flag derives on first read."""
+    data = object.__new__(FundamentalData)
+    vars(data).update(order_n=order_n, real=order_n <= 2, witness=witness, group=group,
+                      fixed=fixed, rho=rho, rho_action=rho_action)
+    return data
+
+
+def _flag(data: FundamentalData) -> tuple:
+    """The invariant flag (ell, plane) of data that fundamental_data built,
+    whose checks ensure that each direction read here exists.
+
+    ell is a positive direction of the group's fixed lattice, so positive
+    and invariant. For order >= 2 the plane is rho, orthogonal to ell as
+    w - 1 is invertible on it for the witness w, which fixes ell. For
+    order 1 it is the saturated span of two orthogonal positive vectors
+    that every generator fixes or negates: another direction of the fixed
+    lattice and a third one, or one of cf's -1 part where the sign kernel
+    is proper (orthogonal to the fixed lattice because cf is an isometry).
+    So the plane is invariant, of positive index two and orthogonal to ell.
+    """
+    plus = _positive_directions(data.fixed)
+    if data.order_n >= 2:
+        return plus[0], data.rho
+    l = data.group.action.ambient
+    if -1 in data.group.kappas:
+        cf = data.rho_action[data.group.kappas.index(-1)]
+        fixed0 = data.rho
+        minus = la.mat_mul(la.kernel_int(la.mat_add(cf, la.identity(fixed0.rank))), fixed0.basis)
+        v = _positive_directions(Sublattice(l, minus))[0]
+    else:
+        v = plus[2]
+    return plus[0], _trusted(Sublattice, l, la.saturate_rows((plus[1], v)))
 
 
 def _rotation_branch(action, group) -> FundamentalData:
@@ -423,10 +456,11 @@ def _rotation_branch(action, group) -> FundamentalData:
             raise VerificationError("declared signs disagree with the rotation orientation")
     if signature(block).plus != 2:
         raise VerificationError("rotation block has the wrong positive index")
-    positive = _positive_directions(action._fixed)
-    if not positive:
+    # the line of the flag is a positive direction of the fixed lattice:
+    # one exists exactly when its positive index is not 0
+    if signature(action._fixed.as_lattice()).plus == 0:
         raise VerificationError("not almost geometric: no invariant positive direction")
-    return FundamentalData(nn, nn <= 2, group.elements[w], positive[0], rho, group, action._fixed, rho, rho_action)
+    return _data(nn, group.elements[w], group, action._fixed, rho, rho_action)
 
 
 def fundamental_data(action: LatticeAction) -> FundamentalData:
@@ -446,11 +480,9 @@ def fundamental_data(action: LatticeAction) -> FundamentalData:
         raise ScopeError("ambient lattice must have positive index three")
     group = enumerate_group(action)
     fixed0 = fixed_lattice(action, "kernel")
-    # The flag holds by construction. ell is a positive direction of the
-    # group's fixed lattice, so positive and invariant, and orthogonal to
-    # the plane: in the real branches the plane is spanned by another such
-    # direction and a vector of cf's -1 part, and for order >= 2 it is
-    # rho, where w - 1 is invertible for the witness w, which fixes ell.
+    # The flag holds by construction (see _flag), so no flag check runs;
+    # each branch checks by a signature count that the directions the flag
+    # is built from exist, and the flag itself is derived on first read.
     # The witness's order is a multiple of nn, one of its divisors.
     if signature(fixed0.as_lattice()).plus == 3:
         return _real_branch(action, group, fixed0)

@@ -141,7 +141,7 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vec_scale(c, v: Vec) -> Vec:
@@ -149,11 +149,11 @@ def vec_scale(c, v: Vec) -> Vec:
 
 
 def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
+    return tuple(tuple(map(add, r, s)) for r, s in zip(a, b))
 
 
 def mat_sub(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, b))
+    return tuple(tuple(map(sub, r, s)) for r, s in zip(a, b))
 
 
 def mat_scale(c, a: Mat) -> Mat:
@@ -417,6 +417,14 @@ def fixed_kernel(mats, n: int) -> tuple[Vec, ...]:
     return kernel_int(freeze_mat(stacked))
 
 
+def fixed_rank(group, n: int) -> int:
+    """Rank of the vectors every element of a finite group of n x n
+    matrices fixes, given its complete element list: the dimension of a
+    finite group's fixed space is its average trace (Serre, Linear
+    Representations of Finite Groups, 2.3), so no elimination runs."""
+    return sum(m[i][i] for m in group for i in range(n)) // len(group)
+
+
 def saturate_rows(b: Mat) -> Mat:
     """Basis (HNF rows) of the saturation of the row lattice of b in Z^n.
 
@@ -552,7 +560,7 @@ def _jacobi_elimination(m: list) -> list:
     n = len(m)
     d = 1
     active = list(range(n))
-    live = [True] * n
+    live = [1] * n  # 0 on the columns eliminated before
     steps = []
     while active:
         piv = next((i for i in active if m[i][i] != 0), None)
@@ -570,9 +578,9 @@ def _jacobi_elimination(m: list) -> list:
                 m[k][piv] += m[k][partner]
         p = m[piv][piv]
         prow = m[piv]
-        steps.append((piv, tuple(x if a else 0 for x, a in zip(prow, live)), d, partner))
+        steps.append((piv, tuple(map(mul, prow, live)), d, partner))
         active.remove(piv)
-        live[piv] = False
+        live[piv] = 0
         for i in active:
             row = m[i]
             f = row[piv]

@@ -439,6 +439,15 @@ def _numeral_point(gram, rows, roots) -> tuple:
     return point, orthogonal
 
 
+def _check_camera(r: RootSystem, c) -> None:
+    """Refuse c unless it is a chamber of r's mirrors: a Camera of a system
+    with r's lattice and roots. Identity first, as callers pass r's own
+    camera and the comparisons run over whole root tuples."""
+    s = c.root_system if isinstance(c, Camera) else None
+    if s is not r and (s is None or s.ambient != r.ambient or s.roots != r.roots):
+        raise InputError("camera is not a camera of the root system")
+
+
 def to_fundamental_chamber(r: RootSystem, c: Camera, target) -> WeylWord:
     """Weyl word w with w(chamber of target) = c, via simple-wall reflections.
 
@@ -448,6 +457,7 @@ def to_fundamental_chamber(r: RootSystem, c: Camera, target) -> WeylWord:
     entry (a positive multiple lies in the same chamber), so the walk runs
     in integers, and each step is a rank-1 update.
     """
+    _check_camera(r, c)
     y = la.rational_vec(target.witness if isinstance(target, Camera) else target)
     if y is None or len(y) != r.ambient.rank:
         raise InputError("target vector must be a rational vector of the lattice rank")
@@ -490,6 +500,7 @@ def camera_decompose(r: RootSystem, c: Camera, g) -> tuple:
     r's lattice; s and w are then products of it and of reflections, so
     they are not verified again.
     """
+    _check_camera(r, c)
     gm = _as_isometry(r.ambient, g).matrix
     if not _preserves_roots(r, gm):
         raise InputError("isometry does not preserve the root system")

@@ -481,10 +481,12 @@ def test_analyze_round_eliminates_each_gram_once(monkeypatch, tmp_path):
 
 
 def test_basis_rows_are_replayed_only_for_positive_directions(monkeypatch, tmp_path):
-    """The elimination carries no basis rows: over round 0 of `analyze` and
-    of `degenerate` they are replayed once per _positive_directions call and
-    never otherwise, and signature, det and enumerate_vectors on a fresh
-    lattice never replay them."""
+    """The elimination carries no basis rows, and fundamental_data derives
+    its flag on first read: round 0 of `analyze` and of `degenerate` makes
+    no _jacobi_basis replay and no _positive_directions call. Reading ell
+    on the round's fresh data replays once per _positive_directions call,
+    a later read of plane replays nothing, and signature, det and
+    enumerate_vectors on a fresh lattice never replay them."""
     from lattact import group_actions
     from lattact import linalg as la
     from lattact.lattice import Lattice, enumerate_vectors, signature
@@ -495,13 +497,20 @@ def test_basis_rows_are_replayed_only_for_positive_directions(monkeypatch, tmp_p
     workloads = _load("workloads", monkeypatch)
     replays = count_calls(monkeypatch, la, "_jacobi_basis")
     directions = count_calls(monkeypatch, group_actions, "_positive_directions")
+    data = []
     for name in ("Analyze", "Degenerate"):
         workload = getattr(workloads, name)(7, tmp_path)
-        before = len(directions)
         for item in workload.round(0):
-            assert workload.check(item, workload.run(item)) is None
-        assert len(directions) > before, name
-        assert len(replays) == len(directions), name
+            result = workload.run(item)
+            assert workload.check(item, result) is None
+            data.append(result[1] if name == "Analyze" else result[0].data)
+        assert replays == [] and directions == [], name
+    for fd in data:
+        fd.ell
+        assert directions and len(replays) == len(directions)
+        before = len(replays)
+        fd.plane
+        assert len(replays) == before
     replays.clear()
     e8 = Lattice(workloads.gen.spec_gram("E8"))
     assert signature(e8).as_tuple() == (0, 8, 0) and e8.det() == 1

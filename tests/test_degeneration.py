@@ -30,7 +30,8 @@ from lattact import (
     verify_degeneration,
 )
 from lattact.lattice import sublattice_from_rows
-from lattact.root_systems import RootSystem, _chamber_walls, camera_decompose
+from lattact._record import fields
+from lattact.root_systems import RootSystem, _chamber_walls, camera_decompose, to_fundamental_chamber
 from lattact.walls import candidate_roots, wall_in_H_plus
 
 L6 = standard_lattice("3U")
@@ -366,6 +367,27 @@ class TestVerifyDegeneration:
         s = SaturatedSystem(r.span, r, fundamental_camera(r), f)
         with pytest.raises(InputError, match="cannot factor through the saturated system"):
             degenerate(act, s)
+
+    def test_a_camera_of_another_system_is_refused(self):
+        # the wall system of the order-3 fixture is an A2 of rank-6 roots: a
+        # camera of A2 itself has the wrong rank, and a camera of a system on
+        # the same lattice has walls that are not the system's
+        _, _, _, d = rotation_wall_degeneration()
+        r_bar, i6 = d.system.r_bar, la.identity(6)
+        with pytest.raises(InputError, match="^camera is not a camera of the root system$"):
+            camera_decompose(r_bar, fundamental_camera(roots_of(standard_lattice("A2"))), i6)
+        a1 = roots_of(sublattice_from_rows(L6, ((1, -1, 0, 0, 0, 0),)))
+        with pytest.raises(InputError, match="^camera is not a camera of the root system$"):
+            to_fundamental_chamber(r_bar, fundamental_camera(a1), d.system.camera.witness)
+        equal = RootSystem(*(getattr(r_bar, name) for name in fields(RootSystem)))
+        assert equal is not r_bar
+        assert camera_decompose(equal, d.system.camera, i6)[1].word == ()
+
+    def test_a_saturated_system_without_a_camera_cannot_be_factored_through(self):
+        act, _, _, d = rotation_wall_degeneration()
+        s = d.system
+        with pytest.raises(InputError, match="^cannot factor through the saturated system: camera is not"):
+            degenerate(act, SaturatedSystem(s.r_input, s.r_bar, None, s.data))
 
     def test_factors_that_break_the_root_system_are_reported(self):
         # each entry reports what a wrong factor for t breaks

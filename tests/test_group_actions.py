@@ -353,6 +353,7 @@ class TestFixedLattice:
                 assert kernel is fixed_lattice(a, "all")
             seen.clear()
             fd = fundamental_data(a)
+            fd.ell  # the flag, and with it the plus part, is derived on first read
             if fd.order_n == 1 and -1 in group.kappas:
                 assert seen[0].basis == whole
                 real_with_minus += 1
@@ -558,6 +559,119 @@ class TestDerivedOnce:
         for consumer in (rho_lattice, leftover_lattice, eigen_lattices, dilated_complex_structure):
             with pytest.raises(InputError, match="different action"):
                 consumer(dihedral3(INV_B), fd)
+
+
+def flag_actions():
+    """Every fixture, the Klein action, the sign-flip pair and the
+    antiflip, and each of them in two random bases."""
+    rng = random.Random(20261020)
+    actions = [fixture(name).action for name in FIXTURE_NAMES]
+    actions += [helpers.klein_action(), sign_flip_pair(), antiflip()]
+    return actions + [in_basis(a, helpers.random_unimodular(rng, a.ambient.rank, 8)) for a in actions for _ in range(2)]
+
+
+def eager_flag(fd):
+    """The flag as fundamental_data built it before it was derived on first
+    read, from fixed lattices eliminated over the group's elements: Jacobi
+    directions of the whole group's fixed lattice, and for order 1 the
+    plane of the second one and the third, or of the second one and the
+    first direction of a reflector's -1 part on the kernel-fixed lattice."""
+    group = fd.group
+    l = group.action.ambient
+    directions = group_actions._positive_directions
+    plus = directions(Sublattice(l, la.fixed_kernel(group.elements, l.rank)))
+    if fd.order_n >= 2:
+        return plus[0], fd.rho
+    if -1 in group.kappas:
+        fixed0 = Sublattice(l, la.fixed_kernel(group.kernel_matrices(), l.rank))
+        cf = la.restrict_to_span(group.elements[group.kappas.index(-1)], fixed0.basis)
+        minus = la.mat_mul(la.kernel_int(la.mat_add(cf, la.identity(fixed0.rank))), fixed0.basis)
+        v = directions(Sublattice(l, minus))[0]
+    else:
+        v = plus[2]
+    return plus[0], Sublattice(l, la.saturate_rows((plus[1], v)))
+
+
+class TestLazyFlag:
+    """fundamental_data leaves ell and plane to their first read; the record
+    reads, prints, compares and hashes as if it had been built whole."""
+
+    def test_derived_flag_equals_the_eager_one(self):
+        for a in flag_actions():
+            fd = fundamental_data(a)
+            assert "ell" not in vars(fd) and "plane" not in vars(fd)
+            assert (fd.ell, fd.plane) == eager_flag(fd)
+            l = a.ambient
+            assert l.sq(fd.ell) > 0 and all(l.dot(fd.ell, row) == 0 for row in fd.plane.basis)
+            assert signature(fd.plane.as_lattice()).plus == 2
+            for _, iso, _ in a.generators:
+                assert iso(fd.ell) == fd.ell
+                assert la.restrict_to_span(iso.matrix, fd.plane.basis) is not None
+
+    def test_repr_eq_and_hash_are_those_of_the_whole_record(self):
+        for a in flag_actions():
+            fd = fundamental_data(a)
+            text, h = repr(fd), hash(fd)  # each reads the flag first
+            whole = FundamentalData(*(getattr(fd, f) for f in fields(FundamentalData)))
+            assert text == repr(whole) and h == hash(whole)
+            assert fd == whole and whole == fd
+            fresh = fundamental_data(a)
+            assert fresh == whole and vars(fresh)["plane"] == whole.plane
+
+    def test_a_record_built_by_hand_takes_all_nine_fields(self):
+        values = [getattr(fundamental_data(dihedral3()), f) for f in fields(FundamentalData)]
+        with pytest.raises(TypeError, match=r"^FundamentalData\(\) missing argument 'rho'$"):
+            FundamentalData(*values[:3], *values[5:])
+        assert set(vars(FundamentalData(*values))) == set(fields(FundamentalData))
+
+    def test_another_missing_name_raises_attribute_error(self):
+        fd = fundamental_data(dihedral3())
+        for name in ("flag", "ells", "__setstate__"):
+            with pytest.raises(AttributeError, match=f"^'FundamentalData' object has no attribute '{name}'$"):
+                getattr(fd, name)
+        assert not hasattr(fd, "flag") and "ell" not in vars(fd)
+
+    def test_kernel_fixed_rank_is_the_average_trace(self):
+        shortcuts = set()
+        for a in flag_actions():
+            group = enumerate_group(a)
+            n = a.ambient.rank
+            kernel = group.kernel_matrices()
+            rank = la.fixed_rank(kernel, n)
+            assert rank == len(la.fixed_kernel(kernel, n))
+            assert la.fixed_rank(group.elements, n) == fixed_lattice(a, "all").rank
+            shortcut = fixed_lattice(a, "kernel") is fixed_lattice(a, "all")
+            assert shortcut == (rank == fixed_lattice(a, "all").rank)
+            shortcuts.add(shortcut)
+        assert shortcuts == {True, False}
+
+    def test_refusals_come_without_reading_the_flag(self, monkeypatch):
+        def unread(data):
+            raise AssertionError("the flag was read")
+
+        monkeypatch.setattr(group_actions, "_flag", unread)
+        rng = random.Random(20261021)
+        # the plus part of one reflector on 3U: positive index 0, 1 and 3
+        # leave no flag, 2 leaves one
+        for blocks, plus in (((NEG2,) * 3, 0), ((NSWAP2, NSWAP2, SWAP2), 1), ((SWAP2,) * 3, 3),
+                             ((NSWAP2, SWAP2, SWAP2), 2)):
+            a = LatticeAction(L6, (("c", helpers.block_diag(*blocks), -1),))
+            for b in (la.identity(6), helpers.random_unimodular(rng, 6, 8)):
+                ab = in_basis(a, b)
+                assert signature(fixed_lattice(ab, "all").as_lattice()).plus == plus
+                if plus == 2:
+                    assert fundamental_data(ab).order_n == 1
+                    continue
+                with pytest.raises(VerificationError, match="^not almost geometric: no flag compatible with the declared signs$"):
+                    fundamental_data(ab)
+        # s negates the one positive direction the rotation leaves
+        a = LatticeAction(L6, (("t", helpers.block_diag(ROT3, I2), 1),
+                               ("s", helpers.block_diag(INV_A, NSWAP2), -1)))
+        for b in (la.identity(6), helpers.random_unimodular(rng, 6, 8)):
+            ab = in_basis(a, b)
+            assert signature(fixed_lattice(ab, "all").as_lattice()).plus == 0
+            with pytest.raises(VerificationError, match="^not almost geometric: no invariant positive direction$"):
+                fundamental_data(ab)
 
 
 class TestRhoLattice:
