@@ -34,6 +34,7 @@ from .lattice import (
 from .root_systems import (
     Camera,
     RootSystem,
+    _check_camera,
     camera_decompose,
     fundamental_camera,
     is_admissible,
@@ -53,6 +54,12 @@ class SaturatedSystem:
     camera: Camera
     data: FundamentalData
 
+    def __post_init__(self):
+        if not (isinstance(self.r_input, Sublattice) and isinstance(self.r_bar, RootSystem)
+                and isinstance(self.data, FundamentalData)):
+            raise InputError("a saturated system takes a Sublattice, a RootSystem, a Camera and FundamentalData")
+        _check_camera(self.r_bar, self.camera)
+
 
 @record
 class DegenerationResult:
@@ -61,6 +68,15 @@ class DegenerationResult:
     system: SaturatedSystem
     factors: tuple
     action: LatticeAction
+
+    def __post_init__(self):
+        old = self.system.data.group.action if isinstance(self.system, SaturatedSystem) else None
+        # g[::2] is a generator's (name, sign)
+        if not (old is not None and isinstance(self.factors, tuple) and isinstance(self.action, LatticeAction)
+                and self.action.ambient == old.ambient
+                and [g[::2] for g in self.action.generators] == [g[::2] for g in old.generators]):
+            raise InputError("a degeneration result takes a SaturatedSystem, a tuple of factors and an action "
+                             "with the lattice, generator names and signs of the system's")
 
 
 @record
@@ -178,7 +194,9 @@ def _induced_permutation(components, m) -> tuple:
 
 def verify_degeneration(a: LatticeAction, s: SaturatedSystem, d: DegenerationResult) -> DegenerationReport:
     """The five defining checks of a degeneration; failures are entries,
-    never exceptions."""
+    never exceptions; a system or result of another action is an InputError."""
+    if s.data.group.action != a or d.system != s:
+        raise InputError("degeneration result and system must come from this action")
     names = [name for name, _, _ in a.generators]
     taus = {name: g.matrix for name, g, _ in a.generators}
     sigmas = {name: g for name, g, _ in d.action.generators}

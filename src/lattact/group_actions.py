@@ -47,6 +47,8 @@ class LatticeAction:
     generators: tuple
 
     def __post_init__(self):
+        if not isinstance(self.ambient, Lattice):
+            raise InputError("an action acts on a Lattice")
         gens = []
         try:
             items = la.freeze_mat(self.generators)
@@ -177,7 +179,8 @@ class FundamentalData:
     fundamental_data leaves ell and plane out: no consumer of the data
     reads them, so the first read of either derives both (__getattr__,
     which runs only for a name the instance lacks). A record built by hand
-    takes all nine fields.
+    takes all nine fields, and must equal what fundamental_data derives
+    from its group's action.
     """
 
     order_n: int
@@ -189,6 +192,11 @@ class FundamentalData:
     fixed: Sublattice
     rho: Sublattice
     rho_action: tuple
+
+    def __post_init__(self):
+        action = getattr(self.group, "action", None)
+        if not isinstance(action, LatticeAction) or fundamental_data(action) != self:
+            raise InputError("fundamental data must be what fundamental_data derives from its group's action")
 
     def __getattr__(self, name):
         if name not in ("ell", "plane"):
@@ -213,6 +221,8 @@ class EigenData:
     m_plus / m_minus live inside the rotation block: their ambient is the
     block presented as a lattice, basis rows in block coordinates.
     exponent: annihilator of the quotient block / (m_plus + m_minus).
+    reflector_block (not a field): the reflector's matrix on the block,
+    whose _eigen_split a record built by hand must carry.
     """
 
     reflector_name: str
@@ -222,23 +232,30 @@ class EigenData:
     m_minus: Sublattice
     exponent: int
 
-    @cached_property
-    def reflector_block(self) -> tuple:
-        """Integer matrix of the reflector on the rotation block, derived
-        once per object (eigen_lattices hands in the one it already has)."""
-        c = la.restrict_to_span(self.reflector.matrix, self.rho.basis)
-        if c is None:
-            raise VerificationError("reflector does not act on the rotation block")
-        return c
+    def __post_init__(self):
+        iso, rho = self.reflector, self.rho
+        ok = isinstance(iso, Isometry) and isinstance(rho, Sublattice) and rho.ambient == iso.lattice
+        c = la.restrict_to_span(iso.matrix, rho.basis) if ok else None
+        if c is None or la.mat_mul(c, c) != la.identity(rho.rank):
+            raise InputError("the reflector must be an Isometry restricting to an involution of the block")
+        if (self.m_plus, self.m_minus, self.exponent) != _eigen_split(c, rho):
+            raise InputError("eigenparts and exponent must be the split of the reflector's block")
+        object.__setattr__(self, "reflector_block", c)
 
 
 @record
 class DilatedComplexStructure:
-    """Integer matrix J on the rotation block with J^2 = -multiplier."""
+    """Integer matrix J on the rotation block with J^2 = -multiplier; a
+    record built by hand is checked for its shape only."""
 
     rho: Sublattice
     matrix: tuple
     multiplier: int
+
+    def __post_init__(self):
+        if not (isinstance(self.rho, Sublattice) and la.is_bound(self.multiplier)):
+            raise InputError("a dilation takes a Sublattice and a nonnegative integer multiplier")
+        object.__setattr__(self, "matrix", _as_int_square(self.matrix, self.rho.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -511,42 +528,25 @@ def dilated_complex_structure(action: LatticeAction, data: FundamentalData) -> D
     """J = 2 c - t on the rotation block, integral with J^2 = -(4 - t^2).
 
     Defined for rotation orders 3, 4 and 6 (t = -1, 0, 1), the orders
-    whose primitive roots of unity have degree two. J is checked to be
-    anti-selfadjoint, to commute with every +1 generator and to
-    anticommute with every -1 generator on the block, hence with every
-    element of the same sign.
+    whose primitive roots of unity have degree two. fundamental_data has
+    checked all J needs: the witness's block c is an isometry with
+    c^2 - t c + 1 = 0, so J^2 = t^2 - 4 and J's adjoint is 2 c^-1 - t = -J;
+    the sign kernel acts by powers of c, and s c s^-1 = c^-1 for each -1
+    element s, so J commutes with the one and anticommutes with the other.
     """
     if data.order_n not in _T_FOR_ORDER:
         raise ScopeError("no integral dilation for this rotation order")
     _check_owner(action, data)
-    rho = data.rho
     c = data.rho_action[data.group.index_of(data.witness)]
     t = _T_FOR_ORDER[data.order_n]
-    k = rho.rank
-    j = la.mat_sub(la.mat_scale(2, c), la.mat_scale(t, la.identity(k)))
-    mult = 4 - t * t
-    if la.mat_mul(j, j) != la.mat_scale(-mult, la.identity(k)):
-        raise VerificationError("dilation square is not the expected scalar")
-    g = rho.gram()
-    if la.mat_mul(la.transpose(j), g) != la.mat_scale(-1, la.mat_mul(g, j)):
-        raise VerificationError("dilation is not anti-selfadjoint")
-    # r J = kappa(r) J r is multiplicative in r, so it holds on the group
-    # when it holds on the generators' blocks
-    for j_gen, (_, _, kap) in enumerate(action.generators):
-        r = data.rho_action[data.group.table[0][j_gen]]
-        left = la.mat_mul(r, j)
-        right = la.mat_mul(j, r)
-        if kap == 1 and left != right:
-            raise VerificationError("dilation fails to commute with a holomorphic element")
-        if kap == -1 and left != la.mat_scale(-1, right):
-            raise VerificationError("dilation fails to anticommute with an antiholomorphic element")
-    return DilatedComplexStructure(rho, j, mult)
+    j = la.mat_sub(la.mat_scale(2, c), la.mat_scale(t, la.identity(len(c))))
+    return _trusted(DilatedComplexStructure, data.rho, j, 4 - t * t)
 
 
 def eigen_lattices(action: LatticeAction, data: FundamentalData) -> EigenData:
     """Split the rotation block under the first declared -1 generator.
 
-    The reflector must restrict to an involution of the block; the two
+    The reflector restricts to an involution of the block; the two
     eigenlattices are primitive there, orthogonal to each other, and of
     full combined rank. The exponent is the annihilator of the finite
     quotient block / (plus + minus); it clears the averaging projections
@@ -557,33 +557,37 @@ def eigen_lattices(action: LatticeAction, data: FundamentalData) -> EigenData:
         raise InputError("action has no antiholomorphic generator to split by")
     name, iso, _ = action.generators[chosen]
     _check_owner(action, data)
-    rho = data.rho
-    # generator j is the element identity . g_j, index table[0][j]
+    # generator j is the element identity . g_j, index table[0][j]. Its
+    # block c is an involution: fundamental_data checks it for orders 1, 2.
+    # For n >= 3, c^2 = w^a for the witness's block w and c w c^-1 = w^-1,
+    # so w^a = w^-a: c^2 = 1, or c^2 = w^(n/2) = -1. Then c anticommutes
+    # with (w - w^-1) / sqrt(4 - t^2) where w + w^-1 = t, both orthogonal
+    # complex structures: the block would be quaternionic, of a positive
+    # index divisible by 4, not the 2 fundamental_data checks.
     c = data.rho_action[data.group.table[0][chosen]]
-    k = rho.rank
-    kid = la.identity(k)
-    if la.mat_mul(c, c) != kid:
-        raise ScopeError("antiholomorphic generator is not an involution on the rotation block")
-    # FundamentalData is a public record: a hand-built one may carry a
-    # block that is no isometry, whose eigenparts need not be orthogonal
-    g = rho.gram()
-    if la.mat_mul(la.mat_mul(la.transpose(c), g), c) != g:
-        raise VerificationError("reflector is not an isometry of the rotation block")
-    # c^2 = I: x^2 - 1 is squarefree, so c diagonalizes over Q and the two
-    # kernels below have ranks adding up to k; c is an isometry of the
-    # block, so u.v = cu.cv = -u.v for u in plus and v in minus
+    eigen = _trusted(EigenData, name, iso, data.rho, *_eigen_split(c, data.rho))
+    object.__setattr__(eigen, "reflector_block", c)
+    return eigen
+
+
+def _eigen_split(c, rho: Sublattice) -> tuple:
+    """(plus, minus, exponent) of an isometric involution c of the block rho
+    of rank k.
+
+    x^2 - 1 is squarefree, so c diagonalizes over Q and the two kernels
+    have ranks adding up to k; c is an isometry of the block, so
+    u.v = cu.cv = -u.v for u in plus and v in minus. The exponent is the
+    largest elementary divisor of B = (plus; minus): |det B| over the gcd
+    of its (k-1)-minors, which are the entries of adj B. It clears the
+    averaging: exponent . v = p + m with p, m in the parts, so
+    exponent (v +- cv) / 2 is p or m.
+    """
+    kid = la.identity(rho.rank)
     block = rho.as_lattice()
     plus = _trusted(Sublattice, block, la.kernel_int(la.mat_sub(c, kid)))
     minus = _trusted(Sublattice, block, la.kernel_int(la.mat_add(c, kid)))
-    # the largest elementary divisor of B = (plus; minus): |det B| over the
-    # gcd of its (k-1)-minors, which are the entries of adj B. It clears the
-    # averaging: exponent . v = p + m with p, m in the parts, so
-    # exponent (v +- cv) / 2 is p or m
     adj, d = la.adjugate(plus.basis + minus.basis)
-    exponent = abs(d) // gcd(d, *(x for row in adj for x in row))
-    eigen = EigenData(name, iso, rho, plus, minus, exponent)
-    eigen.__dict__["reflector_block"] = c  # the cached property, already known
-    return eigen
+    return plus, minus, abs(d) // gcd(d, *(x for row in adj for x in row))
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from .errors import InputError, ScopeError
 
 
 def _trusted(cls, *values):
-    """A Lattice, Sublattice, Isometry or WeylWord valid by construction, built
-    from its fields (the rest keep their defaults) without __post_init__."""
+    """A record valid by construction, built from its fields (the rest keep
+    their defaults) without __post_init__."""
     obj = object.__new__(cls)
     for name, value in zip(fields(cls), values):
         object.__setattr__(obj, name, value)

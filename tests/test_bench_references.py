@@ -259,7 +259,9 @@ def test_roots_of_positivity_matches_span_coordinates(monkeypatch, tmp_path):
     for item in workload.round(0):
         workload.run(item)
     assert len(systems) > 21
-    for r in systems:
+    # a copy: the check of a RootSystem built from fields calls roots_of,
+    # which records on
+    for r in tuple(systems):
         assert (r.positive_roots, r.simple_roots) == positive_and_simple_by_span_coords(r)
         if r.roots:
             assert_walk_coords_match_the_solve(r)
@@ -519,9 +521,11 @@ def test_basis_rows_are_replayed_only_for_positive_directions(monkeypatch, tmp_p
 
 
 def _derived_once_guard(monkeypatch):
-    """Record group closures, Dynkin diagram builds and root systems,
-    and compare every object lattice._trusted makes with the one its
-    public constructor makes from the same fields."""
+    """Record group closures and Dynkin diagram builds, and compare every
+    object lattice._trusted makes with the one its public constructor
+    makes from the same fields. A constructor may itself derive through
+    _trusted (RootSystem's runs roots_of): what it makes is recorded, not
+    compared again, so the comparison does not recurse."""
     from lattact import lattice, root_systems
     from lattact import linalg as la
     from lattact.errors import LattactError
@@ -530,24 +534,21 @@ def _derived_once_guard(monkeypatch):
 
     closures = count_calls(monkeypatch, la, "group_closure")
     diagrams = count_calls(monkeypatch, root_systems, "_dynkin")
-    systems = []
-    init = root_systems.RootSystem.__init__
-
-    def recording_init(self, *args):
-        init(self, *args)
-        systems.append(self)
-
-    monkeypatch.setattr(root_systems.RootSystem, "__init__", recording_init)
     trusted = lattice._trusted
-    made, mismatches = [], []
+    made, mismatches, comparing = [], [], []
 
     def checked(cls, *values):
         obj = trusted(cls, *values)
         made.append(cls.__name__)
+        if comparing:
+            return obj
+        comparing.append(cls)
         try:
             public = cls(*values)
         except LattactError as err:
             public = err
+        finally:
+            comparing.pop()
         if public != obj:
             mismatches.append((cls.__name__, values, public))
         return obj
@@ -555,7 +556,7 @@ def _derived_once_guard(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "lattact" and getattr(module, "_trusted", None) is trusted:
             monkeypatch.setattr(module, "_trusted", checked)
-    return closures, diagrams, systems, made, mismatches
+    return closures, diagrams, made, mismatches
 
 
 def test_analyze_round_derives_once(monkeypatch, tmp_path):
@@ -563,7 +564,7 @@ def test_analyze_round_derives_once(monkeypatch, tmp_path):
     workloads = _load("workloads", monkeypatch)
     workload = workloads.Analyze(7, tmp_path)
     items = workload.round(0)
-    closures, _, _, made, mismatches = _derived_once_guard(monkeypatch)
+    closures, _, made, mismatches = _derived_once_guard(monkeypatch)
     for item in items:
         assert workload.check(item, workload.run(item)) is None
     assert len(closures) == len(items)
@@ -576,7 +577,7 @@ def test_degenerate_round_derives_once(monkeypatch, tmp_path):
     workloads = _load("workloads", monkeypatch)
     workload = workloads.Degenerate(7, tmp_path)
     items = workload.round(0)
-    closures, diagrams, systems, made, mismatches = _derived_once_guard(monkeypatch)
+    closures, diagrams, made, mismatches = _derived_once_guard(monkeypatch)
     actions = 0
     for item in items:
         sat, d, report = result = workload.run(item)
@@ -584,8 +585,9 @@ def test_degenerate_round_derives_once(monkeypatch, tmp_path):
         # verify_degeneration analyses the degenerate action when it differs
         actions += 1 + (d.action != sat.data.group.action)
     assert len(closures) == actions
-    assert systems and len(diagrams) <= len(systems)
-    assert {"Lattice", "Sublattice", "Isometry", "WeylWord"} <= set(made)
+    systems = made.count("RootSystem")
+    assert systems and len(diagrams) <= systems
+    assert {"Lattice", "Sublattice", "Isometry", "WeylWord", "RootSystem"} <= set(made)
     assert mismatches == []
 
 

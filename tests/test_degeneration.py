@@ -80,6 +80,14 @@ def rotation_wall_degeneration(block_root=(1, 0, 1, -1)):
     return act, f, e, degenerate_at_wall(act, f, e, block_root)
 
 
+def trivially_saturated(gram):
+    """The saturated system of the negative definite summand L of 3U + L,
+    for the trivial action, where L has the given Gram matrix."""
+    l = make_lattice(helpers.block_diag(L6.gram, gram))
+    a = LatticeAction(l, (("e", la.identity(l.rank), 1),))
+    return tau_saturation(a, fundamental_data(a), sublattice_from_rows(l, la.identity(l.rank)[6:]))
+
+
 def replace_factor(act, d, name, sigma):
     """d with the camera factor of generator `name` replaced by sigma."""
     iso = Isometry(act.ambient, sigma)
@@ -384,10 +392,29 @@ class TestVerifyDegeneration:
         assert camera_decompose(equal, d.system.camera, i6)[1].word == ()
 
     def test_a_saturated_system_without_a_camera_cannot_be_factored_through(self):
+        # it is refused on construction
+        s = rotation_wall_degeneration()[3].system
+        with pytest.raises(InputError, match="^camera is not a camera of the root system$"):
+            SaturatedSystem(s.r_input, s.r_bar, None, s.data)
+
+    def test_malformed_saturation_and_degeneration_records_are_refused(self):
         act, _, _, d = rotation_wall_degeneration()
         s = d.system
-        with pytest.raises(InputError, match="^cannot factor through the saturated system: camera is not"):
-            degenerate(act, SaturatedSystem(s.r_input, s.r_bar, None, s.data))
+        for values in ((None, s.r_bar, s.camera, s.data), (s.r_input, None, s.camera, s.data),
+                       (s.r_input, s.r_bar, s.camera, None)):
+            with pytest.raises(InputError, match="^a saturated system takes a Sublattice, a RootSystem"):
+                SaturatedSystem(*values)
+        for values in ((None, d.factors, d.action), (s, None, d.action), (s, d.factors, None)):
+            with pytest.raises(InputError, match="^a degeneration result takes a SaturatedSystem"):
+                DegenerationResult(*values)
+        # the new action must keep the old one's lattice, names and signs
+        renamed = LatticeAction(act.ambient, tuple((n + "'", g, k) for n, g, k in d.action.generators))
+        for other in (renamed, sign_flip_22()):
+            with pytest.raises(InputError, match="an action with the lattice, generator names and signs of the system's$"):
+                DegenerationResult(s, d.factors, other)
+        # and verify_degeneration takes a result of its own system and action
+        with pytest.raises(InputError, match="^degeneration result and system must come from this action$"):
+            verify_degeneration(appended_a1_action()[0], s, d)
 
     def test_factors_that_break_the_root_system_are_reported(self):
         # each entry reports what a wrong factor for t breaks
@@ -409,19 +436,6 @@ class TestVerifyDegeneration:
                      for i in range(22))
         report = verify_degeneration(a, s, replace_factor(a, d, "c", swap))
         assert ("components", False, "generator c permutes components differently") in report.entries
-
-    def test_a_root_outside_the_simple_root_lattice_is_an_entry(self):
-        # a system built by hand on 3U + A1 + A1 whose only simple root is
-        # e7: e8 has no simple coordinates, and the components check says
-        # so in its entry instead of raising
-        l = standard_lattice("3U+A1+A1")
-        e7, e8 = la.identity(8)[6:]
-        roots = tuple(sorted((e7, e8, la.vec_scale(-1, e7), la.vec_scale(-1, e8))))
-        r = RootSystem(l, sublattice_from_rows(l, roots), roots, (e7,), (e7,), ())
-        a = LatticeAction(l, (("e", la.identity(8), 1),))
-        s = SaturatedSystem(r.span, r, None, fundamental_data(a))
-        report = verify_degeneration(a, s, DegenerationResult(s, (), a))
-        assert ("components", False, "root outside the simple-root lattice") in report.entries
 
     def test_two_component_fixture_all_pass(self):
         a = sign_flip_22()
@@ -490,12 +504,13 @@ class TestCameraAdjacent:
         assert {frozenset((v, la.vec_scale(-1, v))) for v in found.simple_roots} == {
             frozenset((v, la.vec_scale(-1, v))) for v in simple
         }
-        r = RootSystem(l, sublattice_from_rows(l, roots), roots, simple, simple, (("A", 1),) * 5)
-        # camera_adjacent reads no fundamental data
-        s = SaturatedSystem(r.span, r, fundamental_camera(r), None)
-        cam = camera_adjacent(s, sublattice_from_rows(l, ()))
+        # the same system in 3U + l, saturated for the trivial action
+        s = trivially_saturated(l.gram)
+        r, amb = s.r_bar, s.r_bar.ambient
+        assert r.roots == tuple((0,) * 6 + v for v in roots)
+        cam = camera_adjacent(s, sublattice_from_rows(amb, ()))
         assert len(cam.walls) == 5
-        assert all(la.dot(l.gram, cam.witness, v) != 0 for v in r.roots)
+        assert all(la.dot(amb.gram, cam.witness, v) != 0 for v in r.roots)
 
     @pytest.mark.parametrize("name", ["A3", "D4", "A2+A2", "D5", "A4+A1", "E6"])
     def test_the_face_simple_roots_are_walls(self, name):
@@ -504,9 +519,8 @@ class TestCameraAdjacent:
         # witness are walls of the camera, so its closure meets the face
         rng = random.Random(name)
         g = standard_lattice(name).gram
-        l = make_lattice(helpers.conjugate_gram(g, helpers.random_unimodular(rng, len(g), steps=8)))
-        r = roots_of(l)
-        s = SaturatedSystem(r.span, r, fundamental_camera(r), None)
+        s = trivially_saturated(helpers.conjugate_gram(g, helpers.random_unimodular(rng, len(g), steps=8)))
+        r, l = s.r_bar, s.r_bar.ambient
         simple, positive = r.simple_roots, r.positive_roots
         faces = [[v for i, v in enumerate(simple) if bits >> i & 1] for bits in range(1 << len(simple))]
         faces += [[p, q] for i, p in enumerate(positive) for q in positive[i + 1:]]

@@ -112,6 +112,8 @@ def antiflip():
     return LatticeAction(L6, (("c", helpers.block_diag(NEG2, I2, I2), -1),))
 
 
+REFUSED = "^fundamental data must be what fundamental_data derives from its group's action$"
+
 SOME_ISOMETRIES_3U = (
     helpers.block_diag(SWAP2, I2, I2),
     helpers.block_diag(I2, SWAP2, I2),
@@ -721,10 +723,10 @@ class TestDilatedComplexStructure:
         assert la.mat_mul(la.transpose(d.matrix), g) == la.mat_scale(-1, la.mat_mul(g, d.matrix))
 
     def test_broken_data_is_refused(self):
-        # Honest data satisfies every dilation check: c is an isometry with
+        # Honest data gives all the dilation needs: c is an isometry with
         # Phi_n(c) = 0, the kernel acts by powers of c and each -1 element
-        # inverts it. Data whose blocks break one relation is refused, the
-        # relations with the signs on the generators' blocks.
+        # inverts it. Data whose blocks break one relation is refused on
+        # construction, as data fundamental_data does not derive.
         t2 = la.mat_mul(helpers.block_diag(ROT3, I2), helpers.block_diag(ROT3, I2))
         a = LatticeAction(L6, dihedral3().generators + (("t2", t2, 1),))
         fd = fundamental_data(a)
@@ -735,17 +737,12 @@ class TestDilatedComplexStructure:
         blocks = fd.rho_action
         shear = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
         moved = la.mat_mul(la.mat_mul(shear, blocks[w]), la.inverse_int(shear))
-        broken = (
-            (w, la.identity(4), "dilation square is not the expected scalar"),
-            (w, moved, "dilation is not anti-selfadjoint"),
-            (other, blocks[at[1]], "dilation fails to commute with a holomorphic element"),
-            (at[1], la.identity(4), "dilation fails to anticommute with an antiholomorphic element"),
-        )
-        for index, block, message in broken:
+        # the square, the adjoint, commuting with a +1 element and
+        # anticommuting with a -1 element would each fail
+        for index, block in ((w, la.identity(4)), (w, moved), (other, blocks[at[1]]), (at[1], la.identity(4))):
             rho_action = blocks[:index] + (block,) + blocks[index + 1:]
-            data = FundamentalData(*(rho_action if f == "rho_action" else getattr(fd, f) for f in fields(FundamentalData)))
-            with pytest.raises(VerificationError, match=f"^{message}$"):
-                dilated_complex_structure(a, data)
+            with pytest.raises(InputError, match=REFUSED):
+                FundamentalData(*(rho_action if f == "rho_action" else getattr(fd, f) for f in fields(FundamentalData)))
 
     def test_real_orders_rejected(self):
         for action in (antiflip(), sign_flip_pair()):
@@ -846,15 +843,18 @@ class TestEigenLattices:
 
     def test_reflector_that_is_no_involution_on_the_block_is_refused(self):
         # fundamental_data leaves every -1 generator an involution on the
-        # block; data that puts the rotation in its place is refused
+        # block; data that puts the rotation in its place is refused, and
+        # so is eigendata whose reflector is the rotation
         a = dihedral3()
         fd = fundamental_data(a)
         s = fd.group.table[0][1]
         rho_action = tuple(fd.rho_action[0 if i == s else i] if i != s else fd.rho_action[fd.group.table[0][0]]
                            for i in range(len(fd.group)))
-        data = FundamentalData(*(rho_action if f == "rho_action" else getattr(fd, f) for f in fields(FundamentalData)))
-        with pytest.raises(ScopeError, match="^antiholomorphic generator is not an involution on the rotation block$"):
-            eigen_lattices(a, data)
+        with pytest.raises(InputError, match=REFUSED):
+            FundamentalData(*(rho_action if f == "rho_action" else getattr(fd, f) for f in fields(FundamentalData)))
+        e = eigen_lattices(a, fd)
+        with pytest.raises(InputError, match="^the reflector must be an Isometry restricting to an involution of the block$"):
+            EigenData("t", a.generators[0][1], e.rho, e.m_plus, e.m_minus, e.exponent)
 
     def test_reflector_block_that_is_no_isometry_is_refused(self):
         # diag(1, 1, 1, -1) is an involution of the block but no isometry
@@ -864,18 +864,16 @@ class TestEigenLattices:
         s = fd.group.table[0][1]
         bad = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1))
         rho_action = fd.rho_action[:s] + (bad,) + fd.rho_action[s + 1:]
-        data = FundamentalData(*(rho_action if f == "rho_action" else getattr(fd, f) for f in fields(FundamentalData)))
-        with pytest.raises(VerificationError, match="^reflector is not an isometry of the rotation block$"):
-            eigen_lattices(a, data)
+        with pytest.raises(InputError, match=REFUSED):
+            FundamentalData(*(rho_action if f == "rho_action" else getattr(fd, f) for f in fields(FundamentalData)))
 
     def test_reflector_block_of_a_reflector_that_moves_the_block_is_refused(self):
         a = dihedral3()
         e = eigen_lattices(a, fundamental_data(a))
         swap = Isometry(L6, SOME_ISOMETRIES_3U[5])  # moves the first U summand to the second
         rho = Sublattice(L6, la.identity(6)[:2])
-        moved = EigenData(e.reflector_name, swap, rho, e.m_plus, e.m_minus, e.exponent)
-        with pytest.raises(VerificationError, match="^reflector does not act on the rotation block$"):
-            moved.reflector_block
+        with pytest.raises(InputError, match="^the reflector must be an Isometry restricting to an involution of the block$"):
+            EigenData(e.reflector_name, swap, rho, e.m_plus, e.m_minus, e.exponent)
 
 
 class TestIsGeometric:
@@ -1005,12 +1003,19 @@ class TestExtendEquivariantly:
                 assert image == expected
 
     def test_hand_built_eigenparts_the_dilation_does_not_exchange_are_refused(self):
+        # eigenparts that are not the reflector's split are refused on
+        # construction; the eigendata of another action on the same block
+        # reaches the extension's own check
         a = dihedral3()
         fd = fundamental_data(a)
         e = eigen_lattices(a, fd)
-        twice = EigenData(e.reflector_name, e.reflector, e.rho, e.m_plus, e.m_plus, e.exponent)
+        with pytest.raises(InputError, match="^eigenparts and exponent must be the split of the reflector's block$"):
+            EigenData(e.reflector_name, e.reflector, e.rho, e.m_plus, e.m_plus, e.exponent)
+        b = in_basis(a, SOME_ISOMETRIES_3U[1])  # swaps e and f of the second U summand
+        fb = fundamental_data(b)
+        assert fb.rho == fd.rho
         with pytest.raises(VerificationError, match="does not carry the minus part into the plus part"):
-            extend_equivariantly(a, fd, twice, la.identity(2))
+            extend_equivariantly(b, fb, e, la.identity(2))
 
     def test_eigenparts_of_different_ranks_are_refused(self):
         # the antiflip's plus part has rank 4, its minus part rank 2

@@ -4,12 +4,19 @@ or a sequence of those), ends in a result or a LattactError, never another
 exception. The table is built from ``lattact.__all__``, as
 ``tests/test_records.py`` builds its table of record classes.
 
+The derived records check their fields on construction, so they are
+rows of the table too; and every record-typed argument of the stages
+from saturation to walls, fed a record-shaped bad value (a field set to
+None, a record of another action, two same-typed fields swapped), ends
+in a result or a LattactError as well.
+
 Out of scope: a non-lattact object where a Lattice, Sublattice,
 RootSystem, action or data object belongs (duck typing stays), and
 TypeErrors from a wrong argument count."""
 
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 
 import pytest
 
@@ -71,6 +78,33 @@ UNCHECKED = [
 ]
 
 
+def _values(record) -> tuple:
+    return tuple(getattr(record, name) for name in fields(type(record)))
+
+
+@cache
+def _pipeline(extra=None) -> dict:
+    """Every record of the Klein action of helpers, by class name, with
+    the saturated system and degeneration at the wall of its root
+    (1, 0, 1, -1). extra="B" takes the other reflector on the same lattice
+    and degenerates at the empty system; extra="A2" adds an A2 summand the
+    action fixes, and degenerates at it."""
+    act, f, j, e = helpers.klein_pipeline(helpers.INV_B if extra == "B" else helpers.INV_A)
+    if extra == "A2":
+        l = lattact.make_lattice(helpers.block_diag(act.ambient.gram, lattact.standard_lattice("A2").gram))
+        act = lattact.LatticeAction(l, tuple((n, helpers.block_diag(g.matrix, la.identity(2)), k)
+                                             for n, g, k in act.generators))
+        f = lattact.fundamental_data(act)
+        j, e = lattact.dilated_complex_structure(act, f), lattact.eigen_lattices(act, f)
+    if extra is None:
+        d = lattact.degenerate_at_wall(act, f, e, (1, 0, 1, -1))
+    else:
+        r = lattact.Sublattice(act.ambient, la.identity(act.ambient.rank)[6:])
+        d = lattact.degenerate(act, lattact.tau_saturation(act, f, r))
+    records = (act, f, j, e, d.system, d)
+    return {type(record).__name__: record for record in records}
+
+
 @cache
 def _table() -> dict:
     """name -> (callable, valid arguments, positions of the value-shaped
@@ -88,7 +122,7 @@ def _table() -> dict:
         "Fixture": (lattact.Fixture, ("x", act, {}, {}), (0, 2, 3)),
         "Isometry": (lattact.Isometry, (a2, i2), (1,)),
         "Lattice": (lattact.Lattice, (a2.gram,), (0,)),
-        "LatticeAction": (lattact.LatticeAction, (a2, (("g", i2, 1),)), (1,)),
+        "LatticeAction": (lattact.LatticeAction, (a2, (("g", i2, 1),)), (0, 1)),
         "Sublattice": (lattact.Sublattice, (a2, ((1, 0),), None), (1, 2)),
         "WeylWord": (lattact.WeylWord, (r, (), lattact.Isometry(a2, i2)), (1,)),
         "camera_decompose": (lattact.camera_decompose, (r, c, i2), (2,)),
@@ -120,6 +154,10 @@ def _table() -> dict:
         "Sublattice.contains": (s.contains, ((1, 0),), (0,)),
         "Sublattice.to_ambient": (s.to_ambient, ((1,),), (0,)),
     }
+    for name, record in (("RootSystem", r), *_pipeline().items()):
+        if name not in table:
+            n = len(fields(type(record)))
+            table[name] = (type(record), _values(record), tuple(range(n)))
     for name in UNCHECKED:
         cls = getattr(lattact, name)
         n = len(fields(cls)) if "__match_args__" in vars(cls) else 1
@@ -187,3 +225,61 @@ def test_group_index_reads_its_matrix_through_the_boundary():
     group = lattact.enumerate_group(helpers.klein_action())
     rows = [[Fraction(x) for x in row] for row in group.elements[1]]
     assert group.index_of(rows) == 1
+
+
+def _bad_records(record) -> list:
+    """(label, thunk) pairs, each thunk making a record-shaped bad value
+    for an argument that takes record: each field set to None, the record
+    of the same class from two other actions, and the record with each
+    pair of its same-typed fields swapped."""
+    cls, values = type(record), _values(record)
+    out = []
+    for i in range(len(values)):
+        out.append((f"field {i} None", lambda i=i: cls(*values[:i], None, *values[i + 1:])))
+    for extra in ("B", "A2"):
+        out.append((f"of the {extra} action", lambda extra=extra: _pipeline(extra)[cls.__name__]))
+    for i, k in combinations(range(len(values)), 2):
+        if type(values[i]) is type(values[k]) and values[i] != values[k]:
+            swapped = list(values)
+            swapped[i], swapped[k] = values[k], values[i]
+            out.append((f"fields {i}, {k} swapped", lambda swapped=swapped: cls(*swapped)))
+    return out
+
+
+# the stages from saturation to walls, with their record-typed arguments
+RECORD_TYPED = {
+    "degenerate": ("LatticeAction", "SaturatedSystem"),
+    "verify_degeneration": ("LatticeAction", "SaturatedSystem", "DegenerationResult"),
+    "camera_adjacent": ("SaturatedSystem", "Sublattice"),
+    "tau_saturation": ("LatticeAction", "FundamentalData", "Sublattice"),
+    "is_geometric": ("LatticeAction", "FundamentalData"),
+    "eigen_lattices": ("LatticeAction", "FundamentalData"),
+    "wall_in_H_plus": ("root", "EigenData", "DilatedComplexStructure"),
+    "wall_report": ("EigenData", "DilatedComplexStructure", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_TYPED))
+def test_a_bad_record_ends_in_a_result_or_a_lattact_error(name):
+    records = dict(_pipeline())
+    s = records["SaturatedSystem"]
+    # the face of camera_adjacent, the input system of tau_saturation and
+    # the wall root are value arguments, fixed here
+    records.update(Sublattice=s.r_bar.span if name == "camera_adjacent" else s.r_input, root=(1, 0, 1, -1))
+    records[None] = None
+    fn = getattr(lattact, name)
+    args = [records[kind] for kind in RECORD_TYPED[name]]
+    escaped = []
+    for slot, kind in enumerate(RECORD_TYPED[name]):
+        if kind not in _pipeline():
+            continue
+        for label, make in _bad_records(records[kind]):
+            call = list(args)
+            try:
+                call[slot] = make()
+                fn(*call)
+            except LattactError:
+                pass
+            except Exception as err:  # noqa: BLE001 - the outcome under test
+                escaped.append(f"{kind} {label}: {type(err).__name__}: {err}")
+    assert not escaped, "\n".join(escaped)

@@ -5,10 +5,12 @@ from math import prod
 import pytest
 
 from lattact import linalg as la
+from lattact._record import fields
 from lattact.errors import InputError, VerificationError
 from lattact.lattice import (
     Isometry,
     Sublattice,
+    _trusted,
     full_sublattice,
     make_lattice,
     standard_lattice,
@@ -118,9 +120,11 @@ def test_root_counts_match_type():
 
 
 def _corrupted_system(gram, roots, simple):
+    # _trusted, as roots_of builds its systems: the public constructor
+    # refuses every one of these
     l = make_lattice(gram)
     roots = tuple(sorted(roots))
-    return RootSystem(l, sublattice_from_rows(l, roots), roots, simple, simple, ())
+    return _trusted(RootSystem, l, sublattice_from_rows(l, roots), roots, simple, simple, ())
 
 
 @pytest.mark.parametrize(
@@ -135,7 +139,9 @@ def _corrupted_system(gram, roots, simple):
         # e1 - e2 has simple coordinates (1, -1)
         ([[-2, 0], [0, -2]], [(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)],
          ((0, 1), (1, 0)), "mixed-sign"),
-        ([[-2, 1], [1, -2]], [(1, 0), (-1, 0)], ((1, 0), (2, 0)), "linearly dependent"),
+        # two roots of A2 at 60 degrees as "simple": e2 = (e1 + e2) - e1
+        ([[-2, 1], [1, -2]], [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)],
+         ((1, 0), (1, 1)), "mixed-sign"),
         # -e2 is missing
         ([[-2, 0], [0, -2]], [(1, 0), (-1, 0), (0, 1)], ((0, 1), (1, 0)), "not closed under negation"),
     ],
@@ -872,18 +878,32 @@ def test_cameras_whose_walls_bound_no_chamber_are_refused():
         Camera(roots_of(A2), ((-1, -1), (-1, 0)), (5, 6))
 
 
-def test_a_system_not_closed_under_reflection_fails_the_walk():
-    # A2's form with the roots +-e1, +-e2 only, built by hand: s_e1 e2 =
-    # e1 + e2 is missing, so a walk toward a valid camera of these roots
-    # can end outside it, and -I need not permute a camera's walls
+def test_systems_that_roots_of_does_not_derive_are_refused():
+    # a RootSystem built from fields must be the one roots_of derives from
+    # its span; a copy of one it derived is accepted
+    rs = roots_of(A2)
+    assert RootSystem(*(getattr(rs, name) for name in fields(RootSystem))) == rs
     l = make_lattice(((-2, 1), (1, -2)))
+    # A2's form with the roots +-e1, +-e2 only: s_e1 e2 = e1 + e2 is missing
     roots = ((-1, 0), (0, -1), (0, 1), (1, 0))
     simple = ((0, 1), (1, 0))
-    r = RootSystem(l, sublattice_from_rows(l, roots), roots, simple, simple, (("A", 1),) * 2)
-    with pytest.raises(VerificationError, match="did not land inside the camera"):
-        to_fundamental_chamber(r, Camera(r, simple, (-4, -4)), (-4, 4))
-    with pytest.raises(VerificationError, match="camera factor does not permute the walls"):
-        camera_decompose(r, Camera(r, ((0, -1), (1, 0)), (-4, -1)), la.mat_scale(-1, la.identity(2)))
+    unclosed = (l, sublattice_from_rows(l, roots), roots, simple, simple, (("A", 1),) * 2)
+    # 3U + A1 + A1 with e7 as the only simple root: e8 has no simple coordinates
+    l8 = standard_lattice("3U+A1+A1")
+    e7, e8 = la.identity(8)[6:]
+    roots8 = tuple(sorted((e7, e8, la.vec_scale(-1, e7), la.vec_scale(-1, e8))))
+    for fields_ in (
+        unclosed,
+        (l8, sublattice_from_rows(l8, roots8), roots8, (e7,), (e7,), ()),
+        # A2 without its positive roots
+        (rs.ambient, rs.span, rs.roots, (), rs.simple_roots, rs.components),
+        # simple roots that are dependent, a field that is no system's
+        (l, sublattice_from_rows(l, ((1, 0),)), ((-1, 0), (1, 0)), ((1, 0),), ((1, 0), (2, 0)), ()),
+        (rs.ambient, None, rs.roots, rs.positive_roots, rs.simple_roots, rs.components),
+        (rs.ambient, rs.span, list(rs.roots), rs.positive_roots, rs.simple_roots, rs.components),
+    ):
+        with pytest.raises(InputError, match="^a root system must be the one roots_of derives from its span$"):
+            RootSystem(*fields_)
 
 
 @pytest.mark.parametrize("name", [*(f"A{n}" for n in range(1, 7)), "D4", "D5", "D6", "E6"])
@@ -908,24 +928,12 @@ def test_cameras_are_the_chambers_of_their_witnesses(name):
                 Camera(r, walls, witness)
 
 
-def test_a_walk_past_the_positive_root_count_is_refused():
-    # a system built by hand whose positive roots are missing: the walk
-    # to the fundamental camera needs a step the count does not allow
-    rs = roots_of(A2)
-    broken = RootSystem(rs.ambient, rs.span, rs.roots, (), rs.simple_roots, rs.components)
-    cam = fundamental_camera(rs)
-    with pytest.raises(VerificationError, match="exceeded the positive-root bound"):
-        to_fundamental_chamber(broken, cam, tuple(-x for x in cam.witness))
-
-
 def test_hand_built_systems_with_a_wrong_span_or_a_broken_word_are_refused(monkeypatch):
-    # a RootSystem built by hand may carry a span its roots do not give
+    # a RootSystem built by hand may not carry a span its roots do not give
     l = standard_lattice("A2+A1")
     rs = roots_of(l)
-    narrow = RootSystem(l, Sublattice(l, ((1, 0, 0),)), rs.roots, rs.positive_roots, rs.simple_roots, rs.components)
-    swap = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
-    with pytest.raises(VerificationError, match="root span is not invariant"):
-        is_admissible(narrow, (swap,))
+    with pytest.raises(InputError, match="^a root system must be the one roots_of derives"):
+        RootSystem(l, Sublattice(l, ((1, 0, 0),)), rs.roots, rs.positive_roots, rs.simple_roots, rs.components)
     # s . w = g holds when w's word is built right; a broken product is refused
     from lattact import root_systems
 

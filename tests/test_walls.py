@@ -233,20 +233,34 @@ class TestWallInHPlus:
             wall_in_H_plus((1, 0, 1, -1, 0, 0), e, j)
 
     def test_hand_built_data_that_breaks_the_eigen_relations_is_refused(self):
-        # eigen_lattices and dilated_complex_structure give parts that are
-        # orthogonal, an exponent that clears the averaging and a J that
-        # exchanges the parts; EigenData and J built by hand need not
+        # eigen_lattices gives parts that are orthogonal and an exponent
+        # that clears the averaging, and EigenData built by hand must be
+        # that split; a J built by hand is checked for its shape only, so
+        # one that does not exchange the parts reaches the wall's check
         _, _, j, e = rotation_fixture()
-        one = EigenData(e.reflector_name, e.reflector, e.rho, e.m_plus, e.m_minus, 1)
-        with pytest.raises(VerificationError, match="projections are not cleared by the exponent"):
-            wall_in_H_plus((-2, 0, -1, 1), one, j)
+        split = "^eigenparts and exponent must be the split of the reflector's block$"
+        with pytest.raises(InputError, match=split):
+            EigenData(e.reflector_name, e.reflector, e.rho, e.m_plus, e.m_minus, 1)
+        # a "minus part" that is not orthogonal to the plus part
+        skew = Sublattice(e.rho.as_lattice(), ((1, 2, 3, 1), (0, 5, 4, 3)))
+        with pytest.raises(InputError, match=split):
+            EigenData(e.reflector_name, e.reflector, e.rho, e.m_plus, skew, e.exponent)
         plain = DilatedComplexStructure(j.rho, la.identity(4), 3)
         with pytest.raises(VerificationError, match="nonpositive projection squares"):
             wall_in_H_plus((-1, -1, 2, -1), e, plain)
-        # a "minus part" that is not orthogonal to the plus part
-        skew = Sublattice(e.rho.as_lattice(), ((1, 2, 3, 1), (0, 5, 4, 3)))
-        with pytest.raises(VerificationError, match="produced a non-root"):
-            candidate_roots(EigenData(e.reflector_name, e.reflector, e.rho, e.m_plus, skew, e.exponent), bound=4)
+
+    def test_a_dilation_of_the_wrong_shape_is_refused(self):
+        _, _, j, e = rotation_fixture()
+        for values, message in (
+            ((j.rho, None, 3), "^matrix must be integral$"),
+            ((j.rho, la.identity(2), 3), "^matrix must be 4 x 4$"),
+            ((j.rho, j.matrix[:3], 3), "^matrix must be 4 x 4$"),
+            ((j.rho, j.matrix, 1.5), "^a dilation takes a Sublattice and a nonnegative integer multiplier$"),
+            ((None, j.matrix, 3), "^a dilation takes a Sublattice and a nonnegative integer multiplier$"),
+        ):
+            with pytest.raises(InputError, match=message):
+                DilatedComplexStructure(*values)
+        assert DilatedComplexStructure(j.rho, [list(row) for row in j.matrix], 3) == j
 
     def test_independent_conditions_cut_no_wall(self):
         # x.v+ = 0 and x.Jv- = 0 are independent on M+ for this root
