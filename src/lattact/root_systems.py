@@ -325,12 +325,12 @@ def _classify_components(diagram) -> tuple:
 def _verify_root_system(rs: RootSystem):
     """Checks a system with at least one root (roots_of returns the empty
     system before calling this)."""
-    root_set = set(rs.roots)
-    for r in rs.roots:
-        if tuple(map(neg, r)) not in root_set:
-            raise VerificationError("root set not closed under negation")
-    # every root is an all-nonnegative or all-nonpositive integer
-    # combination of the simple roots
+    if {tuple(map(neg, r)) for r in rs.roots} != set(rs.roots):
+        raise VerificationError("root set not closed under negation")
+    # simple roots lie in the root span: more of them than its rank are dependent
+    if len(rs.simple_roots) > rs.span.rank:
+        raise VerificationError("simple roots are linearly dependent")
+    # every root is a same-sign integer combination of the simple roots
     for c in rs._root_coords:
         if c is None:
             raise VerificationError("root outside the simple-root lattice")

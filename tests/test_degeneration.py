@@ -437,6 +437,22 @@ class TestVerifyDegeneration:
         report = verify_degeneration(a, s, replace_factor(a, d, "c", swap))
         assert ("components", False, "generator c permutes components differently") in report.entries
 
+    def test_a_root_outside_the_simple_root_lattice_is_an_entry(self):
+        # a system on 3U + A1 + A1 whose only simple root is e7 leaves e8
+        # without simple coordinates. It is refused on construction, so the
+        # components check sees only systems whose roots all have them; on
+        # the system of these roots that roots_of derives, its entry passes
+        l = standard_lattice("3U+A1+A1")
+        e7, e8 = la.identity(8)[6:]
+        roots = tuple(sorted((e7, e8, la.vec_scale(-1, e7), la.vec_scale(-1, e8))))
+        with pytest.raises(InputError, match="^a root system must be the one roots_of derives from its span$"):
+            RootSystem(l, sublattice_from_rows(l, roots), roots, (e7,), (e7,), ())
+        s = trivially_saturated(standard_lattice("A1+A1").gram)
+        assert s.r_bar.ambient == l and s.r_bar.roots == roots
+        a = s.data.group.action
+        report = verify_degeneration(a, s, DegenerationResult(s, (), a))
+        assert ("components", True, "same permutations of 2 components") in report.entries
+
     def test_two_component_fixture_all_pass(self):
         a = sign_flip_22()
         f = fundamental_data(a)

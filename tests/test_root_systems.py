@@ -139,11 +139,13 @@ def _corrupted_system(gram, roots, simple):
         # e1 - e2 has simple coordinates (1, -1)
         ([[-2, 0], [0, -2]], [(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)],
          ((0, 1), (1, 0)), "mixed-sign"),
+        # two simple roots in a root span of rank 1
+        ([[-2, 1], [1, -2]], [(1, 0), (-1, 0)], ((1, 0), (2, 0)), "linearly dependent"),
+        # -e2 is missing
+        ([[-2, 0], [0, -2]], [(1, 0), (-1, 0), (0, 1)], ((0, 1), (1, 0)), "not closed under negation"),
         # two roots of A2 at 60 degrees as "simple": e2 = (e1 + e2) - e1
         ([[-2, 1], [1, -2]], [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)],
          ((1, 0), (1, 1)), "mixed-sign"),
-        # -e2 is missing
-        ([[-2, 0], [0, -2]], [(1, 0), (-1, 0), (0, 1)], ((0, 1), (1, 0)), "not closed under negation"),
     ],
 )
 def test_verify_root_system_rejects_corrupted_systems(gram, roots, simple, message):
@@ -878,32 +880,43 @@ def test_cameras_whose_walls_bound_no_chamber_are_refused():
         Camera(roots_of(A2), ((-1, -1), (-1, 0)), (5, 6))
 
 
+REFUSED = "^a root system must be the one roots_of derives from its span$"
+
+
 def test_systems_that_roots_of_does_not_derive_are_refused():
     # a RootSystem built from fields must be the one roots_of derives from
     # its span; a copy of one it derived is accepted
     rs = roots_of(A2)
     assert RootSystem(*(getattr(rs, name) for name in fields(RootSystem))) == rs
     l = make_lattice(((-2, 1), (1, -2)))
-    # A2's form with the roots +-e1, +-e2 only: s_e1 e2 = e1 + e2 is missing
-    roots = ((-1, 0), (0, -1), (0, 1), (1, 0))
-    simple = ((0, 1), (1, 0))
-    unclosed = (l, sublattice_from_rows(l, roots), roots, simple, simple, (("A", 1),) * 2)
-    # 3U + A1 + A1 with e7 as the only simple root: e8 has no simple coordinates
-    l8 = standard_lattice("3U+A1+A1")
-    e7, e8 = la.identity(8)[6:]
-    roots8 = tuple(sorted((e7, e8, la.vec_scale(-1, e7), la.vec_scale(-1, e8))))
     for fields_ in (
-        unclosed,
-        (l8, sublattice_from_rows(l8, roots8), roots8, (e7,), (e7,), ()),
-        # A2 without its positive roots
-        (rs.ambient, rs.span, rs.roots, (), rs.simple_roots, rs.components),
         # simple roots that are dependent, a field that is no system's
         (l, sublattice_from_rows(l, ((1, 0),)), ((-1, 0), (1, 0)), ((1, 0),), ((1, 0), (2, 0)), ()),
         (rs.ambient, None, rs.roots, rs.positive_roots, rs.simple_roots, rs.components),
         (rs.ambient, rs.span, list(rs.roots), rs.positive_roots, rs.simple_roots, rs.components),
     ):
-        with pytest.raises(InputError, match="^a root system must be the one roots_of derives from its span$"):
+        with pytest.raises(InputError, match=REFUSED):
             RootSystem(*fields_)
+
+
+def test_a_system_not_closed_under_reflection_fails_the_walk():
+    # A2's form with the roots +-e1, +-e2 only: s_e1 e2 = e1 + e2 is
+    # missing, so a walk toward a camera of these roots could end outside
+    # it, and -I need not permute a camera's walls. Such a system is
+    # refused on construction. On A2's own roots the walk lands inside the
+    # camera, and the camera factor of -I permutes its walls
+    l = make_lattice(((-2, 1), (1, -2)))
+    roots = ((-1, 0), (0, -1), (0, 1), (1, 0))
+    simple = ((0, 1), (1, 0))
+    with pytest.raises(InputError, match=REFUSED):
+        RootSystem(l, sublattice_from_rows(l, roots), roots, simple, simple, (("A", 1),) * 2)
+    r = roots_of(l)
+    c = Camera(r, simple, (-4, -4))
+    w = to_fundamental_chamber(r, c, (-4, 5))
+    y = la.mat_vec(w.isometry.matrix, (-4, 5))
+    assert all(la.dot(l.gram, wall, y) > 0 for wall in c.walls)
+    s, _ = camera_decompose(r, c, la.mat_scale(-1, la.identity(2)))
+    assert {tuple(la.mat_vec(s.matrix, wall)) for wall in c.walls} == set(c.walls)
 
 
 @pytest.mark.parametrize("name", [*(f"A{n}" for n in range(1, 7)), "D4", "D5", "D6", "E6"])
@@ -926,6 +939,17 @@ def test_cameras_are_the_chambers_of_their_witnesses(name):
             walls[rng.randrange(len(walls))] = rng.choice([v for v in r.roots if v not in walls])
             with pytest.raises(InputError, match="simple roots of the witness's chamber"):
                 Camera(r, walls, witness)
+
+
+def test_a_walk_past_the_positive_root_count_is_refused():
+    # a system whose positive roots are missing is refused on construction,
+    # so no walk runs on it. Each step of a walk crosses one mirror, so the
+    # walk to the opposite camera takes exactly the positive-root count
+    rs = roots_of(A2)
+    with pytest.raises(InputError, match=REFUSED):
+        RootSystem(rs.ambient, rs.span, rs.roots, (), rs.simple_roots, rs.components)
+    cam = fundamental_camera(rs)
+    assert len(to_fundamental_chamber(rs, cam, tuple(-x for x in cam.witness))) == len(rs.positive_roots)
 
 
 def test_hand_built_systems_with_a_wrong_span_or_a_broken_word_are_refused(monkeypatch):
