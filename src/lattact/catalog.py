@@ -357,8 +357,7 @@ def classify_order3_on_2U(entry_bound: int = 2) -> ClassifyReport:
             if min(abs(tr - 1), abs(tr + 2)) <= slack:
                 place(cols + [b], tr)
 
-    if entry_bound:
-        place([], 0)
+    place([], 0)
 
     out = []
     for t in sorted(hits):

@@ -18,6 +18,7 @@ from .group_actions import (
     FundamentalData,
     LatticeAction,
     _along_table,
+    _check_eigen_owner,
     dilated_complex_structure,
     fundamental_data,
     is_geometric,
@@ -25,6 +26,7 @@ from .group_actions import (
 )
 from .lattice import (
     Sublattice,
+    _trusted,
     orthogonal_complement,
     primitive_hull,
     signature,
@@ -91,39 +93,34 @@ class DegenerationReport:
 # ---------------------------------------------------------------------------
 
 
-def _check_invariant(generators, vectors, container, what: str):
-    for name, g, _ in generators:
-        # row i of V . g^T is g . v_i
-        if not all(map(container, la.mat_mul(vectors, la.transpose(g.matrix)))):
-            raise InputError(f"{what} is not invariant under generator {name}")
-
-
 def tau_saturation(a: LatticeAction, f: FundamentalData, r: Sublattice) -> SaturatedSystem:
     """Smallest root-generated overlattice of r closed under taking roots
     of the primitive hull of (system + leftover part).
 
-    Iterates hull -> roots -> span until stable; the saturated system is
-    re-checked for invariance under every generator. The input itself
-    need not be spanned by roots as long as its hull is: span(2*root)
-    saturates to the root's span. Inputs in rootless directions are
-    rejected because no saturation can recover them.
+    Iterates hull -> roots -> span until stable. Only the input is checked
+    for invariance: the leftover part, the primitive hull of a sum of
+    invariant lattices and the roots of one are invariant, so the saturated
+    system is. The input itself need not be spanned by roots as long as its
+    hull is: span(2*root) saturates to the root's span. Inputs in rootless
+    directions are rejected because no saturation can recover them.
     """
     l = a.ambient
     if r.ambient != l:
         raise InputError("system lives in a different lattice")
-    if r.rank:
-        rsig = signature(r.as_lattice())
-        if rsig.plus or rsig.null:
-            raise InputError("input system must be elliptic")
-    _check_invariant(a.generators, r.basis, r.contains, "input system")
+    rsig = signature(r.as_lattice())
+    if rsig.plus or rsig.null:
+        raise InputError("input system must be elliptic")
+    # on r's HNF basis the restriction is None exactly when r is not invariant
+    for name, g, _ in a.generators:
+        if la.restrict_to_span(g.matrix, r.basis) is None:
+            raise InputError(f"input system is not invariant under generator {name}")
     ldot = leftover_lattice(a, f)
     current = r
     while True:
         hull = primitive_hull(l, sublattice_sum(l, current, ldot))
-        if hull.rank:
-            hsig = signature(hull.as_lattice())
-            if hsig.plus or hsig.null:
-                raise InputError("hull of system and leftover part is not negative definite")
+        hsig = signature(hull.as_lattice())
+        if hsig.plus or hsig.null:
+            raise InputError("hull of system and leftover part is not negative definite")
         # once the span of the hull's roots is current, the hull's roots
         # all lie in current, so they are current's roots: r_bar is kept
         r_bar = roots_of(hull)
@@ -132,9 +129,6 @@ def tau_saturation(a: LatticeAction, f: FundamentalData, r: Sublattice) -> Satur
         current = r_bar.span
     if not r_bar.span.contains_sublattice(r):
         raise InputError("input system is not generated by roots of its hull")
-    root_set = set(r_bar.roots)
-    _check_invariant(a.generators, r_bar.roots, lambda v: tuple(v) in root_set,
-                     "saturated system")
     return SaturatedSystem(r, r_bar, fundamental_camera(r_bar), f)
 
 
@@ -291,7 +285,9 @@ def camera_adjacent(s: SaturatedSystem, r_prime: Sublattice) -> Camera:
     face_rows = la.kernel_int(la.freeze_mat([la.mat_vec(l.gram, v) for v in rp.roots]))
     z = fundamental_camera(r_bar).witness
     witness, _ = _numeral_point(l.gram, (z, *face_rows), r_bar.roots)
-    return Camera(r_bar, _chamber_walls(r_bar, la.mat_vec(l.gram, witness)), witness)
+    # a camera by construction: the witness pairs with each root as a numeral
+    # whose lowest digit, the pairing with z, is nonzero, and its walls are these
+    return _trusted(Camera, r_bar, _chamber_walls(r_bar, la.mat_vec(l.gram, witness)), witness)
 
 
 def degenerate_at_wall(a: LatticeAction, f: FundamentalData, e: EigenData, v) -> DegenerationResult:
@@ -307,6 +303,7 @@ def degenerate_at_wall(a: LatticeAction, f: FundamentalData, e: EigenData, v) ->
     if all(kappa == 1 for _, _, kappa in a.generators):
         raise InputError("wall degeneration needs a sign-nontrivial action")
     j = dilated_complex_structure(a, f)
+    _check_eigen_owner(f, e)
     wall = wall_in_H_plus(v, e, j)
     if wall is None:
         raise InputError("the defining root cuts no wall")
@@ -317,7 +314,7 @@ def degenerate_at_wall(a: LatticeAction, f: FundamentalData, e: EigenData, v) ->
     l = a.ambient
     perp = orthogonal_complement(l, f.fixed)
     conditions = la.freeze_mat(
-        [[l.dot(b, ray) for b in perp.basis], [l.dot(b, jray) for b in perp.basis]]
+        [[la.dot(l.gram, b, ray) for b in perp.basis], [la.dot(l.gram, b, jray) for b in perp.basis]]
     )
     coords = la.kernel_int(conditions)
     face = sublattice_from_rows(l, la.mat_mul(coords, perp.basis))

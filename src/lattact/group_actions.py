@@ -287,6 +287,14 @@ def _check_owner(action: LatticeAction, data: FundamentalData) -> None:
         raise InputError("fundamental data belongs to a different action")
 
 
+def _check_eigen_owner(data: FundamentalData, eigen: EigenData) -> None:
+    """Refuse eigen data of another rotation block, or split by a reflector
+    that is no antiholomorphic element of data's group."""
+    i = data.group._index.get(eigen.reflector.matrix)
+    if eigen.rho != data.rho or i is None or data.group.kappas[i] != -1:
+        raise InputError("eigen data belongs to a different action")
+
+
 def _restrict(matrix, basis_rows) -> tuple:
     """Integer restriction of an ambient matrix to an invariant row span."""
     r = la.restrict_to_span(matrix, basis_rows)
@@ -611,8 +619,6 @@ def is_geometric(action: LatticeAction, data: FundamentalData) -> tuple:
     """
     _check_owner(action, data)
     leftover = data.leftover
-    if leftover.rank == 0:
-        return True, ()
     sig = signature(leftover.as_lattice())
     if sig.plus or sig.null:
         raise VerificationError("leftover part is not negative definite")
@@ -625,6 +631,7 @@ def extend_equivariantly(action: LatticeAction, data: FundamentalData, eigen: Ei
     """Extend an isometry of the plus eigenlattice to the rotation block
     by conjugating with the dilation on the minus side; returns the
     extension when it is integral on the block, None otherwise."""
+    _check_eigen_owner(data, eigen)
     a = la.int_rows(m_plus_map.matrix if isinstance(m_plus_map, Isometry) else m_plus_map)
     plus, minus = eigen.m_plus, eigen.m_minus
     # a is None for a non-integer matrix, which _isometry_error refuses too
@@ -633,12 +640,9 @@ def extend_equivariantly(action: LatticeAction, data: FundamentalData, eigen: Ei
     if plus.rank != minus.rank:
         raise VerificationError("eigenparts have different ranks; no dilation exchange")
     j = dilated_complex_structure(action, data).matrix
-    cols = []
-    for b in minus.basis:
-        x = la.coords_in_rows(la.mat_vec(j, b), plus.basis)
-        if x is None:
-            raise VerificationError("dilation does not carry the minus part into the plus part")
-        cols.append(x)
+    # the reflector is a -1 element of the group, so J anticommutes with it
+    # and carries its minus part into its plus part, a saturated block
+    cols = [la.coords_in_rows(la.mat_vec(j, b), plus.basis) for b in minus.basis]
     # c is integral (plus is saturated): a_minus = c^-1 a c = adj(c) a c / det c,
     # and ext = X . diag(a, a_minus) . X^-1 = X . diag(dc a, adj(c) a c) . adj X / (dc dX)
     c = la.transpose(cols)

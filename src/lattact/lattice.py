@@ -69,11 +69,20 @@ class Lattice:
     def nondegenerate(self) -> bool:
         return self._det != 0
 
+    def _vector(self, v):
+        """v read as a rational vector of the lattice rank (the library's
+        own loops pass checked vectors to la.dot and la.sq instead)."""
+        v = la.rational_vec(v)
+        if v is None or len(v) != len(self.gram):
+            raise InputError("vectors must be rational vectors of the lattice rank")
+        return v
+
     def dot(self, u, v):
-        return la.dot(self.gram, u, v)
+        return la.dot(self.gram, self._vector(u), self._vector(v))
 
     def sq(self, v):
-        return la.sq(self.gram, v)
+        v = self._vector(v)
+        return la.dot(self.gram, v, v)
 
     def det(self):
         return self._det
@@ -166,8 +175,6 @@ class Sublattice:
 
     @property
     def primitive(self) -> bool:
-        if not self.basis:
-            return True
         return la.saturate_rows(self.basis) == self.basis
 
 
@@ -357,13 +364,11 @@ def orthogonal_complement(l: Lattice, s: Sublattice) -> Sublattice:
 def primitive_hull(l: Lattice, s: Sublattice) -> Sublattice:
     """Smallest primitive sublattice containing s; carries the finite index."""
     _check_ambient(l, s)
-    if s.rank == 0:
-        return Sublattice(l, (), index=1)
     sat = la.saturate_rows(s.basis)
     # s and sat are HNF bases of one rational span, so they share their
     # pivot columns; on those columns s = C . sat is a product of upper
     # triangular blocks, and the index |det C| is the product of s's
-    # pivots over the product of sat's
+    # pivots over the product of sat's (both empty, so 1, at rank 0)
     s_pivots = prod(next(filter(None, row)) for row in s.basis)
     return _trusted(Sublattice, l, sat, s_pivots // prod(next(filter(None, row)) for row in sat))
 
@@ -377,8 +382,6 @@ def discriminant_form(l: Lattice) -> DiscriminantForm:
         raise InputError("discriminant form needs a nondegenerate lattice")
     if not l.even:
         raise ScopeError("discriminant form needs an even lattice; q is not canonical on an odd one")
-    if l.rank == 0:
-        return DiscriminantForm((), (), (), ())
     d, v = la.snf(l.gram)
     # U G V = D gives G^-1 U^-1 = V D^-1: column i of V over d_i
     # generates the i-th cyclic summand (Nikulin, 1979)

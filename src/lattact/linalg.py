@@ -434,8 +434,6 @@ def saturate_rows(b: Mat) -> Mat:
     substitution: H is already saturated. Otherwise the saturation is the
     integer kernel of the integer kernel (Cohen, GTM 138, 2.4.3).
     """
-    if not b:
-        return ()
     h = hnf(b)
     if all(next(filter(None, row)) == 1 for row in h):
         return h
@@ -692,8 +690,6 @@ def restrict_to_span(m: Mat, basis_rows: Mat) -> Mat | None:
     on the pivot columns, and the vanishing remainder is the exact check
     that they rebuild the image.
     """
-    if not basis_rows:
-        return ()
     pivots = _echelon_pivots(basis_rows)
     cols = []
     for img in mat_mul(basis_rows, transpose(m)):  # row i is m . b_i
@@ -707,8 +703,6 @@ def restrict_to_span(m: Mat, basis_rows: Mat) -> Mat | None:
 def coords_in_rows(v: Vec, basis_rows: Mat) -> Vec | None:
     """Integer coordinates of v in echelon integer basis rows (an HNF
     basis), or None when v is no integer combination of them."""
-    if not basis_rows:
-        return None if any(v) else ()
     return _echelon_coords(tuple(v), basis_rows, _echelon_pivots(basis_rows))
 
 

@@ -80,17 +80,12 @@ class RootSystem:
         rebuild it (a vector outside the simple-root lattice)."""
         sg, adj, d = self.cartan
         scaled = la.mat_mul(la.mat_mul(adj, sg), la.transpose(vectors))
-        # When the simple roots S are square (rank = ambient rank),
-        # det A = det(S)^2 det G != 0 makes S G invertible, so an exact
-        # A c = S G v, that is S G (S^T c - v) = 0, forces S^T c = v: the
-        # rebuild is needed only below full rank.
-        square = self.rank == self.ambient.rank
         columns = la.transpose(self.simple_roots)
         quotients = zip(*(map(floordiv, row, repeat(d)) for row in scaled))
         remainders = zip(*(map(mod, row, repeat(d)) for row in scaled))
         out = []
         for v, c, r in zip(vectors, quotients, remainders):
-            rebuilt = not any(r) and (square or tuple(sum(map(mul, c, e)) for e in columns) == tuple(v))
+            rebuilt = not any(r) and tuple(sum(map(mul, c, e)) for e in columns) == tuple(v)
             out.append(c if rebuilt else None)
         return tuple(out)
 
@@ -180,8 +175,6 @@ def roots_of(s) -> RootSystem:
     if sig.plus != 0 or sig.null != 0:
         raise InputError("root systems need a negative definite form")
     local = enumerate_vectors(sl, -2)
-    if not local:
-        return _trusted(RootSystem, ambient, sublattice_from_rows(ambient, ()), (), (), (), ())
     roots = local if sl is s else tuple(sorted(la.mat_mul(local, s.basis)))
     # enumerate_vectors returns each vector with its negative, so the
     # sorted roots hold in their upper half the positive system of the
@@ -263,7 +256,7 @@ def _dynkin(ambient: Lattice, simple) -> tuple:
     adj = [[False] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            p = ambient.dot(simple[i], simple[j])
+            p = la.dot(ambient.gram, simple[i], simple[j])
             if p not in (0, 1):
                 raise VerificationError("simple roots with pairing outside {0,1}")
             if p == 1:
@@ -283,8 +276,6 @@ def _dynkin(ambient: Lattice, simple) -> tuple:
 
 def _classify_one(adj, group) -> tuple:
     n = len(group)
-    if n == 1:
-        return ("A", 1)
     deg = {i: sum(1 for j in group if adj[i][j]) for i in group}
     edge_count = sum(deg.values()) // 2
     if edge_count != n - 1:
@@ -323,8 +314,7 @@ def _classify_components(diagram) -> tuple:
 
 
 def _verify_root_system(rs: RootSystem):
-    """Checks a system with at least one root (roots_of returns the empty
-    system before calling this)."""
+    """Checks the system roots_of derives, the rootless one included."""
     if {tuple(map(neg, r)) for r in rs.roots} != set(rs.roots):
         raise VerificationError("root set not closed under negation")
     # simple roots lie in the root span: more of them than its rank are dependent
@@ -378,7 +368,7 @@ def reflection(l: Lattice, v) -> Isometry:
     v = la.rational_vec(v)
     if v is None or len(v) != l.rank:
         raise InputError("reflection vector must be a rational vector of the lattice rank")
-    if l.sq(v) == 0:
+    if la.sq(l.gram, v) == 0:
         raise InputError("cannot reflect in an isotropic vector")
     v = la.primitive_vector(v)
     gv = la.mat_vec(l.gram, v)
@@ -402,12 +392,14 @@ def fundamental_camera(r: RootSystem) -> Camera:
     """
     simple = r.simple_roots
     if not simple:
-        return Camera(r, (), la.zero_vec(r.ambient.rank))
+        return _trusted(Camera, r, (), la.zero_vec(r.ambient.rank))
     _, adj, d = r.cartan
     sign = 1 if d > 0 else -1
     c = [sign * sum(row) for row in adj]
     witness = tuple(sum(map(mul, c, col)) for col in zip(*simple))
-    return Camera(r, simple, witness)
+    # a camera by construction: the witness pairs |det A| > 0 with every
+    # simple root, so it is off every mirror and its walls are the simple roots
+    return _trusted(Camera, r, simple, witness)
 
 
 def _on_a_mirror(r: RootSystem, gy) -> bool:
@@ -666,7 +658,7 @@ def fold_reflection(n: Lattice, action, v) -> FoldResult:
     """
     mats = _action_matrices(action, n)
     rows = la.int_rows((v,))
-    if rows is None or len(rows[0]) != n.rank or n.sq(rows[0]) != -2:
+    if rows is None or len(rows[0]) != n.rank or la.sq(n.gram, rows[0]) != -2:
         raise InputError("v must be a root of the lattice")
     v = rows[0]
     try:
@@ -685,7 +677,8 @@ def fold_reflection(n: Lattice, action, v) -> FoldResult:
         img = tuple(la.mat_vec(m, v))
         orbit.add(img)
         vbar = la.vec_add(vbar, img)
-    if all(x == 0 for x in vbar) or n.sq(vbar) >= 0:
+    vv = la.sq(n.gram, vbar)
+    if all(x == 0 for x in vbar) or vv >= 0:
         raise InputError("orbit sum must be nonzero of negative square")
     # branch 1: a root orthogonal to the fixed lattice
     comp_roots = roots_of(comp)
@@ -705,7 +698,7 @@ def fold_reflection(n: Lattice, action, v) -> FoldResult:
         for i in group:
             part = la.vec_add(part, la.vec_scale(coords[i], rs.simple_roots[i]))
         a = la.primitive_vector(part)
-        if n.sq(a) != -2:
+        if la.sq(n.gram, a) != -2:
             raise VerificationError("component part of the orbit sum is not a root line")
         pieces.append(a)
     w = la.identity(n.rank)
@@ -717,9 +710,8 @@ def fold_reflection(n: Lattice, action, v) -> FoldResult:
             raise VerificationError("folded element does not commute with the action")
     # and restrict to the fixed lattice as the reflection against vbar:
     # vbar^2 (w x) = vbar^2 x - 2 (x . vbar) vbar, in integers
-    vv = n.sq(vbar)
     for x in fixed_rows:
-        xv2 = 2 * n.dot(x, vbar)
+        xv2 = 2 * la.dot(n.gram, x, vbar)
         if any(vv * g != vv * a - xv2 * b for g, a, b in zip(la.mat_vec(w, x), x, vbar)):
             raise VerificationError("folded element is not the fixed-part reflection")
     return FoldResult(witness_root=None, weyl=_trusted(Isometry, n, w))

@@ -162,9 +162,11 @@ def wall_in_H_plus(v, e: EigenData, j: DilatedComplexStructure) -> Wall | None:
     """
     if e.m_plus.rank != 2:
         raise InputError("wall computation needs a rank-2 plus eigenlattice")
+    if j.rho != e.rho:
+        raise InputError("the dilation acts on another rotation block")
     rows = la.int_rows((v,))
     block = e.rho.as_lattice()
-    if rows is None or len(rows[0]) != e.rho.rank or block.sq(rows[0]) != -2:
+    if rows is None or len(rows[0]) != e.rho.rank or la.sq(block.gram, rows[0]) != -2:
         raise InputError("defining vector must be an integral root of the rotation block")
     v = rows[0]
     # p = 2 v+ and m = 2 v-: the factor 2 changes no dependence, ray or sign
@@ -212,6 +214,8 @@ def component_count(walls, e: EigenData) -> tuple:
 
 def wall_report(e: EigenData, j: DilatedComplexStructure, bound: int | None = None) -> WallReport:
     """Candidate roots -> walls -> deduplicated component report."""
+    if j.rho != e.rho:
+        raise InputError("the dilation acts on another rotation block")
     cand = candidate_roots(e, bound)
     roots = cand.all_roots()
     walls = [w for w in (wall_in_H_plus(v, e, j) for v in roots) if w is not None]
@@ -247,11 +251,12 @@ def segment_vectors(m: Lattice, u1, u2, a: int) -> tuple:
     sig = signature(m)
     if sig.plus != 1 or sig.null != 0:
         raise InputError("ambient lattice must be hyperbolic")
-    if m.sq(u1) != 0 or m.sq(u2) != 0:
+    g = m.gram
+    if la.sq(g, u1) != 0 or la.sq(g, u2) != 0:
         raise InputError("segment endpoints must be isotropic")
     if la.vec_gcd(u1) != 1 or la.vec_gcd(u2) != 1:
         raise InputError("segment endpoints must be primitive")
-    b = m.dot(u1, u2)
+    b = la.dot(g, u1, u2)
     if b <= 0:
         raise InputError("endpoints must span a hyperbolic pair with positive pairing")
     # m has signature (1, n - 1) and the plane (1, 1), both nondegenerate,
@@ -259,12 +264,9 @@ def segment_vectors(m: Lattice, u1, u2, a: int) -> tuple:
     plane = Sublattice(m, (u1, u2))
     perp = orthogonal_complement(m, plane)
     perp_lat = perp.as_lattice()
-    if a >= 0:
-        # x^2 = a d^2 - 2 k b > 0 would be forced, impossible in the elliptic part
-        return ()
     d = isqrt(b * b * perp_lat.det() // -m.det())
     out = set()
-    k_min = -((-a * d * d) // (2 * b))  # ceil(a d^2 / (2 b))
+    k_min = -((-a * d * d) // (2 * b))  # ceil(a d^2 / (2 b)), >= 0 for a >= 0
     for k in range(k_min, 0):
         # k >= k_min makes t <= 0
         t = a * d * d - 2 * k * b
@@ -279,6 +281,6 @@ def segment_vectors(m: Lattice, u1, u2, a: int) -> tuple:
                 if any(y % d for y in w):
                     continue
                 v = tuple(y // d for y in w)
-                if m.sq(v) == a and m.dot(v, u1) * m.dot(v, u2) < 0:
+                if la.sq(g, v) == a and la.dot(g, v, u1) * la.dot(g, v, u2) < 0:
                     out.add(v)
     return tuple(sorted(out))

@@ -24,7 +24,8 @@ through `lattact walls`. The `degenerate` round runs a third fewer
 integer kernels than it did before it reused the action's fixed
 lattice, takes no determinant, solves no coordinates in
 `primitive_hull`, and eliminates each ambient Gram once; its saturation builds one root
-system per primitive hull. On rounds 0-2 `degenerate` decomposes each
+system per primitive hull, restricts each generator to the input system
+once and maps no saturated root by a generator. On rounds 0-2 `degenerate` decomposes each
 generator once, and every element decomposed on its own has the product
 of its generators' factors as its camera factor. Where its sign
 kernel is trivial, no group element is restricted to the identity basis
@@ -360,6 +361,43 @@ def test_degenerate_round_builds_one_root_system_per_hull(monkeypatch, tmp_path)
         assert workload.check(item, workload.run(item)) is None
     assert calls["primitive_hull"] > 0
     assert calls["roots_of"] == calls["primitive_hull"]
+
+
+def test_degenerate_round_saturation_checks_only_its_input(monkeypatch, tmp_path):
+    """tau_saturation restricts each generator to the input system once,
+    and maps no saturated root by a generator: the saturated system is
+    invariant by construction."""
+    from lattact import degeneration
+    from lattact import linalg as la
+
+    from helpers import count_calls
+
+    _load("gen", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    workload = workloads.Degenerate(7, tmp_path)
+    restricts = count_calls(monkeypatch, la, "restrict_to_span")
+    products = count_calls(monkeypatch, la, "mat_mul")
+    images = count_calls(monkeypatch, la, "mat_vec")
+    original = degeneration.tau_saturation
+    saturations = []
+
+    def saturation(a, f, r):
+        start = len(restricts), len(products), len(images)
+        s = original(a, f, r)
+        saturations.append((a, r, s, restricts[start[0]:], products[start[1]:], images[start[2]:]))
+        return s
+
+    monkeypatch.setattr(degeneration, "tau_saturation", saturation)
+    for item in workload.round(0):
+        assert workload.check(item, workload.run(item)) is None
+    assert saturations
+    for a, r, s, restricted, multiplied, mapped in saturations:
+        assert s.r_bar.roots
+        assert restricted == [(g.matrix, r.basis) for _, g, _ in a.generators]
+        for _, g, _ in a.generators:
+            g_t = la.transpose(g.matrix)
+            assert [rows for rows, m in multiplied if m == g_t] == [r.basis]
+            assert not any(m == g.matrix and v in s.r_bar.roots for m, v in mapped)
 
 
 def test_degenerate_factors_multiply_along_the_group_words(monkeypatch, tmp_path):

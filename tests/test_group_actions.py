@@ -1005,7 +1005,7 @@ class TestExtendEquivariantly:
     def test_hand_built_eigenparts_the_dilation_does_not_exchange_are_refused(self):
         # eigenparts that are not the reflector's split are refused on
         # construction; the eigendata of another action on the same block
-        # reaches the extension's own check
+        # is refused because its reflector is no element of this group
         a = dihedral3()
         fd = fundamental_data(a)
         e = eigen_lattices(a, fd)
@@ -1014,7 +1014,7 @@ class TestExtendEquivariantly:
         b = in_basis(a, SOME_ISOMETRIES_3U[1])  # swaps e and f of the second U summand
         fb = fundamental_data(b)
         assert fb.rho == fd.rho
-        with pytest.raises(VerificationError, match="does not carry the minus part into the plus part"):
+        with pytest.raises(InputError, match="^eigen data belongs to a different action$"):
             extend_equivariantly(b, fb, e, la.identity(2))
 
     def test_eigenparts_of_different_ranks_are_refused(self):

@@ -151,6 +151,8 @@ def _table() -> dict:
         "wedge_square": (lattact.wedge_square, (i4,), (0,)),
         "GroupElements.index_of": (group.index_of, (la.identity(6),), (0,)),
         "GroupElements.kappa_of": (group.kappa_of, (la.identity(6),), (0,)),
+        "Lattice.dot": (a2.dot, ((1, 0), (0, 1)), (0, 1)),
+        "Lattice.sq": (a2.sq, ((1, 0),), (0,)),
         "Sublattice.contains": (s.contains, ((1, 0),), (0,)),
         "Sublattice.to_ambient": (s.to_ambient, ((1,),), (0,)),
     }
@@ -193,6 +195,14 @@ def test_sublattice_reads_rational_vectors_and_integer_coordinates():
     assert s.contains((Fraction(4), 0)) and not s.contains((Fraction(1, 2), 0))
     ambient = s.to_ambient((Fraction(3),))
     assert ambient == (6, 0) and all(type(x) is int for x in ambient)
+
+
+def test_lattice_pairing_reads_rational_vectors_of_its_rank():
+    a2 = lattact.standard_lattice("A2")
+    for call in (lambda: a2.sq((0.5, 0)), lambda: a2.dot((1, 0, 0), (1, 0)), lambda: a2.sq(1.5)):
+        with pytest.raises(lattact.InputError, match="rational vectors of the lattice rank"):
+            call()
+    assert a2.sq((Fraction(1, 2), 0)) == Fraction(-1, 2) and a2.dot([1, 0], (0, 1)) == 1
 
 
 def test_sublattice_index_is_a_positive_int_or_none():
@@ -249,6 +259,8 @@ def _bad_records(record) -> list:
 # the stages from saturation to walls, with their record-typed arguments
 RECORD_TYPED = {
     "degenerate": ("LatticeAction", "SaturatedSystem"),
+    "degenerate_at_wall": ("LatticeAction", "FundamentalData", "EigenData", "root"),
+    "extend_equivariantly": ("LatticeAction", "FundamentalData", "EigenData", "plus_map"),
     "verify_degeneration": ("LatticeAction", "SaturatedSystem", "DegenerationResult"),
     "camera_adjacent": ("SaturatedSystem", "Sublattice"),
     "tau_saturation": ("LatticeAction", "FundamentalData", "Sublattice"),
@@ -263,9 +275,10 @@ RECORD_TYPED = {
 def test_a_bad_record_ends_in_a_result_or_a_lattact_error(name):
     records = dict(_pipeline())
     s = records["SaturatedSystem"]
-    # the face of camera_adjacent, the input system of tau_saturation and
-    # the wall root are value arguments, fixed here
-    records.update(Sublattice=s.r_bar.span if name == "camera_adjacent" else s.r_input, root=(1, 0, 1, -1))
+    # the face of camera_adjacent, the input system of tau_saturation, the
+    # wall root and the plus-part map are value arguments, fixed here
+    records.update(Sublattice=s.r_bar.span if name == "camera_adjacent" else s.r_input, root=(1, 0, 1, -1),
+                   plus_map=la.identity(2))
     records[None] = None
     fn = getattr(lattact, name)
     args = [records[kind] for kind in RECORD_TYPED[name]]
@@ -283,3 +296,23 @@ def test_a_bad_record_ends_in_a_result_or_a_lattact_error(name):
             except Exception as err:  # noqa: BLE001 - the outcome under test
                 escaped.append(f"{kind} {label}: {type(err).__name__}: {err}")
     assert not escaped, "\n".join(escaped)
+
+
+def test_eigen_data_or_a_dilation_of_another_block_is_refused():
+    """Eigen data of another rotation block (the A2 action's) or split by
+    a reflector outside the group (the B action's), and a dilation of
+    another block, end in InputError rather than a result."""
+    records = _pipeline()
+    act, f, e = records["LatticeAction"], records["FundamentalData"], records["EigenData"]
+    root = (1, 0, 1, -1)
+    for extra in ("A2", "B"):
+        other = _pipeline(extra)["EigenData"]
+        with pytest.raises(lattact.InputError, match="^eigen data belongs to a different action$"):
+            lattact.degenerate_at_wall(act, f, other, root)
+        with pytest.raises(lattact.InputError, match="^eigen data belongs to a different action$"):
+            lattact.extend_equivariantly(act, f, other, la.identity(2))
+    a2 = lattact.standard_lattice("A2")
+    j = lattact.DilatedComplexStructure(lattact.Sublattice(a2, la.identity(2)), ((-1, -2), (2, 1)), 3)
+    for call in (lambda: lattact.wall_in_H_plus(root, e, j), lambda: lattact.wall_report(e, j)):
+        with pytest.raises(lattact.InputError, match="^the dilation acts on another rotation block$"):
+            call()

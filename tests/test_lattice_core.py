@@ -1301,6 +1301,7 @@ def test_rank_zero_and_foreign_arguments():
     assert str(signature(u)) == "(1,1,0)"
     empty = Sublattice(u, ())
     assert empty.to_ambient(()) == (0, 0) and empty.primitive
+    assert primitive_hull(u, empty) == Sublattice(u, (), 1)
     assert discriminant_form(zero) == discriminant_form(standard_lattice("E8")) == DiscriminantForm((), (), (), ())
     assert enumerate_vectors(zero, -2) == ()
     with pytest.raises(InputError, match="expected a Sublattice"):
@@ -1332,6 +1333,7 @@ def test_linalg_guards_raise_value_error(call):
 def test_linalg_on_empty_and_degenerate_arguments():
     assert la.kernel_int(()) == () and la.saturate_rows(()) == ()
     assert la.restrict_to_span(la.identity(2), ()) == ()
+    assert la.coords_in_rows((0, 0), ()) == () and la.coords_in_rows((1, 0), ()) is None
     assert not la.is_perfect_square(-4) and la.is_perfect_square(9)
     # the Smith form stops at the zero block of a singular matrix
     d, v = la.snf(((2, 4), (1, 2)))

@@ -64,6 +64,13 @@ def test_roots_of_rootless():
     r = roots_of(standard_lattice("diag(-4)"))
     assert r.roots == ()
     assert r.components == ()
+    # a rootless lattice or sublattice of positive rank: the empty system
+    # on the zero span of its ambient
+    a2 = standard_lattice("A2")
+    for s, ambient in ((r.ambient, r.ambient), (Sublattice(a2, ((2, 0),)), a2)):
+        empty = roots_of(s)
+        assert empty.span == Sublattice(ambient, ()) and empty.span.index is None
+        assert (empty.roots, empty.positive_roots, empty.simple_roots, empty.components) == ((), (), (), ())
 
 
 def test_roots_of_rejects_indefinite():
@@ -594,7 +601,7 @@ def test_simple_coords_rebuild_every_root():
 
 
 def test_simple_coords_square_case_on_glued_8a1():
-    # rank = ambient rank: the exact division alone decides, with no rebuild
+    # rank = ambient rank: the glue vector is refused, its double solved
     l = make_lattice(GLUED_8A1)
     r = roots_of(l)
     assert r.rank == l.rank == 8

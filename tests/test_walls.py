@@ -401,7 +401,7 @@ class TestWallReport:
 class TestSegmentVectors:
     def test_hyperbolic_plane(self):
         assert segment_vectors(U, (1, 0), (0, 1), -2) == ((-1, 1), (1, -1))
-        assert segment_vectors(U, (1, 0), (0, 1), 0) == ()
+        assert segment_vectors(U, (1, 0), (0, 1), 0) == segment_vectors(U, (1, 0), (0, 1), 2) == ()
         assert segment_vectors(U, (1, 0), (0, 1), -4) == (
             (-2, 1),
             (-1, 2),
