@@ -137,6 +137,8 @@ class GroupElements:
     def _powers(self, i) -> list:
         """Indices of x^0, ..., x^(o-1) for x = elements[i] of order o:
         right multiplication by x applies the table columns of its word."""
+        if not la.is_bound(i) or i >= len(self):
+            raise InputError("element index must be an integer below the group order")
         powers, t = [0], i
         while t:
             powers.append(t)
@@ -371,17 +373,13 @@ def _real_branch(action, group, fixed0) -> FundamentalData:
         # the kernel is the whole group, so fixed0 is action._fixed, of
         # positive index three: the flag needs no further check
         return _data(1, ident, group, action._fixed, fixed0, (fid,) * len(group))
-    # a block the generators keep, the group keeps; where the sign kernel
-    # is trivial fixed0 is the whole lattice and each block its generator
-    signs = [k for _, _, k in action.generators]
-    blocks = [iso.matrix if fixed0.basis == ident else _restrict(iso.matrix, fixed0.basis)
-              for _, iso, _ in action.generators]
-    cf = blocks[signs.index(-1)]
-    # on the kernel-fixed part every +1 generator acts trivially and every
-    # -1 generator as one involution cf; the sign is a homomorphism, so
-    # then every +1 element acts as fid and every -1 element as cf
-    if la.mat_mul(cf, cf) != fid or any(b != (fid if k == 1 else cf) for b, k in zip(blocks, signs)):
-        raise VerificationError("declared signs disagree with the action on the fixed part")
+    # fixed0, fixed by the sign kernel, is kept by the group (the whole
+    # lattice where the kernel is trivial). The signs are a homomorphism
+    # (LatticeAction._group checks every table edge), so a +1 element is
+    # in the kernel and acts there as fid, and a -1 element is s k for the
+    # first -1 generator s and k in the kernel, acting as s's block cf
+    s = next(iso.matrix for _, iso, k in action.generators if k == -1)
+    cf = s if fixed0.basis == ident else _restrict(s, fixed0.basis)
     rho_action = tuple(fid if k == 1 else cf for k in group.kappas)
     # The flag needs two positive directions in the plus part f_plus of
     # fixed0 under cf and one in the minus part f_minus. cf is an
@@ -423,9 +421,8 @@ def _flag(data: FundamentalData) -> tuple:
     l = data.group.action.ambient
     if -1 in data.group.kappas:
         cf = data.rho_action[data.group.kappas.index(-1)]
-        fixed0 = data.rho
-        minus = la.mat_mul(la.kernel_int(la.mat_add(cf, la.identity(fixed0.rank))), fixed0.basis)
-        v = _positive_directions(Sublattice(l, minus))[0]
+        minus = _eigen_split(cf, data.rho)[1]
+        v = _positive_directions(Sublattice(l, la.mat_mul(minus.basis, data.rho.basis)))[0]
     else:
         v = plus[2]
     return plus[0], _trusted(Sublattice, l, la.saturate_rows((plus[1], v)))
@@ -466,7 +463,6 @@ def _rotation_branch(action, group) -> FundamentalData:
     # with the kernel on the powers of c, each -1 element is c^a s for any
     # -1 generator s, and c^a s reverses the orientation when s does (for
     # nn = 2, c = -I, so it is +-s): checking the -1 generators suffices
-    block = rho.as_lattice()
     for s, (_, _, k) in zip(blocks, action.generators):
         if k == 1:
             continue
@@ -475,11 +471,10 @@ def _rotation_branch(action, group) -> FundamentalData:
             reversed_ = la.mat_mul(s, c) == la.mat_mul(c_inv, s)
         else:
             reversed_ = la.mat_mul(s, s) == kid and all(
-                signature(_trusted(Sublattice, block, la.kernel_int(la.mat_sub(s, la.mat_scale(sgn, kid))))
-                          .as_lattice()).plus == 1 for sgn in (1, -1))
+                signature(part.as_lattice()).plus == 1 for part in _eigen_split(s, rho)[:2])
         if not reversed_:
             raise VerificationError("declared signs disagree with the rotation orientation")
-    if signature(block).plus != 2:
+    if signature(rho.as_lattice()).plus != 2:
         raise VerificationError("rotation block has the wrong positive index")
     # the line of the flag is a positive direction of the fixed lattice:
     # one exists exactly when its positive index is not 0
@@ -580,22 +575,23 @@ def eigen_lattices(action: LatticeAction, data: FundamentalData) -> EigenData:
 
 def _eigen_split(c, rho: Sublattice) -> tuple:
     """(plus, minus, exponent) of an isometric involution c of the block rho
-    of rank k.
+    of rank k, in block coordinates: the library's one eigen split.
 
     x^2 - 1 is squarefree, so c diagonalizes over Q and the two kernels
     have ranks adding up to k; c is an isometry of the block, so
     u.v = cu.cv = -u.v for u in plus and v in minus. The exponent is the
-    largest elementary divisor of B = (plus; minus): |det B| over the gcd
-    of its (k-1)-minors, which are the entries of adj B. It clears the
-    averaging: exponent . v = p + m with p, m in the parts, so
-    exponent (v +- cv) / 2 is p or m.
+    annihilator of block / (plus + minus): 2v = (v + cv) + (v - cv) with
+    v +- cv in the saturated parts, so it is 1 when det (plus; minus) is
+    +-1, that is when the projection (v + cv) / 2 is integral, every entry
+    of c + I even, and 2 otherwise. It clears the averaging:
+    exponent (v +- cv) / 2 lies in plus or minus.
     """
     kid = la.identity(rho.rank)
     block = rho.as_lattice()
+    c_plus_i = la.mat_add(c, kid)
     plus = _trusted(Sublattice, block, la.kernel_int(la.mat_sub(c, kid)))
-    minus = _trusted(Sublattice, block, la.kernel_int(la.mat_add(c, kid)))
-    adj, d = la.adjugate(plus.basis + minus.basis)
-    return plus, minus, abs(d) // gcd(d, *(x for row in adj for x in row))
+    minus = _trusted(Sublattice, block, la.kernel_int(c_plus_i))
+    return plus, minus, 2 if any(x % 2 for row in c_plus_i for x in row) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -637,17 +633,17 @@ def extend_equivariantly(action: LatticeAction, data: FundamentalData, eigen: Ei
     # a is None for a non-integer matrix, which _isometry_error refuses too
     if _isometry_error(plus.as_lattice(), a) is not None:
         raise InputError("map is not an integer isometry of the plus eigenlattice")
-    if plus.rank != minus.rank:
-        raise VerificationError("eigenparts have different ranks; no dilation exchange")
+    # orders 1 and 2 have no dilation and end here in ScopeError
     j = dilated_complex_structure(action, data).matrix
-    # the reflector is a -1 element of the group, so J anticommutes with it
-    # and carries its minus part into its plus part, a saturated block
+    # the reflector is a -1 element of the group, so the invertible J
+    # anticommutes with it and exchanges its two parts, which so have one
+    # rank; J carries the minus part into the plus part, a saturated block
     cols = [la.coords_in_rows(la.mat_vec(j, b), plus.basis) for b in minus.basis]
     # c is integral (plus is saturated): a_minus = c^-1 a c = adj(c) a c / det c,
     # and ext = X . diag(a, a_minus) . X^-1 = X . diag(dc a, adj(c) a c) . adj X / (dc dX)
     c = la.transpose(cols)
     adj_c, d_c = la.adjugate(c)  # j^2 = -mult . I, so c is invertible
-    zeros = (0,) * plus.rank  # == minus.rank
+    zeros = (0,) * plus.rank
     blk = tuple(tuple(d_c * y for y in row) + zeros for row in a) + tuple(
         zeros + row for row in la.mat_mul(la.mat_mul(adj_c, a), c))
     x = la.transpose(plus.basis + minus.basis)

@@ -193,9 +193,11 @@ class Isometry:
         object.__setattr__(self, "matrix", m)
 
     def __call__(self, v):
-        return la.mat_vec(self.matrix, v)
+        return la.mat_vec(self.matrix, self.lattice._vector(v))
 
     def compose(self, other: "Isometry") -> "Isometry":
+        if other.lattice.rank != self.lattice.rank:
+            raise InputError("cannot compose isometries of lattices of different ranks")
         product = la.mat_mul(self.matrix, other.matrix)
         if other.lattice != self.lattice:
             return Isometry(self.lattice, product)
@@ -463,18 +465,15 @@ def enumerate_vectors(l: Lattice, a: int, up_to_sign: bool = False) -> tuple:
     out = l._vectors.get(a)
     if out is None:
         sig = signature(l)
-        if sig.plus != 0 and sig.minus != 0 and sig.null == 0 and n == 2:
-            disc = l.gram[0][1] ** 2 - l.gram[0][0] * l.gram[1][1]
-            if la.is_perfect_square(disc):
-                if a == 0:
-                    raise ScopeError("isotropic vectors of a split form are infinite in number")
-                found = _binary_split_solutions(l.gram, a)
-                return tuple(v for v in found if not up_to_sign or next(filter(None, v)) > 0)
-        if sig.null != 0 or (sig.plus != 0 and sig.minus != 0):
-            raise ScopeError("vector enumeration needs a definite lattice")
         negative = sig.minus > 0
         target = -a if negative else a
-        if target <= 0 or (l.even and target % 2 != 0):
+        if sig.null or (sig.plus and negative):
+            if sig.null or n != 2 or not la.is_perfect_square(l.gram[0][1] ** 2 - l.gram[0][0] * l.gram[1][1]):
+                raise ScopeError("vector enumeration needs a definite lattice")
+            if a == 0:
+                raise ScopeError("isotropic vectors of a split form are infinite in number")
+            out = _binary_split_solutions(l.gram, a)
+        elif target <= 0 or (l.even and target % 2 != 0):
             out = ()
         elif prod(abs(l.gram[i][i]) for i in range(n)) <= abs(l._det) << 24:
             out = _definite_search(l._jacobi, negative, target)

@@ -59,8 +59,11 @@ class RootSystem:
         return len(self.simple_roots)
 
     def root_index(self, v) -> int:
+        rows = la.int_rows((v,))
+        if rows is None or len(rows[0]) != self.ambient.rank:
+            raise InputError("a root must be an integer vector of the lattice rank")
         try:
-            return self.roots.index(tuple(v))
+            return self.roots.index(rows[0])
         except ValueError:
             raise InputError(f"{v!r} is not a root of this system") from None
 
@@ -78,6 +81,9 @@ class RootSystem:
         integer solve adj(A) . S G v / det A for all of them; None for a
         vector where the division is inexact or the coordinates do not
         rebuild it (a vector outside the simple-root lattice)."""
+        vectors = la.int_rows(vectors)
+        if vectors is None or any(len(v) != self.ambient.rank for v in vectors):
+            raise InputError("vectors must be integer vectors of the lattice rank")
         sg, adj, d = self.cartan
         scaled = la.mat_mul(la.mat_mul(adj, sg), la.transpose(vectors))
         columns = la.transpose(self.simple_roots)
@@ -102,16 +108,10 @@ class RootSystem:
 
     @cached_property
     def component_roots(self) -> tuple:
-        """The roots split into irreducible components, frozensets sorted by
-        their sorted members. The components are those of the Dynkin
-        diagram (Humphreys, GTM 9, 10.4): a root belongs to the one whose
-        simple roots its coordinates use."""
-        groups = self._diagram[1]
-        group_of = {i: k for k, group in enumerate(groups) for i in group}
-        parts = [set() for _ in groups]
-        for r, c in zip(self.roots, self._root_coords):
-            parts[group_of[next(i for i, x in enumerate(c) if x)]].add(r)
-        return tuple(sorted((frozenset(p) for p in parts), key=sorted))
+        """The roots split into irreducible components (_split_roots),
+        frozensets sorted by their sorted members."""
+        parts = _split_roots(self._diagram[1], self.roots, self._root_coords)
+        return tuple(sorted(map(frozenset, parts), key=sorted))
 
 
 @record
@@ -203,23 +203,23 @@ def roots_of(s) -> RootSystem:
             height.append(c[::-1])
     simple, summands = _simple_roots(positive, height)
     diagram = _dynkin(ambient, simple)
-    rs = _trusted(RootSystem, ambient, span, roots, tuple(positive), simple, _classify_components(diagram))
-    # the cached properties, already known: the diagram, and each root's
-    # simple coordinates read off the walk, p = (p - s) + s with p - s
-    # lower, so earlier in the walk; a negative root is minus a positive
-    # one. With pairings in {0, 1} and an ADE diagram (checked above) the
-    # simple roots' Gram is minus a Cartan matrix of type ADE, which is
-    # positive definite: the simple roots are independent, and these are
-    # the coordinates that cartan's solve would give.
-    rs.__dict__["_diagram"] = diagram
+    # each root's simple coordinates read off the walk, p = (p - s) + s
+    # with p - s lower, so earlier in the walk; a negative root is minus a
+    # positive one. The simple roots are positive and pair to 0 or 1
+    # (_dynkin's check), so to 0 or -1 under the positive definite -G:
+    # vectors on one side of a hyperplane at pairwise obtuse angles are
+    # independent (Humphreys, GTM 9, 10.1), so these are the coordinates
+    # that cartan's solve would give, and the cached properties are preset.
     index = {s: i for i, s in enumerate(simple)}
     coords = dict(zip(simple, la.identity(len(simple))))
     for p, (rest, s) in summands.items():
         c = list(coords[rest])
         c[index[s]] += 1
         coords[p] = tuple(c)
-    rs.__dict__["_root_coords"] = tuple(
-        coords[r] if r in coords else tuple(map(neg, coords[tuple(map(neg, r))])) for r in roots)
+    root_coords = tuple(coords[r] if r in coords else tuple(map(neg, coords[tuple(map(neg, r))])) for r in roots)
+    types = _ade_types(diagram[1], roots, root_coords)
+    rs = _trusted(RootSystem, ambient, span, roots, tuple(positive), simple, types)
+    rs.__dict__.update(_diagram=diagram, _root_coords=root_coords)
     _verify_root_system(rs)
     return rs
 
@@ -274,43 +274,37 @@ def _dynkin(ambient: Lattice, simple) -> tuple:
     return adj, groups
 
 
-def _classify_one(adj, group) -> tuple:
-    n = len(group)
-    deg = {i: sum(1 for j in group if adj[i][j]) for i in group}
-    edge_count = sum(deg.values()) // 2
-    if edge_count != n - 1:
-        raise VerificationError("component graph is not a tree")
-    branch = [i for i in group if deg[i] >= 3]
-    if not branch:
-        return ("A", n)
-    if len(branch) > 1 or deg[branch[0]] != 3:
-        raise VerificationError("component graph is not an ADE diagram")
-    center = branch[0]
-    arms = []
-    for start in (j for j in group if adj[center][j]):
-        length, prev, cur = 1, center, start
-        while True:
-            nxt = [j for j in group if adj[cur][j] and j != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return ("D", arms[2] + 3)
-    if arms == [1, 2, 2]:
-        return ("E", 6)
-    if arms == [1, 2, 3]:
-        return ("E", 7)
-    if arms == [1, 2, 4]:
-        return ("E", 8)
-    raise VerificationError("component graph is not an ADE diagram")
+def _split_roots(groups, roots, coords) -> list:
+    """The roots of each diagram component (groups lists its simple roots):
+    a root's simple coordinates use one component only (Humphreys, GTM 9,
+    10.4), that of its first nonzero coordinate."""
+    group_of = {i: k for k, group in enumerate(groups) for i in group}
+    parts = [[] for _ in groups]
+    for r, c in zip(roots, coords):
+        parts[group_of[next(i for i, x in enumerate(c) if x)]].append(r)
+    return parts
 
 
-def _classify_components(diagram) -> tuple:
-    adj, groups = diagram
-    return tuple(sorted(_classify_one(adj, g) for g in groups))
+def _ade_type(rank: int, count: int) -> tuple:
+    """The type of an irreducible simply-laced root system of this rank
+    with count roots. |Phi| = n h for the Coxeter number h (Bourbaki, Lie
+    Groups VI, 1.11, Prop. 32 and Plates I-VII), which is n + 1 for A_n,
+    2n - 2 for D_n (n >= 4) and 12, 18, 30 for E6, E7, E8: no two types
+    of one rank share a count, and a count no type has is an enumeration
+    that lost or gained roots."""
+    if count == rank * (rank + 1):
+        return "A", rank
+    if rank >= 4 and count == rank * (2 * rank - 2):
+        return "D", rank
+    if rank in (6, 7, 8) and count == rank * (12, 18, 30)[rank - 6]:
+        return "E", rank
+    raise VerificationError(f"a component of rank {rank} with {count} roots fits no ADE type")
+
+
+def _ade_types(groups, roots, coords) -> tuple:
+    """The sorted types of the diagram's components, by rank and count."""
+    parts = _split_roots(groups, roots, coords)
+    return tuple(sorted(_ade_type(len(g), len(p)) for g, p in zip(groups, parts)))
 
 
 def _verify_root_system(rs: RootSystem):
@@ -329,8 +323,9 @@ def _verify_root_system(rs: RootSystem):
 
 
 def ade_decompose(r: RootSystem) -> tuple:
-    """Multiset of irreducible ADE types, re-derived from the Dynkin diagram."""
-    return _classify_components(r._diagram)
+    """Multiset of irreducible ADE types, re-derived from the rank and the
+    root count of each component of the Dynkin diagram (_ade_type)."""
+    return _ade_types(r._diagram[1], r.roots, r._root_coords)
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +664,7 @@ def fold_reflection(n: Lattice, action, v) -> FoldResult:
     fixed_sub = _trusted(Sublattice, n, fixed_rows)
     comp = orthogonal_complement(n, fixed_sub)
     comp_sig = signature(comp.as_lattice())
-    if comp.rank and (comp_sig.plus != 0 or comp_sig.null != 0):
+    if comp_sig.plus != 0 or comp_sig.null != 0:
         raise InputError("orthogonal complement of the fixed lattice must be negative definite")
     vbar = la.zero_vec(n.rank)
     orbit = set()
@@ -678,7 +673,7 @@ def fold_reflection(n: Lattice, action, v) -> FoldResult:
         orbit.add(img)
         vbar = la.vec_add(vbar, img)
     vv = la.sq(n.gram, vbar)
-    if all(x == 0 for x in vbar) or vv >= 0:
+    if vv >= 0:
         raise InputError("orbit sum must be nonzero of negative square")
     # branch 1: a root orthogonal to the fixed lattice
     comp_roots = roots_of(comp)

@@ -481,16 +481,34 @@ class TestFundamentalData:
         with pytest.raises(VerificationError, match="no invariant positive direction$"):
             fundamental_data(a)
 
-    def test_two_reflections_on_a_broken_kernel_fixed_part_are_refused(self):
-        # The kernel fixes its fixed part by construction and every -1
-        # element acts there as one involution, so only a broken fixed part
-        # reaches the check: here the whole lattice, on which the two -1
-        # generators act differently.
-        a = LatticeAction(L6, (("s1", helpers.block_diag(NEG2, I2, I2), -1),
-                               ("s2", helpers.block_diag(I2, NEG2, I2), -1)))
-        whole = Sublattice(L6, la.identity(6))
-        with pytest.raises(VerificationError, match="^declared signs disagree with the action on the fixed part$"):
-            group_actions._real_branch(a, enumerate_group(a), whole)
+    def test_kernel_fixed_part_carries_one_involution(self):
+        # what _real_branch reads off the first -1 generator alone: on the
+        # fixed lattice of the sign kernel every +1 generator restricts to
+        # the identity and every -1 generator to one involution, which is
+        # its rho_action where that lattice is the block (order 1)
+        rng = random.Random(20261019)
+        flip = tuple(tuple((-1 if i in (4, 5) else 1) if i == j else 0 for j in range(22)) for i in range(22))
+        actions = [fixture(name).action for name in FIXTURE_NAMES]
+        actions += [LatticeAction(standard_lattice("3U+2E8"), (("w", _swap_matrix(), 1), ("s", flip, -1))), antiflip()]
+        actions += [in_basis(a, helpers.random_unimodular(rng, a.ambient.rank, 8)) for a in actions for _ in range(2)]
+        orders = set()
+        for a in actions:
+            fd = fundamental_data(a)
+            fixed0 = fixed_lattice(a, "kernel")
+            fid = la.identity(fixed0.rank)
+            involutions = set()
+            for j, (_, iso, k) in enumerate(a.generators):
+                block = la.restrict_to_span(iso.matrix, fixed0.basis)
+                if k == 1:
+                    assert block == fid
+                    continue
+                assert la.mat_mul(block, block) == fid
+                involutions.add(block)
+                if fd.order_n == 1:
+                    assert fd.rho == fixed0 and block == fd.rho_action[fd.group.table[0][j]]
+            assert len(involutions) == (-1 in fd.group.kappas)
+            orders.add(fd.order_n)
+        assert 1 in orders and len(orders) > 1
 
     def test_wrong_positive_index_rejected(self):
         with pytest.raises(ScopeError):
@@ -941,7 +959,8 @@ class TestRank22Fixtures:
 
     def test_e8_swap_with_a_sign_reversing_flip(self, monkeypatch):
         # the sign kernel is nontrivial, so its fixed lattice is a proper
-        # block and each generator is restricted to it
+        # block, and the first -1 generator is restricted to it: every
+        # other element acts there as the identity or as that block
         l22 = standard_lattice("3U+2E8")
         flip = tuple(
             tuple((-1 if i in (4, 5) else 1) if i == j else 0 for j in range(22)) for i in range(22)
@@ -950,7 +969,7 @@ class TestRank22Fixtures:
         calls = helpers.count_calls(monkeypatch, group_actions, "_restrict")
         fd = fundamental_data(a)
         assert (len(fd.group), fd.order_n, fd.real) == (4, 1, True)
-        assert fd.rho.rank == 14 and len(calls) == len(a.generators) == 2
+        assert fd.rho.rank == 14 and len(calls) == 1 and calls[0][0] == a.generators[1][1].matrix
         ident = la.identity(14)
         for m, k, r in zip(fd.group.elements, fd.group.kappas, fd.rho_action):
             assert r == la.restrict_to_span(m, fd.rho.basis)
@@ -1018,11 +1037,12 @@ class TestExtendEquivariantly:
             extend_equivariantly(b, fb, e, la.identity(2))
 
     def test_eigenparts_of_different_ranks_are_refused(self):
-        # the antiflip's plus part has rank 4, its minus part rank 2
+        # the antiflip's plus part has rank 4, its minus part rank 2: at
+        # order 1 there is no dilation to exchange them
         a = antiflip()
         fd = fundamental_data(a)
         e = eigen_lattices(a, fd)
-        with pytest.raises(VerificationError, match="different ranks"):
+        with pytest.raises(ScopeError, match="^no integral dilation for this rotation order$"):
             extend_equivariantly(a, fd, e, la.identity(4))
 
     def test_non_isometry_rejected(self):

@@ -150,9 +150,14 @@ def _table() -> dict:
         "wall_report": (lattact.wall_report, (e, j, None), (2,)),
         "wedge_square": (lattact.wedge_square, (i4,), (0,)),
         "GroupElements.index_of": (group.index_of, (la.identity(6),), (0,)),
+        "GroupElements.inverse": (group.inverse, (1,), (0,)),
         "GroupElements.kappa_of": (group.kappa_of, (la.identity(6),), (0,)),
+        "GroupElements.order": (group.order, (1,), (0,)),
+        "Isometry.__call__": (lattact.Isometry(a2, i2), ((1, 0),), (0,)),
         "Lattice.dot": (a2.dot, ((1, 0), (0, 1)), (0, 1)),
         "Lattice.sq": (a2.sq, ((1, 0),), (0,)),
+        "RootSystem.root_index": (r.root_index, (r.roots[0],), (0,)),
+        "RootSystem.simple_coords": (r.simple_coords, (r.roots,), (0,)),
         "Sublattice.contains": (s.contains, ((1, 0),), (0,)),
         "Sublattice.to_ambient": (s.to_ambient, ((1,),), (0,)),
     }
@@ -235,6 +240,32 @@ def test_group_index_reads_its_matrix_through_the_boundary():
     group = lattact.enumerate_group(helpers.klein_action())
     rows = [[Fraction(x) for x in row] for row in group.elements[1]]
     assert group.index_of(rows) == 1
+
+
+def test_group_indices_root_vectors_and_isometry_arguments_are_read_through_the_boundary():
+    group = lattact.fixture("d3_S").action._group
+    assert len(group) == 6
+    for i in (-1, True, None, 6, 1.5):
+        for read in (group.order, group.inverse):
+            with pytest.raises(lattact.InputError, match="^element index must be an integer below the group order$"):
+                read(i)
+    assert [group.order(group.inverse(i)) for i in range(6)] == [group.order(i) for i in range(6)]
+    a2 = lattact.standard_lattice("A2")
+    r = lattact.roots_of(a2)
+    for v in (5, (1,), (1.0, 0)):
+        with pytest.raises(lattact.InputError, match="^a root must be an integer vector of the lattice rank$"):
+            r.root_index(v)
+        with pytest.raises(lattact.InputError, match="^vectors must be integer vectors of the lattice rank$"):
+            r.simple_coords([v])
+    assert r.root_index([Fraction(x) for x in r.roots[1]]) == 1
+    assert r.simple_coords([(Fraction(1), 0)]) == r.simple_coords([(1, 0)])
+    iso = lattact.Isometry(a2, la.identity(2))
+    for v in ((0.5, 0), 5, (1, 0, 0)):
+        with pytest.raises(lattact.InputError, match="^vectors must be rational vectors of the lattice rank$"):
+            iso(v)
+    assert iso((Fraction(1, 2), 0)) == (Fraction(1, 2), 0)
+    with pytest.raises(lattact.InputError, match="^cannot compose isometries of lattices of different ranks$"):
+        iso.compose(lattact.Isometry(lattact.standard_lattice("3U"), la.identity(6)))
 
 
 def _bad_records(record) -> list:

@@ -486,8 +486,8 @@ def test_enumerate_indefinite_diag():
     l = standard_lattice("diag(2,-2)")
     assert enumerate_vectors(l, -2, up_to_sign=True) == ((0, 1),)
     assert enumerate_vectors(l, -4, up_to_sign=True) == ()
-    sixes = enumerate_vectors(l, -6, up_to_sign=True)
-    assert sixes == ((1, -2), (1, 2))
+    eights = enumerate_vectors(l, -6, up_to_sign=True)
+    assert eights == ((1, -2), (1, 2))
 
 
 def test_enumerate_u2():
@@ -1338,3 +1338,17 @@ def test_linalg_on_empty_and_degenerate_arguments():
     # the Smith form stops at the zero block of a singular matrix
     d, v = la.snf(((2, 4), (1, 2)))
     assert d == ((1, 0), (0, 0)) and la.mat_mul(((2, 4), (1, 2)), v)[0][1] == 0
+
+
+def test_split_form_solutions_are_kept_per_square(monkeypatch):
+    # a rank-2 split form keeps its divisor solutions as a definite
+    # lattice keeps its searches, and up_to_sign filters the kept ones
+    from lattact import lattice
+
+    solves = count_calls(monkeypatch, lattice, "_binary_split_solutions")
+    l = make_lattice(((2, 3), (3, 0)))  # 2x(x + 3y)
+    eights = enumerate_vectors(l, 8)
+    assert len(eights) == 6 and all(la.sq(l.gram, v) == 8 for v in eights)
+    assert enumerate_vectors(l, 8) is eights
+    assert enumerate_vectors(l, 8, up_to_sign=True) == tuple(v for v in eights if next(filter(None, v)) > 0)
+    assert len(solves) == 1 and set(vars(l)["_vectors"]) == {8}

@@ -114,6 +114,12 @@ def test_ade_decompose_series():
         ("A2+2A1", (("A", 1), ("A", 1), ("A", 2))),
     ]:
         assert roots_of(standard_lattice(name)).components == want, name
+    # every irreducible type up to rank 8 comes out as itself, from the
+    # lattice and from ade_decompose
+    for letter, ranks in (("A", range(1, 9)), ("D", range(4, 9)), ("E", range(6, 9))):
+        for n in ranks:
+            r = roots_of(standard_lattice(f"{letter}{n}"))
+            assert r.components == ade_decompose(r) == ((letter, n),), (letter, n)
 
 
 def test_ade_decompose_empty():
@@ -860,21 +866,31 @@ def test_corrupted_diagrams_are_refused():
     with pytest.raises(VerificationError, match="pairing outside"):
         ade_decompose(bad)
 
-    def graph(n, edges):
-        adj = [[False] * n for _ in range(n)]
-        for i, j in edges:
-            adj[i][j] = adj[j][i] = True
-        return adj, [list(range(n))]
+    # a component's rank and root count give its type; a count that fits
+    # no type of the rank (D_n needs n >= 4) is refused
+    from lattact.root_systems import _ade_type
 
-    from lattact.root_systems import _classify_components
+    for rank, count in ((2, 4), (5, 50), (1, 0), (3, 10), (8, 238)):
+        with pytest.raises(VerificationError, match=f"^a component of rank {rank} with {count} roots fits no ADE type$"):
+            _ade_type(rank, count)
 
-    for diagram, message in (
-        (graph(3, [(0, 1), (1, 2), (2, 0)]), "not a tree"),  # a triangle
-        (graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), "not an ADE diagram"),  # a node of degree 4
-        (graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]), "not an ADE diagram"),  # arms 2, 2, 2
-    ):
-        with pytest.raises(VerificationError, match=message):
-            _classify_components(diagram)
+
+def test_an_enumeration_that_drops_a_pair_of_roots_is_refused(monkeypatch):
+    # without the largest root and its negative, the walk still finds the
+    # simple roots, the diagram and a type for each component; the root
+    # count of the component that lost them fits none
+    from lattact import root_systems
+
+    enumerate_all = root_systems.enumerate_vectors
+
+    def drop_largest_pair(l, a, up_to_sign=False):
+        found = enumerate_all(l, a, up_to_sign)
+        return found[1:-1]  # sorted: the smallest and the largest, a pair ±r
+
+    monkeypatch.setattr(root_systems, "enumerate_vectors", drop_largest_pair)
+    for name in ("D4", "E8", "A3", "A2+A1"):
+        with pytest.raises(VerificationError, match="fits no ADE type$"):
+            roots_of(standard_lattice(name))
 
 
 def test_cameras_whose_walls_bound_no_chamber_are_refused():
