@@ -129,7 +129,8 @@ def tau_saturation(a: LatticeAction, f: FundamentalData, r: Sublattice) -> Satur
         current = r_bar.span
     if not r_bar.span.contains_sublattice(r):
         raise InputError("input system is not generated by roots of its hull")
-    return SaturatedSystem(r, r_bar, fundamental_camera(r_bar), f)
+    # a saturated system by construction: the camera is r_bar's own
+    return _trusted(SaturatedSystem, r, r_bar, fundamental_camera(r_bar), f)
 
 
 def _decompose(s: SaturatedSystem, m):
@@ -167,7 +168,8 @@ def degenerate(a: LatticeAction, s: SaturatedSystem) -> DegenerationResult:
                  "degeneration is not a homomorphism")
     factors = tuple((name, s_g, w_g) for (name, _, _), (s_g, w_g) in zip(a.generators, decomposed))
     gens = tuple((name, s_g, kappa) for (name, _, kappa), (s_g, _) in zip(a.generators, decomposed))
-    return DegenerationResult(s, factors, LatticeAction(a.ambient, gens))
+    # a result by construction: the new action keeps a's lattice, names and signs
+    return _trusted(DegenerationResult, s, factors, LatticeAction(a.ambient, gens))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +233,7 @@ def verify_degeneration(a: LatticeAction, s: SaturatedSystem, d: DegenerationRes
         if r_bar.span.rank == 0:
             return True, "trivial discriminant group"
         # (c_tau - c_sig) . G^-1 integral, i.e. (c_tau - c_sig) . adj G = 0 mod det G
-        adj, d = r_bar.span.as_lattice().adjugate
+        adj, d = la.adjugate(r_bar.span.gram())
         for n in names:
             c_tau = la.restrict_to_span(taus[n], r_bar.span.basis)
             c_sig = la.restrict_to_span(sigmas[n].matrix, r_bar.span.basis)

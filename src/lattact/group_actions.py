@@ -474,10 +474,11 @@ def _rotation_branch(action, group) -> FundamentalData:
                 signature(part.as_lattice()).plus == 1 for part in _eigen_split(s, rho)[:2])
         if not reversed_:
             raise VerificationError("declared signs disagree with the rotation orientation")
-    if signature(rho.as_lattice()).plus != 2:
-        raise VerificationError("rotation block has the wrong positive index")
-    # the line of the flag is a positive direction of the fixed lattice:
-    # one exists exactly when its positive index is not 0
+    # The line of the flag is a positive direction of the fixed lattice:
+    # one exists exactly when its positive index is not 0. That also keeps
+    # rho at positive index 2: for nn >= 3 it is twice a Hermitian signature,
+    # even and in 2..3, and for nn = 2 rho (c = -I) is orthogonal to the
+    # fixed lattice, whose index a rho of index 3 leaves at 0.
     if signature(action._fixed.as_lattice()).plus == 0:
         raise VerificationError("not almost geometric: no invariant positive direction")
     return _data(nn, group.elements[w], group, action._fixed, rho, rho_action)
@@ -624,35 +625,31 @@ def is_geometric(action: LatticeAction, data: FundamentalData) -> tuple:
 
 
 def extend_equivariantly(action: LatticeAction, data: FundamentalData, eigen: EigenData, m_plus_map):
-    """Extend an isometry of the plus eigenlattice to the rotation block
-    by conjugating with the dilation on the minus side; returns the
-    extension when it is integral on the block, None otherwise."""
+    """Extend an isometry a of the plus eigenlattice to the rotation block
+    as a on the plus part and J^-1 a J on the minus part, for the dilation
+    J; returns the extension when it is integral on the block, None
+    otherwise."""
     _check_eigen_owner(data, eigen)
     a = la.int_rows(m_plus_map.matrix if isinstance(m_plus_map, Isometry) else m_plus_map)
-    plus, minus = eigen.m_plus, eigen.m_minus
+    plus = eigen.m_plus
     # a is None for a non-integer matrix, which _isometry_error refuses too
     if _isometry_error(plus.as_lattice(), a) is not None:
         raise InputError("map is not an integer isometry of the plus eigenlattice")
     # orders 1 and 2 have no dilation and end here in ScopeError
-    j = dilated_complex_structure(action, data).matrix
-    # the reflector is a -1 element of the group, so the invertible J
-    # anticommutes with it and exchanges its two parts, which so have one
-    # rank; J carries the minus part into the plus part, a saturated block
-    cols = [la.coords_in_rows(la.mat_vec(j, b), plus.basis) for b in minus.basis]
-    # c is integral (plus is saturated): a_minus = c^-1 a c = adj(c) a c / det c,
-    # and ext = X . diag(a, a_minus) . X^-1 = X . diag(dc a, adj(c) a c) . adj X / (dc dX)
-    c = la.transpose(cols)
-    adj_c, d_c = la.adjugate(c)  # j^2 = -mult . I, so c is invertible
-    zeros = (0,) * plus.rank
-    blk = tuple(tuple(d_c * y for y in row) + zeros for row in a) + tuple(
-        zeros + row for row in la.mat_mul(la.mat_mul(adj_c, a), c))
-    x = la.transpose(plus.basis + minus.basis)
-    adj_x, d_x = la.adjugate(x)
-    ext = la.mat_mul(la.mat_mul(x, blk), adj_x)
-    d = d_c * d_x
-    if any(y % d for row in ext for y in row):
+    dilation = dilated_complex_structure(action, data)
+    j, mu, r = dilation.matrix, dilation.multiplier, eigen.reflector_block
+    ident = la.identity(len(r))
+    # 2 e = (e + r e) + (e - r e) splits e between the parts of the
+    # reflector's block r. The reflector is a -1 element, so J anticommutes
+    # with r and swaps the parts, and J^-1 = -J / mu: row i of doubled is
+    # 2 mu ext(e_i) = mu a(e_i + r e_i) - J a J(e_i - r e_i). Both arguments
+    # of a lie in the saturated plus part, so their plus coordinates exist.
+    cols = la.transpose(la.mat_add(ident, r)) + la.transpose(la.mat_mul(j, la.mat_sub(ident, r)))
+    images = la.mat_mul([la.coords_in_rows(v, plus.basis) for v in cols], la.mat_mul(la.transpose(a), plus.basis))
+    doubled = la.mat_sub(la.mat_scale(mu, images[:len(r)]), la.mat_mul(images[len(r):], la.transpose(j)))
+    if any(y % (2 * mu) for row in doubled for y in row):
         return None
-    return Isometry(eigen.rho.as_lattice(), tuple(tuple(y // d for y in row) for row in ext))
+    return Isometry(eigen.rho.as_lattice(), tuple(tuple(y // (2 * mu) for y in col) for col in zip(*doubled)))
 
 
 # ---------------------------------------------------------------------------

@@ -111,11 +111,6 @@ class Lattice:
         searches a definite lattice once per square and keeps the result."""
         return {}
 
-    @cached_property
-    def adjugate(self) -> tuple:
-        """(adj G, det G), derived once per lattice object."""
-        return la.adjugate(self.gram)
-
 
 @record
 class Sublattice:

@@ -144,10 +144,6 @@ def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(map(add, u, v))
 
 
-def vec_scale(c, v: Vec) -> Vec:
-    return tuple(c * x for x in v)
-
-
 def mat_add(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(map(add, r, s)) for r, s in zip(a, b))
 

@@ -15,9 +15,9 @@ acts first on vectors.
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import permutations, repeat
-from operator import add, floordiv, mod, mul, neg, sub
+from functools import cached_property, reduce
+from itertools import permutations
+from operator import add, mul, neg, sub
 
 from . import linalg as la
 from ._record import record
@@ -67,32 +67,20 @@ class RootSystem:
         except ValueError:
             raise InputError(f"{v!r} is not a root of this system") from None
 
-    @cached_property
-    def cartan(self) -> tuple:
-        """(S G, adj A, det A) for the simple roots S and their Gram matrix
-        A = S G S^T (invertible: the simple roots are a base), derived once
-        per root system."""
-        sg = la.mat_mul(self.simple_roots, self.ambient.gram)
-        adj, d = la.adjugate(la.mat_mul(sg, la.transpose(self.simple_roots)))
-        return sg, adj, d
-
     def simple_coords(self, vectors) -> tuple:
-        """Integer coordinates of each vector in the simple roots, one
-        integer solve adj(A) . S G v / det A for all of them; None for a
-        vector where the division is inexact or the coordinates do not
-        rebuild it (a vector outside the simple-root lattice)."""
+        """Integer coordinates of each vector in the simple roots S, None
+        outside their lattice: its coordinates in B = hnf(S) times K^-1 for
+        the simple roots' own coordinates K there. S = K B with S and B
+        bases of one lattice, so K is unimodular."""
         vectors = la.int_rows(vectors)
         if vectors is None or any(len(v) != self.ambient.rank for v in vectors):
             raise InputError("vectors must be integer vectors of the lattice rank")
-        sg, adj, d = self.cartan
-        scaled = la.mat_mul(la.mat_mul(adj, sg), la.transpose(vectors))
-        columns = la.transpose(self.simple_roots)
-        quotients = zip(*(map(floordiv, row, repeat(d)) for row in scaled))
-        remainders = zip(*(map(mod, row, repeat(d)) for row in scaled))
+        basis = la.hnf(self.simple_roots)
+        columns = la.transpose(la.inverse_int([la.coords_in_rows(s, basis) for s in self.simple_roots]))
         out = []
-        for v, c, r in zip(vectors, quotients, remainders):
-            rebuilt = not any(r) and tuple(sum(map(mul, c, e)) for e in columns) == tuple(v)
-            out.append(c if rebuilt else None)
+        for v in vectors:
+            y = la.coords_in_rows(v, basis)
+            out.append(None if y is None else tuple(sum(map(mul, y, col)) for col in columns))
         return tuple(out)
 
     @cached_property
@@ -102,8 +90,8 @@ class RootSystem:
 
     @cached_property
     def _root_coords(self) -> tuple:
-        """simple_coords of every root, solved once per root system;
-        roots_of presets it from its walk instead."""
+        """simple_coords of every root, solved once per root system by
+        echelon substitution; roots_of presets it from its walk instead."""
         return self.simple_coords(self.roots)
 
     @cached_property
@@ -209,7 +197,7 @@ def roots_of(s) -> RootSystem:
     # (_dynkin's check), so to 0 or -1 under the positive definite -G:
     # vectors on one side of a hyperplane at pairwise obtuse angles are
     # independent (Humphreys, GTM 9, 10.1), so these are the coordinates
-    # that cartan's solve would give, and the cached properties are preset.
+    # that simple_coords would solve, and the cached properties are preset.
     index = {s: i for i, s in enumerate(simple)}
     coords = dict(zip(simple, la.identity(len(simple))))
     for p, (rest, s) in summands.items():
@@ -388,7 +376,7 @@ def fundamental_camera(r: RootSystem) -> Camera:
     simple = r.simple_roots
     if not simple:
         return _trusted(Camera, r, (), la.zero_vec(r.ambient.rank))
-    _, adj, d = r.cartan
+    adj, d = la.adjugate(la.mat_mul(la.mat_mul(simple, r.ambient.gram), la.transpose(simple)))
     sign = 1 if d > 0 else -1
     c = [sign * sum(row) for row in adj]
     witness = tuple(sum(map(mul, c, col)) for col in zip(*simple))
@@ -682,17 +670,13 @@ def fold_reflection(n: Lattice, action, v) -> FoldResult:
     # branch 2: fold over the orbit span's components
     rsub = sublattice_from_rows(n, tuple(sorted(orbit)))
     rs = roots_of(rsub)
-    # vbar is a sum of roots of rsub, so its coordinates are integers. Every
-    # component of rs holds orbit roots (they span rsub) and the group
-    # permutes the components transitively, mapping part to part: as
-    # vbar != 0, no part vanishes.
-    coords = rs.simple_coords((vbar,))[0]
+    # The group permutes the components of rs transitively and each holds
+    # orbit roots (they span rsub). vbar is |Stab v| times the orbit sum,
+    # so its part in a component is that multiple of the sum of the orbit
+    # roots there, nonzero as the parts map to each other and vbar != 0.
     pieces = []
-    for group in rs._diagram[1]:
-        part = la.zero_vec(n.rank)
-        for i in group:
-            part = la.vec_add(part, la.vec_scale(coords[i], rs.simple_roots[i]))
-        a = la.primitive_vector(part)
+    for part in rs.component_roots:
+        a = la.primitive_vector(reduce(la.vec_add, orbit & part))
         if la.sq(n.gram, a) != -2:
             raise VerificationError("component part of the orbit sum is not a root line")
         pieces.append(a)

@@ -271,7 +271,7 @@ def test_criterion_05_classification_and_folding(capsys):
             w = res.weyl.matrix
             check(bad, helpers.conjugate_gram(lat.gram, w) == lat.gram, "fold breaks the form")
             check(bad, all(la.mat_mul(w, m) == la.mat_mul(m, w) for m in mats), "fold does not commute")
-            check(bad, tuple(la.mat_vec(w, vbar)) == tuple(la.vec_scale(-1, vbar)),
+            check(bad, tuple(la.mat_vec(w, vbar)) == tuple(helpers.vec_scale(-1, vbar)),
                   "fold does not negate the orbit sum")
         else:
             witnessed += 1
@@ -573,7 +573,7 @@ def test_criterion_11_property_laws_and_determinism(capsys, tmp_path):
             continue
         c = rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
         p = la.primitive_vector(v)
-        check(bad, la.primitive_vector(la.vec_scale(c, v)) == p, "primitive_vector scale law")
+        check(bad, la.primitive_vector(helpers.vec_scale(c, v)) == p, "primitive_vector scale law")
         check(bad, la.vec_gcd(p) == 1, "primitive_vector gcd law")
         check(bad, next(x for x in p if x) > 0, "primitive_vector sign law")
         if bad:
@@ -586,7 +586,7 @@ def test_criterion_11_property_laws_and_determinism(capsys, tmp_path):
         h = la.hnf(rows)
         combo = la.zero_vec(n)
         for r in rows:
-            combo = la.vec_add(combo, la.vec_scale(rng.randint(-3, 3), r))
+            combo = la.vec_add(combo, helpers.vec_scale(rng.randint(-3, 3), r))
         check(bad, la.hnf(rows + (tuple(combo),)) == h, "HNF row-combination law")
         check(bad, all(la.coords_in_rows(r, h) is not None for r in rows), "HNF membership law")
         if bad:
@@ -602,7 +602,7 @@ def test_criterion_11_property_laws_and_determinism(capsys, tmp_path):
         m = reflection(lat, v).matrix
         check(bad, la.mat_mul(m, m) == la.identity(lat.rank), "reflection involution law")
         check(bad, helpers.conjugate_gram(lat.gram, m) == lat.gram, "reflection isometry law")
-        check(bad, tuple(la.mat_vec(m, v)) == la.vec_scale(-1, v), "reflection negation law")
+        check(bad, tuple(la.mat_vec(m, v)) == helpers.vec_scale(-1, v), "reflection negation law")
         if bad:
             break
 

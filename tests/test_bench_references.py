@@ -11,13 +11,15 @@ Fraction at all. Their round 0 also guards what is derived once: one
 group closure per action, one Dynkin diagram per root system, and
 objects built without re-checks equal to what the public constructors
 build. The CLI's stdout is compared with every `cli_ref` file, and a
-hash of the repr of every round-0 result pins the bytes out. The
+hash of the repr of every round-0 result pins the bytes out, and
+`tools/round_digest.py` reproduces that hash. The
 `enumerate` round solves no coordinates root by root (`coords_in_rows`)
 and takes no determinant in `segment_vectors`, and the positive and simple roots of both rounds' root systems match
 that root-by-root reference, their simple coordinates read off the height
-walk matching the Cartan solve. Each `enumerate` vectors item runs two
-searches, one per square (roots_of reads the kept one), builds no Cartan
-solve and LLL-reduces no basis; in a skewed basis the e8_swap items of
+walk matching the echelon solve of `simple_coords`. Each `enumerate`
+vectors item runs two searches, one per square (roots_of reads the kept
+one), solves no simple coordinates (no `inverse_int`) and LLL-reduces no
+basis; in a skewed basis the e8_swap items of
 `analyze` and `degenerate` finish within a time bound, and so do the
 walls of the d3_S, d3_Sprime and Klein actions, in the library and
 through `lattact walls`. The `degenerate` round runs a third fewer
@@ -101,9 +103,10 @@ def test_enumerate_round_matches_the_benchmark_references(monkeypatch, tmp_path)
 def test_enumerate_round_searches_once_per_square(monkeypatch, tmp_path):
     """Each vectors item runs two searches, at -2 and -4: roots_of reads
     the -2 one that the item's lattice already holds. Its root system
-    builds no Cartan solve, and no Gram of the round is skewed enough to
-    be LLL-reduced first."""
+    solves no simple coordinates (no inverse_int), and no Gram of the
+    round is skewed enough to be LLL-reduced first."""
     from lattact import lattice
+    from lattact import linalg as la
 
     from helpers import count_calls
 
@@ -113,12 +116,13 @@ def test_enumerate_round_searches_once_per_square(monkeypatch, tmp_path):
     items = [item for item in workload.round(0) if item["kind"] == "vectors"]
     searches = count_calls(monkeypatch, lattice, "_definite_search")
     reductions = count_calls(monkeypatch, lattice, "_lll")
+    inverses = count_calls(monkeypatch, la, "inverse_int")
     for item in items:
         before = len(searches)
         result = workload.run(item)
         assert workload.check(item, result) is None
         assert len(searches) - before == 2, item["spec"]
-        assert "cartan" not in vars(result[2]), item["spec"]
+    assert inverses == []
     assert reductions == []
 
 
@@ -234,7 +238,7 @@ def test_enumerate_round_segments_take_no_determinant(monkeypatch, tmp_path):
 
 def test_roots_of_positivity_matches_span_coordinates(monkeypatch, tmp_path):
     """Positive and simple roots equal the reference solved root by root,
-    and the simple coordinates read off the height walk equal the Cartan
+    and the simple coordinates read off the height walk equal the echelon
     solve's, on the 21 random-basis root lattices of the enumerate round
     and on every Sublattice the degenerate round asks roots_of about."""
     from lattact import degeneration, root_systems
@@ -661,3 +665,12 @@ def test_round_results_repr_hash_is_pinned(monkeypatch, tmp_path):
         for item in workload.round(0):
             digest.update(repr(workload.run(item)).encode() + b"\n")
     assert digest.hexdigest() == ROUND_REPR_SHA256
+
+
+def test_round_digest_tool_reproduces_the_pinned_hash():
+    """tools/round_digest.py hashes the same lines: at seed 7 over round 0
+    alone it gives the pinned hash."""
+    spec = importlib.util.spec_from_file_location("round_digest", BENCH.parent / "tools" / "round_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.digest(7, 1) == ROUND_REPR_SHA256

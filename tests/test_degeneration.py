@@ -444,7 +444,7 @@ class TestVerifyDegeneration:
         # the system of these roots that roots_of derives, its entry passes
         l = standard_lattice("3U+A1+A1")
         e7, e8 = la.identity(8)[6:]
-        roots = tuple(sorted((e7, e8, la.vec_scale(-1, e7), la.vec_scale(-1, e8))))
+        roots = tuple(sorted((e7, e8, helpers.vec_scale(-1, e7), helpers.vec_scale(-1, e8))))
         with pytest.raises(InputError, match="^a root system must be the one roots_of derives from its span$"):
             RootSystem(l, sublattice_from_rows(l, roots), roots, (e7,), (e7,), ())
         s = trivially_saturated(standard_lattice("A1+A1").gram)
@@ -513,12 +513,12 @@ class TestCameraAdjacent:
         # as the reference; roots_of finds the same system in this skewed
         # basis, choosing its own sign for each simple root of 5A1
         simple = tuple(sorted(la.inverse_int(m)))
-        roots = tuple(sorted(simple + tuple(la.vec_scale(-1, v) for v in simple)))
+        roots = tuple(sorted(simple + tuple(helpers.vec_scale(-1, v) for v in simple)))
         assert all(l.sq(v) == -2 for v in roots)
         found = roots_of(l)
         assert found.roots == roots
-        assert {frozenset((v, la.vec_scale(-1, v))) for v in found.simple_roots} == {
-            frozenset((v, la.vec_scale(-1, v))) for v in simple
+        assert {frozenset((v, helpers.vec_scale(-1, v))) for v in found.simple_roots} == {
+            frozenset((v, helpers.vec_scale(-1, v))) for v in simple
         }
         # the same system in 3U + l, saturated for the trivial action
         s = trivially_saturated(l.gram)

@@ -9,6 +9,7 @@ written; the property loops then drive randomized conjugates through the
 same pipeline.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -442,7 +443,10 @@ class TestFundamentalData:
 
     def test_minus_identity_rejected_both_signs(self):
         for k in (1, -1):
-            with pytest.raises(VerificationError):
+            # with sign +1, -I rotates the whole lattice by order 2 and fixes
+            # no positive direction
+            match = "^not almost geometric: no invariant positive direction$" if k == 1 else None
+            with pytest.raises(VerificationError, match=match):
                 fundamental_data(LatticeAction(L6, (("m", la.mat_scale(-1, la.identity(6)), k),)))
 
     def test_non_cyclic_kernel_rejected(self):
@@ -1005,21 +1009,38 @@ class TestExtendEquivariantly:
         assert extend_equivariantly(a, fd, e, la.identity(2)).matrix == la.identity(4)
 
     def test_returned_extension_commutes_with_dilation(self):
-        a = dihedral3()
-        fd = fundamental_data(a)
-        e = eigen_lattices(a, fd)
-        j = dilated_complex_structure(a, fd).matrix
-        for m in (la.identity(2), la.mat_scale(-1, la.identity(2))):
-            ext = extend_equivariantly(a, fd, e, m)
-            assert la.mat_mul(ext.matrix, j) == la.mat_mul(j, ext.matrix)
-            # the restriction to the plus part must reproduce the input map
-            for i, row in enumerate(e.m_plus.basis):
-                image = la.mat_vec(ext.matrix, row)
-                expected = tuple(
-                    sum(m[jdx][i] * e.m_plus.basis[jdx][k] for jdx in range(2))
-                    for k in range(4)
-                )
-                assert image == expected
+        # orders 3, 4 and 6 (multipliers 3, 4 and 3), each in the standard
+        # basis and two random ones, on every isometry of the plus part
+        # with entries in [-4, 4]. The rational oracle writes the block in
+        # the plus basis followed by the minus basis (the columns of x),
+        # where the extension of m is diag(m, c^-1 m c) for the plus
+        # coordinates c of J applied to the minus rows; the extension
+        # exists exactly when that matrix is integral in block coordinates.
+        rng = random.Random(6)
+        for make, k in itertools.product((dihedral3, dihedral4, dihedral6), range(3)):
+            b = helpers.random_unimodular(rng, 6, 8) if k else la.identity(6)
+            a = in_basis(make(), b)
+            fd = fundamental_data(a)
+            e = eigen_lattices(a, fd)
+            j = dilated_complex_structure(a, fd).matrix
+            plus, minus = e.m_plus, e.m_minus
+            x = helpers.to_frac_mat(la.transpose(plus.basis + minus.basis))
+            c = helpers.to_frac_mat(la.transpose([la.coords_in_rows(la.mat_vec(j, v), plus.basis)
+                                                  for v in minus.basis]))
+            squares = (tuple(zip(*[iter(t)] * plus.rank))
+                       for t in itertools.product(range(-4, 5), repeat=plus.rank ** 2))
+            extending = 0
+            for m in (m for m in squares if is_isometry(plus.as_lattice(), m)):
+                m_minus = la.mat_mul(la.mat_mul(helpers.inverse(c), m), c)
+                ext = la.mat_mul(la.mat_mul(x, helpers.block_diag(m, m_minus)), helpers.inverse(x))
+                got = extend_equivariantly(a, fd, e, m)
+                if any(y.denominator != 1 for row in ext for y in row):
+                    assert got is None, (make.__name__, b, m)
+                    continue
+                extending += 1
+                assert got.matrix == ext, (make.__name__, b, m)
+                assert la.mat_mul(got.matrix, j) == la.mat_mul(j, got.matrix)
+            assert extending, (make.__name__, b)
 
     def test_hand_built_eigenparts_the_dilation_does_not_exchange_are_refused(self):
         # eigenparts that are not the reflector's split are refused on

@@ -650,7 +650,6 @@ def test_walk_coords_match_the_cartan_solve(spec):
     rng = random.Random(spec)
     for _ in range(3):
         r = roots_of(make_lattice(conjugate_gram(g, random_unimodular(rng, len(g), steps=8))))
-        assert "cartan" not in vars(r)
         helpers.assert_walk_coords_match_the_solve(r)
 
 
