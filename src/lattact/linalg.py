@@ -268,50 +268,68 @@ def solve(a: Mat, b: Vec) -> Vec | None:
 # integer normal forms
 
 
+def _sub_multiple(row: list, q: int, prow: list) -> list:
+    """row - q . prow; q = +-1 is a map of sub or add, as in mat_mul."""
+    if q == 1:
+        return list(map(sub, row, prow))
+    if q == -1:
+        return list(map(add, row, prow))
+    return [x - q * y for x, y in zip(row, prow)]
+
+
+def _echelon(m: list, cols: int) -> list:
+    """Bring the integer row lists m to row echelon form on columns
+    0..cols-1 in place, by unimodular row operations; return the pivot
+    columns, row r's leading column being the r-th.
+
+    Each column is Euclid's: the live rows (a nonzero entry there, at or
+    below the next pivot slot) are found by one scan per pass, the one of
+    smallest absolute entry reduces the others, and the last one left
+    takes the slot. Nothing above the slot is touched.
+    """
+    rows = len(m)
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        live = [i for i in range(r, rows) if m[i][c]]
+        while len(live) > 1:
+            best = min(live, key=lambda i: abs(m[i][c]))
+            prow = m[best]
+            p = prow[c]
+            for i in live:
+                if i != best:
+                    m[i] = _sub_multiple(m[i], m[i][c] // p, prow)
+            live = [i for i in live if m[i][c]]
+        if live:
+            m[r], m[live[0]] = m[live[0]], m[r]
+            pivots.append(c)
+    return pivots
+
+
 def hnf(a: Mat) -> Mat:
     """Row-style Hermite normal form of an integer matrix.
 
     Returns only the nonzero rows: a canonical basis of the row lattice.
+    After _echelon, each pivot row from the left is made positive and
+    reduces the nonzero entries above its pivot into [0, pivot); later
+    pivot rows are 0 on that column, so the reduction stands.
     """
-    m = [list(map(int, row)) for row in a]
-    if not m:
-        return ()
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for c in range(cols):
-        # find a pivot: nonzero entry in column c at row >= r
-        piv = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        # euclidean elimination below the pivot
-        while True:
-            nz = [i for i in range(r + 1, rows) if m[i][c] != 0]
-            if not nz:
-                break
-            # smallest absolute value into the pivot slot
-            best = min(nz + [r], key=lambda i: abs(m[i][c]))
-            if best != r:
-                m[r], m[best] = m[best], m[r]
-            for i in range(r + 1, rows):
-                if m[i][c] != 0:
-                    q = m[i][c] // m[r][c]
-                    m[i] = [x - q * y for x, y in zip(m[i], m[r])]
-        if m[r][c] < 0:
-            m[r] = [-x for x in m[r]]
-        # reduce entries above the pivot into [0, pivot)
-        for i in range(r):
-            q = m[i][c] // m[r][c]
+    return _hermite([list(map(int, row)) for row in a])
+
+
+def _hermite(m: list) -> Mat:
+    """hnf of the int row lists m, which are overwritten."""
+    pivots = _echelon(m, len(m[0]) if m else 0)
+    for r, c in enumerate(pivots):
+        prow = m[r]
+        if prow[c] < 0:
+            prow = m[r] = [-x for x in prow]
+        p = prow[c]
+        for i in [i for i in range(r) if m[i][c]]:
+            q = m[i][c] // p
             if q:
-                m[i] = [x - q * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return freeze_mat(m[:r])
+                m[i] = _sub_multiple(m[i], q, prow)
+    return freeze_mat(m[:len(pivots)])
 
 
 def snf(a: Mat) -> tuple[Mat, Mat]:
@@ -391,15 +409,18 @@ def snf(a: Mat) -> tuple[Mat, Mat]:
 def kernel_int(a: Mat) -> tuple[Vec, ...]:
     """Basis, in HNF, of the saturated integer right kernel {x in Z^n : A x = 0}.
 
-    The rows of hnf([A^T | I]) whose A^T part is zero, with that part
-    dropped (Cohen, GTM 138, 2.4.3). The transform is unimodular, so the
-    basis spans a direct summand of Z^n.
+    Once the A^T columns of [A^T | I] alone are in echelon form (with no
+    reduction above their pivots: those rows are dropped), the I part of
+    the rows with zero A^T part spans the kernel, a direct summand of Z^n
+    since the transform is unimodular (Cohen, GTM 138, 2.4.3). Its hnf is
+    the basis.
     """
     if not a or not a[0]:
         return ()
     m = len(a)
-    h = hnf(tuple(col + row for col, row in zip(transpose(a), identity(len(a[0])))))
-    return tuple(row[m:] for row in h if not any(row[:m]))
+    rows = [list(col + row) for col, row in zip(transpose(a), identity(len(a[0])))]
+    r = len(_echelon(rows, m))
+    return _hermite([row[m:] for row in rows[r:]])
 
 
 def fixed_kernel(mats, n: int) -> tuple[Vec, ...]:
@@ -543,6 +564,14 @@ def _jacobi_elimination(m: list) -> list:
     congruence's basis rows are not built here; _jacobi_basis replays them
     from the steps.
 
+    On a row whose entry in the pivot column is 0, Bareiss's update only
+    rescales by p/d, and those factors telescope: a row last updated at
+    d = scale[i] is Bareiss's row times scale[i]/d. So it is brought up to
+    date as row . d // scale[i] only when it pivots, is eliminated or takes
+    part in a zero-block addition, exactly, since Bareiss's entries are
+    integer minors. An update leaves p f - f p = 0 in the pivot column, so
+    active rows are 0 on the columns eliminated before.
+
     Returns one (piv, prow, d, partner) per row of m, in pivot order: piv
     the pivot index, prow the pivot row on the active columns (0 on columns
     eliminated before), partner the row added to row piv just before it
@@ -553,9 +582,16 @@ def _jacobi_elimination(m: list) -> list:
     """
     n = len(m)
     d = 1
+    scale = [1] * n  # the d at which each row was last updated
     active = list(range(n))
-    live = [1] * n  # 0 on the columns eliminated before
     steps = []
+
+    def current(i):
+        if scale[i] != d:
+            m[i] = [x * d // scale[i] for x in m[i]]
+            scale[i] = d
+        return m[i]
+
     while active:
         piv = next((i for i in active if m[i][i] != 0), None)
         partner = None
@@ -564,22 +600,24 @@ def _jacobi_elimination(m: list) -> list:
             if pair is None:
                 break
             piv, partner = pair
-            # rows and columns of eliminated pivots are zero in the
-            # active rows, so only active entries change
+            # columns eliminated before are zero in the active rows, so
+            # only active entries change; a column addition is linear in
+            # the row, so it holds at any row's own scale
+            prow, other = current(piv), current(partner)
             for k in active:
-                m[piv][k] += m[partner][k]
+                prow[k] += other[k]
             for k in active:
                 m[k][piv] += m[k][partner]
-        p = m[piv][piv]
-        prow = m[piv]
-        steps.append((piv, tuple(map(mul, prow, live)), d, partner))
+        prow = current(piv)
+        p = prow[piv]
+        steps.append((piv, tuple(prow), d, partner))
         active.remove(piv)
-        live[piv] = 0
         for i in active:
-            row = m[i]
-            f = row[piv]
-            for k in active:
-                row[k] = (p * row[k] - f * prow[k]) // d
+            if m[i][piv]:
+                row = current(i)
+                f = row[piv]
+                m[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+                scale[i] = p
         d = p
     steps.extend((i, None, d, None) for i in active)
     return steps

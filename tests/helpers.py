@@ -302,6 +302,64 @@ def jacobi_elimination_with_basis(m):
     return steps
 
 
+def hnf_reference(a):
+    """Reference row-style Hermite normal form, as the library once
+    computed it: each column's first nonzero row at or below the next
+    pivot slot takes the slot, Euclid on the smallest absolute entry clears
+    the column below it, and the entries above the pivot are reduced into
+    [0, pivot) before the next column. Returns the nonzero rows."""
+    m = [list(map(int, row)) for row in a]
+    if not m:
+        return ()
+    rows, cols = len(m), len(m[0])
+    r = 0
+    for c in range(cols):
+        # find a pivot: nonzero entry in column c at row >= r
+        piv = None
+        for i in range(r, rows):
+            if m[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        # euclidean elimination below the pivot
+        while True:
+            nz = [i for i in range(r + 1, rows) if m[i][c] != 0]
+            if not nz:
+                break
+            # smallest absolute value into the pivot slot
+            best = min(nz + [r], key=lambda i: abs(m[i][c]))
+            if best != r:
+                m[r], m[best] = m[best], m[r]
+            for i in range(r + 1, rows):
+                if m[i][c] != 0:
+                    q = m[i][c] // m[r][c]
+                    m[i] = [x - q * y for x, y in zip(m[i], m[r])]
+        if m[r][c] < 0:
+            m[r] = [-x for x in m[r]]
+        # reduce entries above the pivot into [0, pivot)
+        for i in range(r):
+            q = m[i][c] // m[r][c]
+            if q:
+                m[i] = [x - q * y for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == rows:
+            break
+    return la.freeze_mat(m[:r])
+
+
+def kernel_int_reference(a):
+    """Reference saturated integer right kernel in HNF, as the library once
+    computed it: the rows of hnf_reference([A^T | I]) whose A^T part is
+    zero, with that part dropped (Cohen, GTM 138, 2.4.3)."""
+    if not a or not a[0]:
+        return ()
+    m = len(a)
+    h = hnf_reference(tuple(col + row for col, row in zip(la.transpose(a), la.identity(len(a[0])))))
+    return tuple(row[m:] for row in h if not any(row[:m]))
+
+
 def classify_order3_on_2U_by_filtering(entry_bound):
     """The bounded order-3 search on U+U as the library once ran it: each
     column's candidates are the first placed column's partner list, kept

@@ -674,3 +674,59 @@ def test_round_digest_tool_reproduces_the_pinned_hash():
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     assert tool.digest(7, 1) == ROUND_REPR_SHA256
+
+
+def _run_stdout(items_per_s, p50, failed=0, attempted=45):
+    """The stdout of a perfbench/run.py run, cut down to what the pair
+    summary reads: the context line and the final JSON line."""
+    import json
+
+    metrics = {"items_per_s": {"value": items_per_s, "unit": "1/s"},
+               "latency_ms.p50": {"value": p50, "unit": "ms"}}
+    return "\n".join([
+        "workload analyze seed 7 seconds 20 trace 0",
+        'context {"machine.calibration_ms": 41.0, "nproc": 2, "python": "3.11.7"}',
+        f"items_per_s = {items_per_s} 1/s",
+        json.dumps({"correct": not failed, "attempted": attempted, "failed": failed, "metrics": metrics}),
+    ]) + "\n"
+
+
+def test_ab_pairs_summary_on_canned_runs(monkeypatch):
+    """tools/ab_pairs.py's summary step reads canned run outputs and starts
+    no process: medians and quartiles per side, the ratio of the medians,
+    the change's wins (ties count for neither side), the parent's
+    interquartile range and the bound check, per metric direction."""
+    import subprocess
+
+    spec = importlib.util.spec_from_file_location("ab_pairs", BENCH.parent / "tools" / "ab_pairs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("the summary step started a process")
+
+    monkeypatch.setattr(subprocess, "run", no_process)
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    runs = [((200, 5.0), (250, 4.0)), ((220, 4.0), (220, 4.4)), ((240, 6.0), (300, 3.0)), ((260, 4.5), (290, 3.5))]
+    pairs = [{"parent": tool.parse_output(_run_stdout(*p)), "change": tool.parse_output(_run_stdout(*c, failed=k == 3))}
+             for k, (p, c) in enumerate(runs)]
+    assert pairs[0]["parent"]["context"]["nproc"] == 2
+    end_to_end = [{"name": "items_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+                  {"name": "latency_ms.p50", "unit": "ms", "better": "lower", "bound": 0.1}]
+    summary = tool.summarize(pairs, end_to_end)
+    items = summary["items_per_s"]
+    assert items["parent"] == [215.0, 230.0, 245.0] and items["change"] == [242.5, 270.0, 292.5]
+    assert items["ratio"] == 270 / 230 and items["wins"] == 3 and items["parent_iqr"] == 30.0
+    assert items["resolved"] and items["within_bound"]
+    p50 = summary["latency_ms.p50"]
+    assert p50["parent"][1] == 4.75 and p50["change"][1] == 3.75 and p50["wins"] == 3
+    assert p50["parent_iqr"] == 5.25 - 4.375 and p50["resolved"] and p50["within_bound"]
+    assert summary["failed"] == {"parent": [0, 180], "change": [1, 180]}
+    # a change median past the bound, in either direction
+    slow = [{"parent": pair["parent"], "change": tool.parse_output(_run_stdout(100, 9.0))} for pair in pairs]
+    worse = tool.summarize(slow, end_to_end)
+    assert not worse["items_per_s"]["within_bound"] and not worse["latency_ms.p50"]["within_bound"]
+    assert worse["items_per_s"]["wins"] == 0
+    lines = tool.table("analyze", summary, len(pairs))
+    assert lines[0] == "analyze: 4 pairs; failed/attempted parent 0/180, change 1/180"
+    assert len(lines) == 4 and lines[2].split()[0] == "items_per_s"

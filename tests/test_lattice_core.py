@@ -1075,6 +1075,76 @@ def test_kernel_int_is_a_saturated_hnf_basis_without_smith_forms(monkeypatch):
             del calls[:]
 
 
+def _random_kernel_input(rng, rows, cols, bound):
+    """A rows x cols integer matrix with entries in [-bound, bound], about
+    half of them 0; with chance 1/3 each, a row that combines two others
+    (rank-deficient), a zero row and a zero column."""
+    a = [[rng.randint(-bound, bound) if rng.random() < 0.5 else 0 for _ in range(cols)] for _ in range(rows)]
+    if rows > 2 and rng.random() < 1 / 3:
+        i, j, k = rng.sample(range(rows), 3)
+        a[k] = [rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(a[i], a[j])]
+    if rng.random() < 1 / 3:
+        a[rng.randrange(rows)] = [0] * cols
+    if rng.random() < 1 / 3:
+        c = rng.randrange(cols)
+        for row in a:
+            row[c] = 0
+    return la.freeze_mat(a)
+
+
+def _plain_int_rows(rows):
+    return type(rows) is tuple and all(type(r) is tuple for r in rows) and {type(x) for r in rows for x in r} <= {int}
+
+
+# (rows, cols, entry bounds): up to 22 x 66, the [A^T | I] of a stacked
+# 44 x 22 fixed_kernel input, and entries up to 2^64 on every shape that
+# keeps the reference's kernel fast
+KERNEL_SHAPES = (
+    (1, 1, (1, 9, 2**64)), (1, 6, (1, 9, 2**64)), (6, 1, (1, 9, 2**64)), (3, 3, (1, 9, 2**64)),
+    (4, 9, (1, 9, 2**64)), (9, 4, (1, 9, 2**64)), (8, 20, (1, 9, 2**64)), (20, 8, (1, 9, 2**64)),
+    (22, 22, (1, 9, 2**64)), (44, 22, (1, 9, 2**64)), (22, 66, (1, 9)),
+)
+
+
+def _kernel_repeats(rows, cols, bound):
+    return 6 if rows * cols < 200 else 2 if bound < 2**64 else 1
+
+
+def test_hnf_matches_the_reference_on_random_matrices():
+    """hnf equals the reference Euclid HNF (tests/helpers.py) on random
+    integer matrices, as tuples of plain ints; it converts Fractions of
+    denominator 1 and bools to ints, as the reference does."""
+    rng = random.Random(1968)
+    for rows, cols, bounds in KERNEL_SHAPES + ((22, 66, (2**64,)), (66, 22, (1, 2**64))):
+        for bound in bounds:
+            for _ in range(_kernel_repeats(rows, cols, bound)):
+                a = _random_kernel_input(rng, rows, cols, bound)
+                h = la.hnf(a)
+                assert h == helpers.hnf_reference(a), a
+                assert _plain_int_rows(h)
+    mixed = ((Fraction(4, 2), True, 0), (Fraction(-6), 3, False))
+    assert la.hnf(mixed) == helpers.hnf_reference(mixed) == ((2, 1, 0), (0, 6, 0))
+    assert _plain_int_rows(la.hnf(mixed))
+    assert la.hnf(()) == () and la.hnf(((), ())) == () and la.hnf(((0, 0),)) == ()
+
+
+def test_kernel_int_matches_the_reference_on_random_matrices():
+    """kernel_int equals the reference hnf([A^T | I]) construction
+    (tests/helpers.py) on random integer matrices, as tuples of plain ints,
+    also for Fraction entries of denominator 1."""
+    rng = random.Random(1896)
+    for rows, cols, bounds in KERNEL_SHAPES:
+        for bound in bounds:
+            for _ in range(_kernel_repeats(rows, cols, bound)):
+                a = _random_kernel_input(rng, rows, cols, bound)
+                ker = la.kernel_int(a)
+                assert ker == helpers.kernel_int_reference(a), a
+                assert _plain_int_rows(ker)
+    mixed = ((Fraction(4, 2), 2, 0), (Fraction(-6), 0, 3))
+    assert la.kernel_int(mixed) == helpers.kernel_int_reference(mixed) == ((1, -1, 2),)
+    assert _plain_int_rows(la.kernel_int(mixed))
+
+
 def test_fixed_kernel_stacks_each_distinct_non_identity_matrix_once(monkeypatch):
     calls = count_calls(monkeypatch, la, "kernel_int")
     ident = la.identity(3)
@@ -1278,6 +1348,64 @@ def test_jacobi_basis_replay_on_rank22_fixtures_in_a_random_basis():
         f = fundamental_data(act)
         for g in (act.ambient.gram, f.fixed.gram(), f.rho.gram()):
             _check_replay(conjugate_gram(g, random_unimodular(rng, len(g), steps=10)))
+
+
+@pytest.mark.parametrize("steps", [300, 1000])
+def test_jacobi_basis_replay_on_rank22_fixtures_in_skewed_bases(steps):
+    """The telescoped rescaling stays exact on the large entries of
+    heavily skewed bases: the steps and replayed rows equal the
+    reference's."""
+    from lattact.catalog import fixture
+    from lattact.group_actions import fundamental_data
+
+    rng = random.Random(steps)
+    for name in ("k3_lattice", "d3_S", "d3_Sprime", "e8_swap"):
+        act = fixture(name).action
+        f = fundamental_data(act)
+        for g in (act.ambient.gram, f.fixed.gram(), f.rho.gram()):
+            _check_replay(conjugate_gram(g, random_unimodular(rng, len(g), steps=steps)))
+
+
+def _stale_additions(steps):
+    """The pivots of the steps whose zero-block addition meets a row last
+    updated at an earlier d. Read off the steps: at a pivot step, row i is
+    updated exactly when the pivot row's entry i is nonzero (the active
+    block is symmetric), and then to that step's pivot entry."""
+    scale = {}
+    out = []
+    for piv, prow, d, partner in steps:
+        if partner is not None and d not in (scale.get(piv, 1), scale.get(partner, 1)):
+            out.append(piv)
+        if prow is not None:
+            scale.update((i, prow[piv]) for i, x in enumerate(prow) if x and i != piv)
+    return out
+
+
+def test_jacobi_replay_when_a_zero_block_addition_meets_a_stale_row():
+    """A positive definite block B orthogonal to a zero-diagonal block Z,
+    their rows in a random order: B's rows pivot first (the Schur
+    complements of a definite block keep a nonzero diagonal) and skip Z's
+    rows, so the addition that breaks Z meets rows still at d = 1 while
+    d = det B is not 1. The elimination must bring them up to date first."""
+    rng = random.Random(1969)
+    grams = [
+        direct_sum(make_lattice(((2,),)), make_lattice(U_GRAM)).gram,
+        direct_sum(make_lattice(U_GRAM), standard_lattice("A2"), make_lattice(U_GRAM)).gram,
+    ]
+    for _ in range(40):
+        k, z = rng.randint(1, 5), rng.randint(2, 5)
+        diag = [[rng.randint(1, 4) if i == j else 0 for j in range(k)] for i in range(k)]
+        diag[0][0] = 2
+        b = conjugate_gram(la.freeze_mat(diag), random_unimodular(rng, k, steps=6))
+        upper = [[rng.randint(-2, 2) if i < j else 0 for j in range(z)] for i in range(z)]
+        upper[0][1] = rng.choice((-2, -1, 1, 2))
+        zero = la.mat_add(upper, la.transpose(upper))
+        g = helpers.block_diag(b, zero)
+        order = rng.sample(range(k + z), k + z)
+        grams.append(tuple(tuple(g[i][j] for j in order) for i in order))
+    for g in grams:
+        steps = _check_replay(g)
+        assert _stale_additions(steps), g
 
 
 # ---------------------------------------------------------------------------
