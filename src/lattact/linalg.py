@@ -278,15 +278,10 @@ def _sub_multiple(row: list, q: int, prow: list) -> list:
 
 
 def _echelon(m: list, cols: int) -> list:
-    """Bring the integer row lists m to row echelon form on columns
-    0..cols-1 in place, by unimodular row operations; return the pivot
-    columns, row r's leading column being the r-th.
-
-    Each column is Euclid's: the live rows (a nonzero entry there, at or
-    below the next pivot slot) are found by one scan per pass, the one of
-    smallest absolute entry reduces the others, and the last one left
-    takes the slot. Nothing above the slot is touched.
-    """
+    """Row echelon form of the int row lists m on columns 0..cols-1, in
+    place: per column, Euclid on the live row of smallest absolute entry,
+    the live rows (nonzero there, at or below the next pivot slot) found
+    by one scan per pass. Returns the pivot columns."""
     rows = len(m)
     pivots = []
     for c in range(cols):
@@ -311,8 +306,7 @@ def hnf(a: Mat) -> Mat:
 
     Returns only the nonzero rows: a canonical basis of the row lattice.
     After _echelon, each pivot row from the left is made positive and
-    reduces the nonzero entries above its pivot into [0, pivot); later
-    pivot rows are 0 on that column, so the reduction stands.
+    reduces the nonzero entries above its pivot into [0, pivot).
     """
     return _hermite([list(map(int, row)) for row in a])
 
@@ -409,11 +403,9 @@ def snf(a: Mat) -> tuple[Mat, Mat]:
 def kernel_int(a: Mat) -> tuple[Vec, ...]:
     """Basis, in HNF, of the saturated integer right kernel {x in Z^n : A x = 0}.
 
-    Once the A^T columns of [A^T | I] alone are in echelon form (with no
-    reduction above their pivots: those rows are dropped), the I part of
-    the rows with zero A^T part spans the kernel, a direct summand of Z^n
-    since the transform is unimodular (Cohen, GTM 138, 2.4.3). Its hnf is
-    the basis.
+    The I part of the rows of [A^T | I] with zero A^T part, once its A^T
+    columns alone are in echelon form, spans the kernel, a direct summand
+    as the transform is unimodular (Cohen, GTM 138, 2.4.3); its hnf.
     """
     if not a or not a[0]:
         return ()
@@ -564,13 +556,12 @@ def _jacobi_elimination(m: list) -> list:
     congruence's basis rows are not built here; _jacobi_basis replays them
     from the steps.
 
-    On a row whose entry in the pivot column is 0, Bareiss's update only
-    rescales by p/d, and those factors telescope: a row last updated at
-    d = scale[i] is Bareiss's row times scale[i]/d. So it is brought up to
-    date as row . d // scale[i] only when it pivots, is eliminated or takes
-    part in a zero-block addition, exactly, since Bareiss's entries are
-    integer minors. An update leaves p f - f p = 0 in the pivot column, so
-    active rows are 0 on the columns eliminated before.
+    Bareiss's update of a row with a 0 in the pivot column rescales it by
+    p/d, and those factors telescope: such rows are left alone, and a row
+    last updated at d = scale[i] is brought up to date, row . d // scale[i]
+    (exact: Bareiss's entries are integer minors), only when it pivots, is
+    eliminated (its pivot-column entry then set to 0) or takes part in a
+    zero-block addition.
 
     Returns one (piv, prow, d, partner) per row of m, in pivot order: piv
     the pivot index, prow the pivot row on the active columns (0 on columns
@@ -587,10 +578,12 @@ def _jacobi_elimination(m: list) -> list:
     steps = []
 
     def current(i):
-        if scale[i] != d:
-            m[i] = [x * d // scale[i] for x in m[i]]
+        row, s = m[i], scale[i]
+        if s != d:
+            for k in active:
+                row[k] = row[k] * d // s
             scale[i] = d
-        return m[i]
+        return row
 
     while active:
         piv = next((i for i in active if m[i][i] != 0), None)
@@ -600,7 +593,6 @@ def _jacobi_elimination(m: list) -> list:
             if pair is None:
                 break
             piv, partner = pair
-            # columns eliminated before are zero in the active rows, so
             # only active entries change; a column addition is linear in
             # the row, so it holds at any row's own scale
             prow, other = current(piv), current(partner)
@@ -613,10 +605,18 @@ def _jacobi_elimination(m: list) -> list:
         steps.append((piv, tuple(prow), d, partner))
         active.remove(piv)
         for i in active:
-            if m[i][piv]:
-                row = current(i)
-                f = row[piv]
-                m[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+            row = m[i]
+            f = row[piv]
+            if f:
+                s = scale[i]
+                if s == d:
+                    for k in active:
+                        row[k] = (p * row[k] - f * prow[k]) // d
+                else:  # brought up to date within the update
+                    f = f * d // s
+                    for k in active:
+                        row[k] = (p * (row[k] * d // s) - f * prow[k]) // d
+                row[piv] = 0
                 scale[i] = p
         d = p
     steps.extend((i, None, d, None) for i in active)
