@@ -403,9 +403,9 @@ def snf(a: Mat) -> tuple[Mat, Mat]:
 def kernel_int(a: Mat) -> tuple[Vec, ...]:
     """Basis, in HNF, of the saturated integer right kernel {x in Z^n : A x = 0}.
 
-    The I part of the rows of [A^T | I] with zero A^T part, once its A^T
-    columns alone are in echelon form, spans the kernel, a direct summand
-    as the transform is unimodular (Cohen, GTM 138, 2.4.3); its hnf.
+    Once the A^T columns of [A^T | I] alone are in echelon form, the I part
+    of the rows with zero A^T part spans the kernel, a direct summand as the
+    transform is unimodular (Cohen, GTM 138, 2.4.3): the basis is its hnf.
     """
     if not a or not a[0]:
         return ()
