@@ -210,11 +210,9 @@ class FundamentalData:
     @cached_property
     def leftover(self) -> Sublattice:
         l = self.group.action.ambient
-        # a complement depends only on the rational span, which rho already
-        # is when of full rank or the fixed lattice itself (the real branch
-        # with no -1 generator): no sum with the fixed lattice is needed
-        alone = self.rho.rank == l.rank or self.rho is self.fixed
-        spanned = self.rho if alone else sublattice_sum(l, self.fixed, self.rho)
+        # a complement depends only on the rational span, which a full-rank
+        # rho already fills: no sum with the fixed lattice is needed
+        spanned = self.rho if self.rho.rank == l.rank else sublattice_sum(l, self.fixed, self.rho)
         return orthogonal_complement(l, spanned)
 
 

@@ -694,8 +694,8 @@ def is_isometry(l: Lattice, m) -> bool:
 
 
 def sublattice_sum(l: Lattice, *subs: Sublattice) -> Sublattice:
-    rows = []
     for s in subs:
         _check_ambient(l, s)
-        rows.extend(s.basis)
-    return Sublattice(l, la.freeze_mat(rows))
+    # a repeated row adds nothing to the span, so each goes in once: a
+    # sublattice summed with itself costs the HNF of its own basis
+    return Sublattice(l, la.freeze_mat(dict.fromkeys(row for s in subs for row in s.basis)))

@@ -691,6 +691,13 @@ def _run_stdout(items_per_s, p50, failed=0, attempted=45):
     ]) + "\n"
 
 
+def _ab_pairs():
+    spec = importlib.util.spec_from_file_location("ab_pairs", BENCH.parent / "tools" / "ab_pairs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def test_ab_pairs_summary_on_canned_runs(monkeypatch):
     """tools/ab_pairs.py's summary step reads canned run outputs and starts
     no process: medians and quartiles per side, the ratio of the medians,
@@ -698,9 +705,7 @@ def test_ab_pairs_summary_on_canned_runs(monkeypatch):
     interquartile range and the bound check, per metric direction."""
     import subprocess
 
-    spec = importlib.util.spec_from_file_location("ab_pairs", BENCH.parent / "tools" / "ab_pairs.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _ab_pairs()
 
     def no_process(*args, **kwargs):
         raise AssertionError("the summary step started a process")
@@ -730,3 +735,38 @@ def test_ab_pairs_summary_on_canned_runs(monkeypatch):
     lines = tool.table("analyze", summary, len(pairs))
     assert lines[0] == "analyze: 4 pairs; failed/attempted parent 0/180, change 1/180"
     assert len(lines) == 4 and lines[2].split()[0] == "items_per_s"
+
+
+def test_ab_pairs_keeps_the_pairs_before_a_failed_run(monkeypatch, tmp_path):
+    """A run that exits non-zero stops tools/ab_pairs.py with status 1, and
+    its report file holds every pair measured before that run and the
+    failed run's side, command, exit status and stderr tail. Every run is
+    canned: no process starts."""
+    import json
+    import subprocess
+
+    tool = _ab_pairs()
+    runs = []
+
+    def canned(cmd, **kwargs):
+        if cmd[0] == "git":
+            return subprocess.CompletedProcess(cmd, 0, stdout="", stderr="")
+        runs.append(cmd)
+        if len(runs) == 4:  # the second run of pair 2, which the change opens
+            return subprocess.CompletedProcess(cmd, 3, stdout="", stderr="Traceback\nboom\n")
+        return subprocess.CompletedProcess(cmd, 0, stdout=_run_stdout(200, 5.0), stderr="")
+
+    monkeypatch.setattr(subprocess, "run", canned)
+    monkeypatch.setattr(tool, "export", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(tool, "_commit", lambda rev: "1" * 40)
+    out = tmp_path / "pairs.json"
+    assert tool.main(["--parent", "p", "--workload", "analyze", "--pairs", "3", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["seconds"] == json.loads((BENCH.parent / "BENCHMARK.json").read_text())["run_seconds"]
+    (pair,) = report["workloads"]["analyze"]["pairs"]
+    assert pair["seed"] == 7 and pair["parent"]["result"]["attempted"] == 45
+    failed = report["failed_run"]
+    assert failed["side"] == "parent" and failed["returncode"] == 3 and failed["stderr"] == "Traceback\nboom\n"
+    assert failed["cmd"] == ["perfbench/run.py", "--workload", "analyze", "--seed", "8",
+                             "--seconds", str(report["seconds"]), "--trace", "0"]
+    assert [cmd[-1] for cmd in runs] == ["0"] * 4

@@ -961,15 +961,16 @@ class TestRank22Fixtures:
         assert leftover.rank == 8
         assert leftover.gram() == la.mat_scale(2, standard_lattice("E8").gram)
 
-    def test_leftover_of_rho_that_is_the_fixed_lattice_sums_nothing(self, monkeypatch):
-        # with no -1 generator rho is the fixed lattice object itself, so
-        # the leftover is its complement, with no sum of it with itself
+    def test_leftover_of_rho_that_is_the_fixed_lattice_stacks_its_rows_once(self, monkeypatch):
+        # with no -1 generator rho is the fixed lattice, so the sum behind
+        # the leftover puts the fixed lattice's rows into one HNF once
         a = fixture("e8_swap").action
         fd = fundamental_data(a)
-        assert fd.rho is fd.fixed and fd.rho.rank < a.ambient.rank
-        expected = orthogonal_complement(a.ambient, sublattice_sum(a.ambient, fd.fixed, fd.rho))
-        sums = helpers.count_calls(monkeypatch, group_actions, "sublattice_sum")
-        assert leftover_lattice(a, fd) == expected and sums == []
+        assert fd.rho == fd.fixed and fd.rho.rank < a.ambient.rank
+        expected = orthogonal_complement(a.ambient, fd.fixed)
+        hnfs = helpers.count_calls(monkeypatch, la, "hnf")
+        assert leftover_lattice(a, fd) == expected
+        assert max(len(args[0]) for args in hnfs) == fd.fixed.rank
 
     def test_e8_swap_with_a_sign_reversing_flip(self, monkeypatch):
         # the sign kernel is nontrivial, so its fixed lattice is a proper

@@ -1,7 +1,7 @@
 """Run alternating parent/change pairs of the benchmark and summarize them.
 
     python3 tools/ab_pairs.py --parent REV [--workload W ...] [--pairs N]
-        [--seeds 7,8,9] [--seconds 20] [--out BENCH_1.json]
+        [--seeds 7,8,9] [--out BENCH_1.json]
 
 The parent revision is exported with `git archive` into a temporary
 directory; the change is this checkout's working tree. For each workload
@@ -9,17 +9,20 @@ directory; the change is this checkout's working tree. For each workload
 
     python3 perfbench/run.py --workload W --seed S --seconds X --trace 0
 
-once in each tree, with S = seeds[k mod len(seeds)], the parent first in
-even pairs and the change first in odd ones. One `--trace 1` run per side
-follows, parent first, for the per-layer numbers.
+once in each tree, with S = seeds[k mod len(seeds)] and X = BENCHMARK.json's
+run_seconds, the parent first in even pairs and the change first in odd
+ones. One `--trace 1` run per side follows, parent first, for the
+per-layer numbers.
 
 For each end-to-end metric of BENCHMARK.json it prints both sides' median
 and quartiles, the change/parent ratio of the medians, the change's wins
 out of the pairs (a tie counts for neither side), the parent's
 interquartile range, whether the medians differ by more than it, and
 whether the change's median is within the metric's bound. It writes every
-run's result and context line and the summary to the --out file; README,
-section Tests, gives its schema.
+run's result and context line and the summary to the --out file, rewritten
+after every pair; a run that exits non-zero stops it with exit status 1,
+recorded in that file under failed_run. README, section Tests, gives the
+file's schema.
 
 Standard library only.
 """
@@ -111,10 +114,17 @@ def _commit(rev: str) -> str:
                           text=True).stdout.strip()
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+class RunFailed(Exception):
+    """A perfbench/run.py run that exited non-zero; args[0] records it."""
+
+
+def run(side: str, tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode:
+        raise RunFailed({"side": side, "cmd": cmd[1:], "returncode": proc.returncode,
+                         "stderr": proc.stderr[-4000:]})
     return {"seed": seed, **parse_output(proc.stdout)}
 
 
@@ -125,33 +135,46 @@ def main(argv=None) -> int:
     p.add_argument("--workload", action="append", choices=[w["name"] for w in bench["workloads"]])
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seeds", default="7,8,9,10,101,102,103,104,105,106")
-    p.add_argument("--seconds", type=float, default=bench["run_seconds"])
     p.add_argument("--out", type=Path, default=ROOT / "BENCH_1.json")
     args = p.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
+    seconds = bench["run_seconds"]
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     dirty = bool(subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"], cwd=ROOT,
                                 check=True, capture_output=True, text=True).stdout.strip())
     report = {"parent": args.parent, "change": _commit("HEAD"), "change_uncommitted_edits": dirty,
-              "seconds": args.seconds, "seeds": seeds, "workloads": {}}
+              "seconds": seconds, "seeds": seeds, "workloads": {}}
+
+    def save():
+        # rewritten after every pair, so a failed run loses none before it
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+
     with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
         trees = {"parent": Path(tmp), "change": ROOT}
         report["parent_commit"] = export(args.parent, trees["parent"])
-        for workload in workloads:
-            pairs = []
-            for k in range(args.pairs):
-                seed = seeds[k % len(seeds)]
-                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-                pair = {"seed": seed, "first": order[0]}
-                for side in order:
-                    pair[side] = run(trees[side], workload, seed, args.seconds, 0)
-                pairs.append(pair)
-                print(f"{workload} pair {k + 1}/{args.pairs} seed {seed}", file=sys.stderr)
-            traced = {side: run(trees[side], workload, seeds[0], args.seconds, 1) for side in ("parent", "change")}
-            summary = summarize(pairs, bench["end_to_end"])
-            report["workloads"][workload] = {"pairs": pairs, "traced": traced, "summary": summary}
-            print("\n".join(table(workload, summary, args.pairs)), flush=True)
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
+        try:
+            for workload in workloads:
+                entry = report["workloads"][workload] = {"pairs": []}
+                for k in range(args.pairs):
+                    seed = seeds[k % len(seeds)]
+                    order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                    pair = {"seed": seed, "first": order[0]}
+                    for side in order:
+                        pair[side] = run(side, trees[side], workload, seed, seconds, 0)
+                    entry["pairs"].append(pair)
+                    save()
+                    print(f"{workload} pair {k + 1}/{args.pairs} seed {seed}", file=sys.stderr)
+                traced = {side: run(side, trees[side], workload, seeds[0], seconds, 1) for side in ("parent", "change")}
+                summary = summarize(entry["pairs"], bench["end_to_end"])
+                entry.update(traced=traced, summary=summary)
+                save()
+                print("\n".join(table(workload, summary, args.pairs)), flush=True)
+        except RunFailed as failed:
+            report["failed_run"] = failed.args[0]
+            save()
+            print(f"{failed.args[0]['side']} run failed, exit {failed.args[0]['returncode']}: "
+                  f"{' '.join(failed.args[0]['cmd'])}; report so far in {args.out}", file=sys.stderr)
+            return 1
     return 0
 
 
