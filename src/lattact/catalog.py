@@ -311,6 +311,9 @@ def classify_order3_on_2U(entry_bound: int = 2) -> ClassifyReport:
     its columns pair exactly as the gram matrix demands and the running
     trace can still reach one of the two values an order-3 isometry of a
     rank-4 lattice allows (1 with a rank-2 fixed part, -2 with none).
+    A leaf T is thus an isometry, T^T g T = g; as g is its own inverse,
+    T^-1 = g T^T g, a permutation of the entries of T^T, and T^3 = I
+    exactly when T . T = g T^T g: one product per leaf.
     """
     if not la.is_bound(entry_bound):
         raise InputError("entry bound must be a nonnegative integer")
@@ -320,6 +323,9 @@ def classify_order3_on_2U(entry_bound: int = 2) -> ClassifyReport:
     g = l.gram
     n = l.rank
     ident = la.identity(n)
+    # g is the permutation matrix of swap, an involution:
+    # (g T^T g)[i][j] = T^T[swap[i]][swap[j]]
+    swap = tuple(row.index(1) for row in g)
     pool = tuple(
         v
         for v in itertools.product(range(-entry_bound, entry_bound + 1), repeat=n)
@@ -340,8 +346,9 @@ def classify_order3_on_2U(entry_bound: int = 2) -> ClassifyReport:
     def place(cols, trace):
         k = len(cols)
         if k == n:
-            t = la.transpose(tuple(pool[b] for b in cols))
-            if t != ident and la.mat_mul(la.mat_mul(t, t), t) == ident:
+            tt = tuple(pool[b] for b in cols)  # T^T: row j is column j of T
+            t = la.transpose(tt)
+            if t != ident and la.mat_mul(t, t) == tuple(tuple(tt[i][j] for j in swap) for i in swap):
                 hits.append(t)
             return
         slack = (n - k - 1) * entry_bound

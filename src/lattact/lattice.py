@@ -126,7 +126,8 @@ class Sublattice:
             raise InputError("sublattice basis rows must be integer vectors of the ambient rank")
         if self.index is not None and not (la.is_bound(self.index) and self.index > 0):
             raise InputError("sublattice index must be a positive integer or None")
-        object.__setattr__(self, "basis", la.hnf(b))
+        # int_rows' rows are ints already: no second conversion in la.hnf
+        object.__setattr__(self, "basis", la._hermite(list(b)))
 
     @property
     def rank(self) -> int:
@@ -142,11 +143,13 @@ class Sublattice:
     def _lattice(self) -> Lattice:
         """B . G . B^T, derived once: integral and symmetric by construction.
         For the identity basis that is G, so the ambient itself is returned
-        with whatever it has derived (its elimination)."""
+        with whatever it has derived (its elimination). As G is symmetric,
+        it is formed as B . (B . G)^T, both products scanning B, read once."""
         b = self.basis
         if b == la.identity(self.ambient.rank):
             return self.ambient
-        return _trusted(Lattice, la.mat_mul(la.mat_mul(b, self.ambient.gram), la.transpose(b)))
+        nz = la.nonzeros(b)
+        return _trusted(Lattice, la.mul_nonzeros(nz, la.transpose(la.mul_nonzeros(nz, self.ambient.gram))))
 
     def contains(self, v) -> bool:
         v = la.rational_vec(v)
@@ -676,13 +679,16 @@ def _isometry_error(l: Lattice, m) -> str | None:
     """Why m, int_rows' result for some rows, is no isometry of l, or None.
 
     On a nondegenerate lattice m^T G m = G already forces det m = +-1, so
-    the determinant of m is taken only when det G = 0.
+    the determinant of m is taken only when det G = 0. As G is symmetric,
+    m^T G m is formed as m^T . (m^T . G)^T, both products scanning the
+    nearly monomial m^T, read once.
     """
     if m is None:
         return "isometry matrix must be integral"
     if len(m) != l.rank or any(len(r) != l.rank for r in m):
         return "isometry matrix shape does not match the lattice rank"
-    if la.mat_mul(la.mat_mul(la.transpose(m), l.gram), m) != l.gram or not (
+    mt = la.nonzeros(la.transpose(m))
+    if la.mul_nonzeros(mt, la.transpose(la.mul_nonzeros(mt, l.gram))) != l.gram or not (
             l.nondegenerate or la.det(m) in (1, -1)):
         return "matrix does not preserve the Gram matrix"
     return None

@@ -25,7 +25,7 @@ Conventions:
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, repeat
+from itertools import chain, compress, count
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 from typing import Sequence
@@ -113,23 +113,49 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     row k of b over the nonzero a_ik, so a zero of a costs nothing and an
     integer coefficient of 1 or -1 costs one addition per column, no
     multiplication (a first term of 1 is row k itself: 0 + y is y).
-    Entries are exact; an entry with no nonzero term is the int 0."""
+    Entries are exact; an entry with no nonzero term is the int 0.
+    The cost is set by the nonzeros of a, the factor it scans; for an a
+    that multiplies many b, mul_nonzeros(nonzeros(a), b) reads a once."""
     if a and b and len(a[0]) != len(b):
         raise ValueError("shape mismatch in mat_mul")
     zero = (0,) * len(b[0]) if b else ()
     out = []
     for row in a:
         acc = zero
-        for x, brow in zip(row, b):
-            if not x:
-                continue
+        # the nonzero coefficients and their rows of b, with no test per zero
+        for x, brow in zip(filter(None, row), compress(b, row)):
             if type(x) is int and (x == 1 or x == -1):
                 if x == 1 and acc is zero:
                     acc = brow
                 else:
                     acc = tuple(map(add if x == 1 else sub, acc, brow))
             else:
-                acc = tuple(map(add, acc, map(mul, repeat(x), brow)))
+                acc = tuple([y + x * z for y, z in zip(acc, brow)])
+        out.append(acc)
+    return tuple(out)
+
+
+def nonzeros(a: Mat) -> list:
+    """a read once for mul_nonzeros: per row, its nonzero entries as (k, a_ik)."""
+    return [[(k, row[k]) for k in compress(count(), row)] for row in a]
+
+
+def mul_nonzeros(nz: list, b: Mat) -> Mat:
+    """mat_mul(a, b) for nz = nonzeros(a), b having as many rows as a has
+    columns: the same row-wise product, over the nonzero entries that
+    nonzeros read off a once."""
+    zero = (0,) * len(b[0]) if b else ()
+    out = []
+    for terms in nz:
+        acc = zero
+        for k, x in terms:
+            if type(x) is int and (x == 1 or x == -1):
+                if x == 1 and acc is zero:
+                    acc = b[k]
+                else:
+                    acc = tuple(map(add if x == 1 else sub, acc, b[k]))
+            else:
+                acc = tuple([y + x * z for y, z in zip(acc, b[k])])
         out.append(acc)
     return tuple(out)
 
@@ -312,7 +338,8 @@ def hnf(a: Mat) -> Mat:
 
 
 def _hermite(m: list) -> Mat:
-    """hnf of the int row lists m, which are overwritten."""
+    """hnf of the list m of int rows, lists or tuples; the list is
+    overwritten, but no row is written into."""
     pivots = _echelon(m, len(m[0]) if m else 0)
     for r, c in enumerate(pivots):
         prow = m[r]
@@ -513,10 +540,13 @@ def poly_eval(coeffs: Sequence, x):
 
 def poly_mat(coeffs: Sequence, a: Mat) -> Mat:
     """Evaluate a polynomial (coefficients c_0, ..., c_n) at a square matrix."""
+    # a commutes with the accumulator, a polynomial in a, so each Horner
+    # step takes a . acc, which scans a, read once
+    steps = nonzeros(a)
     acc = zero_mat(len(a), len(a))
     for c in reversed(coeffs):
-        # Horner step acc . a + c I: c goes onto the diagonal
-        acc = tuple(row[:i] + (row[i] + c,) + row[i + 1:] for i, row in enumerate(mat_mul(acc, a)))
+        # Horner step a . acc + c I: c goes onto the diagonal
+        acc = tuple(row[:i] + (row[i] + c,) + row[i + 1:] for i, row in enumerate(mul_nonzeros(steps, acc)))
     return acc
 
 
@@ -659,16 +689,23 @@ def group_closure(generators: Sequence[Mat], n: int, bound: int = 1024) -> tuple
     generator words, each word length sorted by tuple comparison, and
     table[i][j] the index of elements[i] . generators[j]. Raises
     ValueError when a word length takes the count past bound.
+
+    The products run transposed, (m . g)^T = g^T . m^T, so each scans a
+    sparse generator, read once, instead of the element; the elements are
+    looked up by their transposes, and each new one is transposed back once.
     """
-    elements = [identity(n)]
-    index = {elements[0]: 0}
+    ident = identity(n)
+    elements, transposes = [ident], [ident]
+    index = {ident: 0}  # by transpose
     table = []
+    steps = [nonzeros(transpose(g)) for g in generators]
     while len(table) < len(elements):
-        products = [[mat_mul(m, g) for g in generators] for m in elements[len(table):]]
-        for p in sorted({p for row in products for p in row if p not in index}):
-            index[p] = len(elements)
+        products = [[mul_nonzeros(s, t) for s in steps] for t in transposes[len(table):]]
+        for p, t in sorted((transpose(t), t) for t in {t for row in products for t in row if t not in index}):
+            index[t] = len(elements)
             elements.append(p)
-        table.extend(tuple(index[p] for p in row) for row in products)
+            transposes.append(t)
+        table.extend(tuple(index[t] for t in row) for row in products)
         if len(elements) > bound:
             raise ValueError(f"group closure exceeds the bound {bound}")
     return tuple(elements), tuple(table)

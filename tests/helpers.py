@@ -349,6 +349,44 @@ def hnf_reference(a):
     return la.freeze_mat(m[:r])
 
 
+def group_closure_reference(generators, n, bound=1024):
+    """Reference group closure, as the library once computed it: each
+    element times each generator by la.mat_mul, which scans the element."""
+    elements = [la.identity(n)]
+    index = {elements[0]: 0}
+    table = []
+    while len(table) < len(elements):
+        products = [[la.mat_mul(m, g) for g in generators] for m in elements[len(table):]]
+        for p in sorted({p for row in products for p in row if p not in index}):
+            index[p] = len(elements)
+            elements.append(p)
+        table.extend(tuple(index[p] for p in row) for row in products)
+        if len(elements) > bound:
+            raise ValueError(f"group closure exceeds the bound {bound}")
+    return tuple(elements), tuple(table)
+
+
+def poly_mat_reference(coeffs, a):
+    """Reference polynomial at a square matrix, as the library once
+    computed it: Horner steps acc . a + c I."""
+    acc = la.zero_mat(len(a), len(a))
+    for c in reversed(coeffs):
+        # Horner step acc . a + c I: c goes onto the diagonal
+        acc = tuple(row[:i] + (row[i] + c,) + row[i + 1:] for i, row in enumerate(la.mat_mul(acc, a)))
+    return acc
+
+
+def isometry_product_reference(m, gram):
+    """m^T G m, the product _isometry_error compares with G, as the
+    library once formed it."""
+    return la.mat_mul(la.mat_mul(la.transpose(m), gram), m)
+
+
+def sublattice_gram_reference(b, gram):
+    """B G B^T, a Sublattice's Gram, as the library once formed it."""
+    return la.mat_mul(la.mat_mul(b, gram), la.transpose(b))
+
+
 def kernel_int_reference(a):
     """Reference saturated integer right kernel in HNF, as the library once
     computed it: the rows of hnf_reference([A^T | I]) whose A^T part is

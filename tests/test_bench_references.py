@@ -737,6 +737,29 @@ def test_ab_pairs_summary_on_canned_runs(monkeypatch):
     assert len(lines) == 4 and lines[2].split()[0] == "items_per_s"
 
 
+def test_ab_pairs_default_report_is_the_next_unused_bench_file(monkeypatch, tmp_path):
+    """tools/ab_pairs.py writes to BENCH_<n>.json one past the largest n
+    present, so a default run never overwrites an earlier report; only
+    the directory is read, and no process starts."""
+    import subprocess
+
+    tool = _ab_pairs()
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("naming the report started a process")
+
+    monkeypatch.setattr(subprocess, "run", no_process)
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    assert tool.next_bench_path(tmp_path) == tmp_path / "BENCH_1.json"
+    (tmp_path / "BENCH_1.json").write_text("{}")
+    assert tool.next_bench_path(tmp_path) == tmp_path / "BENCH_2.json"
+    for name in ("BENCH_3.json", "BENCH_x.json", "BENCH_9.txt", "OTHER_12.json"):
+        (tmp_path / name).write_text("{}")
+    # a gap is not filled: the reports stay in the order they were made
+    assert tool.next_bench_path(tmp_path) == tmp_path / "BENCH_4.json"
+    assert tool.next_bench_path(tool.ROOT).name not in {p.name for p in tool.ROOT.glob("BENCH_*.json")}
+
+
 def test_ab_pairs_keeps_the_pairs_before_a_failed_run(monkeypatch, tmp_path):
     """A run that exits non-zero stops tools/ab_pairs.py with status 1, and
     its report file holds every pair measured before that run and the

@@ -186,10 +186,11 @@ class TestClassifyOrder3:
         assert classify_order3_on_2U(0).hits == ()
         assert len(classify_order3_on_2U(1).hits) == 24
 
-    @pytest.mark.parametrize("bound", [0, 1, 2])
+    @pytest.mark.parametrize("bound", [0, 1, 2, 3])
     def test_report_equals_the_filtering_search(self, bound):
-        # the candidate-set intersection must find what filtering the
-        # first column's partners by every other column found
+        # the candidate-set intersection and the one-product leaf test
+        # T . T = g T^T g must find what filtering the first column's
+        # partners by every other column and testing T^3 = I found
         assert classify_order3_on_2U(bound) == helpers.classify_order3_on_2U_by_filtering(bound)
 
     def test_a_bound_past_the_cap_is_out_of_scope(self):

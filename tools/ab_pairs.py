@@ -1,7 +1,7 @@
 """Run alternating parent/change pairs of the benchmark and summarize them.
 
     python3 tools/ab_pairs.py --parent REV [--workload W ...] [--pairs N]
-        [--seeds 7,8,9] [--out BENCH_1.json]
+        [--seeds 7,8,9] [--out FILE]
 
 The parent revision is exported with `git archive` into a temporary
 directory; the change is this checkout's working tree. For each workload
@@ -19,8 +19,10 @@ and quartiles, the change/parent ratio of the medians, the change's wins
 out of the pairs (a tie counts for neither side), the parent's
 interquartile range, whether the medians differ by more than it, and
 whether the change's median is within the metric's bound. It writes every
-run's result and context line and the summary to the --out file, rewritten
-after every pair; a run that exits non-zero stops it with exit status 1,
+run's result and context line and the summary to the --out file (by
+default BENCH_<n>.json at the repository root, n one past the largest
+already there, so no earlier report is overwritten), rewritten after
+every pair; a run that exits non-zero stops it with exit status 1,
 recorded in that file under failed_run. README, section Tests, gives the
 file's schema.
 
@@ -114,6 +116,12 @@ def _commit(rev: str) -> str:
                           text=True).stdout.strip()
 
 
+def next_bench_path(root: Path) -> Path:
+    """root/BENCH_<n>.json for n one past the largest such file in root (1 if none)."""
+    taken = [int(p.stem[len("BENCH_"):]) for p in root.glob("BENCH_*.json") if p.stem[len("BENCH_"):].isdigit()]
+    return root / f"BENCH_{max(taken, default=0) + 1}.json"
+
+
 class RunFailed(Exception):
     """A perfbench/run.py run that exited non-zero; args[0] records it."""
 
@@ -135,8 +143,9 @@ def main(argv=None) -> int:
     p.add_argument("--workload", action="append", choices=[w["name"] for w in bench["workloads"]])
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seeds", default="7,8,9,10,101,102,103,104,105,106")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_1.json")
+    p.add_argument("--out", type=Path, help="report file (default: the next unused BENCH_<n>.json)")
     args = p.parse_args(argv)
+    args.out = args.out or next_bench_path(ROOT)
     seeds = [int(s) for s in args.seeds.split(",")]
     seconds = bench["run_seconds"]
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
