@@ -144,6 +144,8 @@ def mul_nonzeros(nz: list, b: Mat) -> Mat:
     """mat_mul(a, b) for nz = nonzeros(a), b having as many rows as a has
     columns: the same row-wise product, over the nonzero entries that
     nonzeros read off a once."""
+    # mat_mul's loop over other terms: a call per row to share it costs
+    # more than most rows' work
     zero = (0,) * len(b[0]) if b else ()
     out = []
     for terms in nz:
@@ -701,7 +703,8 @@ def group_closure(generators: Sequence[Mat], n: int, bound: int = 1024) -> tuple
     steps = [nonzeros(transpose(g)) for g in generators]
     while len(table) < len(elements):
         products = [[mul_nonzeros(s, t) for s in steps] for t in transposes[len(table):]]
-        for p, t in sorted((transpose(t), t) for t in {t for row in products for t in row if t not in index}):
+        new = {t for row in products for t in row if t not in index}
+        for p, t in sorted((transpose(t), t) for t in new):
             index[t] = len(elements)
             elements.append(p)
             transposes.append(t)

@@ -118,7 +118,7 @@ def _commit(rev: str) -> str:
 
 def next_bench_path(root: Path) -> Path:
     """root/BENCH_<n>.json for n one past the largest such file in root (1 if none)."""
-    taken = [int(p.stem[len("BENCH_"):]) for p in root.glob("BENCH_*.json") if p.stem[len("BENCH_"):].isdigit()]
+    taken = [int(n) for n in (p.stem.removeprefix("BENCH_") for p in root.glob("BENCH_*.json")) if n.isdecimal()]
     return root / f"BENCH_{max(taken, default=0) + 1}.json"
 
 
