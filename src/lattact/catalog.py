@@ -368,8 +368,8 @@ def classify_order3_on_2U(entry_bound: int = 2) -> ClassifyReport:
 
     out = []
     for t in sorted(hits):
-        # kernel_int's basis is in HNF already
-        sub = _trusted(Sublattice, l, la.kernel_int(la.mat_sub(t, ident)))
+        # fixed_kernel's basis, kernel_int's, is in HNF already
+        sub = _trusted(Sublattice, l, la.fixed_kernel((t,), n))
         cls = rank2_isomorphism_class(sub.as_lattice())
         label = _CLASS_LABELS.get(cls, f"gram{cls}")
         out.append(Order3Hit(t, sub.basis, label))

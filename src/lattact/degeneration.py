@@ -232,15 +232,15 @@ def verify_degeneration(a: LatticeAction, s: SaturatedSystem, d: DegenerationRes
     def discriminant():
         if r_bar.span.rank == 0:
             return True, "trivial discriminant group"
-        # (c_tau - c_sig) . G^-1 integral, i.e. (c_tau - c_sig) . adj G = 0 mod det G
-        adj, d = la.adjugate(r_bar.span.gram())
+        # (c_tau - c_sig) . G^-1 is integral exactly when each row of
+        # c_tau - c_sig is an integer combination of the rows of the symmetric G
+        rows = la.hnf(r_bar.span.gram())
         for n in names:
             c_tau = la.restrict_to_span(taus[n], r_bar.span.basis)
             c_sig = la.restrict_to_span(sigmas[n].matrix, r_bar.span.basis)
             if c_tau is None or c_sig is None:
                 return False, f"generator {n} does not preserve the root span"
-            diff = la.mat_mul(la.mat_sub(c_tau, c_sig), adj)
-            if any(x % d for row in diff for x in row):
+            if any(la.coords_in_rows(x, rows) is None for x in la.mat_sub(c_tau, c_sig)):
                 return False, f"generator {n} acts differently on the discriminant group"
         return True, "same maps on the discriminant group"
 

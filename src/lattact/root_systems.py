@@ -15,7 +15,7 @@ acts first on vectors.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import permutations
 from operator import add, mul, neg, sub
 
@@ -40,6 +40,9 @@ from .lattice import (
 # types
 
 
+_DERIVED = ("_diagram", "_root_coords", "component_roots")
+
+
 @record
 class RootSystem:
     ambient: Lattice
@@ -48,11 +51,16 @@ class RootSystem:
     positive_roots: tuple
     simple_roots: tuple
     components: tuple  # ((letter, rank), ...), canonically sorted
+    # roots_of sets the facts it derives with the fields (_DERIVED): _diagram,
+    # the simple roots' _dynkin; _root_coords, each root's simple coordinates;
+    # component_roots, the roots split into irreducible components, frozensets
+    # sorted by their sorted members
 
     def __post_init__(self):
         # roots_of mints its systems with _trusted, so this runs on no other
-        if not isinstance(self.span, Sublattice) or roots_of(self.span) != self:
+        if not isinstance(self.span, Sublattice) or (derived := roots_of(self.span)) != self:
             raise InputError("a root system must be the one roots_of derives from its span")
+        vars(self).update((name, vars(derived)[name]) for name in _DERIVED)
 
     @property
     def rank(self) -> int:
@@ -82,24 +90,6 @@ class RootSystem:
             y = la.coords_in_rows(v, basis)
             out.append(None if y is None else tuple(sum(map(mul, y, col)) for col in columns))
         return tuple(out)
-
-    @cached_property
-    def _diagram(self) -> tuple:
-        """_dynkin of the simple roots, derived once per root system."""
-        return _dynkin(self.ambient, self.simple_roots)
-
-    @cached_property
-    def _root_coords(self) -> tuple:
-        """simple_coords of every root, solved once per root system by
-        echelon substitution; roots_of presets it from its walk instead."""
-        return self.simple_coords(self.roots)
-
-    @cached_property
-    def component_roots(self) -> tuple:
-        """The roots split into irreducible components (_split_roots),
-        frozensets sorted by their sorted members."""
-        parts = _split_roots(self._diagram[1], self.roots, self._root_coords)
-        return tuple(sorted(map(frozenset, parts), key=sorted))
 
 
 @record
@@ -158,7 +148,7 @@ def roots_of(s) -> RootSystem:
     else:
         raise InputError("expected a Sublattice or Lattice")
     if s.rank == 0:
-        return _trusted(RootSystem, ambient, full_sublattice(s) if sl is s else s, (), (), (), ())
+        return _system(ambient, full_sublattice(s) if sl is s else s, (), (), (), ([], []), ())
     sig = signature(sl)
     if sig.plus != 0 or sig.null != 0:
         raise InputError("root systems need a negative definite form")
@@ -197,7 +187,9 @@ def roots_of(s) -> RootSystem:
     # (_dynkin's check), so to 0 or -1 under the positive definite -G:
     # vectors on one side of a hyperplane at pairwise obtuse angles are
     # independent (Humphreys, GTM 9, 10.1), so these are the coordinates
-    # that simple_coords would solve, and the cached properties are preset.
+    # that simple_coords would solve. Each is an integer vector of one sign
+    # by construction, and the simple roots, a base (Bourbaki, Lie Groups
+    # VI, 1.7), are as many as the span's rank.
     index = {s: i for i, s in enumerate(simple)}
     coords = dict(zip(simple, la.identity(len(simple))))
     for p, (rest, s) in summands.items():
@@ -205,10 +197,26 @@ def roots_of(s) -> RootSystem:
         c[index[s]] += 1
         coords[p] = tuple(c)
     root_coords = tuple(coords[r] if r in coords else tuple(map(neg, coords[tuple(map(neg, r))])) for r in roots)
-    types = _ade_types(diagram[1], roots, root_coords)
-    rs = _trusted(RootSystem, ambient, span, roots, tuple(positive), simple, types)
-    rs.__dict__.update(_diagram=diagram, _root_coords=root_coords)
-    _verify_root_system(rs)
+    return _system(ambient, span, roots, tuple(positive), simple, diagram, root_coords)
+
+
+def _system(ambient, span, roots, positive, simple, diagram, root_coords) -> RootSystem:
+    """The system of these fields with the facts derived from them set
+    (_DERIVED). A root's simple coordinates use one diagram component
+    only (Humphreys, GTM 9, 10.4), that of its first nonzero coordinate,
+    and the components' types come from their ranks and root counts
+    (_ade_type). With _dynkin's pairing check, that count is the
+    certificate of the enumeration: a root set that lost or gained roots
+    fails one of the two unless it is itself a whole root system."""
+    groups = diagram[1]
+    group_of = {i: k for k, group in enumerate(groups) for i in group}
+    parts = [[] for _ in groups]
+    for r, c in zip(roots, root_coords):
+        parts[group_of[next(i for i, x in enumerate(c) if x)]].append(r)
+    types = tuple(sorted(_ade_type(len(g), len(p)) for g, p in zip(groups, parts)))
+    rs = _trusted(RootSystem, ambient, span, roots, positive, simple, types)
+    component_roots = tuple(sorted(map(frozenset, parts), key=sorted))
+    vars(rs).update(_diagram=diagram, _root_coords=root_coords, component_roots=component_roots)
     return rs
 
 
@@ -262,17 +270,6 @@ def _dynkin(ambient: Lattice, simple) -> tuple:
     return adj, groups
 
 
-def _split_roots(groups, roots, coords) -> list:
-    """The roots of each diagram component (groups lists its simple roots):
-    a root's simple coordinates use one component only (Humphreys, GTM 9,
-    10.4), that of its first nonzero coordinate."""
-    group_of = {i: k for k, group in enumerate(groups) for i in group}
-    parts = [[] for _ in groups]
-    for r, c in zip(roots, coords):
-        parts[group_of[next(i for i, x in enumerate(c) if x)]].append(r)
-    return parts
-
-
 def _ade_type(rank: int, count: int) -> tuple:
     """The type of an irreducible simply-laced root system of this rank
     with count roots. |Phi| = n h for the Coxeter number h (Bourbaki, Lie
@@ -289,31 +286,11 @@ def _ade_type(rank: int, count: int) -> tuple:
     raise VerificationError(f"a component of rank {rank} with {count} roots fits no ADE type")
 
 
-def _ade_types(groups, roots, coords) -> tuple:
-    """The sorted types of the diagram's components, by rank and count."""
-    parts = _split_roots(groups, roots, coords)
-    return tuple(sorted(_ade_type(len(g), len(p)) for g, p in zip(groups, parts)))
-
-
-def _verify_root_system(rs: RootSystem):
-    """Checks the system roots_of derives, the rootless one included."""
-    if {tuple(map(neg, r)) for r in rs.roots} != set(rs.roots):
-        raise VerificationError("root set not closed under negation")
-    # simple roots lie in the root span: more of them than its rank are dependent
-    if len(rs.simple_roots) > rs.span.rank:
-        raise VerificationError("simple roots are linearly dependent")
-    # every root is a same-sign integer combination of the simple roots
-    for c in rs._root_coords:
-        if c is None:
-            raise VerificationError("root outside the simple-root lattice")
-        if min(c) < 0 < max(c):
-            raise VerificationError("root with mixed-sign simple coordinates")
-
-
 def ade_decompose(r: RootSystem) -> tuple:
-    """Multiset of irreducible ADE types, re-derived from the rank and the
-    root count of each component of the Dynkin diagram (_ade_type)."""
-    return _ade_types(r._diagram[1], r.roots, r._root_coords)
+    """Multiset of irreducible ADE types: the components roots_of derived
+    and certified, from the rank and the root count of each component of
+    the Dynkin diagram (_ade_type)."""
+    return r.components
 
 
 # ---------------------------------------------------------------------------

@@ -192,18 +192,22 @@ def positive_and_simple_by_span_coords(r):
 
 
 def assert_walk_coords_match_the_solve(r):
-    """roots_of presets the simple coordinates of the roots of a system
-    with roots from the height walk; a copy of the system with nothing
-    cached solves them by echelon substitution (simple_coords), and the
-    coordinates, the component split and the verification agree."""
-    from lattact.root_systems import RootSystem, _verify_root_system
-
-    assert "_root_coords" in vars(r)
-    solved = RootSystem(r.ambient, r.span, r.roots, r.positive_roots, r.simple_roots, r.components)
-    assert "_root_coords" not in vars(solved)
-    assert r._root_coords == solved.simple_coords(solved.roots)
-    assert r.component_roots == solved.component_roots
-    assert _verify_root_system(r) is None and _verify_root_system(solved) is None
+    """roots_of sets the simple coordinates of the roots from the height
+    walk and splits the roots into components with them; echelon
+    substitution (simple_coords) solves the same coordinates, and the
+    split read off those agrees. A root's support (its nonzero simple
+    coordinates) lies in one component, and the component's highest root
+    covers all of it, so merging overlapping supports gives the
+    components' simple roots."""
+    coords = r.simple_coords(r.roots)
+    assert r._root_coords == coords
+    blocks = []
+    for c in coords:
+        support = {i for i, x in enumerate(c) if x}
+        touching = [b for b in blocks if b & support]
+        blocks = [b for b in blocks if not b & support] + [support.union(*touching)]
+    split = (frozenset(v for v, c in zip(r.roots, coords) if any(c[i] for i in b)) for b in blocks)
+    assert r.component_roots == tuple(sorted(split, key=sorted))
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -264,9 +266,7 @@ def test_roots_of_positivity_matches_span_coordinates(monkeypatch, tmp_path):
     for item in workload.round(0):
         workload.run(item)
     assert len(systems) > 21
-    # a copy: the check of a RootSystem built from fields calls roots_of,
-    # which records on
-    for r in tuple(systems):
+    for r in systems:
         assert (r.positive_roots, r.simple_roots) == positive_and_simple_by_span_coords(r)
         if r.roots:
             assert_walk_coords_match_the_solve(r)
@@ -760,26 +760,32 @@ def test_ab_pairs_default_report_is_the_next_unused_bench_file(monkeypatch, tmp_
     assert tool.next_bench_path(tool.ROOT).name not in {p.name for p in tool.ROOT.glob("BENCH_*.json")}
 
 
-def test_ab_pairs_keeps_the_pairs_before_a_failed_run(monkeypatch, tmp_path):
-    """A run that exits non-zero stops tools/ab_pairs.py with status 1, and
-    its report file holds every pair measured before that run and the
-    failed run's side, command, exit status and stderr tail. Every run is
-    canned: no process starts."""
-    import json
+def _canned_runs(monkeypatch, runs, status=""):
+    """Replace subprocess.run for tools/ab_pairs.py: git prints status and
+    each benchmark run is recorded in runs and canned, the fourth failing."""
     import subprocess
-
-    tool = _ab_pairs()
-    runs = []
 
     def canned(cmd, **kwargs):
         if cmd[0] == "git":
-            return subprocess.CompletedProcess(cmd, 0, stdout="", stderr="")
+            return subprocess.CompletedProcess(cmd, 0, stdout=status, stderr="")
         runs.append(cmd)
         if len(runs) == 4:  # the second run of pair 2, which the change opens
             return subprocess.CompletedProcess(cmd, 3, stdout="", stderr="Traceback\nboom\n")
         return subprocess.CompletedProcess(cmd, 0, stdout=_run_stdout(200, 5.0), stderr="")
 
     monkeypatch.setattr(subprocess, "run", canned)
+
+
+def test_ab_pairs_keeps_the_pairs_before_a_failed_run(monkeypatch, tmp_path):
+    """A run that exits non-zero stops tools/ab_pairs.py with status 1, and
+    its report file holds every pair measured before that run and the
+    failed run's side, command, exit status and stderr tail. Every run is
+    canned: no process starts."""
+    import json
+
+    tool = _ab_pairs()
+    runs = []
+    _canned_runs(monkeypatch, runs)
     monkeypatch.setattr(tool, "export", lambda rev, dest: "0" * 40)
     monkeypatch.setattr(tool, "_commit", lambda rev: "1" * 40)
     out = tmp_path / "pairs.json"
@@ -793,3 +799,25 @@ def test_ab_pairs_keeps_the_pairs_before_a_failed_run(monkeypatch, tmp_path):
     assert failed["cmd"] == ["perfbench/run.py", "--workload", "analyze", "--seed", "8",
                              "--seconds", str(report["seconds"]), "--trace", "0"]
     assert [cmd[-1] for cmd in runs] == ["0"] * 4
+
+
+@pytest.mark.parametrize("status, measured", [
+    (" M README.md\n M ISSUE.md\n", False),
+    (" M README.md\n M src/lattact/root_systems.py\n", True),
+    ("R  tools/run.py -> perfbench/run.py\n", True),
+    ("R  perfbench/notes.txt -> notes.txt\n", True),
+    ("", False),
+], ids=["docs-only", "src", "rename-into-perfbench", "rename-out-of-perfbench", "clean"])
+def test_ab_pairs_flags_only_edits_a_run_executes(monkeypatch, tmp_path, status, measured):
+    """change_uncommitted_edits is true only when a tracked file under src/
+    or perfbench/ differs from HEAD, on either side of a rename; edited
+    documentation alone leaves it false. Every run is canned."""
+    import json
+
+    tool = _ab_pairs()
+    _canned_runs(monkeypatch, [], status)
+    monkeypatch.setattr(tool, "export", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(tool, "_commit", lambda rev: "1" * 40)
+    out = tmp_path / "pairs.json"
+    assert tool.main(["--parent", "p", "--workload", "analyze", "--pairs", "3", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["change_uncommitted_edits"] is measured

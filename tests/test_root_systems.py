@@ -10,7 +10,6 @@ from lattact.errors import InputError, VerificationError
 from lattact.lattice import (
     Isometry,
     Sublattice,
-    _trusted,
     full_sublattice,
     make_lattice,
     standard_lattice,
@@ -21,7 +20,6 @@ from lattact.root_systems import (
     FoldResult,
     RootSystem,
     WeylWord,
-    _verify_root_system,
     ade_decompose,
     camera_decompose,
     classify_admissible_b_transitive,
@@ -71,6 +69,26 @@ def test_roots_of_rootless():
         empty = roots_of(s)
         assert empty.span == Sublattice(ambient, ()) and empty.span.index is None
         assert (empty.roots, empty.positive_roots, empty.simple_roots, empty.components) == ((), (), (), ())
+
+
+@pytest.mark.parametrize("source", [
+    standard_lattice("D4+A1"),
+    sublattice_from_rows(standard_lattice("A2+A1"), ((1, 0, 0), (0, 1, 0))),
+    make_lattice(()),
+    standard_lattice("diag(-4)"),
+    Sublattice(A2, ((2, 0),)),
+], ids=["lattice", "proper-sublattice", "rank-0", "rootless", "rootless-sublattice"])
+def test_the_derived_facts_are_set_when_a_system_is_built(source):
+    # roots_of sets the diagram, the roots' simple coordinates and their
+    # component split with the fields; a system built from the same fields
+    # carries the same values, and ade_decompose reads the components
+    r = roots_of(source)
+    derived = ("_diagram", "_root_coords", "component_roots")
+    assert all(name in vars(r) for name in derived)
+    built = RootSystem(*(getattr(r, name) for name in fields(RootSystem)))
+    assert [vars(built)[name] for name in derived] == [vars(r)[name] for name in derived]
+    assert ade_decompose(r) == ade_decompose(built) == r.components
+    assert len(r.component_roots) == len(r.components)
 
 
 def test_roots_of_rejects_indefinite():
@@ -130,40 +148,6 @@ def test_root_counts_match_type():
     # number of roots for the classical series
     for name, count in [("A1", 2), ("A2", 6), ("A3", 12), ("D4", 24), ("E6", 72), ("E7", 126)]:
         assert len(roots_of(standard_lattice(name)).roots) == count, name
-
-
-def _corrupted_system(gram, roots, simple):
-    # _trusted, as roots_of builds its systems: the public constructor
-    # refuses every one of these
-    l = make_lattice(gram)
-    roots = tuple(sorted(roots))
-    return _trusted(RootSystem, l, sublattice_from_rows(l, roots), roots, simple, simple, ())
-
-
-@pytest.mark.parametrize(
-    "gram, roots, simple, message",
-    [
-        # e2 is not in the span of the only simple root
-        ([[-2, 0], [0, -2]], [(1, 0), (-1, 0), (0, 1), (0, -1)], ((1, 0),),
-         "outside the simple-root lattice"),
-        # e1 is half the sum of the two "simple" roots: non-integer coordinates
-        ([[-2, 0], [0, -2]], [(1, 0), (-1, 0), (1, 1), (-1, -1), (1, -1), (-1, 1)],
-         ((1, -1), (1, 1)), "outside the simple-root lattice"),
-        # e1 - e2 has simple coordinates (1, -1)
-        ([[-2, 0], [0, -2]], [(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)],
-         ((0, 1), (1, 0)), "mixed-sign"),
-        # two simple roots in a root span of rank 1
-        ([[-2, 1], [1, -2]], [(1, 0), (-1, 0)], ((1, 0), (2, 0)), "linearly dependent"),
-        # -e2 is missing
-        ([[-2, 0], [0, -2]], [(1, 0), (-1, 0), (0, 1)], ((0, 1), (1, 0)), "not closed under negation"),
-        # two roots of A2 at 60 degrees as "simple": e2 = (e1 + e2) - e1
-        ([[-2, 1], [1, -2]], [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)],
-         ((1, 0), (1, 1)), "mixed-sign"),
-    ],
-)
-def test_verify_root_system_rejects_corrupted_systems(gram, roots, simple, message):
-    with pytest.raises(VerificationError, match=message):
-        _verify_root_system(_corrupted_system(gram, roots, simple))
 
 
 # ---------------------------------------------------------------------------
@@ -860,11 +844,6 @@ def test_malformed_root_system_inputs_are_refused():
 
 
 def test_corrupted_diagrams_are_refused():
-    # two "simple" roots pairing to 2 are a root and its negative
-    bad = _corrupted_system(((-2, 0), (0, -2)), [(1, 0), (-1, 0)], ((-1, 0), (1, 0)))
-    with pytest.raises(VerificationError, match="pairing outside"):
-        ade_decompose(bad)
-
     # a component's rank and root count give its type; a count that fits
     # no type of the rank (D_n needs n >= 4) is refused
     from lattact.root_systems import _ade_type
@@ -875,21 +854,41 @@ def test_corrupted_diagrams_are_refused():
 
 
 def test_an_enumeration_that_drops_a_pair_of_roots_is_refused(monkeypatch):
-    # without the largest root and its negative, the walk still finds the
-    # simple roots, the diagram and a type for each component; the root
-    # count of the component that lost them fits none
+    # roots_of certifies the enumeration by the simple roots' pairings
+    # (_dynkin) and each component's root count (_ade_type). Without the
+    # largest root and its negative, the walk still finds the simple
+    # roots, the diagram and a type for each component; the root count of
+    # the component that lost them fits none. With any one pair ±r missing
+    # from A2, A3, D4 or E6, the walk finds "simple" roots pairing to 2, or
+    # a component whose count fits no type
     from lattact import root_systems
 
-    enumerate_all = root_systems.enumerate_vectors
+    names = ("D4", "E8", "A3", "A2+A1", "A2", "E6")
+    systems = {name: roots_of(standard_lattice(name)) for name in names}
+    enumerated = {}
+    monkeypatch.setattr(root_systems, "enumerate_vectors", lambda l, a, up_to_sign=False: enumerated[l])
 
-    def drop_largest_pair(l, a, up_to_sign=False):
-        found = enumerate_all(l, a, up_to_sign)
-        return found[1:-1]  # sorted: the smallest and the largest, a pair ±r
+    def refusal(rs, dropped):
+        enumerated[rs.ambient] = tuple(v for v in rs.roots if v not in dropped)
+        with pytest.raises(VerificationError, match="pairing outside|fits no ADE type") as refused:
+            roots_of(rs.ambient)
+        return str(refused.value)
 
-    monkeypatch.setattr(root_systems, "enumerate_vectors", drop_largest_pair)
-    for name in ("D4", "E8", "A3", "A2+A1"):
-        with pytest.raises(VerificationError, match="fits no ADE type$"):
-            roots_of(standard_lattice(name))
+    for name in names[:4]:
+        rs = systems[name]
+        # sorted: the smallest and the largest root, a pair ±r
+        assert refusal(rs, (rs.roots[0], rs.roots[-1])).endswith("fits no ADE type")
+    messages = set()
+    for name in ("A2", "A3", "D4", "E6"):
+        rs = systems[name]
+        for r in rs.positive_roots:
+            messages.add("pairing" if "pairing outside" in refusal(rs, (r, tuple(-x for x in r))) else "count")
+    assert messages == {"pairing", "count"}
+    # without the A1 summand of A2+A1 the rest is a genuine A2
+    rs = systems["A2+A1"]
+    a1 = min(rs.component_roots, key=len)
+    enumerated[rs.ambient] = tuple(v for v in rs.roots if v not in a1)
+    assert roots_of(rs.ambient).components == (("A", 2),)
 
 
 def test_cameras_whose_walls_bound_no_chamber_are_refused():

@@ -42,6 +42,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# the tracked files a benchmark run executes
+MEASURED = ("src/", "perfbench/")
 
 
 def parse_output(stdout: str) -> dict:
@@ -111,6 +113,13 @@ def export(rev: str, dest: Path) -> str:
     return _commit(rev)
 
 
+def measured_edits(porcelain: str) -> bool:
+    """Whether `git status --porcelain` lines name a file under MEASURED,
+    on either side of a rename ("XY OLD -> NEW")."""
+    return any(path.strip('"').startswith(MEASURED)
+               for line in porcelain.splitlines() for path in line[3:].split(" -> "))
+
+
 def _commit(rev: str) -> str:
     return subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
@@ -149,8 +158,8 @@ def main(argv=None) -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
     seconds = bench["run_seconds"]
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    dirty = bool(subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"], cwd=ROOT,
-                                check=True, capture_output=True, text=True).stdout.strip())
+    dirty = measured_edits(subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"], cwd=ROOT,
+                                          check=True, capture_output=True, text=True).stdout)
     report = {"parent": args.parent, "change": _commit("HEAD"), "change_uncommitted_edits": dirty,
               "seconds": seconds, "seeds": seeds, "workloads": {}}
 
