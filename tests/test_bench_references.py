@@ -802,7 +802,7 @@ def test_ab_pairs_keeps_the_pairs_before_a_failed_run(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("status, measured", [
-    (" M README.md\n M ISSUE.md\n", False),
+    (" M README.md\n M CHANGES.md\n", False),
     (" M README.md\n M src/lattact/root_systems.py\n", True),
     ("R  tools/run.py -> perfbench/run.py\n", True),
     ("R  perfbench/notes.txt -> notes.txt\n", True),
